@@ -51,4 +51,4 @@ from .stepper import (
     integrate_adaptive,
     integrate_fixed,
 )
-from .taylor import CoeffTable, SeriesEvalPoint, cauchy_product, horner_eval, triple_product
+from .taylor import CoeffTable, cauchy_product, horner_eval, triple_product

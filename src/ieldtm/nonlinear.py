@@ -1,8 +1,10 @@
 """Dense Newton solver with finite-difference Jacobian and partial-pivot LU.
 
 Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
-and factored densely; centred differences cost two residual evaluations per
-column but keep the Jacobian accurate under strongly scaled nonlinearities.
+and factored densely.  Centred differences keep it accurate under strongly
+scaled nonlinearities; the residual takes all 2m + 1 points they need (the
+iterate and its +-h perturbations) as one batch, so each iteration's
+Jacobian, and the first iteration's residual, cost one residual call.
 """
 
 from __future__ import annotations
@@ -63,29 +65,31 @@ def lu_solve(A, b) -> np.ndarray:
     return x
 
 
-def _jacobian_fd(residual, y, eps):
-    """Central-difference Jacobian.
+def _residual_and_jacobian(residual, y, eps):
+    """r(y) and the central-difference Jacobian from one batched residual
+    call on the points [y, y + h_j e_j, y - h_j e_j], h_j = eps max(1, |y_j|).
 
-    Centred differences cost one extra residual evaluation per column but
-    cancel quadratic terms exactly; with strongly scaled nonlinearities
-    (e.g. 3e7 x^2 reaction terms at |x| ~ 1e-15) forward differences pick up
-    enough curvature error to degrade Newton to slow linear convergence.
+    Centred differences cancel quadratic terms exactly; with strongly scaled
+    nonlinearities (e.g. 3e7 x^2 reaction terms at |x| ~ 1e-15) forward
+    differences pick up enough curvature error to degrade Newton to slow
+    linear convergence.
     """
     n = y.shape[0]
-    J = np.empty((n, n))
-    for j in range(n):
-        h = eps * max(1.0, abs(y[j]))
-        yp = y.copy()
-        ym = y.copy()
-        yp[j] += h
-        ym[j] -= h
-        J[:, j] = (np.asarray(residual(yp), dtype=float)
-                   - np.asarray(residual(ym), dtype=float)) / (2.0 * h)
-    return J
+    h = eps * np.maximum(1.0, np.abs(y))
+    points = np.repeat(y[:, None], 2 * n + 1, axis=1)
+    cols = np.arange(n)
+    points[cols, 1 + cols] += h
+    points[cols, 1 + n + cols] -= h
+    r = np.asarray(residual(points), dtype=float)
+    return r[:, 0], (r[:, 1:n + 1] - r[:, n + 1:]) / (2.0 * h)
 
 
 def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
     """Root-find residual(y) = 0 starting from guess.
+
+    ``residual`` maps an ``(n,)`` point to its ``(n,)`` residual and an
+    ``(n, B)`` stack of points, one per column, to the ``(n, B)`` stack of
+    their residuals.
 
     Returns (root, iterations).  Converges when the residual inf-norm drops
     below abs_tol or the update inf-norm drops below step_tol * max(1, |y|).
@@ -93,7 +97,7 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
     if cfg is None:
         cfg = NewtonConfig()
     y = np.array(guess, dtype=float)
-    r = np.asarray(residual(y), dtype=float)
+    r, J = _residual_and_jacobian(residual, y, cfg.fd_epsilon)
     # Accept at abs_tol only once quadratic progress has stalled: while the
     # residual is still collapsing by orders of magnitude per step, one more
     # (cheap) iteration buys the round-off floor instead of an O(abs_tol)
@@ -107,7 +111,8 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
         if r_norm <= cfg.abs_tol and r_norm > 0.25 * prev_norm:
             return y, it - 1
         prev_norm = r_norm
-        J = _jacobian_fd(residual, y, cfg.fd_epsilon)
+        if it > 1:
+            _, J = _residual_and_jacobian(residual, y, cfg.fd_epsilon)
         delta = lu_solve(J, -r)
         alpha = 1.0
         y_new = y + delta

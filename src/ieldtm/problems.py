@@ -5,6 +5,15 @@ coefficients known through index k (an array of shape ``(k+1, dim)`` expanded
 about ``t_i``) to the next scaled derivative.  Any user ODE can be added by
 writing such a recurrence; the library does not derive recurrences from
 closed-form right-hand sides automatically.
+
+Recurrences must also accept a trailing batch axis: given ``coeffs`` of shape
+``(k+1, dim, B)``, holding the expansions of B states, they return X(k+1) of
+shape ``(dim, B)``, column b depending on column b alone.  The Newton solver
+relies on it to build all its finite-difference points in one table.
+Indexing ``coeffs[k]`` and ``coeffs[:, j]``, matrix products ``A @
+coeffs[k]`` and ``cauchy_product``/``triple_product`` all keep the batch axis;
+a term that is the same for every column (a forcing vector) must broadcast
+against it.
 """
 
 from __future__ import annotations
@@ -104,7 +113,9 @@ def linear_system(A, forcing=None, name: str = "linear",
             return A @ coeffs[k] / (k + 1)
     else:
         def recurrence(t, coeffs, k):
-            return (A @ coeffs[k] + np.asarray(forcing(t, k), dtype=float)) / (k + 1)
+            out = A @ coeffs[k]
+            f = np.asarray(forcing(t, k), dtype=float)
+            return (out + f.reshape(f.shape + (1,) * (out.ndim - f.ndim))) / (k + 1)
 
     return ProblemDefinition(
         name=name,

@@ -14,10 +14,15 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, NewtonFailureError
+from .errors import (
+    InvalidConfigurationError,
+    NewtonFailureError,
+    NonFiniteStateError,
+    SingularMatrixError,
+)
 from .nonlinear import NewtonConfig, newton_solve
 from .problems import ProblemDefinition
-from .taylor import CoeffTable, SeriesEvalPoint, horner_eval
+from .taylor import CoeffTable, horner_eval
 
 __all__ = [
     "FixedStep",
@@ -41,6 +46,13 @@ __all__ = [
 EXTRA_DEPTH = 2
 
 _ADAPTIVE_THETAS = (0.0, 0.5, 1.0)
+
+# Step failures the drivers report as a trace status instead of raising.
+_FAILURE_STATUS = {
+    NewtonFailureError: "newton-failure",
+    NonFiniteStateError: "non-finite-state",
+    SingularMatrixError: "singular-matrix",
+}
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,9 @@ class SolutionTrace:
     problem_name: str
     config: SchemeConfig
     records: List[StepRecord]
-    status: str  # completed | min-step-underflow | newton-failure
+    # completed | min-step-underflow | newton-failure | non-finite-state |
+    # singular-matrix; records run up to the failure.
+    status: str
 
     @property
     def steps(self) -> int:
@@ -123,11 +137,19 @@ class SolutionTrace:
 
 def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
                       depth: int) -> CoeffTable:
-    """Run the problem recurrence ``depth`` times starting from the state."""
+    """Run the problem recurrence ``depth`` times starting from the state.
+
+    ``state`` is one state of shape ``(dim,)`` or a batch of B states of
+    shape ``(dim, B)``; the table takes its shape from it.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    coeffs = np.empty((depth + 1, problem.dim))
-    coeffs[0] = np.asarray(state, dtype=float)
+    state = np.asarray(state, dtype=float)
+    if state.ndim not in (1, 2) or state.shape[0] != problem.dim:
+        raise ValueError(
+            f"state must have shape ({problem.dim},) or ({problem.dim}, B)")
+    coeffs = np.empty((depth + 1,) + state.shape)
+    coeffs[0] = state
     for k in range(depth):
         coeffs[k + 1] = problem.recurrence(t_i, coeffs[: k + 1], k)
     return CoeffTable(t_i, coeffs)
@@ -139,19 +161,23 @@ def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
     if dt <= 0:
         raise ValueError("dt must be positive")
     table = build_coeff_table(problem, t_i, state, order)
-    return horner_eval(table, SeriesEvalPoint(dt, order))
+    return horner_eval(table, dt, order)
 
 
 def implicit_residual(problem: ProblemDefinition, known_table: CoeffTable,
                       trial_state, theta: float, order: int,
                       dt: float) -> np.ndarray:
     """Continuity defect of the two expansions at the matching point
-    t_i + (1 - theta) dt; its root is the accepted next state."""
+    t_i + (1 - theta) dt; its root is the accepted next state.
+
+    A ``(dim, B)`` stack of trial states gives the ``(dim, B)`` defects from
+    one batched table build.
+    """
     t_next = known_table.base_time + dt
     trial_table = build_coeff_table(problem, t_next, trial_state, order)
-    lhs = horner_eval(trial_table, SeriesEvalPoint(-theta * dt, order))
-    rhs = horner_eval(known_table, SeriesEvalPoint((1.0 - theta) * dt, order))
-    return lhs - rhs
+    lhs = horner_eval(trial_table, -theta * dt, order)
+    rhs = horner_eval(known_table, (1.0 - theta) * dt, order)
+    return lhs - rhs.reshape(rhs.shape + (1,) * (lhs.ndim - rhs.ndim))
 
 
 def implicit_step(problem: ProblemDefinition, t_i: float, state, theta: float,
@@ -166,7 +192,7 @@ def implicit_step(problem: ProblemDefinition, t_i: float, state, theta: float,
         raise ValueError("dt must be positive")
     if known_table is None or known_table.depth < order:
         known_table = build_coeff_table(problem, t_i, state, order)
-    predictor = horner_eval(known_table, SeriesEvalPoint(dt, order))
+    predictor = horner_eval(known_table, dt, order)
 
     def residual(y):
         return implicit_residual(problem, known_table, y, theta, order, dt)
@@ -232,7 +258,7 @@ def _clip_to_events(t: float, dt: float, t_final: float,
 def _advance(problem, table, theta, order, dt, newton_cfg):
     """One accepted step from a prebuilt node table; returns (state, iters)."""
     if theta == 0.0:
-        return horner_eval(table, SeriesEvalPoint(dt, order)), 0
+        return horner_eval(table, dt, order), 0
     return implicit_step(problem, table.base_time, table.state, theta, order,
                          dt, newton_cfg, known_table=table)
 
@@ -251,18 +277,20 @@ def integrate_fixed(problem: ProblemDefinition, config: SchemeConfig,
     records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
     t, status = 0.0, "completed"
     eps_end = 1e-12 * max(1.0, t_final)
-    while t < t_final - eps_end:
-        dt = _clip_to_events(t, config.step_mode.dt, t_final,
-                             problem.discontinuities)
-        table = build_coeff_table(problem, t, x, order + EXTRA_DEPTH)
-        est = _local_error_estimate(table, theta, order, dt)
+    # Overflow surfaces as NonFiniteStateError from the coefficient table,
+    # so numpy's warnings about it would only repeat the status.
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            x, iters = _advance(problem, table, theta, order, dt, config.newton)
-        except NewtonFailureError:
-            status = "newton-failure"
-            break
-        t += dt
-        records.append(StepRecord(t, x, dt, iters, est))
+            while t < t_final - eps_end:
+                dt = _clip_to_events(t, config.step_mode.dt, t_final,
+                                     problem.discontinuities)
+                table = build_coeff_table(problem, t, x, order + EXTRA_DEPTH)
+                est = _local_error_estimate(table, theta, order, dt)
+                x, iters = _advance(problem, table, theta, order, dt, config.newton)
+                t += dt
+                records.append(StepRecord(t, x, dt, iters, est))
+        except tuple(_FAILURE_STATUS) as exc:
+            status = _FAILURE_STATUS[type(exc)]
     return SolutionTrace(problem.name, config, records, status)
 
 
@@ -292,26 +320,26 @@ def integrate_adaptive(problem: ProblemDefinition, config: SchemeConfig,
     records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
     t, status = 0.0, "completed"
     eps_end = 1e-12 * max(1.0, t_final)
-    while t < t_final - eps_end:
-        table = build_coeff_table(problem, t, x, order + EXTRA_DEPTH)
-        if central_odd:
-            dt = adaptive_dt_case2(table, order, mode.tol, mode.safety,
-                                   dt_max=dt_max)
-        else:
-            dt = adaptive_dt_case1(table, order, mode.tol, mode.safety,
-                                   dt_max=dt_max)
-        if dt < mode.dt_min:
-            status = "min-step-underflow"
-            break
-        dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
-        est = _local_error_estimate(table, theta, order, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in integrate_fixed
         try:
-            x, iters = _advance(problem, table, theta, order, dt, config.newton)
-        except NewtonFailureError:
-            status = "newton-failure"
-            break
-        t += dt
-        records.append(StepRecord(t, x, dt, iters, est))
+            while t < t_final - eps_end:
+                table = build_coeff_table(problem, t, x, order + EXTRA_DEPTH)
+                if central_odd:
+                    dt = adaptive_dt_case2(table, order, mode.tol, mode.safety,
+                                           dt_max=dt_max)
+                else:
+                    dt = adaptive_dt_case1(table, order, mode.tol, mode.safety,
+                                           dt_max=dt_max)
+                if dt < mode.dt_min:
+                    status = "min-step-underflow"
+                    break
+                dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
+                est = _local_error_estimate(table, theta, order, dt)
+                x, iters = _advance(problem, table, theta, order, dt, config.newton)
+                t += dt
+                records.append(StepRecord(t, x, dt, iters, est))
+        except tuple(_FAILURE_STATUS) as exc:
+            status = _FAILURE_STATUS[type(exc)]
     return SolutionTrace(problem.name, config, records, status)
 
 

@@ -195,6 +195,40 @@ class TestRecurrenceVsSeriesOracle:
             assert np.abs(got - ref).max() <= 1e-10 * scale
 
 
+def _exp_decay_forcing(t, k):
+    """Transform of B(t) = (e^(-t), 1) about t."""
+    return np.array([math.exp(-t) * (-1.0) ** k / math.factorial(k),
+                     1.0 if k == 0 else 0.0])
+
+
+class TestBatchAxis:
+    """Column b of a batched table is the table of state b alone."""
+
+    CASES = [
+        (dahlquist(-2.0), 0.0),
+        (linear_system(np.array([[-2.0, 1.0], [0.5, -3.0]])), 0.0),
+        (linear_system(np.array([[-2.0, 1.0], [0.5, -3.0]]),
+                       forcing=_exp_decay_forcing, name="forced"), 0.7),
+        (seir(SeirParams(eta=8.0)), 70.0),
+        (duffing(), 0.3),
+        (robertson_modified(), 1.2),
+        (van_der_pol(10.0), 0.0),
+    ]
+
+    @pytest.mark.parametrize("problem,t", CASES, ids=[c[0].name for c in CASES])
+    def test_columns_match_single_tables(self, problem, t):
+        rng = np.random.default_rng(2)
+        base = problem.default_initial[:, None]
+        states = base * rng.uniform(0.5, 1.5, (problem.dim, 5)) \
+            + rng.normal(scale=0.1, size=(problem.dim, 5))
+        batched = coeffs_from(problem, t, states, 7)
+        assert batched.shape == (8, problem.dim, 5)
+        for b in range(5):
+            single = coeffs_from(problem, t, states[:, b], 7)
+            np.testing.assert_allclose(batched[..., b], single, rtol=1e-13,
+                                       atol=1e-13 * np.abs(single).max())
+
+
 class TestRegistry:
     def test_all_names_constructible(self):
         for name in PROBLEM_NAMES:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ieldtm.errors import InvalidConfigurationError
+from ieldtm.nonlinear import NewtonConfig
 from ieldtm.problems import (
     SeirParams,
     dahlquist,
@@ -13,6 +14,7 @@ from ieldtm.problems import (
     linear_system,
     robertson_modified,
     seir,
+    van_der_pol,
 )
 from ieldtm.stability import matrix_R, scalar_R
 from ieldtm.stepper import (
@@ -49,6 +51,22 @@ class TestBuildCoeffTable:
     def test_depth_validated(self):
         with pytest.raises(ValueError):
             build_coeff_table(dahlquist(1.0), 0.0, [1.0], 0)
+
+    def test_state_shape_validated(self):
+        with pytest.raises(ValueError):
+            build_coeff_table(duffing(), 0.0, [1.0], 2)
+        with pytest.raises(ValueError):
+            build_coeff_table(duffing(), 0.0, np.ones((2, 3, 1)), 2)
+
+    def test_batched_residual_columns(self):
+        prob = duffing()
+        table = build_coeff_table(prob, 0.0, prob.default_initial, 3)
+        trials = np.array([[0.5, 0.51, 0.49], [0.25, 0.26, 0.24]])
+        r = implicit_residual(prob, table, trials, 0.5, 3, 0.1)
+        assert r.shape == (2, 3)
+        for b in range(3):
+            single = implicit_residual(prob, table, trials[:, b], 0.5, 3, 0.1)
+            np.testing.assert_allclose(r[:, b], single, rtol=1e-14, atol=1e-16)
 
 
 class TestExplicitStep:
@@ -235,6 +253,32 @@ class TestSchemeConfigValidation:
             FixedStep(0.0)
         with pytest.raises(ValueError):
             AdaptiveStep(1e-8, safety=1.5)
+
+
+class TestStepFailureStatus:
+    """A failed step ends the trace with a typed status, keeping the records
+    before it; integrate() neither raises nor warns."""
+
+    def test_non_finite_state(self):
+        # eps = 1000 with dt = 0.5 overflows the node table at t = 1.
+        cfg = SchemeConfig(0.5, 5, FixedStep(0.5))
+        trace = integrate(van_der_pol(1000.0), cfg, 5.0)
+        assert trace.status == "non-finite-state"
+        assert trace.times.tolist() == [0.0, 0.5]
+        assert np.isfinite(trace.states).all()
+
+    def test_singular_matrix(self):
+        # Backward Euler on x' = x with dt = 1: the Newton matrix 1 - dt is 0.
+        trace = integrate(dahlquist(1.0), SchemeConfig(1.0, 1, FixedStep(1.0)), 2.0)
+        assert trace.status == "singular-matrix"
+        assert trace.steps == 0
+
+    def test_newton_failure(self):
+        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8),
+                           newton=NewtonConfig(max_iters=1))
+        trace = integrate(duffing(), cfg, 1.0)
+        assert trace.status == "newton-failure"
+        assert trace.steps == 0
 
 
 class TestIntegrateDispatch:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ieldtm.errors import NonFiniteStateError
 from ieldtm.taylor import (
     CoeffTable,
-    SeriesEvalPoint,
     cauchy_product,
     horner_eval,
     triple_product,
@@ -85,6 +84,32 @@ class TestTripleProduct:
             expected, abs=1e-7 * (1 + abs(expected)))
 
 
+class TestBatchAxis:
+    """A trailing batch axis acts column by column."""
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_cauchy_matches_columns(self, k):
+        a, b = np.random.default_rng(k).normal(size=(2, 8, 5))
+        expected = [cauchy_product(a[:, j], b[:, j], k) for j in range(5)]
+        np.testing.assert_allclose(cauchy_product(a, b, k), expected,
+                                   rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_triple_matches_columns(self, k):
+        a, b, c = np.random.default_rng(k).normal(size=(3, 8, 5))
+        expected = [triple_product(a[:, j], b[:, j], c[:, j], k) for j in range(5)]
+        np.testing.assert_allclose(triple_product(a, b, c, k), expected,
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_table_and_horner_keep_batch(self):
+        coeffs = np.random.default_rng(1).normal(size=(4, 2, 3))
+        batched = horner_eval(CoeffTable(0.0, coeffs), 0.3, 3)
+        assert batched.shape == (2, 3)
+        for j in range(3):
+            single = horner_eval(CoeffTable(0.0, coeffs[..., j]), 0.3, 3)
+            np.testing.assert_array_equal(batched[:, j], single)
+
+
 class TestCoeffTable:
     def test_properties(self):
         coeffs = np.array([[1.0, 2.0], [0.5, -1.0]])
@@ -100,25 +125,27 @@ class TestCoeffTable:
     def test_eval_point_order_capped_by_depth(self):
         table = CoeffTable(0.0, np.ones((3, 1)))
         with pytest.raises((ValueError, IndexError)):
-            horner_eval(table, SeriesEvalPoint(0.1, 5))
+            horner_eval(table, 0.1, 5)
+        with pytest.raises(ValueError):
+            horner_eval(table, 0.1, -1)
 
 
 class TestHornerEval:
     def test_truncated_exponential(self):
         table = CoeffTable(0.0, exp_coeffs(3)[:, None])
-        value = horner_eval(table, SeriesEvalPoint(0.1, 2))
+        value = horner_eval(table, 0.1, 2)
         assert value[0] == pytest.approx(1.105)
 
     def test_zero_offset_returns_state(self):
         coeffs = np.array([[4.0], [1.0], [9.0]])
         table = CoeffTable(1.0, coeffs)
-        assert horner_eval(table, SeriesEvalPoint(0.0, 2))[0] == 4.0
+        assert horner_eval(table, 0.0, 2)[0] == 4.0
 
     def test_alternating_series(self):
         # e^(-t) truncated: 1 - 1 + 1/2 at offset 1
         coeffs = np.array([[1.0], [-1.0], [0.5]])
         table = CoeffTable(0.0, coeffs)
-        assert horner_eval(table, SeriesEvalPoint(1.0, 2))[0] == pytest.approx(0.5)
+        assert horner_eval(table, 1.0, 2)[0] == pytest.approx(0.5)
 
     @given(st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False),
                     min_size=1, max_size=13),
@@ -128,5 +155,5 @@ class TestHornerEval:
         table = CoeffTable(0.0, arr)
         order = len(coeffs) - 1
         naive = sum(c * offset ** k for k, c in enumerate(coeffs))
-        value = horner_eval(table, SeriesEvalPoint(offset, order))[0]
+        value = horner_eval(table, offset, order)[0]
         assert value == pytest.approx(naive, abs=1e-10 * (1 + abs(naive)))
