@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .problems import ProblemDefinition, make_problem
-from .stability import sample_region
+from .stability import is_A_stable, is_L_stable, sample_region
 from .stepper import (
     AdaptiveStep,
     FixedStep,
@@ -400,10 +400,13 @@ def write_trace_csv(stream, trace: SolutionTrace, meta: dict):
 def write_grid_csv(stream, theta: float, order: int, re_range, im_range,
                    resolution):
     grid = sample_region(theta, order, re_range, im_range, resolution)
+    a_stable, witness = is_A_stable(theta, order)
     meta = {"theta": theta, "K": order,
             "re_range": f"{re_range[0]},{re_range[1]}",
             "im_range": f"{im_range[0]},{im_range[1]}",
-            "resolution": f"{resolution[0]}x{resolution[1]}"}
+            "resolution": f"{resolution[0]}x{resolution[1]}",
+            "a_stable": a_stable, "witness": witness,
+            "l_stable": is_L_stable(theta, order)}
     rows = (
         [grid.re_values[i], grid.im_values[j], f"{grid.values[i, j]:.17g}"]
         for i in range(grid.re_values.size)

@@ -256,12 +256,10 @@ def robertson_modified() -> ProblemDefinition:
         q23 = cauchy_product(x2, x3, k)
         q22 = cauchy_product(x2, x2, k)
         f = math.exp(-t) * (-1.0 if k % 2 else 1.0) / math.factorial(k)
-        out = np.array([
-            -0.04 * x1[k] + 1e4 * q23 - 0.96 * f,
-            0.04 * x1[k] - 1e4 * q23 - 3e7 * q22 - 0.04 * f,
-            3e7 * q22 + f,
-        ])
-        return out / (k + 1)
+        a1, a23, a22 = 0.04 * x1[k], 1e4 * q23, 3e7 * q22
+        out = np.array([a23 - a1 - 0.96 * f, a1 - a23 - a22 - 0.04 * f, a22 + f])
+        out /= k + 1
+        return out
 
     def exact(t):
         e = math.exp(-t)

@@ -1,5 +1,5 @@
 """Stability toolkit: rational stability function, region sampling,
-A-/L-stability certificates, matrix stability function and the
+exact A-/L-stability certificates, matrix stability function and the
 logarithmic-norm contraction predicate.
 
 The scalar stability function is the ratio of two truncated exponentials,
@@ -8,10 +8,18 @@ The scalar stability function is the ratio of two truncated exponentials,
 
 so R(z) approximates e^z near the origin and the classical theta-method is
 recovered at K = 1.
+
+The certificates are proofs, not samples (Hairer & Wanner, Solving ODEs II,
+IV.3): R is A-stable exactly when it has no pole with Re z <= 0 and
+E(y) = |T_K(-i theta y)|^2 - |T_K(i (1 - theta) y)|^2 >= 0 for real y.  The
+A-stable sets are theta in [0.5, 1] for K <= 2, theta = 0.5 for K = 3, 4 and
+none for K >= 5 (T_K has right-half-plane roots, so R has a left-half-plane
+pole); L-stable only at theta = 1, K <= 2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -34,14 +42,17 @@ __all__ = [
 
 _POLE_FLOOR = 1e-300
 A_STABLE_SLACK = 1e-10
+_FAR_REAL = -np.logspace(1.0, 8.0, 8) + 0.0j  # real witness candidates, theta < 0.5
 
 
 def _trunc_exp(w, order: int):
     """Horner evaluation of the degree-``order`` Taylor polynomial of e^w;
-    works elementwise on complex arrays."""
-    acc = np.full_like(np.asarray(w, dtype=complex), 1.0 / math.factorial(order))
+    works elementwise, in place, on complex arrays (``[()]`` turns a 0-d
+    input into a numpy scalar, which is far cheaper than a 0-d array)."""
+    acc = np.full_like(np.asarray(w, dtype=complex), 1.0 / math.factorial(order))[()]
     for k in range(order - 1, -1, -1):
-        acc = acc * w + 1.0 / math.factorial(k)
+        acc *= w
+        acc += 1.0 / math.factorial(k)
     return acc
 
 
@@ -109,79 +120,66 @@ def unstable_fraction(grid: StabilityGrid, slack: float = 1e-10) -> float:
     return float(np.mean(vals > 1.0 + slack))
 
 
-def _lhp_pole(theta: float, order: int) -> Optional[complex]:
-    """A pole of R in the closed left half-plane, or None.
+@functools.lru_cache(maxsize=None)
+def _order_constants(order: int):
+    """The theta-independent constants of the certificates: the roots of T_K
+    (the poles of R are these times -1/theta) and b[m] = (-1)^m c_2m for
+    m = 0..K, c_n = sum_{j+l=n; j,l<=K} (-1)^l / (j! l!) summed exactly in
+    integers scaled by K!^2 (c_n = 0 for 0 < n <= K)."""
+    roots = np.roots([1.0 / math.factorial(k) for k in range(order, -1, -1)])
+    scaled = [math.factorial(order) // math.factorial(k) for k in range(order + 1)]
+    b = np.zeros(order + 1)
+    for m in range(order // 2 + 1, order + 1):
+        b[m] = (-1) ** m * sum((-1) ** l * scaled[2 * m - l] * scaled[l]
+                               for l in range(2 * m - order, order + 1)) / scaled[0] ** 2
+    roots.flags.writeable = b.flags.writeable = False
+    return roots, b
 
-    The denominator is the polynomial T_K(-theta z); its roots are found
-    directly rather than hunted by sampling.
-    """
-    if theta == 0.0:
-        return None
-    coeffs = [(-theta) ** k / math.factorial(k) for k in range(order + 1)]
-    roots = np.roots(coeffs[::-1])
-    lhp = [r for r in roots if r.real <= 1e-9]
-    if not lhp:
-        return None
-    return complex(max(lhp, key=lambda r: r.real))
+
+def _e_poly(theta: float, order: int) -> np.ndarray:
+    """E in s = y^2, ascending coefficients: |T_K(i a y)|^2 is 1 plus
+    sum_m b[m] (a y)^2m, so e[m] = b[m] (theta^2m - (1 - theta)^2m)."""
+    m = np.arange(order + 1)
+    return _order_constants(order)[1] * (theta ** (2 * m) - (1.0 - theta) ** (2 * m))
 
 
-def is_A_stable(theta: float, order: int, boundary_points: int = 10000,
-                interior_resolution: int = 121, window: float = 50.0,
-                ) -> Tuple[bool, Optional[complex]]:
-    """Numerical A-stability certificate: |R| <= 1 (within slack) on a dense
-    imaginary-axis sample plus an interior left-half-plane grid, with the
-    denominator checked for left-half-plane poles.
-
-    Returns (stable, witness); the witness is a violating z when unstable.
-    This is a certificate by sampling, not a proof.
-    """
-    pole = _lhp_pole(theta, order)
-    if pole is not None:
+def is_A_stable(theta: float, order: int) -> Tuple[bool, Optional[complex]]:
+    """Exact A-stability certificate (see the module docstring).  Returns
+    (stable, witness); an unstable witness is a z with |R(z)| > 1: next to a
+    pole, on the negative real axis (theta < 0.5) or on iR where E < 0."""
+    poles = -_order_constants(order)[0] / theta if theta else np.empty(0)
+    poles = poles[poles.real <= 1e-9]
+    if poles.size:
         # |R| blows up next to the pole; report a concrete violating point.
-        witness = pole - 1e-6
-        step = 1e-6
-        while _abs_R_array(np.array([witness]), theta, order)[0] <= 1.0 + A_STABLE_SLACK:
+        pole, step = complex(poles[np.argmax(poles.real)]), 1e-6
+        while (step <= 1.0
+               and abs(scalar_R(pole - step, theta, order)) <= 1.0 + A_STABLE_SLACK):
             step *= 10.0
-            witness = pole - step
-            if step > 1.0:
-                break
-        return False, witness
+        return False, pole - step
 
-    # Far negative real axis first: catches the polynomial growth of the
-    # explicit schemes with a real witness.
-    far = -np.logspace(0.0, 8.0, 200) + 0.0j
-    vals = _abs_R_array(far, theta, order)
-    bad = vals > 1.0 + A_STABLE_SLACK
-    if bad.any():
-        return False, complex(far[int(np.argmax(bad))])
+    if theta < 0.5:
+        # |R(x)| -> ((1 - theta) / theta)^K > 1 as x -> -inf (R is a
+        # polynomial at theta = 0): the nearest far sample past the slack.
+        bad = _abs_R_array(_FAR_REAL, theta, order) > 1.0 + A_STABLE_SLACK
+        return False, complex(_FAR_REAL[np.argmax(bad)])
 
-    half = max(boundary_points // 2, 100)
-    y = np.concatenate([[0.0], np.logspace(-6, 6, half)])
-    y = np.concatenate([-y[::-1], y])
-    boundary = 1j * y
-    vals = _abs_R_array(boundary, theta, order)
-    bad = vals > 1.0 + A_STABLE_SLACK
-    if bad.any():
-        return False, complex(boundary[int(np.argmax(bad))])
-
-    re = np.linspace(-window, 0.0, interior_resolution)
-    im = np.linspace(-window, window, 2 * interior_resolution - 1)
-    z = re[:, None] + 1j * im[None, :]
-    vals = _abs_R_array(z, theta, order)
-    if (vals > 1.0 + A_STABLE_SLACK).any():
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return False, complex(z[idx])
-
-    return True, None
+    # E keeps its sign between consecutive positive roots (np.roots drops the
+    # s^m0 factor), so one sample per interval decides E >= 0 on s > 0.
+    p = _e_poly(theta, order)[::-1]
+    cuts = np.unique(np.roots(p).real)
+    cuts = np.concatenate([[0.0], cuts[cuts > 0.0],
+                           [2.0 * max(cuts.max(initial=0.0), 0.5)]])
+    s = 0.5 * (cuts[:-1] + cuts[1:])
+    e = np.polyval(p, s)
+    if e.min() >= 0.0:
+        return True, None
+    return False, 1j * math.sqrt(s[np.argmin(e)])  # |R|^2 = 1 - E / |den|^2
 
 
 def is_L_stable(theta: float, order: int) -> bool:
-    """A-stability plus decay of |R| along the far negative real axis."""
-    stable, _ = is_A_stable(theta, order)
-    if not stable:
-        return False
-    return (abs(scalar_R(-1e6, theta, order)) <= 1e-4
-            and abs(scalar_R(-1e8, theta, order)) <= 1e-6)
+    """A-stability plus R(-inf) = 0.  |R(inf)| = ((1 - theta) / theta)^K
+    vanishes only at theta = 1."""
+    return theta == 1.0 and is_A_stable(1.0, order)[0]
 
 
 def matrix_R(theta: float, dtA, order: int) -> np.ndarray:

@@ -166,17 +166,19 @@ def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
 
 def implicit_residual(problem: ProblemDefinition, known_table: CoeffTable,
                       trial_state, theta: float, order: int,
-                      dt: float) -> np.ndarray:
+                      dt: float, known_value=None) -> np.ndarray:
     """Continuity defect of the two expansions at the matching point
     t_i + (1 - theta) dt; its root is the accepted next state.
 
     A ``(dim, B)`` stack of trial states gives the ``(dim, B)`` defects from
-    one batched table build.
+    one batched table build.  ``known_value`` is the known side's value at
+    the matching point when the caller already has it.
     """
     t_next = known_table.base_time + dt
     trial_table = build_coeff_table(problem, t_next, trial_state, order)
     lhs = horner_eval(trial_table, -theta * dt, order)
-    rhs = horner_eval(known_table, (1.0 - theta) * dt, order)
+    rhs = (horner_eval(known_table, (1.0 - theta) * dt, order)
+           if known_value is None else known_value)
     return lhs - rhs.reshape(rhs.shape + (1,) * (lhs.ndim - rhs.ndim))
 
 
@@ -193,9 +195,12 @@ def implicit_step(problem: ProblemDefinition, t_i: float, state, theta: float,
     if known_table is None or known_table.depth < order:
         known_table = build_coeff_table(problem, t_i, state, order)
     predictor = horner_eval(known_table, dt, order)
+    # The known side is fixed for the whole step.
+    known_value = horner_eval(known_table, (1.0 - theta) * dt, order)
 
     def residual(y):
-        return implicit_residual(problem, known_table, y, theta, order, dt)
+        return implicit_residual(problem, known_table, y, theta, order, dt,
+                                 known_value)
 
     return newton_solve(residual, predictor, newton_config)
 

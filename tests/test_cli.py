@@ -125,6 +125,21 @@ class TestStabilityGrid:
         # spot check: |R(-1+0j)| = |1 + z| = 0 for forward Euler
         row = next(l for l in body[1:] if l.startswith("-1.0,0.0,"))
         assert float(row.split(",")[2]) == pytest.approx(0.0, abs=1e-12)
+        # the exact certificate: forward Euler is neither A- nor L-stable
+        meta = dict(l[2:].split("=", 1) for l in lines if "=" in l)
+        assert meta["a_stable"] == "False" and meta["l_stable"] == "False"
+        witness = complex(meta["witness"])
+        assert witness.real < -1.0 and abs(1.0 + witness) > 1.0
+
+    def test_grid_csv_certifies_stable_scheme(self, runner, tmp_path):
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, [
+            "stability-grid", "--theta", "1", "--K", "2", "--res", "3",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        assert {"# a_stable=True", "# witness=None", "# l_stable=True"} <= set(lines)
 
 
 class TestDeterminism:

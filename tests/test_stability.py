@@ -1,12 +1,14 @@
 """Stability function, region sampling, certificates and the log-norm."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from ieldtm.errors import PoleError
 from ieldtm.stability import (
+    _e_poly,
     contraction_certificate,
     is_A_stable,
     is_L_stable,
@@ -86,6 +88,40 @@ class TestSampleRegion:
         assert 0.0 < unstable_fraction(almost) < 0.01
 
 
+def _abs_R(z, theta, order):
+    """|R(z)| by numpy's own polynomial evaluation."""
+    c = [1.0 / math.factorial(k) for k in range(order, -1, -1)]
+    num = np.polyval(np.array(c) * (1.0 - theta) ** np.arange(order, -1, -1), z)
+    den = np.polyval(np.array(c) * (-theta) ** np.arange(order, -1, -1), z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(den) < 1e-300, np.inf, np.abs(num) / np.abs(den))
+
+
+def _sampled_A_stable(theta, order, slack=1e-10):
+    """The sampling certificate the exact test replaced, kept as an oracle:
+    left-half-plane poles, then |R| <= 1 + slack on the far negative real
+    axis, 10 001 imaginary-axis points and a 121 x 241 interior grid."""
+    if theta > 0.0:
+        den = [(-theta) ** k / math.factorial(k) for k in range(order, -1, -1)]
+        if (np.roots(den).real <= 1e-9).any():
+            return False
+    y = np.concatenate([[0.0], np.logspace(-6, 6, 5000)])
+    re = np.linspace(-50.0, 0.0, 121)
+    im = np.linspace(-50.0, 50.0, 241)
+    for z in (-np.logspace(0.0, 8.0, 200) + 0.0j,
+              1j * np.concatenate([-y[::-1], y]),
+              re[:, None] + 1j * im[None, :]):
+        if (_abs_R(z, theta, order) > 1.0 + slack).any():
+            return False
+    return True
+
+
+_ORACLE_THETAS = np.concatenate([
+    np.linspace(0.0, 1.0, 41),
+    np.random.default_rng(7).uniform(0.0, 1.0, 10),
+])
+
+
 class TestAStability:
     @pytest.mark.parametrize("theta,order", [(0.5, 1), (0.5, 2), (0.5, 3),
                                              (0.5, 4), (1.0, 1), (1.0, 2)])
@@ -106,6 +142,58 @@ class TestAStability:
         stable, witness = is_A_stable(0.5, 5)
         assert not stable and witness is not None
 
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_agrees_with_dense_sampling(self, order):
+        for theta in _ORACLE_THETAS:
+            stable, _ = is_A_stable(theta, order)
+            assert stable == _sampled_A_stable(theta, order), theta
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_witness_violates(self, order):
+        for theta in _ORACLE_THETAS:
+            stable, witness = is_A_stable(theta, order)
+            if stable:
+                assert witness is None
+            else:
+                assert _abs_R(witness, theta, order) > 1.0 + 1e-10, theta
+
+    def test_exact_stable_theta_sets(self):
+        thetas = np.linspace(0.0, 1.0, 201)
+        for order, expected in ((1, thetas >= 0.5), (2, thetas >= 0.5),
+                                (3, thetas == 0.5), (4, thetas == 0.5)):
+            got = np.array([is_A_stable(t, order)[0] for t in thetas])
+            np.testing.assert_array_equal(got, expected)
+        for order in range(5, 13):
+            assert not any(is_A_stable(t, order)[0] for t in thetas)
+
+
+class TestEPolynomial:
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_first_order_closed_form(self, theta):
+        np.testing.assert_allclose(_e_poly(theta, 1), [0.0, 2.0 * theta - 1.0],
+                                   atol=1e-15)
+
+    def test_backward_third_order_closed_form(self):
+        np.testing.assert_allclose(_e_poly(1.0, 3),
+                                   [0.0, 0.0, -1.0 / 12.0, 1.0 / 36.0],
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_matches_definition(self, order):
+        """E(y) = |T_K(-i theta y)|^2 - |T_K(i (1 - theta) y)|^2."""
+        c = [1.0 / math.factorial(k) for k in range(order, -1, -1)]
+        y = np.linspace(-3.0, 3.0, 13)
+        for theta in (0.2, 0.5, 0.75, 1.0):
+            direct = (np.abs(np.polyval(c, -1j * theta * y)) ** 2
+                      - np.abs(np.polyval(c, 1j * (1.0 - theta) * y)) ** 2)
+            e = _e_poly(theta, order)
+            np.testing.assert_allclose(np.polyval(e[::-1], y ** 2), direct,
+                                       atol=1e-12 * (1.0 + np.abs(direct).max()))
+
+    def test_central_scheme_vanishes(self):
+        for order in range(1, 13):
+            assert not _e_poly(0.5, order).any()
+
 
 class TestLStability:
     def test_backward_low_orders(self):
@@ -117,6 +205,21 @@ class TestLStability:
     def test_central_never_l_stable(self, order):
         # |R(z)| -> 1 as z -> -inf for the degree-matched central rational.
         assert not is_L_stable(0.5, order)
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_l_implies_a(self, order):
+        for theta in _ORACLE_THETAS:
+            if is_L_stable(theta, order):
+                assert is_A_stable(theta, order)[0]
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_limit_at_infinity(self, theta, order):
+        """|R(inf)| = ((1 - theta) / theta)^K, zero only at theta = 1."""
+        expected = ((1.0 - theta) / theta) ** order
+        assert abs(scalar_R(-1e7, theta, order)) == pytest.approx(
+            expected, rel=1e-5, abs=1e-6)
+        assert is_L_stable(theta, order) == (theta == 1.0 and order <= 2)
 
 
 class TestMatrixR:

@@ -31,7 +31,7 @@ from ieldtm.stepper import (
     integrate_adaptive,
     integrate_fixed,
 )
-from ieldtm.taylor import CoeffTable
+from ieldtm.taylor import CoeffTable, horner_eval
 
 
 class TestBuildCoeffTable:
@@ -108,6 +108,16 @@ class TestImplicitResidual:
         table = build_coeff_table(prob, 0.0, [1.0], 2)
         r = implicit_residual(prob, table, np.array([1.0]), 0.5, 2, 1e-13)
         assert abs(r[0]) <= 1e-12
+
+    def test_precomputed_known_value(self):
+        prob = duffing()
+        table = build_coeff_table(prob, 0.0, prob.default_initial, 4)
+        known = horner_eval(table, (1.0 - 0.3) * 0.1, 4)
+        trials = np.array([[0.5, 0.51, 0.49], [0.25, 0.26, 0.24]])
+        for trial in (trials, trials[:, 0]):
+            np.testing.assert_array_equal(
+                implicit_residual(prob, table, trial, 0.3, 4, 0.1, known),
+                implicit_residual(prob, table, trial, 0.3, 4, 0.1))
 
 
 class TestImplicitStep:
