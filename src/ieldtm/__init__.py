@@ -48,7 +48,5 @@ from .stepper import (
     implicit_residual,
     implicit_step,
     integrate,
-    integrate_adaptive,
-    integrate_fixed,
 )
 from .taylor import CoeffTable, cauchy_product, horner_eval, triple_product

@@ -12,8 +12,6 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,12 +24,9 @@ from .stepper import (
     SchemeConfig,
     SolutionTrace,
     integrate,
-    integrate_adaptive,
-    integrate_fixed,
 )
 
 __all__ = [
-    "ReferenceOracle",
     "reference_oracle",
     "run_solve",
     "order_sweep_rows",
@@ -77,27 +72,19 @@ STEP_FACTOR = 2.0   # accept step counts within x2 of the published value
 ERROR_FACTOR = 10.0  # accept max errors within x10 of the published value
 
 
-@dataclass(frozen=True)
-class ReferenceOracle:
-    """Reference solution used for error reporting: the closed form when one
-    exists, otherwise a refined self-reference run (central scheme, order
-    K+4, tolerance / 1e4) with its own two-resolution consistency error."""
-
-    mode: str  # exact | refined
-    description: str
-    self_error: Optional[float] = None
-
-
 def reference_oracle(problem: ProblemDefinition, config: SchemeConfig,
                      t_final: float):
-    """Build the oracle and a per-trace error evaluator.
+    """Reference solution used for error reporting: the closed form when one
+    exists, otherwise a refined self-reference run (central scheme, order
+    K+4, tolerance / 1e4) with its own two-resolution consistency error.
 
-    Returns (oracle, error_fn) where error_fn(trace) -> max error or None.
-    For refined mode the comparison is at t_final only (no dense output).
+    Returns (description, self_error, error_fn); self_error is None for the
+    closed form, and error_fn(trace) -> max error or None.  The refined
+    reference is compared at t_final only (no dense output).
     """
     if problem.exact_solution is not None:
-        oracle = ReferenceOracle("exact", f"closed-form solution of {problem.name}")
-        return oracle, lambda trace: trace.max_error(problem.exact_solution)
+        return (f"closed-form solution of {problem.name}", None,
+                lambda trace: trace.max_error(problem.exact_solution))
 
     ref_order = config.order + 4
     if isinstance(config.step_mode, AdaptiveStep):
@@ -107,22 +94,18 @@ def reference_oracle(problem: ProblemDefinition, config: SchemeConfig,
     traces = []
     for tol in (ref_tol, ref_tol / 2.0):
         cfg = SchemeConfig(0.5, ref_order, AdaptiveStep(tol))
-        traces.append(integrate_adaptive(problem, cfg, t_final))
+        traces.append(integrate(problem, cfg, t_final))
     fine = traces[1]
     self_err = float(np.abs(traces[0].final_state - fine.final_state).max())
-    oracle = ReferenceOracle(
-        "refined",
-        f"central IELDTM self-reference, K={ref_order}, tol={ref_tol:g}, "
-        f"compared at t_final only",
-        self_error=self_err,
-    )
+    description = (f"central IELDTM self-reference, K={ref_order}, "
+                   f"tol={ref_tol:g}, compared at t_final only")
 
     def error_fn(trace):
         if trace.status != "completed":
             return None
         return float(np.abs(trace.final_state - fine.final_state).max())
 
-    return oracle, error_fn
+    return description, self_err, error_fn
 
 
 def run_solve(problem: ProblemDefinition, config: SchemeConfig,
@@ -133,8 +116,8 @@ def run_solve(problem: ProblemDefinition, config: SchemeConfig,
     wall_ms = 1000.0 * (time.perf_counter() - start)
     oracle_desc, max_error, self_err = "none", None, None
     if with_oracle:
-        oracle, error_fn = reference_oracle(problem, config, t_final)
-        oracle_desc, self_err = oracle.description, oracle.self_error
+        oracle_desc, self_err, error_fn = reference_oracle(problem, config,
+                                                           t_final)
         max_error = error_fn(trace)
     mode = "fixed" if isinstance(config.step_mode, FixedStep) else "adaptive"
     summary = {
@@ -177,7 +160,7 @@ def order_sweep_rows(problem: ProblemDefinition | None = None,
                 errs = []
                 for step in (dt, dt / 2.0):
                     cfg = SchemeConfig(theta, order, FixedStep(step))
-                    trace = integrate_fixed(problem, cfg, t_final)
+                    trace = integrate(problem, cfg, t_final)
                     if trace.status != "completed":
                         raise RuntimeError(trace.status)
                     errs.append(trace.max_error(problem.exact_solution))
@@ -203,7 +186,7 @@ def table3_rows(t_finals=(1.0, 2.0, 4.0), orders=(3, 5), tol: float = 1e-10,
     for t_final in t_finals:
         for order in orders:
             cfg = SchemeConfig(0.5, order, AdaptiveStep(tol, safety=safety))
-            trace = integrate_adaptive(problem, cfg, t_final)
+            trace = integrate(problem, cfg, t_final)
             err = (trace.max_error(problem.exact_solution)
                    if trace.status == "completed" else None)
             rows.append({"t_final": t_final, "K": order, "tol": tol,
@@ -220,7 +203,7 @@ def table4_rows(orders=(3, 4, 5), dt_exponents=(5, 6, 7, 8)):
         for expo in dt_exponents:
             dt = 2.0 ** -expo
             cfg = SchemeConfig(0.5, order, FixedStep(dt))
-            trace = integrate_fixed(problem, cfg, 4.0)
+            trace = integrate(problem, cfg, 4.0)
             err = (trace.max_error(problem.exact_solution)
                    if trace.status == "completed" else None)
             rows.append({"K": order, "dt_exponent": expo, "dt": dt,
@@ -237,7 +220,7 @@ def table5_rows(cases=((0.1, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, 1000.0)),
         problem = make_problem("vanderpol", epsilon=eps)
         for order in orders:
             cfg = SchemeConfig(0.5, order, AdaptiveStep(tol, safety=safety))
-            trace = integrate_adaptive(problem, cfg, t_final)
+            trace = integrate(problem, cfg, t_final)
             rows.append({"epsilon": eps, "t_final": t_final, "K": order,
                          "tol": tol, "steps": trace.steps,
                          "status": trace.status})
@@ -259,7 +242,7 @@ def seir_sweep_rows(etas=tuple(range(1, 13)), orders=(6, 8), tol: float = 1e-5,
         for eta in etas:
             problem = make_problem("seir", eta=float(eta), t_c=t_c)
             cfg = SchemeConfig(0.5, order, AdaptiveStep(tol, safety=safety))
-            trace = integrate_adaptive(problem, cfg, t_final)
+            trace = integrate(problem, cfg, t_final)
             drift = float(np.abs(trace.states.sum(axis=1)
                                  - problem.conserved_sum).max())
             rows.append({"K": order, "eta": float(eta), "tol": tol,

@@ -160,8 +160,11 @@ def is_A_stable(theta: float, order: int) -> Tuple[bool, Optional[complex]]:
     if theta < 0.5:
         # |R(x)| -> ((1 - theta) / theta)^K > 1 as x -> -inf (R is a
         # polynomial at theta = 0): the nearest far sample past the slack.
+        # Just below 0.5 none gets past it; then E's leading coefficient
+        # b_K (theta^2K - (1 - theta)^2K) < 0 and the E test below finds iy.
         bad = _abs_R_array(_FAR_REAL, theta, order) > 1.0 + A_STABLE_SLACK
-        return False, complex(_FAR_REAL[np.argmax(bad)])
+        if bad.any():
+            return False, complex(_FAR_REAL[np.argmax(bad)])
 
     # E keeps its sign between consecutive positive roots (np.roots drops the
     # s^m0 factor), so one sample per interval decides E >= 0 on s > 0.

@@ -1,4 +1,4 @@
-"""One-step advancement and integration drivers.
+"""One-step advancement and the integration driver.
 
 The direction parameter theta places the matching point of two neighbouring
 local Taylor expansions: theta = 0 is the explicit forward scheme, theta = 1
@@ -36,8 +36,6 @@ __all__ = [
     "implicit_step",
     "adaptive_dt_case1",
     "adaptive_dt_case2",
-    "integrate_fixed",
-    "integrate_adaptive",
     "integrate",
 ]
 
@@ -47,7 +45,7 @@ EXTRA_DEPTH = 2
 
 _ADAPTIVE_THETAS = (0.0, 0.5, 1.0)
 
-# Step failures the drivers report as a trace status instead of raising.
+# Step failures the driver reports as a trace status instead of raising.
 _FAILURE_STATUS = {
     NewtonFailureError: "newton-failure",
     NonFiniteStateError: "non-finite-state",
@@ -268,15 +266,35 @@ def _advance(problem, table, theta, order, dt, newton_cfg):
                          dt, newton_cfg, known_table=table)
 
 
-def integrate_fixed(problem: ProblemDefinition, config: SchemeConfig,
-                    t_final: float, initial=None) -> SolutionTrace:
-    """March with a constant step; the last step is truncated to land exactly
-    on t_final."""
-    if not isinstance(config.step_mode, FixedStep):
-        raise InvalidConfigurationError("integrate_fixed needs a FixedStep mode")
+def integrate(problem: ProblemDefinition, config: SchemeConfig,
+              t_final: float, initial=None) -> SolutionTrace:
+    """March from t = 0 to t_final: the one driver for both step modes.
+
+    Only the choice of each node's dt depends on the mode.  ``FixedStep``
+    takes its dt.  ``AdaptiveStep`` proposes dt once per node from the node's
+    coefficients (case-2 controller for the central scheme with odd K, case 1
+    otherwise); it supports theta in {0, 0.5, 1}, has no reject/retry loop
+    yet, and a proposal below dt_min ends the trace with
+    ``min-step-underflow``.  Every step is shortened to land exactly on
+    t_final and on the problem's discontinuities.
+    """
+    mode = config.step_mode
+    if not isinstance(mode, (FixedStep, AdaptiveStep)):
+        raise InvalidConfigurationError(
+            "step_mode must be a FixedStep or an AdaptiveStep")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     theta, order = config.theta, config.order
+    adaptive = isinstance(mode, AdaptiveStep)
+    if adaptive:
+        if theta not in _ADAPTIVE_THETAS:
+            raise InvalidConfigurationError(
+                "adaptive mode supports theta in {0, 0.5, 1} only"
+            )
+        controller = (adaptive_dt_case2 if theta == 0.5 and order % 2 == 1
+                      else adaptive_dt_case1)
+        dt_max = mode.dt_max if mode.dt_max is not None else t_final
+
     x = np.asarray(problem.default_initial if initial is None else initial,
                    dtype=float)
     records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
@@ -287,57 +305,15 @@ def integrate_fixed(problem: ProblemDefinition, config: SchemeConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             while t < t_final - eps_end:
-                dt = _clip_to_events(t, config.step_mode.dt, t_final,
-                                     problem.discontinuities)
                 table = build_coeff_table(problem, t, x, order + EXTRA_DEPTH)
-                est = _local_error_estimate(table, theta, order, dt)
-                x, iters = _advance(problem, table, theta, order, dt, config.newton)
-                t += dt
-                records.append(StepRecord(t, x, dt, iters, est))
-        except tuple(_FAILURE_STATUS) as exc:
-            status = _FAILURE_STATUS[type(exc)]
-    return SolutionTrace(problem.name, config, records, status)
-
-
-def integrate_adaptive(problem: ProblemDefinition, config: SchemeConfig,
-                       t_final: float, initial=None) -> SolutionTrace:
-    """Adaptive march: the step is chosen once per node from the local
-    coefficients (proportional controller, no reject/retry loop).
-
-    Supported directions are theta in {0, 0.5, 1}; the central scheme with
-    even order falls back to the order-K controller.
-    """
-    if not isinstance(config.step_mode, AdaptiveStep):
-        raise InvalidConfigurationError("integrate_adaptive needs an AdaptiveStep mode")
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    theta, order = config.theta, config.order
-    if theta not in _ADAPTIVE_THETAS:
-        raise InvalidConfigurationError(
-            "adaptive mode supports theta in {0, 0.5, 1} only"
-        )
-    mode = config.step_mode
-    dt_max = mode.dt_max if mode.dt_max is not None else t_final
-    central_odd = theta == 0.5 and order % 2 == 1
-
-    x = np.asarray(problem.default_initial if initial is None else initial,
-                   dtype=float)
-    records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
-    t, status = 0.0, "completed"
-    eps_end = 1e-12 * max(1.0, t_final)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in integrate_fixed
-        try:
-            while t < t_final - eps_end:
-                table = build_coeff_table(problem, t, x, order + EXTRA_DEPTH)
-                if central_odd:
-                    dt = adaptive_dt_case2(table, order, mode.tol, mode.safety,
-                                           dt_max=dt_max)
+                if adaptive:
+                    dt = controller(table, order, mode.tol, mode.safety,
+                                    dt_max=dt_max)
+                    if dt < mode.dt_min:
+                        status = "min-step-underflow"
+                        break
                 else:
-                    dt = adaptive_dt_case1(table, order, mode.tol, mode.safety,
-                                           dt_max=dt_max)
-                if dt < mode.dt_min:
-                    status = "min-step-underflow"
-                    break
+                    dt = mode.dt
                 dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
                 est = _local_error_estimate(table, theta, order, dt)
                 x, iters = _advance(problem, table, theta, order, dt, config.newton)
@@ -346,11 +322,3 @@ def integrate_adaptive(problem: ProblemDefinition, config: SchemeConfig,
         except tuple(_FAILURE_STATUS) as exc:
             status = _FAILURE_STATUS[type(exc)]
     return SolutionTrace(problem.name, config, records, status)
-
-
-def integrate(problem: ProblemDefinition, config: SchemeConfig,
-              t_final: float, initial=None) -> SolutionTrace:
-    """Dispatch on the configured step mode."""
-    if isinstance(config.step_mode, FixedStep):
-        return integrate_fixed(problem, config, t_final, initial)
-    return integrate_adaptive(problem, config, t_final, initial)

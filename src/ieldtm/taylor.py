@@ -60,10 +60,6 @@ class CoeffTable:
     def state(self) -> np.ndarray:
         return self.coeffs[0]
 
-    def component(self, j: int) -> np.ndarray:
-        """Coefficient sequence of one solution component."""
-        return self.coeffs[:, j]
-
 
 def _series_product(a, b) -> np.ndarray:
     """The first n = len(a) coefficients of the series product a*b, column

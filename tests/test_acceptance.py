@@ -25,8 +25,7 @@ from ieldtm.stepper import (
     SchemeConfig,
     build_coeff_table,
     implicit_step,
-    integrate_adaptive,
-    integrate_fixed,
+    integrate,
 )
 
 
@@ -71,7 +70,7 @@ def test_criterion_3_duffing_adaptive():
     details = []
     for order, (max_steps, max_err) in bounds.items():
         cfg = SchemeConfig(0.5, order, AdaptiveStep(1e-10))
-        trace = integrate_adaptive(prob, cfg, 1.0)
+        trace = integrate(prob, cfg, 1.0)
         err = trace.max_error(prob.exact_solution)
         assert trace.status == "completed"
         assert trace.steps <= max_steps, (order, trace.steps)
@@ -173,7 +172,7 @@ def test_criterion_8_classical_scheme_recovery():
     }
     for (theta, name), amp in amplification.items():
         cfg = SchemeConfig(theta, 1, FixedStep(dt), NewtonConfig())
-        trace = integrate_fixed(prob, cfg, n * dt)
+        trace = integrate(prob, cfg, n * dt)
         classical = np.array([amp ** j for j in range(n + 1)])
         deviation = np.abs(trace.states[:, 0] - classical).max()
         assert deviation <= 5 * np.finfo(float).eps, (name, deviation)

@@ -157,6 +157,16 @@ class TestAStability:
             else:
                 assert _abs_R(witness, theta, order) > 1.0 + 1e-10, theta
 
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_witness_violates_just_below_half(self, order):
+        # No far real sample gets past the slack this close to 0.5; the
+        # witness then comes from the E polynomial on the imaginary axis.
+        for k in range(2, 11):
+            theta = 0.5 - 10.0 ** -k
+            stable, witness = is_A_stable(theta, order)
+            assert not stable and witness is not None
+            assert _abs_R(witness, theta, order) > 1.0, (theta, witness)
+
     def test_exact_stable_theta_sets(self):
         thetas = np.linspace(0.0, 1.0, 201)
         for order, expected in ((1, thetas >= 0.5), (2, thetas >= 0.5),

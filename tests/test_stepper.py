@@ -28,8 +28,6 @@ from ieldtm.stepper import (
     implicit_residual,
     implicit_step,
     integrate,
-    integrate_adaptive,
-    integrate_fixed,
 )
 from ieldtm.taylor import CoeffTable, horner_eval
 
@@ -188,31 +186,34 @@ class TestIntegrateFixed:
     def test_duffing_high_order_error(self):
         prob = duffing()
         cfg = SchemeConfig(0.5, 5, FixedStep(0.05))
-        trace = integrate_fixed(prob, cfg, 1.0)
+        trace = integrate(prob, cfg, 1.0)
         assert trace.status == "completed"
         assert trace.max_error(prob.exact_solution) <= 1e-9
 
     def test_stiff_mode_damped(self):
         cfg = SchemeConfig(0.5, 2, FixedStep(0.1))
-        trace = integrate_fixed(dahlquist(-1e6), cfg, 1.0)
+        trace = integrate(dahlquist(-1e6), cfg, 1.0)
         mags = np.abs(trace.states[:, 0])
         assert (np.diff(mags) <= 0).all()
 
     def test_lands_exactly_on_t_final(self):
         cfg = SchemeConfig(1.0, 2, FixedStep(0.3))
-        trace = integrate_fixed(dahlquist(-1.0), cfg, 1.0)
+        trace = integrate(dahlquist(-1.0), cfg, 1.0)
         assert trace.times[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_times_strictly_increasing(self):
         cfg = SchemeConfig(0.0, 3, FixedStep(0.1))
-        trace = integrate_fixed(dahlquist(-1.0), cfg, 1.0)
+        trace = integrate(dahlquist(-1.0), cfg, 1.0)
         assert (np.diff(trace.times) > 0).all()
         assert trace.times[0] == 0.0
 
-    def test_rejects_adaptive_mode(self):
-        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8))
-        with pytest.raises(InvalidConfigurationError):
-            integrate_fixed(dahlquist(-1.0), cfg, 1.0)
+    def test_seir_discontinuity_node_placed(self):
+        # 66 is not a multiple of dt: the step before t_c is shortened.
+        prob = seir(SeirParams(eta=6.0))
+        cfg = SchemeConfig(0.5, 6, FixedStep(0.7))
+        trace = integrate(prob, cfg, 80.0)
+        assert trace.status == "completed"
+        assert np.abs(trace.times - 66.0).min() <= 1e-9
 
 
 class TestIntegrateAdaptive:
@@ -220,31 +221,38 @@ class TestIntegrateAdaptive:
         prob = duffing()
         for order in (3, 5):
             cfg = SchemeConfig(0.5, order, AdaptiveStep(1e-10))
-            trace = integrate_adaptive(prob, cfg, 1.0)
+            trace = integrate(prob, cfg, 1.0)
             assert trace.status == "completed"
             assert trace.max_error(prob.exact_solution) <= 100 * 1e-10
 
     def test_newton_iterations_stay_small(self):
         prob = duffing()
         cfg = SchemeConfig(0.5, 5, AdaptiveStep(1e-10))
-        trace = integrate_adaptive(prob, cfg, 1.0)
+        trace = integrate(prob, cfg, 1.0)
         assert max(r.newton_iters for r in trace.records) <= 10
 
     def test_seir_discontinuity_node_placed(self):
         prob = seir(SeirParams(eta=6.0))
         cfg = SchemeConfig(0.5, 6, AdaptiveStep(1e-5))
-        trace = integrate_adaptive(prob, cfg, 80.0)
+        trace = integrate(prob, cfg, 80.0)
         assert trace.status == "completed"
         assert np.abs(trace.times - 66.0).min() <= 1e-9
 
     def test_intermediate_theta_unsupported(self):
         cfg = SchemeConfig(0.75, 3, AdaptiveStep(1e-8))
         with pytest.raises(InvalidConfigurationError):
-            integrate_adaptive(dahlquist(-1.0), cfg, 1.0)
+            integrate(dahlquist(-1.0), cfg, 1.0)
+
+    def test_min_step_underflow(self):
+        # The first proposal is far below dt_min: no step is taken.
+        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8, dt_min=0.5))
+        trace = integrate(dahlquist(-1.0), cfg, 1.0)
+        assert trace.status == "min-step-underflow"
+        assert trace.steps == 0
 
     def test_explicit_adaptive_runs(self):
         cfg = SchemeConfig(0.0, 4, AdaptiveStep(1e-8))
-        trace = integrate_adaptive(dahlquist(-1.0), cfg, 1.0)
+        trace = integrate(dahlquist(-1.0), cfg, 1.0)
         assert trace.status == "completed"
         assert abs(trace.final_state[0] - math.exp(-1.0)) <= 1e-6
 
@@ -298,3 +306,8 @@ class TestIntegrateDispatch:
                              SchemeConfig(0.5, 3, AdaptiveStep(1e-8)), 1.0)
         assert fixed.status == adaptive.status == "completed"
         assert fixed.steps == 10
+
+    def test_rejects_unknown_mode(self):
+        cfg = SchemeConfig(0.5, 3, step_mode=0.1)
+        with pytest.raises(InvalidConfigurationError):
+            integrate(dahlquist(-1.0), cfg, 1.0)
