@@ -130,6 +130,7 @@ def run_solve(problem: ProblemDefinition, config: SchemeConfig,
         "oracle": oracle_desc,
         "wall_ms": wall_ms,
         "status": trace.status,
+        "failure": trace.failure,
     }
     if self_err is not None:
         summary["oracle_self_error"] = self_err

@@ -5,6 +5,8 @@ and factored densely.  Centred differences keep it accurate under strongly
 scaled nonlinearities; the residual takes all 2m + 1 points they need (the
 iterate and its +-h perturbations) as one batch, so each iteration's
 Jacobian, and the first iteration's residual, cost one residual call.
+The LU runs on Python floats: at m <= 6 a numpy call per pivot, swap and row
+update costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -42,27 +44,35 @@ def lu_solve(A, b) -> np.ndarray:
     Raises SingularMatrixError when a pivot falls below 1e-14 times the
     inf-norm of its row.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or b.shape != (n,):
         raise ValueError("A must be n x n and b length n")
-    row_scale = np.abs(A).sum(axis=1)
+    a, b = A.tolist(), b.tolist()
+    row_scale = [sum(map(abs, row)) for row in a]
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(A[col:, col])))
-        if np.abs(A[pivot_row, col]) <= _PIVOT_REL_TOL * max(row_scale[pivot_row], 1e-300):
+        pivot_row = max(range(col, n), key=lambda i: abs(a[i][col]))
+        pivot = a[pivot_row][col]
+        if abs(pivot) <= _PIVOT_REL_TOL * max(row_scale[pivot_row], 1e-300):
             raise SingularMatrixError(f"pivot underflow in column {col}")
         if pivot_row != col:
-            A[[col, pivot_row]] = A[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-            row_scale[[col, pivot_row]] = row_scale[[pivot_row, col]]
-        factors = A[col + 1:, col] / A[col, col]
-        A[col + 1:, col + 1:] -= np.outer(factors, A[col, col + 1:])
-        b[col + 1:] -= factors * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - np.dot(A[row, row + 1:], x[row + 1:])) / A[row, row]
-    return x
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
+        upper = a[col]
+        for i in range(col + 1, n):
+            row = a[i]
+            f = row[col] / pivot
+            for j in range(col + 1, n):
+                row[j] -= f * upper[j]
+            b[i] -= f * b[col]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        # np.dot, not a Python sum: a BLAS dot may fuse its multiply-adds,
+        # and the solution keeps the bits of the all-numpy elimination.
+        x[i] = (b[i] - float(np.dot(a[i][i + 1:], x[i + 1:]))) / a[i][i]
+    return np.array(x)
 
 
 def _residual_and_jacobian(residual, y, eps):

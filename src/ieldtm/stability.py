@@ -146,7 +146,14 @@ def _e_poly(theta: float, order: int) -> np.ndarray:
 def is_A_stable(theta: float, order: int) -> Tuple[bool, Optional[complex]]:
     """Exact A-stability certificate (see the module docstring).  Returns
     (stable, witness); an unstable witness is a z with |R(z)| > 1: next to a
-    pole, on the negative real axis (theta < 0.5) or on iR where E < 0."""
+    pole, on the negative real axis (theta < 0.5) or on iR where E < 0.
+
+    A witness guarantees |R(w)| > 1, not |R(w)| > 1 + A_STABLE_SLACK: no
+    such point need exist.  Just above theta = 0.5, R has no pole with
+    Re z <= 0 and |R(inf)| < 1, so by the maximum-modulus principle the
+    worst violation lies on iR, where |R|^2 - 1 = -E / |den|^2 and E's
+    coefficients are O(theta - 0.5) (3.5e-11 at theta = 0.5 + 1e-10,
+    K = 3)."""
     poles = -_order_constants(order)[0] / theta if theta else np.empty(0)
     poles = poles[poles.real <= 1e-9]
     if poles.size:

@@ -109,6 +109,8 @@ class SolutionTrace:
     # completed | min-step-underflow | newton-failure | non-finite-state |
     # singular-matrix; records run up to the failure.
     status: str
+    # Empty when completed; else the failing step's t, its dt and the reason.
+    failure: str = ""
 
     @property
     def steps(self) -> int:
@@ -148,9 +150,22 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
             f"state must have shape ({problem.dim},) or ({problem.dim}, B)")
     coeffs = np.empty((depth + 1,) + state.shape)
     coeffs[0] = state
-    for k in range(depth):
+    return _run_recurrence(problem, t_i, coeffs, 0)
+
+
+def _run_recurrence(problem, t_i, coeffs, known: int) -> CoeffTable:
+    """Fill ``coeffs`` past row ``known`` by the recurrence and wrap it."""
+    for k in range(known, coeffs.shape[0] - 1):
         coeffs[k + 1] = problem.recurrence(t_i, coeffs[: k + 1], k)
     return CoeffTable(t_i, coeffs)
+
+
+def _deepened(problem, table: CoeffTable, depth: int) -> CoeffTable:
+    """``table`` extended to ``depth``: its rows are kept and only the
+    missing recurrences run, so it equals a fresh build bit for bit."""
+    coeffs = np.empty((depth + 1,) + table.state.shape)
+    coeffs[: table.depth + 1] = table.coeffs
+    return _run_recurrence(problem, table.base_time, coeffs, table.depth)
 
 
 def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
@@ -169,11 +184,14 @@ def implicit_residual(problem: ProblemDefinition, known_table: CoeffTable,
     t_i + (1 - theta) dt; its root is the accepted next state.
 
     A ``(dim, B)`` stack of trial states gives the ``(dim, B)`` defects from
-    one batched table build.  ``known_value`` is the known side's value at
-    the matching point when the caller already has it.
+    one batched table build.  ``trial_state`` may also be that table, built
+    about t_i + dt to depth ``order`` or more.  ``known_value`` is the known
+    side's value at the matching point when the caller already has it.
     """
-    t_next = known_table.base_time + dt
-    trial_table = build_coeff_table(problem, t_next, trial_state, order)
+    trial_table = trial_state
+    if not isinstance(trial_table, CoeffTable):
+        trial_table = build_coeff_table(problem, known_table.base_time + dt,
+                                        trial_state, order)
     lhs = horner_eval(trial_table, -theta * dt, order)
     rhs = (horner_eval(known_table, (1.0 - theta) * dt, order)
            if known_value is None else known_value)
@@ -192,15 +210,34 @@ def implicit_step(problem: ProblemDefinition, t_i: float, state, theta: float,
         raise ValueError("dt must be positive")
     if known_table is None or known_table.depth < order:
         known_table = build_coeff_table(problem, t_i, state, order)
+    return _implicit_solve(problem, known_table, theta, order, dt,
+                           newton_config)[:2]
+
+
+def _implicit_solve(problem, known_table, theta, order, dt, newton_config):
+    """Newton solve of one implicit step from its node table.  Returns
+    (state, iterations, trial table of the state or None).
+
+    The table is the one the last single-state residual evaluation built,
+    returned only when Newton returned that very array: it is then the next
+    node's table through ``order``.  A batched table's columns are never
+    handed on, as batched and single arithmetic differ in the last bits.
+    """
     predictor = horner_eval(known_table, dt, order)
     # The known side is fixed for the whole step.
     known_value = horner_eval(known_table, (1.0 - theta) * dt, order)
+    t_next = known_table.base_time + dt
+    last = [None, None]  # the last single trial state and its table
 
     def residual(y):
-        return implicit_residual(problem, known_table, y, theta, order, dt,
-                                 known_value)
+        trial_table = build_coeff_table(problem, t_next, y, order)
+        if trial_table.coeffs.ndim == 2:
+            last[:] = y, trial_table
+        return implicit_residual(problem, known_table, trial_table, theta,
+                                 order, dt, known_value)
 
-    return newton_solve(residual, predictor, newton_config)
+    state, iters = newton_solve(residual, predictor, newton_config)
+    return state, iters, last[1] if state is last[0] else None
 
 
 def adaptive_dt_case1(table: CoeffTable, order: int, tol: float,
@@ -259,11 +296,17 @@ def _clip_to_events(t: float, dt: float, t_final: float,
 
 
 def _advance(problem, table, theta, order, dt, newton_cfg):
-    """One accepted step from a prebuilt node table; returns (state, iters)."""
+    """One accepted step from a prebuilt node table; returns (state, iters,
+    the state's trial table or None)."""
     if theta == 0.0:
-        return horner_eval(table, dt, order), 0
-    return implicit_step(problem, table.base_time, table.state, theta, order,
-                         dt, newton_cfg, known_table=table)
+        return horner_eval(table, dt, order), 0, None
+    return _implicit_solve(problem, table, theta, order, dt, newton_cfg)
+
+
+def _failure_context(t: float, dt, reason) -> str:
+    """Where and why a trace stopped; dt is None before the step has one."""
+    where = f"t = {t!r}" if dt is None else f"t = {t!r}, dt = {dt!r}"
+    return f"step at {where}: {reason}"
 
 
 def integrate(problem: ProblemDefinition, config: SchemeConfig,
@@ -277,6 +320,14 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     yet, and a proposal below dt_min ends the trace with
     ``min-step-underflow``.  Every step is shortened to land exactly on
     t_final and on the problem's discontinuities.
+
+    Each node needs one coefficient table.  After an implicit step the
+    Newton solve has already built the accepted state's table through
+    ``order`` (its last residual evaluation), so that table is extended by
+    ``EXTRA_DEPTH`` rows and reused; a node gets a fresh build only at
+    t = 0, after an explicit step and after a Newton solve that returned
+    without evaluating its result alone (0 iterations).  A failed trace
+    says where and why in ``SolutionTrace.failure``.
     """
     mode = config.step_mode
     if not isinstance(mode, (FixedStep, AdaptiveStep)):
@@ -298,27 +349,35 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     x = np.asarray(problem.default_initial if initial is None else initial,
                    dtype=float)
     records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
-    t, status = 0.0, "completed"
+    t, status, failure = 0.0, "completed", ""
+    depth = order + EXTRA_DEPTH
+    trial = None  # the accepted state's table from the last Newton solve
     eps_end = 1e-12 * max(1.0, t_final)
     # Overflow surfaces as NonFiniteStateError from the coefficient table,
     # so numpy's warnings about it would only repeat the status.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             while t < t_final - eps_end:
-                table = build_coeff_table(problem, t, x, order + EXTRA_DEPTH)
+                dt = None
+                table = (build_coeff_table(problem, t, x, depth) if trial is None
+                         else _deepened(problem, trial, depth))
                 if adaptive:
                     dt = controller(table, order, mode.tol, mode.safety,
                                     dt_max=dt_max)
                     if dt < mode.dt_min:
                         status = "min-step-underflow"
+                        failure = _failure_context(
+                            t, dt, f"proposed dt below dt_min = {mode.dt_min!r}")
                         break
                 else:
                     dt = mode.dt
                 dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
                 est = _local_error_estimate(table, theta, order, dt)
-                x, iters = _advance(problem, table, theta, order, dt, config.newton)
+                x, iters, trial = _advance(problem, table, theta, order, dt,
+                                           config.newton)
                 t += dt
                 records.append(StepRecord(t, x, dt, iters, est))
         except tuple(_FAILURE_STATUS) as exc:
             status = _FAILURE_STATUS[type(exc)]
-    return SolutionTrace(problem.name, config, records, status)
+            failure = _failure_context(t, dt, exc)
+    return SolutionTrace(problem.name, config, records, status, failure)

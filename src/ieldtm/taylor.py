@@ -80,13 +80,6 @@ def _series_product(a, b) -> np.ndarray:
     return skewed.reshape((n, 2 * n - 1) + batch)[:, :n].sum(axis=0)
 
 
-def _reversed_dot(a, b):
-    """sum_j a(j) * b(n-1-j) over the first axis; one value per batch column."""
-    if a.ndim == 1:
-        return float(np.dot(a, b[::-1]))
-    return np.einsum("j...,j...->...", a, b[::-1])
-
-
 def cauchy_product(a, b, k: int):
     """Convolution sum sum_{j=0}^{k} a(j) * b(k-j).
 
@@ -94,11 +87,13 @@ def cauchy_product(a, b, k: int):
     of shape ``(n,)`` give a float, ``(n, B)`` one value per batch column.
     Raises IndexError if either sequence is shorter than k+1.
     """
-    a = np.asarray(a, dtype=float)[: k + 1]
-    b = np.asarray(b, dtype=float)[: k + 1]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape[0] <= k or b.shape[0] <= k:
         raise IndexError(f"sequences must be defined up to index {k}")
-    return _reversed_dot(a, b)
+    if a.ndim == 1:
+        return float(np.dot(a[: k + 1], b[k::-1]))
+    return np.einsum("j...,j...->...", a[: k + 1], b[k::-1])
 
 
 def triple_product(a, b, c, k: int):
@@ -107,12 +102,15 @@ def triple_product(a, b, c, k: int):
     Equals the Cauchy product applied twice; the transform of a*b*c.  Shapes
     as for cauchy_product.
     """
-    a = np.asarray(a, dtype=float)[: k + 1]
-    b = np.asarray(b, dtype=float)[: k + 1]
-    c = np.asarray(c, dtype=float)[: k + 1]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
     if a.shape[0] <= k or b.shape[0] <= k or c.shape[0] <= k:
         raise IndexError(f"sequences must be defined up to index {k}")
-    return _reversed_dot(_series_product(a, b), c)
+    ab = _series_product(a[: k + 1], b[: k + 1])
+    if ab.ndim == 1:
+        return float(np.dot(ab, c[k::-1]))
+    return np.einsum("j...,j...->...", ab, c[k::-1])
 
 
 def horner_eval(table: CoeffTable, offset: float, order: int) -> np.ndarray:

@@ -63,6 +63,18 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["status"] == "completed"
 
+    def test_failed_trace_summary_names_the_step(self, runner):
+        result = runner.invoke(main, [
+            "solve", "--problem", "vanderpol", "--epsilon", "1000",
+            "--theta", "0.5", "--K", "5", "--dt", "0.5", "--tf", "5",
+            "--no-oracle",
+        ])
+        assert result.exit_code == 1
+        summary = json.loads(result.output)
+        assert summary["status"] == "non-finite-state"
+        assert summary["failure"] == ("step at t = 0.5, dt = 0.5: "
+                                      "non-finite Taylor coefficient at t = 1.0")
+
     def test_dt_and_tol_mutually_exclusive(self, runner):
         both = runner.invoke(main, ["solve", "--dt", "0.1", "--tol", "1e-8"])
         neither = runner.invoke(main, ["solve"])

@@ -53,6 +53,58 @@ class TestLuSolve:
             assert np.abs(A @ x - b).max() <= 1e-10 * norm_bound
             assert np.abs(x - x0).max() <= 1e-8 * max(1.0, np.abs(x0).max())
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_numpy_solve(self, n):
+        # Rows of a diagonally dominant matrix in shuffled order: every
+        # column's pivot sits off the diagonal unless the shuffle fixes it.
+        rng = np.random.default_rng(100 + n)
+        swaps = 0
+        for _ in range(50):
+            perm = rng.permutation(n)
+            A = (rng.normal(size=(n, n)) + 2 * n * np.eye(n))[perm]
+            b = rng.normal(size=n)
+            ref = np.linalg.solve(A, b)
+            x = lu_solve(A, b)
+            assert isinstance(x, np.ndarray) and x.shape == (n,)
+            assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            swaps += (perm != np.arange(n)).any()
+        assert n == 1 or swaps > 0
+
+    def test_bits_match_numpy_elimination(self):
+        # The same elimination done with one numpy call per pivot, swap and
+        # row update: the Python-float LU must give the same bits.
+        def reference(A, b):
+            A, b = A.copy(), b.copy()
+            n = len(b)
+            for col in range(n):
+                p = col + int(np.argmax(np.abs(A[col:, col])))
+                A[[col, p]], b[[col, p]] = A[[p, col]], b[[p, col]]
+                f = A[col + 1:, col] / A[col, col]
+                A[col + 1:, col + 1:] -= np.outer(f, A[col, col + 1:])
+                b[col + 1:] -= f * b[col]
+            x = np.empty(n)
+            for i in range(n - 1, -1, -1):
+                x[i] = (b[i] - np.dot(A[i, i + 1:], x[i + 1:])) / A[i, i]
+            return x
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            A = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+            b = rng.normal(size=n)
+            assert lu_solve(A, b).tobytes() == reference(A, b).tobytes()
+
+    def test_rank_deficient_raises(self):
+        A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]])
+        with pytest.raises(SingularMatrixError, match="pivot underflow in column 2"):
+            lu_solve(A, np.ones(3))
+
+    def test_tiny_pivot_raises(self):
+        # The second pivot, 1e-15, is below 1e-14 times its row's inf-norm.
+        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        with pytest.raises(SingularMatrixError, match="pivot underflow in column 1"):
+            lu_solve(A, np.array([1.0, 2.0]))
+
 
 class TestNewtonSolve:
     def test_affine(self):

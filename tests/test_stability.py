@@ -167,6 +167,16 @@ class TestAStability:
             assert not stable and witness is not None
             assert _abs_R(witness, theta, order) > 1.0, (theta, witness)
 
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_witness_violates_just_above_half(self, order):
+        # The violation on iR is O(theta - 0.5), below A_STABLE_SLACK at
+        # 1e-10; the witness still has |R| > 1.
+        for k in range(2, 11):
+            theta = 0.5 + 10.0 ** -k
+            stable, witness = is_A_stable(theta, order)
+            assert not stable and witness is not None
+            assert _abs_R(witness, theta, order) > 1.0, (theta, witness)
+
     def test_exact_stable_theta_sets(self):
         thetas = np.linspace(0.0, 1.0, 201)
         for order, expected in ((1, thetas >= 0.5), (2, thetas >= 0.5),

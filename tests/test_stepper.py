@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ieldtm import stepper
 from ieldtm.errors import InvalidConfigurationError
 from ieldtm.nonlinear import NewtonConfig
 from ieldtm.problems import (
@@ -311,3 +312,99 @@ class TestIntegrateDispatch:
         cfg = SchemeConfig(0.5, 3, step_mode=0.1)
         with pytest.raises(InvalidConfigurationError):
             integrate(dahlquist(-1.0), cfg, 1.0)
+
+
+class TestFailureContext:
+    """A failed trace names the failing step's t and dt and the reason."""
+
+    def test_completed_is_empty(self):
+        trace = integrate(dahlquist(-1.0), SchemeConfig(0.5, 3, FixedStep(0.1)), 1.0)
+        assert trace.failure == ""
+
+    def test_newton_failure(self):
+        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8),
+                           newton=NewtonConfig(max_iters=1))
+        trace = integrate(duffing(), cfg, 1.0)
+        assert trace.status == "newton-failure"
+        assert trace.failure.startswith("step at t = 0.0, dt = ")
+        assert "no convergence in 1 iterations (last residual" in trace.failure
+
+    def test_non_finite_state(self):
+        cfg = SchemeConfig(0.5, 5, FixedStep(0.5))
+        trace = integrate(van_der_pol(1000.0), cfg, 5.0)
+        assert trace.status == "non-finite-state"
+        assert trace.failure == ("step at t = 0.5, dt = 0.5: "
+                                 "non-finite Taylor coefficient at t = 1.0")
+
+    def test_node_table_overflow_before_dt(self):
+        # X(3) = 1e450 / 6 overflows the first node table; no dt is chosen yet.
+        trace = integrate(dahlquist(1e150), SchemeConfig(1.0, 1, FixedStep(0.1)), 1.0)
+        assert trace.status == "non-finite-state"
+        assert trace.failure == ("step at t = 0.0: "
+                                 "non-finite Taylor coefficient at t = 0.0")
+
+    def test_singular_matrix(self):
+        trace = integrate(dahlquist(1.0), SchemeConfig(1.0, 1, FixedStep(1.0)), 2.0)
+        assert trace.status == "singular-matrix"
+        assert trace.failure == "step at t = 0.0, dt = 1.0: pivot underflow in column 0"
+
+    def test_min_step_underflow(self):
+        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8, dt_min=0.5))
+        trace = integrate(dahlquist(-1.0), cfg, 1.0)
+        assert trace.status == "min-step-underflow"
+        prefix, reason = trace.failure.split(": ")
+        assert prefix.startswith("step at t = 0.0, dt = ")
+        assert float(prefix.rsplit("= ", 1)[1]) < 0.5
+        assert reason == "proposed dt below dt_min = 0.5"
+
+
+class TestNodeTableReuse:
+    """After an implicit step the accepted state's trial table, extended by
+    EXTRA_DEPTH rows, is the next node table."""
+
+    def test_one_build_per_residual_after_the_first_node(self, monkeypatch):
+        counts = {"build": 0, "residual": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(stepper, "build_coeff_table",
+                            counted("build", stepper.build_coeff_table))
+        monkeypatch.setattr(stepper, "implicit_residual",
+                            counted("residual", stepper.implicit_residual))
+        cfg = SchemeConfig(0.5, 5, AdaptiveStep(1e-10))
+        trace = integrate(van_der_pol(10.0), cfg, 5.0)
+        assert trace.status == "completed"
+        assert min(r.newton_iters for r in trace.records[1:]) >= 1
+        assert counts["residual"] >= 2 * trace.steps
+        assert counts["build"] == 1 + counts["residual"]
+
+    @pytest.mark.parametrize("prob, cfg, t_final", [
+        (van_der_pol(10.0), SchemeConfig(0.5, 5, AdaptiveStep(1e-10)), 5.0),
+        (robertson_modified(), SchemeConfig(0.5, 4, FixedStep(2.0 ** -5)), 4.0),
+        (seir(SeirParams(eta=6.0)), SchemeConfig(0.5, 6, AdaptiveStep(1e-5)), 80.0),
+    ], ids=["vanderpol", "robertson-fixed", "seir-discontinuity"])
+    def test_trace_equals_fresh_builds(self, monkeypatch, prob, cfg, t_final):
+        reused = integrate(prob, cfg, t_final)
+        advance = stepper._advance
+        monkeypatch.setattr(stepper, "_advance",
+                            lambda *args: advance(*args)[:2] + (None,))
+        fresh = integrate(prob, cfg, t_final)
+        assert reused.status == fresh.status == "completed"
+        assert reused.steps == fresh.steps
+        for a, b in zip(reused.records, fresh.records):
+            assert (a.t, a.dt_used, a.newton_iters, a.local_error_estimate) == \
+                (b.t, b.dt_used, b.newton_iters, b.local_error_estimate)
+            assert a.state.tobytes() == b.state.tobytes()
+
+    def test_residual_of_prebuilt_trial_table(self):
+        prob = duffing()
+        table = build_coeff_table(prob, 0.0, prob.default_initial, 4)
+        trial = np.array([0.51, 0.24])
+        prebuilt = build_coeff_table(prob, 0.1, trial, 4)
+        np.testing.assert_array_equal(
+            implicit_residual(prob, table, prebuilt, 0.5, 4, 0.1),
+            implicit_residual(prob, table, trial, 0.5, 4, 0.1))
