@@ -49,4 +49,4 @@ from .stepper import (
     implicit_step,
     integrate,
 )
-from .taylor import CoeffTable, cauchy_product, horner_eval, triple_product
+from .taylor import cauchy_product, horner_eval, triple_product

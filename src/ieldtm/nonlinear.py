@@ -4,9 +4,10 @@ Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
 and factored densely.  Centred differences keep it accurate under strongly
 scaled nonlinearities; the residual takes all 2m + 1 points they need (the
 iterate and its +-h perturbations) as one batch, so each iteration's
-Jacobian, and the first iteration's residual, cost one residual call.
-The LU runs on Python floats: at m <= 6 a numpy call per pivot, swap and row
-update costs more than the arithmetic it does.
+Jacobian, and the first iteration's residual, cost one residual call.  The
+residual is called with float arrays only: an ``(m,)`` point or that
+``(m, 2m + 1)`` batch.  The LU runs on Python floats: at m <= 6 a numpy call
+per pivot, swap and row update costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -97,12 +98,13 @@ def _residual_and_jacobian(residual, y, eps):
 def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
     """Root-find residual(y) = 0 starting from guess.
 
-    ``residual`` maps an ``(n,)`` point to its ``(n,)`` residual and an
-    ``(n, B)`` stack of points, one per column, to the ``(n, B)`` stack of
-    their residuals.
+    ``residual`` is only ever called with float arrays: it maps an ``(n,)``
+    point to its ``(n,)`` residual and an ``(n, B)`` stack of points, one per
+    column, to the ``(n, B)`` stack of their residuals.
 
     Returns (root, iterations).  Converges when the residual inf-norm drops
-    below abs_tol or the update inf-norm drops below step_tol * max(1, |y|).
+    below abs_tol or the update inf-norm drops below step_tol * max(1, |y|);
+    after the last iteration, a residual at or below abs_tol is accepted.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -139,6 +141,8 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
         scale = max(1.0, np.abs(y).max())
         if alpha * np.abs(delta).max() <= cfg.step_tol * scale:
             return y, it
+    if np.abs(r).max() <= cfg.abs_tol:
+        return y, cfg.max_iters
     raise NewtonFailureError(
         f"no convergence in {cfg.max_iters} iterations "
         f"(last residual inf-norm {np.abs(r).max():.3e})"

@@ -1,10 +1,11 @@
 """Built-in ODE systems expressed as Taylor-coefficient recurrences.
 
 Each problem supplies a ``recurrence(t_i, coeffs, k) -> X(k+1)`` that maps the
-coefficients known through index k (an array of shape ``(k+1, dim)`` expanded
-about ``t_i``) to the next scaled derivative.  Any user ODE can be added by
-writing such a recurrence; the library does not derive recurrences from
-closed-form right-hand sides automatically.
+coefficients known through index k (a plain float array of shape
+``(k+1, dim)``, the first rows of a coefficient table expanded about ``t_i``)
+to the next scaled derivative.  Any user ODE can be added by writing such a
+recurrence; the library does not derive recurrences from closed-form
+right-hand sides automatically.
 
 Recurrences must also accept a trailing batch axis: given ``coeffs`` of shape
 ``(k+1, dim, B)``, holding the expansions of B states, they return X(k+1) of

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .nonlinear import NewtonConfig, newton_solve
 from .problems import ProblemDefinition
-from .taylor import CoeffTable, horner_eval
+from .taylor import horner_eval
 
 __all__ = [
     "FixedStep",
@@ -136,11 +136,12 @@ class SolutionTrace:
 
 
 def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
-                      depth: int) -> CoeffTable:
+                      depth: int) -> np.ndarray:
     """Run the problem recurrence ``depth`` times starting from the state.
 
     ``state`` is one state of shape ``(dim,)`` or a batch of B states of
-    shape ``(dim, B)``; the table takes its shape from it.
+    shape ``(dim, B)``; the table, of shape ``(depth+1,) + state.shape``,
+    takes its shape from it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -148,24 +149,22 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
     if state.ndim not in (1, 2) or state.shape[0] != problem.dim:
         raise ValueError(
             f"state must have shape ({problem.dim},) or ({problem.dim}, B)")
-    coeffs = np.empty((depth + 1,) + state.shape)
-    coeffs[0] = state
-    return _run_recurrence(problem, t_i, coeffs, 0)
+    return _run_recurrence(problem, t_i, state[None], depth)
 
 
-def _run_recurrence(problem, t_i, coeffs, known: int) -> CoeffTable:
-    """Fill ``coeffs`` past row ``known`` by the recurrence and wrap it."""
-    for k in range(known, coeffs.shape[0] - 1):
+def _run_recurrence(problem, t_i, rows, depth: int) -> np.ndarray:
+    """The table about t_i through ``depth`` that starts with ``rows``: they
+    are copied and only the missing recurrences run, so extending a table
+    equals building it afresh, bit for bit."""
+    coeffs = np.empty((depth + 1,) + rows.shape[1:])
+    known = rows.shape[0]
+    coeffs[:known] = rows
+    for k in range(known - 1, depth):
         coeffs[k + 1] = problem.recurrence(t_i, coeffs[: k + 1], k)
-    return CoeffTable(t_i, coeffs)
-
-
-def _deepened(problem, table: CoeffTable, depth: int) -> CoeffTable:
-    """``table`` extended to ``depth``: its rows are kept and only the
-    missing recurrences run, so it equals a fresh build bit for bit."""
-    coeffs = np.empty((depth + 1,) + table.state.shape)
-    coeffs[: table.depth + 1] = table.coeffs
-    return _run_recurrence(problem, table.base_time, coeffs, table.depth)
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteStateError(
+            f"non-finite Taylor coefficient at t = {t_i!r}")
+    return coeffs
 
 
 def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
@@ -177,110 +176,105 @@ def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
     return horner_eval(table, dt, order)
 
 
-def implicit_residual(problem: ProblemDefinition, known_table: CoeffTable,
-                      trial_state, theta: float, order: int,
-                      dt: float, known_value=None) -> np.ndarray:
+def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
+                      trial_state, theta: float, order: int, dt: float):
     """Continuity defect of the two expansions at the matching point
-    t_i + (1 - theta) dt; its root is the accepted next state.
+    t_next - theta dt, and the trial table it was read from.
 
-    A ``(dim, B)`` stack of trial states gives the ``(dim, B)`` defects from
-    one batched table build.  ``trial_state`` may also be that table, built
-    about t_i + dt to depth ``order`` or more.  ``known_value`` is the known
-    side's value at the matching point when the caller already has it.
+    ``known_value`` is the node's expansion about t_next - dt evaluated at
+    the matching point; the trial table expands ``trial_state`` about t_next
+    to depth ``order``.  The defect's root is the accepted next state.  A
+    ``(dim, B)`` stack of trial states gives the ``(dim, B)`` defects from
+    one batched table build.  Returns (defect, trial table).
     """
-    trial_table = trial_state
-    if not isinstance(trial_table, CoeffTable):
-        trial_table = build_coeff_table(problem, known_table.base_time + dt,
-                                        trial_state, order)
+    trial_table = build_coeff_table(problem, t_next, trial_state, order)
     lhs = horner_eval(trial_table, -theta * dt, order)
-    rhs = (horner_eval(known_table, (1.0 - theta) * dt, order)
-           if known_value is None else known_value)
-    return lhs - rhs.reshape(rhs.shape + (1,) * (lhs.ndim - rhs.ndim))
+    rhs = known_value.reshape(
+        known_value.shape + (1,) * (lhs.ndim - known_value.ndim))
+    return lhs - rhs, trial_table
 
 
 def implicit_step(problem: ProblemDefinition, t_i: float, state, theta: float,
                   order: int, dt: float,
-                  newton_config: NewtonConfig | None = None,
-                  known_table: CoeffTable | None = None):
+                  newton_config: NewtonConfig | None = None):
     """Implicit (theta > 0) step solved by Newton iteration; the predictor is
     the explicit step of the same order.  Returns (state, iterations)."""
     if theta <= 0:
         raise InvalidConfigurationError("implicit_step requires theta > 0")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if known_table is None or known_table.depth < order:
-        known_table = build_coeff_table(problem, t_i, state, order)
-    return _implicit_solve(problem, known_table, theta, order, dt,
+    node_table = build_coeff_table(problem, t_i, state, order)
+    return _implicit_solve(problem, t_i, node_table, theta, order, dt,
                            newton_config)[:2]
 
 
-def _implicit_solve(problem, known_table, theta, order, dt, newton_config):
-    """Newton solve of one implicit step from its node table.  Returns
-    (state, iterations, trial table of the state or None).
+def _implicit_solve(problem, t_i, node_table, theta, order, dt, newton_config):
+    """Newton solve of one implicit step from its node table about t_i.
+    Returns (state, iterations, trial table of the state or None).
 
     The table is the one the last single-state residual evaluation built,
     returned only when Newton returned that very array: it is then the next
     node's table through ``order``.  A batched table's columns are never
     handed on, as batched and single arithmetic differ in the last bits.
     """
-    predictor = horner_eval(known_table, dt, order)
+    predictor = horner_eval(node_table, dt, order)
     # The known side is fixed for the whole step.
-    known_value = horner_eval(known_table, (1.0 - theta) * dt, order)
-    t_next = known_table.base_time + dt
+    known_value = horner_eval(node_table, (1.0 - theta) * dt, order)
+    t_next = t_i + dt
     last = [None, None]  # the last single trial state and its table
 
     def residual(y):
-        trial_table = build_coeff_table(problem, t_next, y, order)
-        if trial_table.coeffs.ndim == 2:
+        r, trial_table = implicit_residual(problem, t_next, known_value, y,
+                                           theta, order, dt)
+        if trial_table.ndim == 2:
             last[:] = y, trial_table
-        return implicit_residual(problem, known_table, trial_table, theta,
-                                 order, dt, known_value)
+        return r
 
     state, iters = newton_solve(residual, predictor, newton_config)
     return state, iters, last[1] if state is last[0] else None
 
 
-def adaptive_dt_case1(table: CoeffTable, order: int, tol: float,
+def adaptive_dt_case1(table: np.ndarray, order: int, tol: float,
                       safety: float = 1.0, dt_min: float = 0.0,
                       dt_max: float = math.inf) -> float:
     """Step proposal for the forward/backward controllers, driven by
     ||X(K+1)||_inf; a vanishing coefficient yields dt_max."""
-    if table.depth < order + 1:
+    if table.shape[0] < order + 2:
         raise IndexError("table must hold coefficients through K+1")
-    lead = float(np.abs(table.coeffs[order + 1]).max())
+    lead = float(np.abs(table[order + 1]).max())
     if lead == 0.0:
         return dt_max
     dt = safety * (tol / lead) ** (1.0 / order)
     return min(max(dt, dt_min), dt_max)
 
 
-def adaptive_dt_case2(table: CoeffTable, order: int, tol: float,
+def adaptive_dt_case2(table: np.ndarray, order: int, tol: float,
                       safety: float = 1.0, dt_min: float = 0.0,
                       dt_max: float = math.inf) -> float:
     """Step proposal for the central scheme with odd K, driven by the scaled
     coefficient (1/2)^(K+1) (K+1) X(K+2)."""
     if order % 2 == 0:
         raise InvalidConfigurationError("case-2 controller requires odd order")
-    if table.depth < order + 2:
+    if table.shape[0] < order + 3:
         raise IndexError("table must hold coefficients through K+2")
     factor = 0.5 ** (order + 1) * (order + 1)
-    lead = factor * float(np.abs(table.coeffs[order + 2]).max())
+    lead = factor * float(np.abs(table[order + 2]).max())
     if lead == 0.0:
         return dt_max
     dt = safety * (tol / lead) ** (1.0 / (order + 1))
     return min(max(dt, dt_min), dt_max)
 
 
-def _local_error_estimate(table: CoeffTable, theta: float, order: int,
+def _local_error_estimate(table: np.ndarray, theta: float, order: int,
                           dt: float) -> float:
     """Leading local-truncation-error magnitude from the node coefficients."""
     central_odd = theta == 0.5 and order % 2 == 1
     if central_odd:
         factor = 0.5 ** (order + 1) * (order + 1)
-        lead = float(np.abs(table.coeffs[order + 2]).max())
+        lead = float(np.abs(table[order + 2]).max())
         return factor * lead * dt ** (order + 2)
     factor = abs((1.0 - theta) ** (order + 1) - (-theta) ** (order + 1))
-    lead = float(np.abs(table.coeffs[order + 1]).max())
+    lead = float(np.abs(table[order + 1]).max())
     return factor * lead * dt ** (order + 1)
 
 
@@ -295,12 +289,12 @@ def _clip_to_events(t: float, dt: float, t_final: float,
     return dt
 
 
-def _advance(problem, table, theta, order, dt, newton_cfg):
-    """One accepted step from a prebuilt node table; returns (state, iters,
-    the state's trial table or None)."""
+def _advance(problem, t, table, theta, order, dt, newton_cfg):
+    """One accepted step from a prebuilt node table about t; returns (state,
+    iters, the state's trial table or None)."""
     if theta == 0.0:
         return horner_eval(table, dt, order), 0, None
-    return _implicit_solve(problem, table, theta, order, dt, newton_cfg)
+    return _implicit_solve(problem, t, table, theta, order, dt, newton_cfg)
 
 
 def _failure_context(t: float, dt, reason) -> str:
@@ -321,10 +315,11 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     ``min-step-underflow``.  Every step is shortened to land exactly on
     t_final and on the problem's discontinuities.
 
-    Each node needs one coefficient table.  After an implicit step the
-    Newton solve has already built the accepted state's table through
-    ``order`` (its last residual evaluation), so that table is extended by
-    ``EXTRA_DEPTH`` rows and reused; a node gets a fresh build only at
+    Each node needs one coefficient table, a plain ``(depth+1, dim)`` array
+    expanded about the loop's t.  After an implicit step the Newton solve
+    has already built the accepted state's table through ``order`` (the
+    trial table of its last residual evaluation), so that table is extended
+    by ``EXTRA_DEPTH`` rows and reused; a node gets a fresh build only at
     t = 0, after an explicit step and after a Newton solve that returned
     without evaluating its result alone (0 iterations).  A failed trace
     says where and why in ``SolutionTrace.failure``.
@@ -360,7 +355,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
             while t < t_final - eps_end:
                 dt = None
                 table = (build_coeff_table(problem, t, x, depth) if trial is None
-                         else _deepened(problem, trial, depth))
+                         else _run_recurrence(problem, t, trial, depth))
                 if adaptive:
                     dt = controller(table, order, mode.tol, mode.safety,
                                     dt_max=dt_max)
@@ -373,7 +368,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                     dt = mode.dt
                 dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
                 est = _local_error_estimate(table, theta, order, dt)
-                x, iters, trial = _advance(problem, table, theta, order, dt,
+                x, iters, trial = _advance(problem, t, table, theta, order, dt,
                                            config.newton)
                 t += dt
                 records.append(StepRecord(t, x, dt, iters, est))

@@ -1,9 +1,12 @@
 """Coefficient-sequence algebra for local Taylor (differential transform) methods.
 
-A node of the integration carries the scaled derivatives X(k) = x^(k)(t_i)/k!
-of the solution at its expansion point.  Everything downstream (stepping,
-error control, stability evaluation) is built from convolution products and
-truncated series evaluation of these sequences.
+A node of the integration is its coefficient table: a plain float array of
+shape ``(depth+1, dim)`` whose row k is the scaled derivative
+X(k) = x^(k)(t_i)/k! of the solution, so row 0 is the state.  The table does
+not store t_i; whoever builds or reads it already holds that time.
+Everything downstream (stepping, error control, stability evaluation) is
+built from convolution products and truncated series evaluation of these
+sequences.
 
 Every sequence may carry a trailing batch axis: a table of shape
 ``(depth+1, dim, B)`` holds the expansions of B states about the same point,
@@ -13,52 +16,9 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonFiniteStateError
-
-__all__ = ["CoeffTable", "cauchy_product", "triple_product", "horner_eval"]
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Dense Taylor coefficients of one expansion node.
-
-    ``coeffs[k]`` is X(k), of shape ``(dim,)`` or, for a batch of B states,
-    ``(dim, B)``; ``coeffs[0]`` is the state itself.  Tables are values:
-    never mutated after construction.
-    """
-
-    base_time: float
-    coeffs: np.ndarray  # shape (depth+1, dim) or (depth+1, dim, B)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim not in (2, 3) or min(c.shape) < 1:
-            raise ValueError(
-                "coeffs must be a (depth+1, dim) or (depth+1, dim, B) array "
-                "with depth >= 0 and dim, B >= 1"
-            )
-        if not np.isfinite(c).all():
-            raise NonFiniteStateError(
-                f"non-finite Taylor coefficient at t = {self.base_time!r}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def depth(self) -> int:
-        """Highest stored coefficient index."""
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.coeffs[0]
+__all__ = ["cauchy_product", "triple_product", "horner_eval"]
 
 
 def _series_product(a, b) -> np.ndarray:
@@ -113,18 +73,17 @@ def triple_product(a, b, c, k: int):
     return np.einsum("j...,j...->...", ab, c[k::-1])
 
 
-def horner_eval(table: CoeffTable, offset: float, order: int) -> np.ndarray:
+def horner_eval(table: np.ndarray, offset: float, order: int) -> np.ndarray:
     """Evaluate sum_{k=0}^{order} X(k) * offset^k componentwise, highest
     order first for stability."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    if order > table.depth:
+    if order >= table.shape[0]:
         raise IndexError(
-            f"order {order} exceeds stored coefficient depth {table.depth}"
+            f"order {order} exceeds stored coefficient depth {table.shape[0] - 1}"
         )
-    c = table.coeffs
-    acc = c[order].copy()
+    acc = table[order].copy()
     for k in range(order - 1, -1, -1):
         acc *= offset
-        acc += c[k]
+        acc += table[k]
     return acc

@@ -14,6 +14,7 @@ from ieldtm.nonlinear import (
 )
 from ieldtm.problems import linear_system, robertson_modified, van_der_pol
 from ieldtm.stepper import build_coeff_table, implicit_residual
+from ieldtm.taylor import horner_eval
 
 
 class TestLuSolve:
@@ -136,6 +137,13 @@ class TestNewtonSolve:
         with pytest.raises(NewtonFailureError):
             newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]), cfg)
 
+    def test_last_iteration_residual_tested(self):
+        # The one allowed iteration reaches abs_tol with a large update.
+        cfg = NewtonConfig(abs_tol=1e-9, max_iters=1)
+        root, iters = newton_solve(lambda y: y - 1.0, np.array([0.0]), cfg)
+        assert abs(root[0] - 1.0) <= 1e-9
+        assert iters == 1
+
     def test_damping_recovers_overshoot(self):
         # Steep residual where a full Newton step overshoots badly.
         def residual(y):
@@ -154,7 +162,9 @@ class TestNewtonSolve:
 def step_residual(problem, state, theta, order, dt):
     """The implicit-step residual newton_solve sees for one step from state."""
     table = build_coeff_table(problem, 0.4, state, order)
-    return lambda y: implicit_residual(problem, table, y, theta, order, dt)
+    known = horner_eval(table, (1.0 - theta) * dt, order)
+    return lambda y: implicit_residual(problem, 0.4 + dt, known, y, theta,
+                                       order, dt)[0]
 
 
 def central_difference_columns(residual, y, eps):

@@ -22,7 +22,7 @@ from ieldtm.stepper import build_coeff_table
 
 
 def coeffs_from(problem, t, state, depth):
-    return build_coeff_table(problem, t, np.asarray(state, float), depth).coeffs
+    return build_coeff_table(problem, t, np.asarray(state, float), depth)
 
 
 class TestDahlquist:

@@ -9,6 +9,7 @@ from ieldtm import stepper
 from ieldtm.errors import InvalidConfigurationError
 from ieldtm.nonlinear import NewtonConfig
 from ieldtm.problems import (
+    ProblemDefinition,
     SeirParams,
     dahlquist,
     duffing,
@@ -30,22 +31,40 @@ from ieldtm.stepper import (
     implicit_step,
     integrate,
 )
-from ieldtm.taylor import CoeffTable, horner_eval
+from ieldtm.taylor import cauchy_product, horner_eval
+
+
+def step_residual(problem, state, trial, theta, order, dt):
+    """implicit_residual of a trial state for one step of dt from state at
+    t = 0."""
+    table = build_coeff_table(problem, 0.0, state, order)
+    known = horner_eval(table, (1.0 - theta) * dt, order)
+    return implicit_residual(problem, dt, known, trial, theta, order, dt)[0]
+
+
+def quadratic_blowup():
+    """x' = x^2, x(0) = 1: backward Euler with dt = 1 needs y - y^2 = 1,
+    which has no real root."""
+    def recurrence(t, coeffs, k):
+        return cauchy_product(coeffs, coeffs, k) / (k + 1)
+
+    return ProblemDefinition(name="quadratic", dim=1, recurrence=recurrence,
+                             default_initial=np.array([1.0]))
 
 
 class TestBuildCoeffTable:
     def test_exponential(self):
         table = build_coeff_table(dahlquist(1.0), 0.0, [1.0], 3)
-        np.testing.assert_allclose(table.coeffs[:, 0], [1, 1, 0.5, 1 / 6])
+        np.testing.assert_allclose(table[:, 0], [1, 1, 0.5, 1 / 6])
 
     def test_robertson_first_coefficient(self):
         table = build_coeff_table(robertson_modified(), 0.0, [1.0, 0.0, 0.0], 1)
-        np.testing.assert_allclose(table.coeffs[1], [-1.0, 0.0, 1.0])
+        np.testing.assert_allclose(table[1], [-1.0, 0.0, 1.0])
 
     def test_linear_diagonal(self):
         prob = linear_system(np.diag([-1.0, -2.0]))
         table = build_coeff_table(prob, 0.0, [1.0, 1.0], 2)
-        np.testing.assert_allclose(table.coeffs[2], [0.5, 2.0])
+        np.testing.assert_allclose(table[2], [0.5, 2.0])
 
     def test_depth_validated(self):
         with pytest.raises(ValueError):
@@ -59,12 +78,12 @@ class TestBuildCoeffTable:
 
     def test_batched_residual_columns(self):
         prob = duffing()
-        table = build_coeff_table(prob, 0.0, prob.default_initial, 3)
+        x0 = prob.default_initial
         trials = np.array([[0.5, 0.51, 0.49], [0.25, 0.26, 0.24]])
-        r = implicit_residual(prob, table, trials, 0.5, 3, 0.1)
+        r = step_residual(prob, x0, trials, 0.5, 3, 0.1)
         assert r.shape == (2, 3)
         for b in range(3):
-            single = implicit_residual(prob, table, trials[:, b], 0.5, 3, 0.1)
+            single = step_residual(prob, x0, trials[:, b], 0.5, 3, 0.1)
             np.testing.assert_allclose(r[:, b], single, rtol=1e-14, atol=1e-16)
 
 
@@ -89,34 +108,18 @@ class TestExplicitStep:
 class TestImplicitResidual:
     def test_zero_at_linear_fixed_point(self):
         lam, dt = -0.8, 0.3
-        prob = dahlquist(lam)
-        table = build_coeff_table(prob, 0.0, [1.0], 3)
         trial = np.array([scalar_R(lam * dt, 0.5, 3).real])
-        r = implicit_residual(prob, table, trial, 0.5, 3, dt)
+        r = step_residual(dahlquist(lam), [1.0], trial, 0.5, 3, dt)
         assert abs(r[0]) <= 1e-13
 
     def test_crank_nicolson_root_is_zero(self):
         # (1 + z/2) / (1 - z/2) vanishes at z = -2
-        prob = dahlquist(-2.0)
-        table = build_coeff_table(prob, 0.0, [1.0], 1)
-        r = implicit_residual(prob, table, np.array([0.0]), 0.5, 1, 1.0)
+        r = step_residual(dahlquist(-2.0), [1.0], np.array([0.0]), 0.5, 1, 1.0)
         assert abs(r[0]) <= 1e-14
 
     def test_small_dt_near_identity(self):
-        prob = dahlquist(-1.0)
-        table = build_coeff_table(prob, 0.0, [1.0], 2)
-        r = implicit_residual(prob, table, np.array([1.0]), 0.5, 2, 1e-13)
+        r = step_residual(dahlquist(-1.0), [1.0], np.array([1.0]), 0.5, 2, 1e-13)
         assert abs(r[0]) <= 1e-12
-
-    def test_precomputed_known_value(self):
-        prob = duffing()
-        table = build_coeff_table(prob, 0.0, prob.default_initial, 4)
-        known = horner_eval(table, (1.0 - 0.3) * 0.1, 4)
-        trials = np.array([[0.5, 0.51, 0.49], [0.25, 0.26, 0.24]])
-        for trial in (trials, trials[:, 0]):
-            np.testing.assert_array_equal(
-                implicit_residual(prob, table, trial, 0.3, 4, 0.1, known),
-                implicit_residual(prob, table, trial, 0.3, 4, 0.1))
 
 
 class TestImplicitStep:
@@ -150,7 +153,7 @@ class TestAdaptiveFormulas:
         coeffs = np.zeros((order + extra + 1, 1))
         coeffs[0, 0] = 1.0
         coeffs[order + extra, 0] = lead
-        return CoeffTable(0.0, coeffs)
+        return coeffs
 
     def test_case1_direct_value(self):
         table = self.table_with_lead(3, 1, 1.0)
@@ -293,11 +296,22 @@ class TestStepFailureStatus:
         assert trace.steps == 0
 
     def test_newton_failure(self):
-        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8),
-                           newton=NewtonConfig(max_iters=1))
-        trace = integrate(duffing(), cfg, 1.0)
+        cfg = SchemeConfig(1.0, 1, FixedStep(1.0))
+        trace = integrate(quadratic_blowup(), cfg, 2.0)
         assert trace.status == "newton-failure"
         assert trace.steps == 0
+
+    def test_converged_last_iteration_accepted(self):
+        # One Newton iteration reaches abs_tol on every step: the run must
+        # match the default configuration, not fail after that iteration.
+        prob = duffing()
+        one = integrate(prob, SchemeConfig(0.5, 3, AdaptiveStep(1e-8),
+                                           newton=NewtonConfig(max_iters=1)), 1.0)
+        default = integrate(prob, SchemeConfig(0.5, 3, AdaptiveStep(1e-8)), 1.0)
+        assert one.status == default.status == "completed"
+        assert one.steps == default.steps == 18
+        assert one.max_error(prob.exact_solution) == \
+            default.max_error(prob.exact_solution)
 
 
 class TestIntegrateDispatch:
@@ -322,9 +336,8 @@ class TestFailureContext:
         assert trace.failure == ""
 
     def test_newton_failure(self):
-        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8),
-                           newton=NewtonConfig(max_iters=1))
-        trace = integrate(duffing(), cfg, 1.0)
+        cfg = SchemeConfig(1.0, 1, FixedStep(1.0), newton=NewtonConfig(max_iters=1))
+        trace = integrate(quadratic_blowup(), cfg, 2.0)
         assert trace.status == "newton-failure"
         assert trace.failure.startswith("step at t = 0.0, dt = ")
         assert "no convergence in 1 iterations (last residual" in trace.failure
@@ -401,10 +414,10 @@ class TestNodeTableReuse:
             assert a.state.tobytes() == b.state.tobytes()
 
     def test_residual_of_prebuilt_trial_table(self):
+        # The trial table handed back with the defect is a fresh build.
         prob = duffing()
-        table = build_coeff_table(prob, 0.0, prob.default_initial, 4)
+        known = horner_eval(build_coeff_table(prob, 0.0, prob.default_initial, 4),
+                            0.05, 4)
         trial = np.array([0.51, 0.24])
-        prebuilt = build_coeff_table(prob, 0.1, trial, 4)
-        np.testing.assert_array_equal(
-            implicit_residual(prob, table, prebuilt, 0.5, 4, 0.1),
-            implicit_residual(prob, table, trial, 0.5, 4, 0.1))
+        _, trial_table = implicit_residual(prob, 0.1, known, trial, 0.5, 4, 0.1)
+        assert trial_table.tobytes() == build_coeff_table(prob, 0.1, trial, 4).tobytes()

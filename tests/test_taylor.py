@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ieldtm.errors import NonFiniteStateError
-from ieldtm.taylor import (
-    CoeffTable,
-    cauchy_product,
-    horner_eval,
-    triple_product,
-)
+from ieldtm.problems import dahlquist
+from ieldtm.stepper import build_coeff_table
+from ieldtm.taylor import cauchy_product, horner_eval, triple_product
 
 
 def exp_coeffs(n):
@@ -103,27 +100,23 @@ class TestBatchAxis:
 
     def test_table_and_horner_keep_batch(self):
         coeffs = np.random.default_rng(1).normal(size=(4, 2, 3))
-        batched = horner_eval(CoeffTable(0.0, coeffs), 0.3, 3)
+        batched = horner_eval(coeffs, 0.3, 3)
         assert batched.shape == (2, 3)
         for j in range(3):
-            single = horner_eval(CoeffTable(0.0, coeffs[..., j]), 0.3, 3)
+            single = horner_eval(coeffs[..., j], 0.3, 3)
             np.testing.assert_array_equal(batched[:, j], single)
 
 
 class TestCoeffTable:
-    def test_properties(self):
-        coeffs = np.array([[1.0, 2.0], [0.5, -1.0]])
-        table = CoeffTable(0.25, coeffs)
-        assert table.dim == 2
-        assert table.depth == 1
-        np.testing.assert_array_equal(table.state, [1.0, 2.0])
+    """A coefficient table is a plain (depth+1, dim) float array."""
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NonFiniteStateError):
-            CoeffTable(0.0, np.array([[1.0], [np.nan]]))
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite Taylor coefficient at t = 0\.0$"):
+            build_coeff_table(dahlquist(1.0), 0.0, [np.nan], 1)
 
     def test_eval_point_order_capped_by_depth(self):
-        table = CoeffTable(0.0, np.ones((3, 1)))
+        table = np.ones((3, 1))
         with pytest.raises((ValueError, IndexError)):
             horner_eval(table, 0.1, 5)
         with pytest.raises(ValueError):
@@ -132,27 +125,24 @@ class TestCoeffTable:
 
 class TestHornerEval:
     def test_truncated_exponential(self):
-        table = CoeffTable(0.0, exp_coeffs(3)[:, None])
+        table = exp_coeffs(3)[:, None]
         value = horner_eval(table, 0.1, 2)
         assert value[0] == pytest.approx(1.105)
 
     def test_zero_offset_returns_state(self):
-        coeffs = np.array([[4.0], [1.0], [9.0]])
-        table = CoeffTable(1.0, coeffs)
+        table = np.array([[4.0], [1.0], [9.0]])
         assert horner_eval(table, 0.0, 2)[0] == 4.0
 
     def test_alternating_series(self):
         # e^(-t) truncated: 1 - 1 + 1/2 at offset 1
-        coeffs = np.array([[1.0], [-1.0], [0.5]])
-        table = CoeffTable(0.0, coeffs)
+        table = np.array([[1.0], [-1.0], [0.5]])
         assert horner_eval(table, 1.0, 2)[0] == pytest.approx(0.5)
 
     @given(st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False),
                     min_size=1, max_size=13),
            st.floats(min_value=-2, max_value=2, allow_nan=False))
     def test_matches_naive_power_sum(self, coeffs, offset):
-        arr = np.array(coeffs)[:, None]
-        table = CoeffTable(0.0, arr)
+        table = np.array(coeffs)[:, None]
         order = len(coeffs) - 1
         naive = sum(c * offset ** k for k, c in enumerate(coeffs))
         value = horner_eval(table, offset, order)[0]
