@@ -1,18 +1,18 @@
-"""Dense Newton solver with finite-difference Jacobian and partial-pivot LU.
+"""Dense Newton solver with complex-step Jacobian and partial-pivot LU.
 
 Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
-and factored densely.  Centred differences keep it accurate under strongly
-scaled nonlinearities; the residual takes all 2m + 1 points they need (the
-iterate and its +-h perturbations) as one batch, so each iteration's
-Jacobian, and the first iteration's residual, cost one residual call.  The
-residual is called with float arrays only: an ``(m,)`` point or that
-``(m, 2m + 1)`` batch.  The LU runs on Python floats: at m <= 6 a numpy call
-per pivot, swap and row update costs more than the arithmetic it does.
+and factored densely.  It is the complex-step derivative, exact to rounding:
+the iterate and its m imaginary perturbations go to the residual as one
+``(m, m + 1)`` complex batch, so each iteration's Jacobian, and the first
+iteration's residual, cost one residual call; the residual must be
+complex-analytic.  The LU runs on Python floats: at m <= 6 a numpy call per
+pivot, swap and row update costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import truediv
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .errors import NewtonFailureError, SingularMatrixError
 __all__ = ["NewtonConfig", "newton_solve", "lu_solve"]
 
 _PIVOT_REL_TOL = 1e-14
+_COMPLEX_STEP = 1e-30  # nothing is subtracted, so it can be far below 1
+_MAX_HALVINGS = 8  # of the Newton update while the residual grows
 
 
 @dataclass(frozen=True)
@@ -28,12 +30,9 @@ class NewtonConfig:
     abs_tol: float = 1e-12        # residual inf-norm threshold
     step_tol: float = 1e-13       # update inf-norm threshold, relative to state scale
     max_iters: int = 25
-    fd_epsilon: float = 1e-7      # Jacobian perturbation scale
-    damping: bool = True          # halving line-search on residual increase
-    max_halvings: int = 8
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.step_tol <= 0 or self.fd_epsilon <= 0:
+        if self.abs_tol <= 0 or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -43,7 +42,8 @@ def lu_solve(A, b) -> np.ndarray:
     """Solve A x = b by partial-pivot LU elimination.
 
     Raises SingularMatrixError when a pivot falls below 1e-14 times the
-    inf-norm of its row.
+    inf-norm of its row, both measured with each column scaled to a largest
+    entry of 1, so a badly scaled but well-conditioned matrix passes.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -51,11 +51,12 @@ def lu_solve(A, b) -> np.ndarray:
     if A.shape != (n, n) or b.shape != (n,):
         raise ValueError("A must be n x n and b length n")
     a, b = A.tolist(), b.tolist()
-    row_scale = [sum(map(abs, row)) for row in a]
+    col_max = [max(map(abs, col)) or 1.0 for col in zip(*a)]
+    row_scale = [sum(map(truediv, map(abs, row), col_max)) for row in a]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda i: abs(a[i][col]))
         pivot = a[pivot_row][col]
-        if abs(pivot) <= _PIVOT_REL_TOL * max(row_scale[pivot_row], 1e-300):
+        if abs(pivot) <= _PIVOT_REL_TOL * row_scale[pivot_row] * col_max[col]:
             raise SingularMatrixError(f"pivot underflow in column {col}")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
@@ -76,40 +77,34 @@ def lu_solve(A, b) -> np.ndarray:
     return np.array(x)
 
 
-def _residual_and_jacobian(residual, y, eps):
-    """r(y) and the central-difference Jacobian from one batched residual
-    call on the points [y, y + h_j e_j, y - h_j e_j], h_j = eps max(1, |y_j|).
-
-    Centred differences cancel quadratic terms exactly; with strongly scaled
-    nonlinearities (e.g. 3e7 x^2 reaction terms at |x| ~ 1e-15) forward
-    differences pick up enough curvature error to degrade Newton to slow
-    linear convergence.
+def _residual_and_jacobian(residual, y):
+    """r(y) and its exact Jacobian from one batched residual call on the
+    complex points [y, y + ih e_1, ..., y + ih e_m]: r is the real part of
+    column 0 and J[:, j] = Im(column j + 1) / h, to rounding (Squire &
+    Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003).
     """
-    n = y.shape[0]
-    h = eps * np.maximum(1.0, np.abs(y))
-    points = np.repeat(y[:, None], 2 * n + 1, axis=1)
-    cols = np.arange(n)
-    points[cols, 1 + cols] += h
-    points[cols, 1 + n + cols] -= h
-    r = np.asarray(residual(points), dtype=float)
-    return r[:, 0], (r[:, 1:n + 1] - r[:, n + 1:]) / (2.0 * h)
+    steps = 1j * _COMPLEX_STEP * np.eye(y.size, y.size + 1, 1)
+    r = residual(y[:, None] + steps)
+    return r[:, 0].real, r[:, 1:].imag / _COMPLEX_STEP
 
 
 def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
     """Root-find residual(y) = 0 starting from guess.
 
-    ``residual`` is only ever called with float arrays: it maps an ``(n,)``
-    point to its ``(n,)`` residual and an ``(n, B)`` stack of points, one per
-    column, to the ``(n, B)`` stack of their residuals.
+    ``residual`` maps an ``(n,)`` float point to its ``(n,)`` residual and an
+    ``(n, B)`` complex stack of points, one per column, to the ``(n, B)``
+    stack of their residuals.
 
     Returns (root, iterations).  Converges when the residual inf-norm drops
     below abs_tol or the update inf-norm drops below step_tol * max(1, |y|);
     after the last iteration, a residual at or below abs_tol is accepted.
+    A singular Jacobian raises SingularMatrixError at the first iteration
+    and NewtonFailureError at a later one.
     """
     if cfg is None:
         cfg = NewtonConfig()
     y = np.array(guess, dtype=float)
-    r, J = _residual_and_jacobian(residual, y, cfg.fd_epsilon)
+    r, J = _residual_and_jacobian(residual, y)
     # Accept at abs_tol only once quadratic progress has stalled: while the
     # residual is still collapsing by orders of magnitude per step, one more
     # (cheap) iteration buys the round-off floor instead of an O(abs_tol)
@@ -124,19 +119,23 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
             return y, it - 1
         prev_norm = r_norm
         if it > 1:
-            _, J = _residual_and_jacobian(residual, y, cfg.fd_epsilon)
-        delta = lu_solve(J, -r)
+            _, J = _residual_and_jacobian(residual, y)
+        try:
+            delta = lu_solve(J, -r)
+        except SingularMatrixError as exc:
+            if it == 1:
+                raise
+            raise NewtonFailureError(
+                f"singular Jacobian at iteration {it} ({exc})") from exc
         alpha = 1.0
         y_new = y + delta
         r_new = np.asarray(residual(y_new), dtype=float)
-        if cfg.damping:
-            halvings = 0
-            while (not np.isfinite(r_new).all() or np.abs(r_new).max() > r_norm) \
-                    and halvings < cfg.max_halvings:
-                alpha *= 0.5
-                halvings += 1
-                y_new = y + alpha * delta
-                r_new = np.asarray(residual(y_new), dtype=float)
+        for _ in range(_MAX_HALVINGS):
+            if np.isfinite(r_new).all() and np.abs(r_new).max() <= r_norm:
+                break
+            alpha *= 0.5
+            y_new = y + alpha * delta
+            r_new = np.asarray(residual(y_new), dtype=float)
         y, r = y_new, r_new
         scale = max(1.0, np.abs(y).max())
         if alpha * np.abs(delta).max() <= cfg.step_tol * scale:

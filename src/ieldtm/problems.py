@@ -1,18 +1,19 @@
 """Built-in ODE systems expressed as Taylor-coefficient recurrences.
 
 Each problem supplies a ``recurrence(t_i, coeffs, k) -> X(k+1)`` that maps the
-coefficients known through index k (a plain float array of shape
-``(k+1, dim)``, the first rows of a coefficient table expanded about ``t_i``)
-to the next scaled derivative.  Any user ODE can be added by writing such a
+coefficients known through index k (a plain array of shape ``(k+1, dim)``,
+the first rows of a coefficient table expanded about ``t_i``) to the next
+scaled derivative.  Any user ODE can be added by writing such a
 recurrence; the library does not derive recurrences from closed-form
 right-hand sides automatically.
 
 Recurrences must also accept a trailing batch axis: given ``coeffs`` of shape
 ``(k+1, dim, B)``, holding the expansions of B states, they return X(k+1) of
 shape ``(dim, B)``, column b depending on column b alone.  The Newton solver
-relies on it to build all its finite-difference points in one table.
-Indexing ``coeffs[k]`` and ``coeffs[:, j]``, matrix products ``A @
-coeffs[k]`` and ``cauchy_product``/``triple_product`` all keep the batch axis;
+relies on it to build its complex-step points in one table, so recurrences
+must also be complex-analytic: no ``abs``, ``max``, comparisons, ``float()``
+or ``dtype=float`` on coefficients.  Indexing, ``A @ coeffs[k]`` and
+``cauchy_product``/``triple_product`` keep the batch axis and the dtype;
 a term that is the same for every column (a forcing vector) must broadcast
 against it.
 """

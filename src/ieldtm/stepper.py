@@ -141,11 +141,11 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
 
     ``state`` is one state of shape ``(dim,)`` or a batch of B states of
     shape ``(dim, B)``; the table, of shape ``(depth+1,) + state.shape``,
-    takes its shape from it.
+    takes its shape from it, and its dtype when complex (else float).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    state = np.asarray(state, dtype=float)
+    state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
     if state.ndim not in (1, 2) or state.shape[0] != problem.dim:
         raise ValueError(
             f"state must have shape ({problem.dim},) or ({problem.dim}, B)")
@@ -156,7 +156,7 @@ def _run_recurrence(problem, t_i, rows, depth: int) -> np.ndarray:
     """The table about t_i through ``depth`` that starts with ``rows``: they
     are copied and only the missing recurrences run, so extending a table
     equals building it afresh, bit for bit."""
-    coeffs = np.empty((depth + 1,) + rows.shape[1:])
+    coeffs = np.empty((depth + 1,) + rows.shape[1:], dtype=rows.dtype)
     known = rows.shape[0]
     coeffs[:known] = rows
     for k in range(known - 1, depth):

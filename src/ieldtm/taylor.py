@@ -1,6 +1,6 @@
 """Coefficient-sequence algebra for local Taylor (differential transform) methods.
 
-A node of the integration is its coefficient table: a plain float array of
+A node of the integration is its coefficient table: a plain array of
 shape ``(depth+1, dim)`` whose row k is the scaled derivative
 X(k) = x^(k)(t_i)/k! of the solution, so row 0 is the state.  The table does
 not store t_i; whoever builds or reads it already holds that time.
@@ -11,7 +11,7 @@ sequences.
 Every sequence may carry a trailing batch axis: a table of shape
 ``(depth+1, dim, B)`` holds the expansions of B states about the same point,
 and the products act column by column, so one table build serves B trial
-states.
+states.  The products keep their inputs' dtype: complex tables stay complex.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _series_product(a, b) -> np.ndarray:
     if a.ndim == 1:
         return np.convolve(a, b)[:n]
     batch = a.shape[1:]
-    rows = np.zeros((n, 2 * n) + batch)
+    rows = np.zeros((n, 2 * n) + batch, dtype=np.result_type(a, b))
     rows[:, :n] = a[:, None] * b[None, :]
     skewed = rows.reshape((2 * n * n,) + batch)[: n * (2 * n - 1)]
     return skewed.reshape((n, 2 * n - 1) + batch)[:, :n].sum(axis=0)
@@ -44,15 +44,15 @@ def cauchy_product(a, b, k: int):
     """Convolution sum sum_{j=0}^{k} a(j) * b(k-j).
 
     This is the transform of a pointwise product of two series.  Sequences
-    of shape ``(n,)`` give a float, ``(n, B)`` one value per batch column.
+    of shape ``(n,)`` give a scalar, ``(n, B)`` one value per batch column.
     Raises IndexError if either sequence is shorter than k+1.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape[0] <= k or b.shape[0] <= k:
         raise IndexError(f"sequences must be defined up to index {k}")
     if a.ndim == 1:
-        return float(np.dot(a[: k + 1], b[k::-1]))
+        return np.dot(a[: k + 1], b[k::-1])
     return np.einsum("j...,j...->...", a[: k + 1], b[k::-1])
 
 
@@ -62,14 +62,14 @@ def triple_product(a, b, c, k: int):
     Equals the Cauchy product applied twice; the transform of a*b*c.  Shapes
     as for cauchy_product.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    c = np.asarray(c)
     if a.shape[0] <= k or b.shape[0] <= k or c.shape[0] <= k:
         raise IndexError(f"sequences must be defined up to index {k}")
     ab = _series_product(a[: k + 1], b[: k + 1])
     if ab.ndim == 1:
-        return float(np.dot(ab, c[k::-1]))
+        return np.dot(ab, c[k::-1])
     return np.einsum("j...,j...->...", ab, c[k::-1])
 
 

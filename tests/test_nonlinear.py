@@ -100,6 +100,17 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError, match="pivot underflow in column 2"):
             lu_solve(A, np.ones(3))
 
+    def test_badly_scaled_well_conditioned(self):
+        # A Van der Pol (eps = 1000, theta = 0.5, K = 5, dt = 0.5) Newton
+        # matrix: its row sums differ by 1e17, but equilibrated its condition
+        # number is 1.2e6, so no pivot is negligible.
+        A = np.array([[6.168913693231879e+46, -1.211842272730129e+64],
+                      [-1.2118228151568728e+64, 2.380553373568959e+81]])
+        b = np.array([1.3882662378484935e+48, -2.727122126608708e+65])
+        x, ref = lu_solve(A, b), np.linalg.solve(A, b)
+        scale = np.abs(A).max(axis=0)
+        assert np.abs(scale * (x - ref)).max() <= 1e-9 * np.abs(scale * ref).max()
+
     def test_tiny_pivot_raises(self):
         # The second pivot, 1e-15, is below 1e-14 times its row's inf-norm.
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
@@ -137,6 +148,11 @@ class TestNewtonSolve:
         with pytest.raises(NewtonFailureError):
             newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]), cfg)
 
+    def test_singular_jacobian_after_first_iteration(self):
+        # The first update lands on y = 0, where the Jacobian 2y vanishes.
+        with pytest.raises(NewtonFailureError, match="singular Jacobian at iteration 2"):
+            newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]))
+
     def test_last_iteration_residual_tested(self):
         # The one allowed iteration reaches abs_tol with a large update.
         cfg = NewtonConfig(abs_tol=1e-9, max_iters=1)
@@ -167,34 +183,34 @@ def step_residual(problem, state, theta, order, dt):
                                        order, dt)[0]
 
 
-def central_difference_columns(residual, y, eps):
-    """Reference Jacobian: one pair of unbatched residual calls per column."""
-    J = np.empty((y.size, y.size))
-    for j in range(y.size):
-        h = eps * max(1.0, abs(y[j]))
-        yp, ym = y.copy(), y.copy()
-        yp[j] += h
-        ym[j] -= h
-        J[:, j] = (residual(yp) - residual(ym)) / (2.0 * h)
-    return J
+def vdp_jacobian(y, eps=10.0):
+    u, v = y
+    return np.array([[0.0, 1.0], [-1.0 - 2.0 * eps * u * v, eps * (1.0 - u * u)]])
+
+
+def robertson_jacobian(y):
+    _, x2, x3 = y
+    return np.array([[-0.04, 1e4 * x3, 1e4 * x2],
+                     [0.04, -1e4 * x3 - 6e7 * x2, -1e4 * x2],
+                     [0.0, 6e7 * x2, 0.0]])
 
 
 class TestBatchedJacobian:
-    @pytest.mark.parametrize("problem,state,dt", [
-        (van_der_pol(10.0), np.array([2.0, -0.5]), 0.05),
-        (robertson_modified(), np.array([0.7, 3e-5, 0.3]), 2 ** -6),
+    @pytest.mark.parametrize("problem,f_y,state,dt", [
+        (van_der_pol(10.0), vdp_jacobian, np.array([2.0, -0.5]), 0.05),
+        (robertson_modified(), robertson_jacobian, np.array([0.7, 3e-5, 0.3]),
+         2 ** -6),
     ], ids=["vanderpol", "robertson"])
-    def test_matches_column_by_column(self, problem, state, dt):
-        residual = step_residual(problem, state, 0.5, 5, dt)
-        eps = NewtonConfig().fd_epsilon
+    def test_matches_column_by_column(self, problem, f_y, state, dt):
+        # At K = 1, theta = 1 the residual is y - dt f(y) - state, so its
+        # Jacobian is I - dt f_y, here derived by hand column by column.
+        residual = step_residual(problem, state, 1.0, 1, dt)
         y = state * 1.01
-        r, J = _residual_and_jacobian(residual, y, eps)
+        r, J = _residual_and_jacobian(residual, y)
         np.testing.assert_allclose(r, residual(y), rtol=1e-14, atol=1e-16)
-        ref = central_difference_columns(residual, y, eps)
-        # Batched and single residuals agree to a few ulps of the residual
-        # scale, which the differences magnify by 1/h.
-        tol = 10 * np.finfo(float).eps * max(1.0, np.abs(r).max()) / eps
-        np.testing.assert_allclose(J, ref, rtol=0, atol=tol * np.abs(ref).max())
+        ref = np.eye(y.size) - dt * f_y(y)
+        for j in range(y.size):
+            np.testing.assert_allclose(J[:, j], ref[:, j], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("theta,order", [(0.5, 3), (0.5, 5), (1.0, 2)])
     def test_linear_jacobian_is_stability_denominator(self, theta, order):
@@ -207,8 +223,7 @@ class TestBatchedJacobian:
         W = -theta * dt * A
         exact = sum(np.linalg.matrix_power(W, k) / math.factorial(k)
                     for k in range(order + 1))
-        _, J = _residual_and_jacobian(residual, np.array([0.9, -1.1, 0.4]),
-                                      NewtonConfig().fd_epsilon)
+        _, J = _residual_and_jacobian(residual, np.array([0.9, -1.1, 0.4]))
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
 
     def test_one_batched_call_per_iteration(self):
@@ -220,5 +235,5 @@ class TestBatchedJacobian:
             return y ** 2 - 4.0
 
         _, iters = newton_solve(residual, np.array([3.0]))
-        assert shapes[0] == (1, 3)
-        assert [s for s in shapes if len(s) == 2] == [(1, 3)] * iters
+        assert shapes[0] == (1, 2)
+        assert [s for s in shapes if len(s) == 2] == [(1, 2)] * iters

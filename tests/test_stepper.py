@@ -219,6 +219,17 @@ class TestIntegrateFixed:
         assert trace.status == "completed"
         assert np.abs(trace.times - 66.0).min() <= 1e-9
 
+    @pytest.mark.parametrize("order,dt,steps", [
+        (5, 2 ** -4, 64), (6, 2 ** -5, 128), (7, 2 ** -6, 256)])
+    def test_robertson_coarse_steps_complete(self, order, dt, steps):
+        # Stiff cells beyond the table4 grid: Newton converges on every step
+        # only with an accurate Jacobian of the 3e7 x2^2 reaction term.
+        prob = robertson_modified()
+        trace = integrate(prob, SchemeConfig(0.5, order, FixedStep(dt)), 4.0)
+        assert trace.status == "completed"
+        assert trace.steps == steps
+        assert trace.max_error(prob.exact_solution) <= 1e-11
+
 
 class TestIntegrateAdaptive:
     def test_duffing_tracks_tolerance(self):
