@@ -84,10 +84,7 @@ def _build_config(theta, order, dt, tol, safety):
     if (dt is None) == (tol is None):
         raise click.UsageError("exactly one of --dt or --tol is required")
     mode = FixedStep(dt) if dt is not None else AdaptiveStep(tol, safety=safety)
-    try:
-        return SchemeConfig(theta, order, mode, NewtonConfig())
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return SchemeConfig(theta, order, mode, NewtonConfig())
 
 
 def _emit_rows(rows, header, meta, out, fmt):
@@ -121,7 +118,8 @@ def main():
 @main.command()
 @_problem_options
 @_scheme_options
-@click.option("--tf", type=float, default=1.0, show_default=True)
+@click.option("--tf", type=click.FloatRange(min=0.0, min_open=True), default=1.0,
+              show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the per-step trace CSV here.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
@@ -132,9 +130,12 @@ def solve(problem, lam, epsilon, beta, mu, alpha, d1, d2, d3, hosp_period,
           population, eta, tc, theta, order, dt, tol, safety, tf, out, fmt,
           no_oracle):
     """Integrate one problem and report a JSON summary."""
-    prob = _build_problem(problem, lam, epsilon, beta, mu, alpha, d1, d2, d3,
-                          hosp_period, population, eta, tc)
-    config = _build_config(theta, order, dt, tol, safety)
+    try:
+        prob = _build_problem(problem, lam, epsilon, beta, mu, alpha, d1, d2,
+                              d3, hosp_period, population, eta, tc)
+        config = _build_config(theta, order, dt, tol, safety)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     try:
         trace, summary = run_solve(prob, config, tf, with_oracle=not no_oracle)
     except IeldtmError as exc:

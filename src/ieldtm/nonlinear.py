@@ -2,11 +2,11 @@
 
 Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
 and factored densely.  It is the complex-step derivative, exact to rounding:
-the iterate and its m imaginary perturbations go to the residual as one
-``(m, m + 1)`` complex batch, so each iteration's Jacobian, and the first
-iteration's residual, cost one residual call; the residual must be
-complex-analytic.  The LU runs on Python floats: at m <= 6 a numpy call per
-pivot, swap and row update costs more than the arithmetic it does.
+column j comes from one residual call at the iterate perturbed by ih along
+e_j, so each iteration's Jacobian costs m complex residual calls and the
+residual must be complex-analytic.  The LU runs on Python floats: at m <= 6
+a numpy call per pivot, swap and row update costs more than the arithmetic
+it does.
 """
 
 from __future__ import annotations
@@ -77,23 +77,23 @@ def lu_solve(A, b) -> np.ndarray:
     return np.array(x)
 
 
-def _residual_and_jacobian(residual, y):
-    """r(y) and its exact Jacobian from one batched residual call on the
-    complex points [y, y + ih e_1, ..., y + ih e_m]: r is the real part of
-    column 0 and J[:, j] = Im(column j + 1) / h, to rounding (Squire &
-    Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003).
-    """
-    steps = 1j * _COMPLEX_STEP * np.eye(y.size, y.size + 1, 1)
-    r = residual(y[:, None] + steps)
-    return r[:, 0].real, r[:, 1:].imag / _COMPLEX_STEP
+def _jacobian(residual, y) -> np.ndarray:
+    """The exact Jacobian of residual at the real point y: column j is
+    Im residual(y + ih e_j) / h, to rounding (Squire & Trapp, SIAM Rev.
+    1998; Martins, Sturdza & Alonso, ACM TOMS 2003)."""
+    columns = []
+    for j in range(y.size):
+        point = y.astype(complex)
+        point[j] += 1j * _COMPLEX_STEP
+        columns.append(np.asarray(residual(point)).imag)
+    return np.array(columns).T / _COMPLEX_STEP
 
 
 def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
     """Root-find residual(y) = 0 starting from guess.
 
-    ``residual`` maps an ``(n,)`` float point to its ``(n,)`` residual and an
-    ``(n, B)`` complex stack of points, one per column, to the ``(n, B)``
-    stack of their residuals.
+    ``residual`` maps an ``(n,)`` point to its ``(n,)`` residual, a float one
+    to floats and a complex one (the Jacobian's) to complex values.
 
     Returns (root, iterations).  Converges when the residual inf-norm drops
     below abs_tol or the update inf-norm drops below step_tol * max(1, |y|);
@@ -104,7 +104,7 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
     if cfg is None:
         cfg = NewtonConfig()
     y = np.array(guess, dtype=float)
-    r, J = _residual_and_jacobian(residual, y)
+    r = np.asarray(residual(y), dtype=float)
     # Accept at abs_tol only once quadratic progress has stalled: while the
     # residual is still collapsing by orders of magnitude per step, one more
     # (cheap) iteration buys the round-off floor instead of an O(abs_tol)
@@ -118,10 +118,8 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
         if r_norm <= cfg.abs_tol and r_norm > 0.25 * prev_norm:
             return y, it - 1
         prev_norm = r_norm
-        if it > 1:
-            _, J = _residual_and_jacobian(residual, y)
         try:
-            delta = lu_solve(J, -r)
+            delta = lu_solve(_jacobian(residual, y), -r)
         except SingularMatrixError as exc:
             if it == 1:
                 raise

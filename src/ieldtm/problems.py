@@ -1,27 +1,25 @@
 """Built-in ODE systems expressed as Taylor-coefficient recurrences.
 
 Each problem supplies a ``recurrence(t_i, coeffs, k) -> X(k+1)`` that maps the
-coefficients known through index k (a plain array of shape ``(k+1, dim)``,
-the first rows of a coefficient table expanded about ``t_i``) to the next
-scaled derivative.  Any user ODE can be added by writing such a
-recurrence; the library does not derive recurrences from closed-form
-right-hand sides automatically.
+coefficients known through index k to the next scaled derivative.
+``coeffs`` is a coefficient table expanded about ``t_i``: a list of ``dim``
+per-component lists, ``coeffs[j][k]`` = X_j(k), each holding at least k+1
+entries.  The recurrence returns the ``dim`` values of X(k+1) as a list.
+Any user ODE can be added by writing such a recurrence; the library does
+not derive recurrences from closed-form right-hand sides automatically.
 
-Recurrences must also accept a trailing batch axis: given ``coeffs`` of shape
-``(k+1, dim, B)``, holding the expansions of B states, they return X(k+1) of
-shape ``(dim, B)``, column b depending on column b alone.  The Newton solver
-relies on it to build its complex-step points in one table, so recurrences
-must also be complex-analytic: no ``abs``, ``max``, comparisons, ``float()``
-or ``dtype=float`` on coefficients.  Indexing, ``A @ coeffs[k]`` and
-``cauchy_product``/``triple_product`` keep the batch axis and the dtype;
-a term that is the same for every column (a forcing vector) must broadcast
-against it.
+Recurrences must be complex-analytic: the Newton solver builds tables whose
+coefficients are complex numbers (its complex-step Jacobian), and these must
+give the complex X(k+1) of the same formula.  So no ``abs``, ``max``,
+comparisons or ``float()`` on coefficients; sums, products,
+``cauchy_product`` and ``triple_product`` keep the type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +40,7 @@ __all__ = [
     "PROBLEM_NAMES",
 ]
 
-Recurrence = Callable[[float, np.ndarray, int], np.ndarray]
+Recurrence = Callable[[float, list, int], list]
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ def dahlquist(lam: float, x0: float = 1.0) -> ProblemDefinition:
     lam = float(lam)
 
     def recurrence(t, coeffs, k):
-        return lam * coeffs[k] / (k + 1)
+        return [lam * coeffs[0][k] / (k + 1)]
 
     return ProblemDefinition(
         name="dahlquist",
@@ -109,15 +107,17 @@ def linear_system(A, forcing=None, name: str = "linear",
     m = A.shape[0]
     if default_initial is None:
         default_initial = np.ones(m)
+    rows = A.tolist()
 
     if forcing is None:
         def recurrence(t, coeffs, k):
-            return A @ coeffs[k] / (k + 1)
+            x = [col[k] for col in coeffs]
+            return [sum(map(mul, row, x)) / (k + 1) for row in rows]
     else:
         def recurrence(t, coeffs, k):
-            out = A @ coeffs[k]
-            f = np.asarray(forcing(t, k), dtype=float)
-            return (out + f.reshape(f.shape + (1,) * (out.ndim - f.ndim))) / (k + 1)
+            x = [col[k] for col in coeffs]
+            return [(sum(map(mul, row, x)) + float(f)) / (k + 1)
+                    for row, f in zip(rows, forcing(t, k))]
 
     return ProblemDefinition(
         name=name,
@@ -162,42 +162,33 @@ class SeirParams:
         return self.beta * self.eta if t >= self.t_c else self.beta
 
 
-def seir_matrix(params: SeirParams) -> np.ndarray:
-    """Linear part of the compartment system, state order (S, E, P, A, D, R)."""
-    d1, d2, d3, p, alpha = params.d1, params.d2, params.d3, params.p, params.alpha
-    A = np.zeros((6, 6))
-    A[1, 1] = -1.0 / d1
-    A[2, 1] = alpha / d1
-    A[2, 2] = -1.0 / d2
-    A[3, 1] = (1.0 - alpha) / d1
-    A[3, 3] = -1.0 / d3
-    A[4, 2] = 1.0 / d2
-    A[4, 4] = -1.0 / p
-    A[5, 4] = 1.0 / p
-    A[5, 3] = 1.0 / d3
-    # R row has no R term; each column sums to zero so the total population
-    # is conserved at the coefficient level.
-    return A
-
-
 def seir(params: SeirParams | None = None) -> ProblemDefinition:
     """Six-compartment epidemic system with a bilinear infection term and an
     optional transmission-rate jump at t_c (stiffness scaling eta)."""
     if params is None:
         params = SeirParams()
-    A = seir_matrix(params)
+    # Rates of the linear compartment flows, state order (S, E, P, A, D, R):
+    # whatever leaves one compartment enters another, so the population is
+    # conserved at the coefficient level.
+    r_e, r_p, r_a, r_d = (1.0 / params.d1, 1.0 / params.d2, 1.0 / params.d3,
+                          1.0 / params.p)
+    e_to_p, e_to_a = params.alpha / params.d1, (1.0 - params.alpha) / params.d1
     inv_N = 1.0 / params.N
     mu = params.mu
 
     def recurrence(t, coeffs, k):
-        s = coeffs[:, 0]
-        infectious = coeffs[:, 2] + coeffs[:, 4] + mu * coeffs[:, 3]
-        conv = cauchy_product(s, infectious, k)
+        s, e, p, a, d, _ = coeffs
+        # S * (P + D + mu A), the infection term, in one convolution loop.
+        conv = 0.0
+        for j in range(k + 1):
+            i = k - j
+            conv += s[j] * (p[i] + d[i] + mu * a[i])
         lam = params.beta_at(t) * inv_N * conv
-        out = A @ coeffs[k]
-        out[0] -= lam
-        out[1] += lam
-        return out / (k + 1)
+        ek, pk, ak, dk = e[k], p[k], a[k], d[k]
+        n = k + 1
+        return [-lam / n, (-r_e * ek + lam) / n, (e_to_p * ek - r_p * pk) / n,
+                (e_to_a * ek - r_a * ak) / n, (r_p * pk - r_d * dk) / n,
+                (r_a * ak + r_d * dk) / n]
 
     disc = (params.t_c,) if params.eta != 1.0 else ()
     initial = np.array([params.N - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
@@ -221,14 +212,11 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
     For (alpha, beta, gamma) = (-3, 2, -2) the logistic function
     1/(1 + e^(-t)) is an exact solution from (0.5, 0.25).
     """
-    A = np.array([[0.0, 1.0], [-beta, -alpha]])
-
     def recurrence(t, coeffs, k):
-        x1 = coeffs[:, 0]
+        x1, x2 = coeffs
         cubic = triple_product(x1, x1, x1, k)
-        out = A @ coeffs[k]
-        out[1] -= gamma * cubic
-        return out / (k + 1)
+        return [x2[k] / (k + 1),
+                (-beta * x1[k] - alpha * x2[k] - gamma * cubic) / (k + 1)]
 
     exact = None
     if (alpha, beta, gamma) == _LOGISTIC_PARAMS:
@@ -254,14 +242,14 @@ def robertson_modified() -> ProblemDefinition:
     """
 
     def recurrence(t, coeffs, k):
-        x1, x2, x3 = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+        x1, x2, x3 = coeffs
         q23 = cauchy_product(x2, x3, k)
         q22 = cauchy_product(x2, x2, k)
         f = math.exp(-t) * (-1.0 if k % 2 else 1.0) / math.factorial(k)
         a1, a23, a22 = 0.04 * x1[k], 1e4 * q23, 3e7 * q22
-        out = np.array([a23 - a1 - 0.96 * f, a1 - a23 - a22 - 0.04 * f, a22 + f])
-        out /= k + 1
-        return out
+        n = k + 1
+        return [(a23 - a1 - 0.96 * f) / n, (a1 - a23 - a22 - 0.04 * f) / n,
+                (a22 + f) / n]
 
     def exact(t):
         e = math.exp(-t)
@@ -280,13 +268,11 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     """Van der Pol oscillator U' = V, V' = -U + eps (1 - U^2) V; stiffness
     grows with eps."""
     eps = float(epsilon)
-    A = np.array([[0.0, 1.0], [-1.0, eps]])
 
     def recurrence(t, coeffs, k):
-        u, v = coeffs[:, 0], coeffs[:, 1]
-        out = A @ coeffs[k]
-        out[1] -= eps * triple_product(u, u, v, k)
-        return out / (k + 1)
+        u, v = coeffs
+        return [v[k] / (k + 1),
+                (-u[k] + eps * v[k] - eps * triple_product(u, u, v, k)) / (k + 1)]
 
     return ProblemDefinition(
         name="vanderpol",

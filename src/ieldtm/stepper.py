@@ -8,8 +8,10 @@ the implicit backward scheme and theta = 0.5 the implicit central scheme
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Union
 
 import numpy as np
@@ -136,35 +138,36 @@ class SolutionTrace:
 
 
 def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
-                      depth: int) -> np.ndarray:
-    """Run the problem recurrence ``depth`` times starting from the state.
+                      depth: int) -> list:
+    """Run the problem recurrence ``depth`` times starting from one state of
+    shape ``(dim,)``.
 
-    ``state`` is one state of shape ``(dim,)`` or a batch of B states of
-    shape ``(dim, B)``; the table, of shape ``(depth+1,) + state.shape``,
-    takes its shape from it, and its dtype when complex (else float).
+    The table is a list of ``dim`` lists, ``table[j][k]`` = X_j(k).  A
+    complex state gives complex coefficients; any other becomes float.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
-    if state.ndim not in (1, 2) or state.shape[0] != problem.dim:
-        raise ValueError(
-            f"state must have shape ({problem.dim},) or ({problem.dim}, B)")
-    return _run_recurrence(problem, t_i, state[None], depth)
+    if state.shape != (problem.dim,):
+        raise ValueError(f"state must have shape ({problem.dim},)")
+    return _run_recurrence(problem, t_i, [[x] for x in state.tolist()], depth)
 
 
-def _run_recurrence(problem, t_i, rows, depth: int) -> np.ndarray:
-    """The table about t_i through ``depth`` that starts with ``rows``: they
-    are copied and only the missing recurrences run, so extending a table
-    equals building it afresh, bit for bit."""
-    coeffs = np.empty((depth + 1,) + rows.shape[1:], dtype=rows.dtype)
-    known = rows.shape[0]
-    coeffs[:known] = rows
-    for k in range(known - 1, depth):
-        coeffs[k + 1] = problem.recurrence(t_i, coeffs[: k + 1], k)
-    if not np.isfinite(coeffs).all():
+def _run_recurrence(problem, t_i, table, depth: int) -> list:
+    """Extend the table about t_i in place through ``depth`` and return it.
+
+    Only the missing recurrences run, so extending a table equals building
+    it afresh, bit for bit.
+    """
+    recurrence = problem.recurrence
+    for k in range(len(table[0]) - 1, depth):
+        # One pass of map appends X_j(k+1) to every component list; at
+        # these sizes a Python loop over the components costs more.
+        list(map(list.append, table, recurrence(t_i, table, k)))
+    if not all(map(cmath.isfinite, chain.from_iterable(table))):
         raise NonFiniteStateError(
             f"non-finite Taylor coefficient at t = {t_i!r}")
-    return coeffs
+    return table
 
 
 def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
@@ -173,7 +176,7 @@ def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
     if dt <= 0:
         raise ValueError("dt must be positive")
     table = build_coeff_table(problem, t_i, state, order)
-    return horner_eval(table, dt, order)
+    return np.array(horner_eval(table, dt, order))
 
 
 def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
@@ -183,15 +186,13 @@ def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
 
     ``known_value`` is the node's expansion about t_next - dt evaluated at
     the matching point; the trial table expands ``trial_state`` about t_next
-    to depth ``order``.  The defect's root is the accepted next state.  A
-    ``(dim, B)`` stack of trial states gives the ``(dim, B)`` defects from
-    one batched table build.  Returns (defect, trial table).
+    to depth ``order``.  The defect's root is the accepted next state; a
+    complex trial state gives the complex defect.  Returns (defect, trial
+    table).
     """
     trial_table = build_coeff_table(problem, t_next, trial_state, order)
     lhs = horner_eval(trial_table, -theta * dt, order)
-    rhs = known_value.reshape(
-        known_value.shape + (1,) * (lhs.ndim - known_value.ndim))
-    return lhs - rhs, trial_table
+    return np.subtract(lhs, known_value), trial_table
 
 
 def implicit_step(problem: ProblemDefinition, t_i: float, state, theta: float,
@@ -212,70 +213,78 @@ def _implicit_solve(problem, t_i, node_table, theta, order, dt, newton_config):
     """Newton solve of one implicit step from its node table about t_i.
     Returns (state, iterations, trial table of the state or None).
 
-    The table is the one the last single-state residual evaluation built,
-    returned only when Newton returned that very array: it is then the next
-    node's table through ``order``.  A batched table's columns are never
-    handed on, as batched and single arithmetic differ in the last bits.
+    The table is the one the last residual evaluation built, returned only
+    when Newton returned that very array: it is then the next node's table
+    through ``order``.  Newton's complex-step points are arrays of their own,
+    so a complex table is never handed on.
     """
-    predictor = horner_eval(node_table, dt, order)
+    predictor = np.array(horner_eval(node_table, dt, order))
     # The known side is fixed for the whole step.
     known_value = horner_eval(node_table, (1.0 - theta) * dt, order)
     t_next = t_i + dt
-    last = [None, None]  # the last single trial state and its table
+    last = [None, None]  # the last trial state and its table
 
     def residual(y):
         r, trial_table = implicit_residual(problem, t_next, known_value, y,
                                            theta, order, dt)
-        if trial_table.ndim == 2:
-            last[:] = y, trial_table
+        last[:] = y, trial_table
         return r
 
     state, iters = newton_solve(residual, predictor, newton_config)
     return state, iters, last[1] if state is last[0] else None
 
 
-def adaptive_dt_case1(table: np.ndarray, order: int, tol: float,
+def adaptive_dt_case1(table: list, order: int, tol: float,
                       safety: float = 1.0, dt_min: float = 0.0,
                       dt_max: float = math.inf) -> float:
     """Step proposal for the forward/backward controllers, driven by
     ||X(K+1)||_inf; a vanishing coefficient yields dt_max."""
-    if table.shape[0] < order + 2:
+    if len(table[0]) < order + 2:
         raise IndexError("table must hold coefficients through K+1")
-    lead = float(np.abs(table[order + 1]).max())
+    lead = _lead(table, order + 1)
     if lead == 0.0:
         return dt_max
     dt = safety * (tol / lead) ** (1.0 / order)
     return min(max(dt, dt_min), dt_max)
 
 
-def adaptive_dt_case2(table: np.ndarray, order: int, tol: float,
+def adaptive_dt_case2(table: list, order: int, tol: float,
                       safety: float = 1.0, dt_min: float = 0.0,
                       dt_max: float = math.inf) -> float:
     """Step proposal for the central scheme with odd K, driven by the scaled
     coefficient (1/2)^(K+1) (K+1) X(K+2)."""
     if order % 2 == 0:
         raise InvalidConfigurationError("case-2 controller requires odd order")
-    if table.shape[0] < order + 3:
+    if len(table[0]) < order + 3:
         raise IndexError("table must hold coefficients through K+2")
     factor = 0.5 ** (order + 1) * (order + 1)
-    lead = factor * float(np.abs(table[order + 2]).max())
+    lead = factor * _lead(table, order + 2)
     if lead == 0.0:
         return dt_max
     dt = safety * (tol / lead) ** (1.0 / (order + 1))
     return min(max(dt, dt_min), dt_max)
 
 
-def _local_error_estimate(table: np.ndarray, theta: float, order: int,
+def _lead(table: list, k: int) -> float:
+    """max_j |X_j(k)|, the inf-norm of coefficient k."""
+    return max(abs(col[k]) for col in table)
+
+
+def _local_error_estimate(table: list, theta: float, order: int,
                           dt: float) -> float:
     """Leading local-truncation-error magnitude from the node coefficients."""
-    central_odd = theta == 0.5 and order % 2 == 1
-    if central_odd:
-        factor = 0.5 ** (order + 1) * (order + 1)
-        lead = float(np.abs(table[order + 2]).max())
-        return factor * lead * dt ** (order + 2)
-    factor = abs((1.0 - theta) ** (order + 1) - (-theta) ** (order + 1))
-    lead = float(np.abs(table[order + 1]).max())
-    return factor * lead * dt ** (order + 1)
+    if theta == 0.5 and order % 2 == 1:
+        power = order + 2
+        lead = 0.5 ** (order + 1) * (order + 1) * _lead(table, power)
+    else:
+        power = order + 1
+        lead = abs((1.0 - theta) ** power - (-theta) ** power) * _lead(table, power)
+    if lead == 0.0:
+        return 0.0
+    try:
+        return lead * dt ** power
+    except OverflowError:  # a float power raises where a product gives inf
+        return math.inf
 
 
 def _clip_to_events(t: float, dt: float, t_final: float,
@@ -293,7 +302,7 @@ def _advance(problem, t, table, theta, order, dt, newton_cfg):
     """One accepted step from a prebuilt node table about t; returns (state,
     iters, the state's trial table or None)."""
     if theta == 0.0:
-        return horner_eval(table, dt, order), 0, None
+        return np.array(horner_eval(table, dt, order)), 0, None
     return _implicit_solve(problem, t, table, theta, order, dt, newton_cfg)
 
 
@@ -315,14 +324,13 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     ``min-step-underflow``.  Every step is shortened to land exactly on
     t_final and on the problem's discontinuities.
 
-    Each node needs one coefficient table, a plain ``(depth+1, dim)`` array
-    expanded about the loop's t.  After an implicit step the Newton solve
-    has already built the accepted state's table through ``order`` (the
-    trial table of its last residual evaluation), so that table is extended
-    by ``EXTRA_DEPTH`` rows and reused; a node gets a fresh build only at
-    t = 0, after an explicit step and after a Newton solve that returned
-    without evaluating its result alone (0 iterations).  A failed trace
-    says where and why in ``SolutionTrace.failure``.
+    Each node needs one coefficient table expanded about the loop's t.
+    After an implicit step the Newton solve has already built the accepted
+    state's table through ``order`` (the trial table of its last residual
+    evaluation), so that table is extended by ``EXTRA_DEPTH`` coefficients
+    and reused; a node gets a fresh build only at t = 0 and after an
+    explicit step.  A failed trace says where and why in
+    ``SolutionTrace.failure``.
     """
     mode = config.step_mode
     if not isinstance(mode, (FixedStep, AdaptiveStep)):

@@ -72,8 +72,8 @@ class TestSolve:
         assert result.exit_code == 1
         summary = json.loads(result.output)
         assert summary["status"] == "non-finite-state"
-        assert summary["failure"] == ("step at t = 0.5, dt = 0.5: "
-                                      "non-finite Taylor coefficient at t = 1.0")
+        assert summary["failure"] == ("step at t = 1.0, dt = 0.5: "
+                                      "non-finite Taylor coefficient at t = 1.5")
 
     def test_dt_and_tol_mutually_exclusive(self, runner):
         both = runner.invoke(main, ["solve", "--dt", "0.1", "--tol", "1e-8"])
@@ -85,6 +85,19 @@ class TestSolve:
     def test_invalid_order_rejected(self, runner):
         result = runner.invoke(main, ["solve", "--K", "0", "--dt", "0.1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--dt", "-1"],
+        ["--tol", "0"],
+        ["--tol", "1e-8", "--safety", "1.5"],
+        ["--dt", "0.1", "--tf", "-1"],
+        ["--problem", "seir", "--d1", "0", "--dt", "0.1"],
+    ], ids=["dt", "tol", "safety", "tf", "seir-d1"])
+    def test_out_of_range_input_rejected(self, runner, args):
+        result = runner.invoke(main, ["solve", *args, "--no-oracle"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output
 
     def test_unknown_problem_rejected(self, runner):
         result = runner.invoke(main, ["solve", "--problem", "lorenz",

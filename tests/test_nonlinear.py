@@ -8,7 +8,7 @@ import pytest
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
 from ieldtm.nonlinear import (
     NewtonConfig,
-    _residual_and_jacobian,
+    _jacobian,
     lu_solve,
     newton_solve,
 )
@@ -206,8 +206,13 @@ class TestBatchedJacobian:
         # Jacobian is I - dt f_y, here derived by hand column by column.
         residual = step_residual(problem, state, 1.0, 1, dt)
         y = state * 1.01
-        r, J = _residual_and_jacobian(residual, y)
-        np.testing.assert_allclose(r, residual(y), rtol=1e-14, atol=1e-16)
+        J = _jacobian(residual, y)
+        for j in range(y.size):
+            # The real part of each complex-step residual is r(y).
+            point = y.astype(complex)
+            point[j] += 1e-30j
+            r = residual(point).real
+            np.testing.assert_allclose(r, residual(y), rtol=1e-14, atol=1e-16)
         ref = np.eye(y.size) - dt * f_y(y)
         for j in range(y.size):
             np.testing.assert_allclose(J[:, j], ref[:, j], rtol=1e-13, atol=0)
@@ -223,17 +228,18 @@ class TestBatchedJacobian:
         W = -theta * dt * A
         exact = sum(np.linalg.matrix_power(W, k) / math.factorial(k)
                     for k in range(order + 1))
-        _, J = _residual_and_jacobian(residual, np.array([0.9, -1.1, 0.4]))
+        J = _jacobian(residual, np.array([0.9, -1.1, 0.4]))
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
 
     def test_one_batched_call_per_iteration(self):
-        # The first residual comes from the first batch, not its own call.
-        shapes = []
+        # r(y) comes from one real call; each iteration's Jacobian from m
+        # single-state complex calls, one per column.
+        calls = []
 
         def residual(y):
-            shapes.append(y.shape)
+            calls.append((y.shape, np.iscomplexobj(y)))
             return y ** 2 - 4.0
 
-        _, iters = newton_solve(residual, np.array([3.0]))
-        assert shapes[0] == (1, 2)
-        assert [s for s in shapes if len(s) == 2] == [(1, 2)] * iters
+        _, iters = newton_solve(residual, np.array([3.0, 1.0]))
+        assert calls[0] == ((2,), False)
+        assert [c for c in calls if c[1]] == [((2,), True)] * (2 * iters)

@@ -22,7 +22,8 @@ from ieldtm.stepper import build_coeff_table
 
 
 def coeffs_from(problem, t, state, depth):
-    return build_coeff_table(problem, t, np.asarray(state, float), depth)
+    """The coefficient table as a (depth+1, dim) array: row k is X(k)."""
+    return np.array(build_coeff_table(problem, t, state, depth)).T
 
 
 class TestDahlquist:
@@ -202,7 +203,9 @@ def _exp_decay_forcing(t, k):
 
 
 class TestBatchAxis:
-    """Column b of a batched table is the table of state b alone."""
+    """The Newton Jacobian's complex-step states, once the columns of one
+    batched table, are built one at a time: the real part of the table
+    built from y + ih e_j is the real table of y."""
 
     CASES = [
         (dahlquist(-2.0), 0.0),
@@ -218,14 +221,15 @@ class TestBatchAxis:
     @pytest.mark.parametrize("problem,t", CASES, ids=[c[0].name for c in CASES])
     def test_columns_match_single_tables(self, problem, t):
         rng = np.random.default_rng(2)
-        base = problem.default_initial[:, None]
-        states = base * rng.uniform(0.5, 1.5, (problem.dim, 5)) \
-            + rng.normal(scale=0.1, size=(problem.dim, 5))
-        batched = coeffs_from(problem, t, states, 7)
-        assert batched.shape == (8, problem.dim, 5)
-        for b in range(5):
-            single = coeffs_from(problem, t, states[:, b], 7)
-            np.testing.assert_allclose(batched[..., b], single, rtol=1e-13,
+        y = problem.default_initial * rng.uniform(0.5, 1.5, problem.dim) \
+            + rng.normal(scale=0.1, size=problem.dim)
+        single = coeffs_from(problem, t, y, 7)
+        for j in range(problem.dim):
+            point = y.astype(complex)
+            point[j] += 1e-30j
+            column = coeffs_from(problem, t, point, 7)
+            assert column.shape == (8, problem.dim)
+            np.testing.assert_allclose(column.real, single, rtol=1e-13,
                                        atol=1e-13 * np.abs(single).max())
 
 

@@ -34,6 +34,11 @@ from ieldtm.stepper import (
 from ieldtm.taylor import cauchy_product, horner_eval
 
 
+def coeff_array(table):
+    """A coefficient table as a (depth+1, dim) array: row k is X(k)."""
+    return np.array(table).T
+
+
 def step_residual(problem, state, trial, theta, order, dt):
     """implicit_residual of a trial state for one step of dt from state at
     t = 0."""
@@ -46,7 +51,7 @@ def quadratic_blowup():
     """x' = x^2, x(0) = 1: backward Euler with dt = 1 needs y - y^2 = 1,
     which has no real root."""
     def recurrence(t, coeffs, k):
-        return cauchy_product(coeffs, coeffs, k) / (k + 1)
+        return [cauchy_product(coeffs[0], coeffs[0], k) / (k + 1)]
 
     return ProblemDefinition(name="quadratic", dim=1, recurrence=recurrence,
                              default_initial=np.array([1.0]))
@@ -54,16 +59,17 @@ def quadratic_blowup():
 
 class TestBuildCoeffTable:
     def test_exponential(self):
-        table = build_coeff_table(dahlquist(1.0), 0.0, [1.0], 3)
+        table = coeff_array(build_coeff_table(dahlquist(1.0), 0.0, [1.0], 3))
         np.testing.assert_allclose(table[:, 0], [1, 1, 0.5, 1 / 6])
 
     def test_robertson_first_coefficient(self):
-        table = build_coeff_table(robertson_modified(), 0.0, [1.0, 0.0, 0.0], 1)
+        table = coeff_array(
+            build_coeff_table(robertson_modified(), 0.0, [1.0, 0.0, 0.0], 1))
         np.testing.assert_allclose(table[1], [-1.0, 0.0, 1.0])
 
     def test_linear_diagonal(self):
         prob = linear_system(np.diag([-1.0, -2.0]))
-        table = build_coeff_table(prob, 0.0, [1.0, 1.0], 2)
+        table = coeff_array(build_coeff_table(prob, 0.0, [1.0, 1.0], 2))
         np.testing.assert_allclose(table[2], [0.5, 2.0])
 
     def test_depth_validated(self):
@@ -75,16 +81,9 @@ class TestBuildCoeffTable:
             build_coeff_table(duffing(), 0.0, [1.0], 2)
         with pytest.raises(ValueError):
             build_coeff_table(duffing(), 0.0, np.ones((2, 3, 1)), 2)
-
-    def test_batched_residual_columns(self):
-        prob = duffing()
-        x0 = prob.default_initial
-        trials = np.array([[0.5, 0.51, 0.49], [0.25, 0.26, 0.24]])
-        r = step_residual(prob, x0, trials, 0.5, 3, 0.1)
-        assert r.shape == (2, 3)
-        for b in range(3):
-            single = step_residual(prob, x0, trials[:, b], 0.5, 3, 0.1)
-            np.testing.assert_allclose(r[:, b], single, rtol=1e-14, atol=1e-16)
+        # A table holds one state: a (dim, B) batch is rejected.
+        with pytest.raises(ValueError):
+            build_coeff_table(duffing(), 0.0, np.ones((2, 3)), 2)
 
 
 class TestExplicitStep:
@@ -153,7 +152,7 @@ class TestAdaptiveFormulas:
         coeffs = np.zeros((order + extra + 1, 1))
         coeffs[0, 0] = 1.0
         coeffs[order + extra, 0] = lead
-        return coeffs
+        return coeffs.T.tolist()
 
     def test_case1_direct_value(self):
         table = self.table_with_lead(3, 1, 1.0)
@@ -293,11 +292,11 @@ class TestStepFailureStatus:
     before it; integrate() neither raises nor warns."""
 
     def test_non_finite_state(self):
-        # eps = 1000 with dt = 0.5 overflows the node table at t = 1.
+        # eps = 1000 with dt = 0.5 overflows the node table at t = 1.5.
         cfg = SchemeConfig(0.5, 5, FixedStep(0.5))
         trace = integrate(van_der_pol(1000.0), cfg, 5.0)
         assert trace.status == "non-finite-state"
-        assert trace.times.tolist() == [0.0, 0.5]
+        assert trace.times.tolist() == [0.0, 0.5, 1.0]
         assert np.isfinite(trace.states).all()
 
     def test_singular_matrix(self):
@@ -311,6 +310,16 @@ class TestStepFailureStatus:
         trace = integrate(quadratic_blowup(), cfg, 2.0)
         assert trace.status == "newton-failure"
         assert trace.steps == 0
+
+    def test_error_estimate_beyond_float_range(self):
+        # dt ** (K + 2) = 1e390 overflows a Python float power.
+        explicit = integrate(dahlquist(-1.0),
+                             SchemeConfig(0.0, 11, FixedStep(1e30)), 1e30)
+        assert explicit.status == "completed"
+        assert explicit.records[1].local_error_estimate == math.inf
+        implicit = integrate(dahlquist(-1.0),
+                             SchemeConfig(0.5, 11, FixedStep(1e30)), 1e30)
+        assert implicit.status == "non-finite-state"
 
     def test_converged_last_iteration_accepted(self):
         # One Newton iteration reaches abs_tol on every step: the run must
@@ -357,8 +366,8 @@ class TestFailureContext:
         cfg = SchemeConfig(0.5, 5, FixedStep(0.5))
         trace = integrate(van_der_pol(1000.0), cfg, 5.0)
         assert trace.status == "non-finite-state"
-        assert trace.failure == ("step at t = 0.5, dt = 0.5: "
-                                 "non-finite Taylor coefficient at t = 1.0")
+        assert trace.failure == ("step at t = 1.0, dt = 0.5: "
+                                 "non-finite Taylor coefficient at t = 1.5")
 
     def test_node_table_overflow_before_dt(self):
         # X(3) = 1e450 / 6 overflows the first node table; no dt is chosen yet.
@@ -431,4 +440,5 @@ class TestNodeTableReuse:
                             0.05, 4)
         trial = np.array([0.51, 0.24])
         _, trial_table = implicit_residual(prob, 0.1, known, trial, 0.5, 4, 0.1)
-        assert trial_table.tobytes() == build_coeff_table(prob, 0.1, trial, 4).tobytes()
+        assert coeff_array(trial_table).tobytes() == \
+            coeff_array(build_coeff_table(prob, 0.1, trial, 4)).tobytes()

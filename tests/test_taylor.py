@@ -82,33 +82,29 @@ class TestTripleProduct:
 
 
 class TestBatchAxis:
-    """A trailing batch axis acts column by column."""
+    """The list products, one column at a time, against numpy's convolution
+    of a whole batch of columns."""
 
     @pytest.mark.parametrize("k", range(8))
     def test_cauchy_matches_columns(self, k):
         a, b = np.random.default_rng(k).normal(size=(2, 8, 5))
-        expected = [cauchy_product(a[:, j], b[:, j], k) for j in range(5)]
-        np.testing.assert_allclose(cauchy_product(a, b, k), expected,
-                                   rtol=1e-14, atol=1e-14)
+        expected = np.einsum("j...,j...->...", a[: k + 1], b[k::-1])
+        columns = [cauchy_product(a[:, j].tolist(), b[:, j].tolist(), k)
+                   for j in range(5)]
+        np.testing.assert_allclose(columns, expected, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("k", range(8))
     def test_triple_matches_columns(self, k):
         a, b, c = np.random.default_rng(k).normal(size=(3, 8, 5))
-        expected = [triple_product(a[:, j], b[:, j], c[:, j], k) for j in range(5)]
-        np.testing.assert_allclose(triple_product(a, b, c, k), expected,
-                                   rtol=1e-14, atol=1e-14)
-
-    def test_table_and_horner_keep_batch(self):
-        coeffs = np.random.default_rng(1).normal(size=(4, 2, 3))
-        batched = horner_eval(coeffs, 0.3, 3)
-        assert batched.shape == (2, 3)
-        for j in range(3):
-            single = horner_eval(coeffs[..., j], 0.3, 3)
-            np.testing.assert_array_equal(batched[:, j], single)
+        ab = np.array([np.convolve(a[:, j], b[:, j])[: k + 1] for j in range(5)]).T
+        expected = np.einsum("j...,j...->...", ab, c[k::-1])
+        columns = [triple_product(a[:, j].tolist(), b[:, j].tolist(),
+                                  c[:, j].tolist(), k) for j in range(5)]
+        np.testing.assert_allclose(columns, expected, rtol=1e-14, atol=1e-14)
 
 
 class TestCoeffTable:
-    """A coefficient table is a plain (depth+1, dim) float array."""
+    """A coefficient table is a list of per-component lists of floats."""
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteStateError,
@@ -116,7 +112,7 @@ class TestCoeffTable:
             build_coeff_table(dahlquist(1.0), 0.0, [np.nan], 1)
 
     def test_eval_point_order_capped_by_depth(self):
-        table = np.ones((3, 1))
+        table = [[1.0, 1.0, 1.0]]
         with pytest.raises((ValueError, IndexError)):
             horner_eval(table, 0.1, 5)
         with pytest.raises(ValueError):
@@ -125,24 +121,24 @@ class TestCoeffTable:
 
 class TestHornerEval:
     def test_truncated_exponential(self):
-        table = exp_coeffs(3)[:, None]
+        table = [exp_coeffs(3).tolist()]
         value = horner_eval(table, 0.1, 2)
         assert value[0] == pytest.approx(1.105)
 
     def test_zero_offset_returns_state(self):
-        table = np.array([[4.0], [1.0], [9.0]])
+        table = [[4.0, 1.0, 9.0]]
         assert horner_eval(table, 0.0, 2)[0] == 4.0
 
     def test_alternating_series(self):
         # e^(-t) truncated: 1 - 1 + 1/2 at offset 1
-        table = np.array([[1.0], [-1.0], [0.5]])
+        table = [[1.0, -1.0, 0.5]]
         assert horner_eval(table, 1.0, 2)[0] == pytest.approx(0.5)
 
     @given(st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False),
                     min_size=1, max_size=13),
            st.floats(min_value=-2, max_value=2, allow_nan=False))
     def test_matches_naive_power_sum(self, coeffs, offset):
-        table = np.array(coeffs)[:, None]
+        table = [coeffs]
         order = len(coeffs) - 1
         naive = sum(c * offset ** k for k, c in enumerate(coeffs))
         value = horner_eval(table, offset, order)[0]
