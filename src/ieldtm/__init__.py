@@ -12,7 +12,7 @@ from .errors import (
     PoleError,
     SingularMatrixError,
 )
-from .nonlinear import NewtonConfig, lu_solve, newton_solve
+from .nonlinear import lu_solve, newton_solve
 from .problems import (
     ProblemDefinition,
     SeirParams,
@@ -44,9 +44,7 @@ from .stepper import (
     adaptive_dt_case1,
     adaptive_dt_case2,
     build_coeff_table,
-    explicit_step,
     implicit_residual,
-    implicit_step,
     integrate,
 )
 from .taylor import cauchy_product, horner_eval, triple_product

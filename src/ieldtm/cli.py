@@ -7,6 +7,7 @@ in leading comment lines) or JSON; no images are rendered.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -29,21 +30,40 @@ from .bench import (
     write_trace_csv,
 )
 from .errors import IeldtmError
-from .nonlinear import NewtonConfig
 from .problems import PROBLEM_NAMES, make_problem
 from .stepper import AdaptiveStep, FixedStep, SchemeConfig
 
 
+class _FloatRange(click.FloatRange):
+    """A FloatRange that also refuses nan, which compares false with any
+    bound."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return rv
+
+
+# The ranges of the options every command shares; the open infinite bounds
+# refuse inf and -inf.
+_POSITIVE = _FloatRange(0.0, math.inf, min_open=True, max_open=True)
+_FINITE = _FloatRange(-math.inf, math.inf, min_open=True, max_open=True)
+_THETA = _FloatRange(0.0, 1.0)
+_SAFETY = _FloatRange(0.0, 1.0, min_open=True)
+_ORDER = click.IntRange(min=1)
+
+
 def _scheme_options(func):
-    func = click.option("--theta", type=float, default=0.5, show_default=True,
+    func = click.option("--theta", type=_THETA, default=0.5, show_default=True,
                         help="Direction parameter in [0, 1].")(func)
-    func = click.option("--K", "order", type=int, default=3, show_default=True,
+    func = click.option("--K", "order", type=_ORDER, default=3, show_default=True,
                         help="Transformation order (K >= 1).")(func)
-    func = click.option("--dt", type=float, default=None,
+    func = click.option("--dt", type=_POSITIVE, default=None,
                         help="Fixed step size (mutually exclusive with --tol).")(func)
-    func = click.option("--tol", type=float, default=None,
+    func = click.option("--tol", type=_POSITIVE, default=None,
                         help="Adaptive tolerance (mutually exclusive with --dt).")(func)
-    func = click.option("--safety", type=float, default=0.9, show_default=True,
+    func = click.option("--safety", type=_SAFETY, default=0.9, show_default=True,
                         help="Adaptive controller safety factor in (0, 1].")(func)
     return func
 
@@ -84,7 +104,7 @@ def _build_config(theta, order, dt, tol, safety):
     if (dt is None) == (tol is None):
         raise click.UsageError("exactly one of --dt or --tol is required")
     mode = FixedStep(dt) if dt is not None else AdaptiveStep(tol, safety=safety)
-    return SchemeConfig(theta, order, mode, NewtonConfig())
+    return SchemeConfig(theta, order, mode)
 
 
 def _emit_rows(rows, header, meta, out, fmt):
@@ -118,8 +138,7 @@ def main():
 @main.command()
 @_problem_options
 @_scheme_options
-@click.option("--tf", type=click.FloatRange(min=0.0, min_open=True), default=1.0,
-              show_default=True)
+@click.option("--tf", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the per-step trace CSV here.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
@@ -156,8 +175,8 @@ def solve(problem, lam, epsilon, beta, mu, alpha, d1, d2, d3, hosp_period,
 
 
 @main.command(name="order-sweep")
-@click.option("--dt", type=float, default=0.05, show_default=True)
-@click.option("--tf", type=float, default=1.0, show_default=True)
+@click.option("--dt", type=_POSITIVE, default=0.05, show_default=True)
+@click.option("--tf", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -178,8 +197,8 @@ main.add_command(order_sweep, name="table2")
 
 
 @main.command(name="table3")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--safety", type=float, default=0.9, show_default=True)
+@click.option("--tol", type=_POSITIVE, default=1e-10, show_default=True)
+@click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -213,8 +232,8 @@ def table4(out, fmt, check):
 
 
 @main.command(name="table5")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--safety", type=float, default=0.9, show_default=True)
+@click.option("--tol", type=_POSITIVE, default=1e-10, show_default=True)
+@click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
 @click.option("--quick", is_flag=True,
               help="Skip the epsilon=100, T=1000 case (runs for minutes).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -239,10 +258,10 @@ main.add_command(table5, name="step-count")
 
 
 @main.command(name="seir-sweep")
-@click.option("--tol", type=float, default=1e-5, show_default=True)
+@click.option("--tol", type=_POSITIVE, default=1e-5, show_default=True)
 @click.option("--tc", type=float, default=66.0, show_default=True)
-@click.option("--tf", type=float, default=300.0, show_default=True)
-@click.option("--safety", type=float, default=0.9, show_default=True)
+@click.option("--tf", type=_POSITIVE, default=300.0, show_default=True)
+@click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -262,13 +281,13 @@ def seir_sweep(tol, tc, tf, safety, out, fmt, check):
 
 
 @main.command(name="stability-grid")
-@click.option("--theta", type=float, default=0.5, show_default=True)
-@click.option("--K", "order", type=int, default=3, show_default=True)
-@click.option("--re-min", type=float, default=-10.0, show_default=True)
-@click.option("--re-max", type=float, default=5.0, show_default=True)
-@click.option("--im-min", type=float, default=-10.0, show_default=True)
-@click.option("--im-max", type=float, default=10.0, show_default=True)
-@click.option("--res", type=int, default=400, show_default=True)
+@click.option("--theta", type=_THETA, default=0.5, show_default=True)
+@click.option("--K", "order", type=_ORDER, default=3, show_default=True)
+@click.option("--re-min", type=_FINITE, default=-10.0, show_default=True)
+@click.option("--re-max", type=_FINITE, default=5.0, show_default=True)
+@click.option("--im-min", type=_FINITE, default=-10.0, show_default=True)
+@click.option("--im-max", type=_FINITE, default=10.0, show_default=True)
+@click.option("--res", type=click.IntRange(min=2), default=400, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def stability_grid(theta, order, re_min, re_max, im_min, im_max, res, out):
     """Emit |R(z)| samples over a complex-plane window as re,im,absR rows."""

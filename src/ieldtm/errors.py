@@ -18,7 +18,7 @@ class SingularMatrixError(IeldtmError):
 
 
 class NewtonFailureError(IeldtmError):
-    """Newton iteration exhausted max_iters without converging."""
+    """Newton iteration hit its iteration limit without converging."""
 
 
 class PoleError(IeldtmError):

@@ -11,31 +11,20 @@ it does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import truediv
 
 import numpy as np
 
 from .errors import NewtonFailureError, SingularMatrixError
 
-__all__ = ["NewtonConfig", "newton_solve", "lu_solve"]
+__all__ = ["newton_solve", "lu_solve"]
 
 _PIVOT_REL_TOL = 1e-14
 _COMPLEX_STEP = 1e-30  # nothing is subtracted, so it can be far below 1
 _MAX_HALVINGS = 8  # of the Newton update while the residual grows
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    abs_tol: float = 1e-12        # residual inf-norm threshold
-    step_tol: float = 1e-13       # update inf-norm threshold, relative to state scale
-    max_iters: int = 25
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+_ABS_TOL = 1e-12  # residual inf-norm threshold
+_STEP_TOL = 1e-13  # update inf-norm threshold, relative to the state scale
+_MAX_ITERS = 25
 
 
 def lu_solve(A, b) -> np.ndarray:
@@ -89,33 +78,32 @@ def _jacobian(residual, y) -> np.ndarray:
     return np.array(columns).T / _COMPLEX_STEP
 
 
-def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
+def newton_solve(residual, guess):
     """Root-find residual(y) = 0 starting from guess.
 
     ``residual`` maps an ``(n,)`` point to its ``(n,)`` residual, a float one
     to floats and a complex one (the Jacobian's) to complex values.
 
     Returns (root, iterations).  Converges when the residual inf-norm drops
-    below abs_tol or the update inf-norm drops below step_tol * max(1, |y|);
-    after the last iteration, a residual at or below abs_tol is accepted.
+    below _ABS_TOL or the update inf-norm drops below
+    _STEP_TOL * max(1, |y|); after the last of _MAX_ITERS iterations, a
+    residual at or below _ABS_TOL is accepted.
     A singular Jacobian raises SingularMatrixError at the first iteration
     and NewtonFailureError at a later one.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     y = np.array(guess, dtype=float)
     r = np.asarray(residual(y), dtype=float)
-    # Accept at abs_tol only once quadratic progress has stalled: while the
+    # Accept at _ABS_TOL only once quadratic progress has stalled: while the
     # residual is still collapsing by orders of magnitude per step, one more
-    # (cheap) iteration buys the round-off floor instead of an O(abs_tol)
+    # (cheap) iteration buys the round-off floor instead of an O(_ABS_TOL)
     # defect frozen into the returned state.
     floor = 100.0 * np.finfo(float).eps * max(1.0, np.abs(y).max())
     prev_norm = np.inf
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         r_norm = np.abs(r).max()
         if r_norm <= floor:
             return y, it - 1
-        if r_norm <= cfg.abs_tol and r_norm > 0.25 * prev_norm:
+        if r_norm <= _ABS_TOL and r_norm > 0.25 * prev_norm:
             return y, it - 1
         prev_norm = r_norm
         try:
@@ -136,11 +124,11 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None):
             r_new = np.asarray(residual(y_new), dtype=float)
         y, r = y_new, r_new
         scale = max(1.0, np.abs(y).max())
-        if alpha * np.abs(delta).max() <= cfg.step_tol * scale:
+        if alpha * np.abs(delta).max() <= _STEP_TOL * scale:
             return y, it
-    if np.abs(r).max() <= cfg.abs_tol:
-        return y, cfg.max_iters
+    if np.abs(r).max() <= _ABS_TOL:
+        return y, _MAX_ITERS
     raise NewtonFailureError(
-        f"no convergence in {cfg.max_iters} iterations "
+        f"no convergence in {_MAX_ITERS} iterations "
         f"(last residual inf-norm {np.abs(r).max():.3e})"
     )

@@ -45,6 +45,11 @@ A_STABLE_SLACK = 1e-10
 _FAR_REAL = -np.logspace(1.0, 8.0, 8) + 0.0j  # real witness candidates, theta < 0.5
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+
+
 def _trunc_exp(w, order: int):
     """Horner evaluation of the degree-``order`` Taylor polynomial of e^w;
     works elementwise, in place, on complex arrays (``[()]`` turns a 0-d
@@ -58,6 +63,7 @@ def _trunc_exp(w, order: int):
 
 def scalar_R(z: complex, theta: float, order: int) -> complex:
     """Scalar stability function R(z) for one (theta, K)."""
+    _check_order(order)
     num = _trunc_exp((1.0 - theta) * z, order)
     den = _trunc_exp(-theta * z, order)
     if abs(den) < _POLE_FLOOR:
@@ -95,6 +101,7 @@ class StabilityGrid:
 def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
                   im_range=(-10.0, 10.0), resolution=(400, 400)) -> StabilityGrid:
     """Sample |R| on a uniform grid for region plotting."""
+    _check_order(order)
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     n_re, n_im = resolution
@@ -154,6 +161,7 @@ def is_A_stable(theta: float, order: int) -> Tuple[bool, Optional[complex]]:
     worst violation lies on iR, where |R|^2 - 1 = -E / |den|^2 and E's
     coefficients are O(theta - 0.5) (3.5e-11 at theta = 0.5 + 1e-10,
     K = 3)."""
+    _check_order(order)
     poles = -_order_constants(order)[0] / theta if theta else np.empty(0)
     poles = poles[poles.real <= 1e-9]
     if poles.size:
@@ -189,12 +197,14 @@ def is_A_stable(theta: float, order: int) -> Tuple[bool, Optional[complex]]:
 def is_L_stable(theta: float, order: int) -> bool:
     """A-stability plus R(-inf) = 0.  |R(inf)| = ((1 - theta) / theta)^K
     vanishes only at theta = 1."""
+    _check_order(order)
     return theta == 1.0 and is_A_stable(1.0, order)[0]
 
 
 def matrix_R(theta: float, dtA, order: int) -> np.ndarray:
     """Matrix stability function: the implicit-step propagator of a linear
     homogeneous system x' = A x over one step (dtA = dt * A)."""
+    _check_order(order)
     dtA = np.asarray(dtA, dtype=float)
     m = dtA.shape[0]
     if dtA.shape != (m, m):

@@ -1,18 +1,19 @@
-"""One-step advancement and the integration driver.
+"""The integration driver and the one step it takes.
 
 The direction parameter theta places the matching point of two neighbouring
 local Taylor expansions: theta = 0 is the explicit forward scheme, theta = 1
 the implicit backward scheme and theta = 0.5 the implicit central scheme
-(order K+1 for odd K, order K otherwise).
+(order K+1 for odd K, order K otherwise).  The explicit step is the
+predictor of the implicit one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     NonFiniteStateError,
     SingularMatrixError,
 )
-from .nonlinear import NewtonConfig, newton_solve
+from .nonlinear import newton_solve
 from .problems import ProblemDefinition
 from .taylor import horner_eval
 
@@ -33,9 +34,7 @@ __all__ = [
     "StepRecord",
     "SolutionTrace",
     "build_coeff_table",
-    "explicit_step",
     "implicit_residual",
-    "implicit_step",
     "adaptive_dt_case1",
     "adaptive_dt_case2",
     "integrate",
@@ -60,7 +59,7 @@ class FixedStep:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # also refuses nan
             raise ValueError("dt must be positive")
 
 
@@ -68,14 +67,13 @@ class FixedStep:
 class AdaptiveStep:
     tol: float
     dt_min: float = 1e-12
-    dt_max: Optional[float] = None  # None -> t_final
     safety: float = 0.9
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # also refuses nan
             raise ValueError("tol must be positive")
-        if self.dt_min <= 0 or (self.dt_max is not None and self.dt_max < self.dt_min):
-            raise ValueError("need 0 < dt_min <= dt_max")
+        if not self.dt_min > 0:  # also refuses nan
+            raise ValueError("dt_min must be positive")
         if not 0 < self.safety <= 1:
             raise ValueError("safety must be in (0, 1]")
 
@@ -85,7 +83,6 @@ class SchemeConfig:
     theta: float
     order: int
     step_mode: Union[FixedStep, AdaptiveStep]
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -170,15 +167,6 @@ def _run_recurrence(problem, t_i, table, depth: int) -> list:
     return table
 
 
-def explicit_step(problem: ProblemDefinition, t_i: float, state, order: int,
-                  dt: float) -> np.ndarray:
-    """Forward (theta = 0) step: evaluate the local series at t_i + dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    table = build_coeff_table(problem, t_i, state, order)
-    return np.array(horner_eval(table, dt, order))
-
-
 def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
                       trial_state, theta: float, order: int, dt: float):
     """Continuity defect of the two expansions at the matching point
@@ -195,30 +183,20 @@ def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
     return np.subtract(lhs, known_value), trial_table
 
 
-def implicit_step(problem: ProblemDefinition, t_i: float, state, theta: float,
-                  order: int, dt: float,
-                  newton_config: NewtonConfig | None = None):
-    """Implicit (theta > 0) step solved by Newton iteration; the predictor is
-    the explicit step of the same order.  Returns (state, iterations)."""
-    if theta <= 0:
-        raise InvalidConfigurationError("implicit_step requires theta > 0")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    node_table = build_coeff_table(problem, t_i, state, order)
-    return _implicit_solve(problem, t_i, node_table, theta, order, dt,
-                           newton_config)[:2]
+def _step(problem, t_i, node_table, theta, order, dt):
+    """One step of dt from the node table about t_i.  Returns (state,
+    iterations, trial table of the state or None).
 
-
-def _implicit_solve(problem, t_i, node_table, theta, order, dt, newton_config):
-    """Newton solve of one implicit step from its node table about t_i.
-    Returns (state, iterations, trial table of the state or None).
-
-    The table is the one the last residual evaluation built, returned only
-    when Newton returned that very array: it is then the next node's table
-    through ``order``.  Newton's complex-step points are arrays of their own,
-    so a complex table is never handed on.
+    The explicit step (theta = 0) is the predictor, the local series at
+    t_i + dt.  An implicit step is the Newton solve started from it.  The
+    table returned is the one the last residual evaluation built, returned
+    only when Newton returned that very array: it is then the next node's
+    table through ``order``.  Newton's complex-step points are arrays of
+    their own, so a complex table is never handed on.
     """
     predictor = np.array(horner_eval(node_table, dt, order))
+    if theta == 0.0:
+        return predictor, 0, None
     # The known side is fixed for the whole step.
     known_value = horner_eval(node_table, (1.0 - theta) * dt, order)
     t_next = t_i + dt
@@ -230,13 +208,12 @@ def _implicit_solve(problem, t_i, node_table, theta, order, dt, newton_config):
         last[:] = y, trial_table
         return r
 
-    state, iters = newton_solve(residual, predictor, newton_config)
+    state, iters = newton_solve(residual, predictor)
     return state, iters, last[1] if state is last[0] else None
 
 
 def adaptive_dt_case1(table: list, order: int, tol: float,
-                      safety: float = 1.0, dt_min: float = 0.0,
-                      dt_max: float = math.inf) -> float:
+                      safety: float = 1.0, dt_max: float = math.inf) -> float:
     """Step proposal for the forward/backward controllers, driven by
     ||X(K+1)||_inf; a vanishing coefficient yields dt_max."""
     if len(table[0]) < order + 2:
@@ -244,13 +221,11 @@ def adaptive_dt_case1(table: list, order: int, tol: float,
     lead = _lead(table, order + 1)
     if lead == 0.0:
         return dt_max
-    dt = safety * (tol / lead) ** (1.0 / order)
-    return min(max(dt, dt_min), dt_max)
+    return min(safety * (tol / lead) ** (1.0 / order), dt_max)
 
 
 def adaptive_dt_case2(table: list, order: int, tol: float,
-                      safety: float = 1.0, dt_min: float = 0.0,
-                      dt_max: float = math.inf) -> float:
+                      safety: float = 1.0, dt_max: float = math.inf) -> float:
     """Step proposal for the central scheme with odd K, driven by the scaled
     coefficient (1/2)^(K+1) (K+1) X(K+2)."""
     if order % 2 == 0:
@@ -261,8 +236,7 @@ def adaptive_dt_case2(table: list, order: int, tol: float,
     lead = factor * _lead(table, order + 2)
     if lead == 0.0:
         return dt_max
-    dt = safety * (tol / lead) ** (1.0 / (order + 1))
-    return min(max(dt, dt_min), dt_max)
+    return min(safety * (tol / lead) ** (1.0 / (order + 1)), dt_max)
 
 
 def _lead(table: list, k: int) -> float:
@@ -298,14 +272,6 @@ def _clip_to_events(t: float, dt: float, t_final: float,
     return dt
 
 
-def _advance(problem, t, table, theta, order, dt, newton_cfg):
-    """One accepted step from a prebuilt node table about t; returns (state,
-    iters, the state's trial table or None)."""
-    if theta == 0.0:
-        return np.array(horner_eval(table, dt, order)), 0, None
-    return _implicit_solve(problem, t, table, theta, order, dt, newton_cfg)
-
-
 def _failure_context(t: float, dt, reason) -> str:
     """Where and why a trace stopped; dt is None before the step has one."""
     where = f"t = {t!r}" if dt is None else f"t = {t!r}, dt = {dt!r}"
@@ -314,13 +280,14 @@ def _failure_context(t: float, dt, reason) -> str:
 
 def integrate(problem: ProblemDefinition, config: SchemeConfig,
               t_final: float, initial=None) -> SolutionTrace:
-    """March from t = 0 to t_final: the one driver for both step modes.
+    """March from t = 0 to t_final: the one way to take a step, for every
+    theta and both step modes.
 
     Only the choice of each node's dt depends on the mode.  ``FixedStep``
     takes its dt.  ``AdaptiveStep`` proposes dt once per node from the node's
     coefficients (case-2 controller for the central scheme with odd K, case 1
-    otherwise); it supports theta in {0, 0.5, 1}, has no reject/retry loop
-    yet, and a proposal below dt_min ends the trace with
+    otherwise), capped at t_final; it supports theta in {0, 0.5, 1}, has no
+    reject/retry loop yet, and a proposal below dt_min ends the trace with
     ``min-step-underflow``.  Every step is shortened to land exactly on
     t_final and on the problem's discontinuities.
 
@@ -336,8 +303,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     if not isinstance(mode, (FixedStep, AdaptiveStep)):
         raise InvalidConfigurationError(
             "step_mode must be a FixedStep or an AdaptiveStep")
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not 0 < t_final < math.inf:  # also refuses nan
+        raise ValueError("t_final must be positive and finite")
     theta, order = config.theta, config.order
     adaptive = isinstance(mode, AdaptiveStep)
     if adaptive:
@@ -347,7 +314,6 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
             )
         controller = (adaptive_dt_case2 if theta == 0.5 and order % 2 == 1
                       else adaptive_dt_case1)
-        dt_max = mode.dt_max if mode.dt_max is not None else t_final
 
     x = np.asarray(problem.default_initial if initial is None else initial,
                    dtype=float)
@@ -366,7 +332,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                          else _run_recurrence(problem, t, trial, depth))
                 if adaptive:
                     dt = controller(table, order, mode.tol, mode.safety,
-                                    dt_max=dt_max)
+                                    dt_max=t_final)
                     if dt < mode.dt_min:
                         status = "min-step-underflow"
                         failure = _failure_context(
@@ -376,8 +342,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                     dt = mode.dt
                 dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
                 est = _local_error_estimate(table, theta, order, dt)
-                x, iters, trial = _advance(problem, t, table, theta, order, dt,
-                                           config.newton)
+                x, iters, trial = _step(problem, t, table, theta, order, dt)
                 t += dt
                 records.append(StepRecord(t, x, dt, iters, est))
         except tuple(_FAILURE_STATUS) as exc:

@@ -105,6 +105,26 @@ class TestSolve:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--dt", "0.1", "--tf", "inf"],
+    ["solve", "--dt", "nan"],
+    ["order-sweep", "--dt", "-1"],
+    ["table3", "--tol", "0"],
+    ["table3", "--tol", "nan"],
+    ["table5", "--quick", "--safety", "2"],
+    ["seir-sweep", "--tf", "-1"],
+    ["stability-grid", "--res", "1"],
+    ["stability-grid", "--K", "0"],
+    ["stability-grid", "--theta", "2"],
+], ids=["solve-tf-inf", "solve-dt-nan", "order-sweep-dt", "table3-tol",
+        "table3-tol-nan", "table5-safety", "seir-sweep-tf", "stability-grid-res",
+        "stability-grid-K", "stability-grid-theta"])
+def test_paper_command_option_out_of_range(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Error: Invalid value for" in result.output
+
+
 class TestOrderSweep:
     def test_csv_body(self, runner):
         result = runner.invoke(main, ["order-sweep"])

@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ieldtm import nonlinear
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
-from ieldtm.nonlinear import (
-    NewtonConfig,
-    _jacobian,
-    lu_solve,
-    newton_solve,
-)
+from ieldtm.nonlinear import _jacobian, lu_solve, newton_solve
 from ieldtm.problems import linear_system, robertson_modified, van_der_pol
 from ieldtm.stepper import build_coeff_table, implicit_residual
 from ieldtm.taylor import horner_eval
@@ -142,21 +138,22 @@ class TestNewtonSolve:
         root, _ = newton_solve(residual, np.array([2.0, 0.5]))
         np.testing.assert_allclose(root, [1.0, 1.0], atol=1e-10)
 
-    def test_failure_reported(self):
+    def test_failure_reported(self, monkeypatch):
         # No real root: residual cannot reach zero.
-        cfg = NewtonConfig(max_iters=5)
+        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 5)
         with pytest.raises(NewtonFailureError):
-            newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]), cfg)
+            newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]))
 
     def test_singular_jacobian_after_first_iteration(self):
         # The first update lands on y = 0, where the Jacobian 2y vanishes.
         with pytest.raises(NewtonFailureError, match="singular Jacobian at iteration 2"):
             newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]))
 
-    def test_last_iteration_residual_tested(self):
-        # The one allowed iteration reaches abs_tol with a large update.
-        cfg = NewtonConfig(abs_tol=1e-9, max_iters=1)
-        root, iters = newton_solve(lambda y: y - 1.0, np.array([0.0]), cfg)
+    def test_last_iteration_residual_tested(self, monkeypatch):
+        # The one allowed iteration reaches _ABS_TOL with a large update.
+        monkeypatch.setattr(nonlinear, "_ABS_TOL", 1e-9)
+        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
+        root, iters = newton_solve(lambda y: y - 1.0, np.array([0.0]))
         assert abs(root[0] - 1.0) <= 1e-9
         assert iters == 1
 
@@ -167,12 +164,6 @@ class TestNewtonSolve:
 
         root, _ = newton_solve(residual, np.array([20.0]))
         assert abs(root[0]) <= 1e-10
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iters=0)
 
 
 def step_residual(problem, state, theta, order, dt):

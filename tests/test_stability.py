@@ -20,6 +20,21 @@ from ieldtm.stability import (
 )
 
 
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda order: scalar_R(-1.0, 0.5, order),
+    lambda order: sample_region(0.5, order, resolution=3),
+    lambda order: is_A_stable(0.5, order),
+    lambda order: is_L_stable(1.0, order),
+    lambda order: is_L_stable(0.5, order),
+    lambda order: matrix_R(0.5, -np.eye(2), order),
+], ids=["scalar_R", "sample_region", "is_A_stable", "is_L_stable",
+        "is_L_stable-central", "matrix_R"])
+def test_order_below_one_rejected(call, order):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        call(order)
+
+
 class TestScalarR:
     def test_unity_at_origin(self):
         for theta in (0.0, 0.5, 1.0):

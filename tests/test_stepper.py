@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ieldtm import stepper
+from ieldtm import nonlinear, stepper
 from ieldtm.errors import InvalidConfigurationError
-from ieldtm.nonlinear import NewtonConfig
 from ieldtm.problems import (
     ProblemDefinition,
     SeirParams,
@@ -26,9 +25,7 @@ from ieldtm.stepper import (
     adaptive_dt_case1,
     adaptive_dt_case2,
     build_coeff_table,
-    explicit_step,
     implicit_residual,
-    implicit_step,
     integrate,
 )
 from ieldtm.taylor import cauchy_product, horner_eval
@@ -45,6 +42,12 @@ def step_residual(problem, state, trial, theta, order, dt):
     table = build_coeff_table(problem, 0.0, state, order)
     known = horner_eval(table, (1.0 - theta) * dt, order)
     return implicit_residual(problem, dt, known, trial, theta, order, dt)[0]
+
+
+def one_step(problem, state, theta, order, dt):
+    """The state after one fixed step of dt from state at t = 0."""
+    cfg = SchemeConfig(theta, order, FixedStep(dt))
+    return integrate(problem, cfg, dt, state).final_state
 
 
 def quadratic_blowup():
@@ -88,19 +91,19 @@ class TestBuildCoeffTable:
 
 class TestExplicitStep:
     def test_truncated_exponential(self):
-        result = explicit_step(dahlquist(1.0), 0.0, [1.0], 2, 0.1)
+        result = one_step(dahlquist(1.0), [1.0], 0.0, 2, 0.1)
         assert result[0] == pytest.approx(1.105)
 
     def test_k1_is_forward_euler(self):
         prob = linear_system(np.array([[0.0, 1.0], [-4.0, -1.0]]))
         x = np.array([1.0, -2.0])
         dt = 0.2
-        result = explicit_step(prob, 0.0, x, 1, dt)
+        result = one_step(prob, x, 0.0, 1, dt)
         euler = x + dt * (prob.linear_matrix @ x)
         np.testing.assert_allclose(result, euler, rtol=1e-15)
 
     def test_taylor_remainder_bound(self):
-        result = explicit_step(dahlquist(-2.0), 0.0, [1.0], 8, 0.5)
+        result = one_step(dahlquist(-2.0), [1.0], 0.0, 8, 0.5)
         assert abs(result[0] - math.exp(-1.0)) <= 2.8e-6
 
 
@@ -124,7 +127,7 @@ class TestImplicitResidual:
 class TestImplicitStep:
     def test_backward_euler_recovered(self):
         lam, dt = -3.0, 0.25
-        y, _ = implicit_step(dahlquist(lam), 0.0, [1.0], 1.0, 1, dt)
+        y = one_step(dahlquist(lam), [1.0], 1.0, 1, dt)
         assert y[0] == pytest.approx(1.0 / (1.0 - lam * dt), rel=1e-12)
 
     def test_matches_matrix_stability_function(self):
@@ -132,18 +135,14 @@ class TestImplicitStep:
         x = np.array([1.0, -1.0])
         dt = 0.1
         for theta, order in ((0.5, 3), (1.0, 2)):
-            y, _ = implicit_step(linear_system(A), 0.0, x, theta, order, dt)
+            y = one_step(linear_system(A), x, theta, order, dt)
             ref = matrix_R(theta, dt * A, order) @ x
             assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_duffing_local_error(self):
         prob = duffing()
-        y, _ = implicit_step(prob, 0.0, prob.default_initial, 0.5, 3, 0.05)
+        y = one_step(prob, prob.default_initial, 0.5, 3, 0.05)
         assert np.abs(y - prob.exact_solution(0.05)).max() <= 1e-9
-
-    def test_requires_positive_theta(self):
-        with pytest.raises(InvalidConfigurationError):
-            implicit_step(dahlquist(-1.0), 0.0, [1.0], 0.0, 2, 0.1)
 
 
 class TestAdaptiveFormulas:
@@ -286,6 +285,19 @@ class TestSchemeConfigValidation:
         with pytest.raises(ValueError):
             AdaptiveStep(1e-8, safety=1.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda: FixedStep(math.nan),
+        lambda: AdaptiveStep(math.nan),
+        lambda: AdaptiveStep(1e-8, dt_min=math.nan),
+        lambda: integrate(dahlquist(-1.0), SchemeConfig(0.5, 3, FixedStep(0.1)),
+                          math.inf),
+        lambda: integrate(dahlquist(-1.0), SchemeConfig(0.5, 3, FixedStep(0.1)),
+                          math.nan),
+    ], ids=["dt-nan", "tol-nan", "dt_min-nan", "t_final-inf", "t_final-nan"])
+    def test_non_finite_input_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestStepFailureStatus:
     """A failed step ends the trace with a typed status, keeping the records
@@ -321,13 +333,14 @@ class TestStepFailureStatus:
                              SchemeConfig(0.5, 11, FixedStep(1e30)), 1e30)
         assert implicit.status == "non-finite-state"
 
-    def test_converged_last_iteration_accepted(self):
-        # One Newton iteration reaches abs_tol on every step: the run must
-        # match the default configuration, not fail after that iteration.
+    def test_converged_last_iteration_accepted(self, monkeypatch):
+        # One Newton iteration reaches _ABS_TOL on every step: the run must
+        # match the default iteration limit, not fail after that iteration.
         prob = duffing()
-        one = integrate(prob, SchemeConfig(0.5, 3, AdaptiveStep(1e-8),
-                                           newton=NewtonConfig(max_iters=1)), 1.0)
-        default = integrate(prob, SchemeConfig(0.5, 3, AdaptiveStep(1e-8)), 1.0)
+        cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8))
+        default = integrate(prob, cfg, 1.0)
+        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
+        one = integrate(prob, cfg, 1.0)
         assert one.status == default.status == "completed"
         assert one.steps == default.steps == 18
         assert one.max_error(prob.exact_solution) == \
@@ -355,8 +368,9 @@ class TestFailureContext:
         trace = integrate(dahlquist(-1.0), SchemeConfig(0.5, 3, FixedStep(0.1)), 1.0)
         assert trace.failure == ""
 
-    def test_newton_failure(self):
-        cfg = SchemeConfig(1.0, 1, FixedStep(1.0), newton=NewtonConfig(max_iters=1))
+    def test_newton_failure(self, monkeypatch):
+        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
+        cfg = SchemeConfig(1.0, 1, FixedStep(1.0))
         trace = integrate(quadratic_blowup(), cfg, 2.0)
         assert trace.status == "newton-failure"
         assert trace.failure.startswith("step at t = 0.0, dt = ")
@@ -422,9 +436,9 @@ class TestNodeTableReuse:
     ], ids=["vanderpol", "robertson-fixed", "seir-discontinuity"])
     def test_trace_equals_fresh_builds(self, monkeypatch, prob, cfg, t_final):
         reused = integrate(prob, cfg, t_final)
-        advance = stepper._advance
-        monkeypatch.setattr(stepper, "_advance",
-                            lambda *args: advance(*args)[:2] + (None,))
+        step = stepper._step
+        monkeypatch.setattr(stepper, "_step",
+                            lambda *args: step(*args)[:2] + (None,))
         fresh = integrate(prob, cfg, t_final)
         assert reused.status == fresh.status == "completed"
         assert reused.steps == fresh.steps
