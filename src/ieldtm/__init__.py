@@ -47,4 +47,4 @@ from .stepper import (
     implicit_residual,
     integrate,
 )
-from .taylor import cauchy_product, horner_eval, triple_product
+from .taylor import cauchy_product, horner_eval

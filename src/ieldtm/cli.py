@@ -71,9 +71,9 @@ def _scheme_options(func):
 def _problem_options(func):
     func = click.option("--problem", type=click.Choice(PROBLEM_NAMES),
                         default="duffing", show_default=True)(func)
-    func = click.option("--lambda", "lam", type=float, default=-1.0,
+    func = click.option("--lambda", "lam", type=_FINITE, default=-1.0,
                         show_default=True, help="Dahlquist rate.")(func)
-    func = click.option("--epsilon", type=float, default=10.0, show_default=True,
+    func = click.option("--epsilon", type=_FINITE, default=10.0, show_default=True,
                         help="Van der Pol stiffness.")(func)
     for name, default, help_text in (
         ("--beta", 1.12, "SEIR daily transmission rate."),
@@ -87,7 +87,7 @@ def _problem_options(func):
         ("--eta", 1.0, "SEIR transmission scaling after t_c."),
         ("--tc", 66.0, "SEIR transmission switch time (days)."),
     ):
-        func = click.option(name, type=float, default=default,
+        func = click.option(name, type=_FINITE, default=default,
                             show_default=True, help=help_text)(func)
     return func
 
@@ -259,7 +259,7 @@ main.add_command(table5, name="step-count")
 
 @main.command(name="seir-sweep")
 @click.option("--tol", type=_POSITIVE, default=1e-5, show_default=True)
-@click.option("--tc", type=float, default=66.0, show_default=True)
+@click.option("--tc", type=_FINITE, default=66.0, show_default=True)
 @click.option("--tf", type=_POSITIVE, default=300.0, show_default=True)
 @click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

@@ -4,14 +4,16 @@ Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
 and factored densely.  It is the complex-step derivative, exact to rounding:
 column j comes from one residual call at the iterate perturbed by ih along
 e_j, so each iteration's Jacobian costs m complex residual calls and the
-residual must be complex-analytic.  The LU runs on Python floats: at m <= 6
-a numpy call per pivot, swap and row update costs more than the arithmetic
-it does.
+residual must be complex-analytic.  Points, residuals, the Jacobian and the
+LU are Python lists of floats: at m <= 6 a numpy call per residual, column,
+pivot, swap or row update costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
 
-from operator import truediv
+import math
+import sys
+from operator import add, truediv
 
 import numpy as np
 
@@ -30,16 +32,17 @@ _MAX_ITERS = 25
 def lu_solve(A, b) -> np.ndarray:
     """Solve A x = b by partial-pivot LU elimination.
 
-    Raises SingularMatrixError when a pivot falls below 1e-14 times the
-    inf-norm of its row, both measured with each column scaled to a largest
-    entry of 1, so a badly scaled but well-conditioned matrix passes.
+    A is a sequence of n rows of length n, b one of length n; lists and
+    arrays both work and neither is modified.  Raises SingularMatrixError
+    when a pivot falls below 1e-14 times the inf-norm of its row, both
+    measured with each column scaled to a largest entry of 1, so a badly
+    scaled but well-conditioned matrix passes.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
+    a = [list(map(float, row)) for row in A]
+    b = list(map(float, b))
+    n = len(b)
+    if len(a) != n or any(len(row) != n for row in a):
         raise ValueError("A must be n x n and b length n")
-    a, b = A.tolist(), b.tolist()
     col_max = [max(map(abs, col)) or 1.0 for col in zip(*a)]
     row_scale = [sum(map(truediv, map(abs, row), col_max)) for row in a]
     for col in range(n):
@@ -66,69 +69,77 @@ def lu_solve(A, b) -> np.ndarray:
     return np.array(x)
 
 
-def _jacobian(residual, y) -> np.ndarray:
-    """The exact Jacobian of residual at the real point y: column j is
-    Im residual(y + ih e_j) / h, to rounding (Squire & Trapp, SIAM Rev.
-    1998; Martins, Sturdza & Alonso, ACM TOMS 2003)."""
+def _jacobian(residual, y: list) -> list:
+    """The exact Jacobian of residual at the real point y, as a list of
+    rows: column j is Im residual(y + ih e_j) / h, to rounding (Squire &
+    Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003)."""
     columns = []
-    for j in range(y.size):
-        point = y.astype(complex)
+    for j in range(len(y)):
+        point = list(map(complex, y))
         point[j] += 1j * _COMPLEX_STEP
-        columns.append(np.asarray(residual(point)).imag)
-    return np.array(columns).T / _COMPLEX_STEP
+        columns.append([v.imag / _COMPLEX_STEP for v in residual(point)])
+    return list(zip(*columns))
+
+
+def _inf_norm(v: list) -> float:
+    """max_i |v_i|, and nan when any entry is nan, as numpy's max: the
+    builtin max keeps a nan only in first place."""
+    if any(map(math.isnan, v)):
+        return math.nan
+    return max(map(abs, v))
 
 
 def newton_solve(residual, guess):
     """Root-find residual(y) = 0 starting from guess.
 
-    ``residual`` maps an ``(n,)`` point to its ``(n,)`` residual, a float one
-    to floats and a complex one (the Jacobian's) to complex values.
+    ``residual`` maps a list of n floats to the list of its n residuals, and
+    a list of complex numbers (a Jacobian column's point) to complex values.
 
-    Returns (root, iterations).  Converges when the residual inf-norm drops
-    below _ABS_TOL or the update inf-norm drops below
+    Returns (root as a list, iterations).  Converges when the residual
+    inf-norm drops below _ABS_TOL or the update inf-norm drops below
     _STEP_TOL * max(1, |y|); after the last of _MAX_ITERS iterations, a
     residual at or below _ABS_TOL is accepted.
     A singular Jacobian raises SingularMatrixError at the first iteration
     and NewtonFailureError at a later one.
     """
-    y = np.array(guess, dtype=float)
-    r = np.asarray(residual(y), dtype=float)
+    y = list(map(float, guess))
+    r = residual(y)
     # Accept at _ABS_TOL only once quadratic progress has stalled: while the
     # residual is still collapsing by orders of magnitude per step, one more
     # (cheap) iteration buys the round-off floor instead of an O(_ABS_TOL)
     # defect frozen into the returned state.
-    floor = 100.0 * np.finfo(float).eps * max(1.0, np.abs(y).max())
-    prev_norm = np.inf
+    floor = 100.0 * sys.float_info.epsilon * max(1.0, max(map(abs, y)))
+    prev_norm = math.inf
     for it in range(1, _MAX_ITERS + 1):
-        r_norm = np.abs(r).max()
+        r_norm = _inf_norm(r)
         if r_norm <= floor:
             return y, it - 1
         if r_norm <= _ABS_TOL and r_norm > 0.25 * prev_norm:
             return y, it - 1
         prev_norm = r_norm
         try:
-            delta = lu_solve(_jacobian(residual, y), -r)
+            delta = lu_solve(_jacobian(residual, y), [-v for v in r]).tolist()
         except SingularMatrixError as exc:
             if it == 1:
                 raise
             raise NewtonFailureError(
                 f"singular Jacobian at iteration {it} ({exc})") from exc
         alpha = 1.0
-        y_new = y + delta
-        r_new = np.asarray(residual(y_new), dtype=float)
+        y_new = list(map(add, y, delta))
+        r_new = residual(y_new)
         for _ in range(_MAX_HALVINGS):
-            if np.isfinite(r_new).all() and np.abs(r_new).max() <= r_norm:
+            if all(map(math.isfinite, r_new)) and max(map(abs, r_new)) <= r_norm:
                 break
             alpha *= 0.5
-            y_new = y + alpha * delta
-            r_new = np.asarray(residual(y_new), dtype=float)
+            y_new = [a + alpha * d for a, d in zip(y, delta)]
+            r_new = residual(y_new)
         y, r = y_new, r_new
-        scale = max(1.0, np.abs(y).max())
-        if alpha * np.abs(delta).max() <= _STEP_TOL * scale:
+        scale = max(1.0, max(map(abs, y)))
+        if alpha * max(map(abs, delta)) <= _STEP_TOL * scale:
             return y, it
-    if np.abs(r).max() <= _ABS_TOL:
+    if _inf_norm(r) <= _ABS_TOL:
         return y, _MAX_ITERS
     raise NewtonFailureError(
         f"no convergence in {_MAX_ITERS} iterations "
-        f"(last residual inf-norm {np.abs(r).max():.3e})"
+        f"(last residual inf-norm {_inf_norm(r):.3e})"
     )

@@ -2,30 +2,34 @@
 
 Each problem supplies a ``recurrence(t_i, coeffs, k) -> X(k+1)`` that maps the
 coefficients known through index k to the next scaled derivative.
-``coeffs`` is a coefficient table expanded about ``t_i``: a list of ``dim``
-per-component lists, ``coeffs[j][k]`` = X_j(k), each holding at least k+1
-entries.  The recurrence returns the ``dim`` values of X(k+1) as a list.
+``coeffs`` is a coefficient table expanded about ``t_i``: the ``dim``
+per-component lists, ``coeffs[j][k]`` = X_j(k), each holding k+1 entries,
+followed by the problem's ``aux`` auxiliary lists, each holding k entries.
+The recurrence first appends entry k to every auxiliary list, then returns
+the ``dim`` values of X(k+1) as a list.  An auxiliary list keeps the series
+of an intermediate product, such as U^2 in U^2 V, so that each index costs
+one convolution per product instead of recomputing the product's prefix.
 Any user ODE can be added by writing such a recurrence; the library does
 not derive recurrences from closed-form right-hand sides automatically.
 
 Recurrences must be complex-analytic: the Newton solver builds tables whose
 coefficients are complex numbers (its complex-step Jacobian), and these must
 give the complex X(k+1) of the same formula.  So no ``abs``, ``max``,
-comparisons or ``float()`` on coefficients; sums, products,
-``cauchy_product`` and ``triple_product`` keep the type.
+comparisons or ``float()`` on coefficients; sums, products and
+``cauchy_product`` keep the type.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .taylor import cauchy_product, triple_product
+from .taylor import cauchy_product
 
 __all__ = [
     "ProblemDefinition",
@@ -59,10 +63,14 @@ class ProblemDefinition:
     linear_matrix: Optional[np.ndarray] = None
     conserved_sum: Optional[float] = None
     discontinuities: tuple = ()
+    # Auxiliary series the recurrence keeps after the dim state series.
+    aux: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        if self.aux < 0:
+            raise ValueError("aux must be non-negative")
         init = np.asarray(self.default_initial, dtype=float)
         if init.shape != (self.dim,):
             raise ValueError("default_initial must have length dim")
@@ -74,13 +82,24 @@ class ProblemDefinition:
             object.__setattr__(self, "linear_matrix", a)
 
 
+def _finite(**params) -> list:
+    """The parameters as floats; ValueError names the first non-finite one."""
+    values = []
+    for name, value in params.items():
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        values.append(value)
+    return values
+
+
 def dahlquist(lam: float, x0: float = 1.0) -> ProblemDefinition:
     """Scalar test equation x' = lam * x with exact solution x0 * e^(lam t).
 
     Real lam only; complex arguments belong to the closed-form stability
     function, not the stepper.
     """
-    lam = float(lam)
+    lam, x0 = _finite(lam=lam, x0=x0)
 
     def recurrence(t, coeffs, k):
         return [lam * coeffs[0][k] / (k + 1)]
@@ -146,6 +165,9 @@ class SeirParams:
     t_c: float = 66.0
 
     def __post_init__(self):
+        # A nan t_c would silently never switch (t >= nan is false).
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("SEIR parameters must be finite")
         if min(self.d1, self.d2, self.d3, self.p, self.N) <= 0:
             raise ValueError("d1, d2, d3, p, N must be positive")
         if not 0.0 <= self.alpha <= 1.0:
@@ -212,9 +234,12 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
     For (alpha, beta, gamma) = (-3, 2, -2) the logistic function
     1/(1 + e^(-t)) is an exact solution from (0.5, 0.25).
     """
+    alpha, beta, gamma = _finite(alpha=alpha, beta=beta, gamma=gamma)
+
     def recurrence(t, coeffs, k):
-        x1, x2 = coeffs
-        cubic = triple_product(x1, x1, x1, k)
+        x1, x2, sq = coeffs
+        sq.append(sum(map(mul, x1[: k + 1], x1[k::-1])))
+        cubic = sum(map(mul, sq, x1[k::-1]))
         return [x2[k] / (k + 1),
                 (-beta * x1[k] - alpha * x2[k] - gamma * cubic) / (k + 1)]
 
@@ -230,6 +255,7 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
         recurrence=recurrence,
         default_initial=np.array([0.5, 0.25]),
         exact_solution=exact,
+        aux=1,  # x1^2
     )
 
 
@@ -267,18 +293,20 @@ def robertson_modified() -> ProblemDefinition:
 def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     """Van der Pol oscillator U' = V, V' = -U + eps (1 - U^2) V; stiffness
     grows with eps."""
-    eps = float(epsilon)
+    eps, = _finite(epsilon=epsilon)
 
     def recurrence(t, coeffs, k):
-        u, v = coeffs
+        u, v, uu = coeffs
+        uu.append(sum(map(mul, u[: k + 1], u[k::-1])))
         return [v[k] / (k + 1),
-                (-u[k] + eps * v[k] - eps * triple_product(u, u, v, k)) / (k + 1)]
+                (-u[k] + eps * v[k] - eps * sum(map(mul, uu, v[k::-1]))) / (k + 1)]
 
     return ProblemDefinition(
         name="vanderpol",
         dim=2,
         recurrence=recurrence,
         default_initial=np.array([2.0, 0.0]),
+        aux=1,  # U^2
     )
 
 

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import sub
 from typing import List, Union
 
 import numpy as np
@@ -139,15 +140,24 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
     """Run the problem recurrence ``depth`` times starting from one state of
     shape ``(dim,)``.
 
-    The table is a list of ``dim`` lists, ``table[j][k]`` = X_j(k).  A
-    complex state gives complex coefficients; any other becomes float.
+    The table is a list of ``dim`` lists, ``table[j][k]`` = X_j(k); the
+    problem's auxiliary series are left out.  A complex state gives complex
+    coefficients; any other becomes float.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
     if state.shape != (problem.dim,):
         raise ValueError(f"state must have shape ({problem.dim},)")
-    return _run_recurrence(problem, t_i, [[x] for x in state.tolist()], depth)
+    return _new_table(problem, t_i, state.tolist(), depth)[:problem.dim]
+
+
+def _new_table(problem, t_i, state: list, depth: int) -> list:
+    """The table of the list ``state`` about t_i through ``depth``, with the
+    problem's auxiliary series after the ``dim`` state lists."""
+    table = [[x] for x in state]
+    table += [[] for _ in range(problem.aux)]
+    return _run_recurrence(problem, t_i, table, depth)
 
 
 def _run_recurrence(problem, t_i, table, depth: int) -> list:
@@ -158,8 +168,10 @@ def _run_recurrence(problem, t_i, table, depth: int) -> list:
     """
     recurrence = problem.recurrence
     for k in range(len(table[0]) - 1, depth):
-        # One pass of map appends X_j(k+1) to every component list; at
-        # these sizes a Python loop over the components costs more.
+        # One pass of map appends X_j(k+1) to every state list and stops
+        # there, before the auxiliary lists the recurrence appends to
+        # itself; at these sizes a Python loop over the components costs
+        # more.
         list(map(list.append, table, recurrence(t_i, table, k)))
     if not all(map(cmath.isfinite, chain.from_iterable(table))):
         raise NonFiniteStateError(
@@ -168,35 +180,39 @@ def _run_recurrence(problem, t_i, table, depth: int) -> list:
 
 
 def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
-                      trial_state, theta: float, order: int, dt: float):
+                      trial_state: list, theta: float, order: int, dt: float):
     """Continuity defect of the two expansions at the matching point
     t_next - theta dt, and the trial table it was read from.
 
     ``known_value`` is the node's expansion about t_next - dt evaluated at
-    the matching point; the trial table expands ``trial_state`` about t_next
-    to depth ``order``.  The defect's root is the accepted next state; a
-    complex trial state gives the complex defect.  Returns (defect, trial
-    table).
+    the matching point; the trial table expands the list ``trial_state``
+    about t_next to depth ``order``, auxiliary series included.  The
+    defect's root is the accepted next state; a complex trial state gives
+    the complex defect.  Returns (defect as a list, trial table).
     """
-    trial_table = build_coeff_table(problem, t_next, trial_state, order)
-    lhs = horner_eval(trial_table, -theta * dt, order)
-    return np.subtract(lhs, known_value), trial_table
+    if len(trial_state) != problem.dim:
+        raise ValueError(f"trial_state must have {problem.dim} entries")
+    trial_table = _new_table(problem, t_next, trial_state, order)
+    lhs = horner_eval(trial_table[:problem.dim], -theta * dt, order)
+    return list(map(sub, lhs, known_value)), trial_table
 
 
 def _step(problem, t_i, node_table, theta, order, dt):
-    """One step of dt from the node table about t_i.  Returns (state,
-    iterations, trial table of the state or None).
+    """One step of dt from the node table about t_i, which holds the state
+    lists only.  Returns (state array, iterations, trial table of the state
+    or None).
 
     The explicit step (theta = 0) is the predictor, the local series at
     t_i + dt.  An implicit step is the Newton solve started from it.  The
     table returned is the one the last residual evaluation built, returned
-    only when Newton returned that very array: it is then the next node's
-    table through ``order``.  Newton's complex-step points are arrays of
-    their own, so a complex table is never handed on.
+    only when Newton returned that very list: it is then the next node's
+    table through ``order``, auxiliary series included.  Newton's
+    complex-step points are lists of their own, so a complex table is never
+    handed on.
     """
-    predictor = np.array(horner_eval(node_table, dt, order))
+    predictor = horner_eval(node_table, dt, order)
     if theta == 0.0:
-        return predictor, 0, None
+        return np.array(predictor), 0, None
     # The known side is fixed for the whole step.
     known_value = horner_eval(node_table, (1.0 - theta) * dt, order)
     t_next = t_i + dt
@@ -209,7 +225,7 @@ def _step(problem, t_i, node_table, theta, order, dt):
         return r
 
     state, iters = newton_solve(residual, predictor)
-    return state, iters, last[1] if state is last[0] else None
+    return np.array(state), iters, last[1] if state is last[0] else None
 
 
 def adaptive_dt_case1(table: list, order: int, tol: float,
@@ -317,6 +333,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
 
     x = np.asarray(problem.default_initial if initial is None else initial,
                    dtype=float)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"initial state must have shape ({problem.dim},)")
     records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
     t, status, failure = 0.0, "completed", ""
     depth = order + EXTRA_DEPTH
@@ -328,8 +346,10 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         try:
             while t < t_final - eps_end:
                 dt = None
-                table = (build_coeff_table(problem, t, x, depth) if trial is None
+                table = (_new_table(problem, t, x.tolist(), depth)
+                         if trial is None
                          else _run_recurrence(problem, t, trial, depth))
+                table = table[:problem.dim]  # what every reader sees
                 if adaptive:
                     dt = controller(table, order, mode.tol, mode.safety,
                                     dt_max=t_final)

@@ -4,7 +4,9 @@ A node of the integration is its coefficient table: a list of ``dim``
 per-component lists, where ``table[j][k]`` is the scaled derivative
 X_j(k) = x_j^(k)(t_i)/k! of the solution, so ``table[j][0]`` is the state.
 The table does not store t_i; whoever builds or reads it already holds that
-time.  Everything downstream (stepping, error control, stability
+time.  The stepper's own tables carry the problem's auxiliary series after
+these lists (see ``problems``); everything here reads state lists only.
+Everything downstream (stepping, error control, stability
 evaluation) is built from convolution products and truncated series
 evaluation of these sequences.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from operator import mul
 
-__all__ = ["cauchy_product", "triple_product", "horner_eval"]
+__all__ = ["cauchy_product", "horner_eval"]
 
 
 def cauchy_product(a, b, k: int):
@@ -30,19 +32,6 @@ def cauchy_product(a, b, k: int):
     if len(a) <= k or len(b) <= k:
         raise IndexError(f"sequences must be defined up to index {k}")
     return sum(map(mul, a[: k + 1], b[k::-1]))
-
-
-def triple_product(a, b, c, k: int):
-    """Nested convolution sum_{l=0}^{k} sum_{n=0}^{l} a(n) b(l-n) c(k-l).
-
-    Equals the Cauchy product applied twice; the transform of a*b*c.
-    """
-    if len(a) <= k or len(b) <= k or len(c) <= k:
-        raise IndexError(f"sequences must be defined up to index {k}")
-    total = 0.0
-    for l in range(k + 1):
-        total += sum(map(mul, a[: l + 1], b[l::-1])) * c[k - l]
-    return total
 
 
 def horner_eval(table, offset: float, order: int) -> list:

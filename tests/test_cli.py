@@ -125,6 +125,27 @@ def test_paper_command_option_out_of_range(runner, args):
     assert "Error: Invalid value for" in result.output
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("solve", "--lambda", "nan"),
+    ("solve", "--epsilon", "inf"),
+    ("solve", "--beta", "nan"),
+    ("solve", "--mu", "inf"),
+    ("solve", "--alpha", "nan"),
+    ("solve", "--d1", "inf"),
+    ("solve", "--d2", "nan"),
+    ("solve", "--d3", "inf"),
+    ("solve", "--hosp-period", "inf"),
+    ("solve", "--population", "inf"),
+    ("solve", "--eta", "nan"),
+    ("solve", "--tc", "nan"),
+    ("seir-sweep", "--tc", "nan"),
+], ids=lambda v: v.lstrip("-"))
+def test_non_finite_problem_option_rejected(runner, command, option, value):
+    result = runner.invoke(main, [command, option, value, "--tf", "1"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+
+
 class TestOrderSweep:
     def test_csv_body(self, runner):
         result = runner.invoke(main, ["order-sweep"])

@@ -116,53 +116,53 @@ class TestLuSolve:
 
 class TestNewtonSolve:
     def test_affine(self):
-        root, iters = newton_solve(lambda y: y - 1.0, np.array([0.0]))
+        root, iters = newton_solve(lambda y: [v - 1.0 for v in y], [0.0])
         assert root[0] == pytest.approx(1.0)
         # One correction plus one polish pass that confirms the floor.
         assert iters <= 2
 
     def test_quadratic(self):
-        root, iters = newton_solve(lambda y: y ** 2 - 4.0, np.array([3.0]))
+        root, iters = newton_solve(lambda y: [v ** 2 - 4.0 for v in y], [3.0])
         assert root[0] == pytest.approx(2.0, abs=1e-10)
         assert iters <= 6
 
     def test_already_converged_guess(self):
-        root, iters = newton_solve(lambda y: y - 1.0, np.array([1.0]))
+        root, iters = newton_solve(lambda y: [v - 1.0 for v in y], [1.0])
         assert root[0] == 1.0
         assert iters == 0
 
     def test_coupled_system(self):
         def residual(y):
-            return np.array([y[0] ** 2 + y[1] ** 2 - 2.0, y[0] - y[1]])
+            return [y[0] ** 2 + y[1] ** 2 - 2.0, y[0] - y[1]]
 
-        root, _ = newton_solve(residual, np.array([2.0, 0.5]))
+        root, _ = newton_solve(residual, [2.0, 0.5])
         np.testing.assert_allclose(root, [1.0, 1.0], atol=1e-10)
 
     def test_failure_reported(self, monkeypatch):
         # No real root: residual cannot reach zero.
         monkeypatch.setattr(nonlinear, "_MAX_ITERS", 5)
         with pytest.raises(NewtonFailureError):
-            newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]))
+            newton_solve(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
 
     def test_singular_jacobian_after_first_iteration(self):
         # The first update lands on y = 0, where the Jacobian 2y vanishes.
         with pytest.raises(NewtonFailureError, match="singular Jacobian at iteration 2"):
-            newton_solve(lambda y: y ** 2 + 1.0, np.array([1.0]))
+            newton_solve(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
 
     def test_last_iteration_residual_tested(self, monkeypatch):
         # The one allowed iteration reaches _ABS_TOL with a large update.
         monkeypatch.setattr(nonlinear, "_ABS_TOL", 1e-9)
         monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
-        root, iters = newton_solve(lambda y: y - 1.0, np.array([0.0]))
+        root, iters = newton_solve(lambda y: [v - 1.0 for v in y], [0.0])
         assert abs(root[0] - 1.0) <= 1e-9
         assert iters == 1
 
     def test_damping_recovers_overshoot(self):
         # Steep residual where a full Newton step overshoots badly.
         def residual(y):
-            return np.arctan(y) * 10.0
+            return [np.arctan(v) * 10.0 for v in y]
 
-        root, _ = newton_solve(residual, np.array([20.0]))
+        root, _ = newton_solve(residual, [20.0])
         assert abs(root[0]) <= 1e-10
 
 
@@ -196,16 +196,16 @@ class TestBatchedJacobian:
         # At K = 1, theta = 1 the residual is y - dt f(y) - state, so its
         # Jacobian is I - dt f_y, here derived by hand column by column.
         residual = step_residual(problem, state, 1.0, 1, dt)
-        y = state * 1.01
-        J = _jacobian(residual, y)
-        for j in range(y.size):
+        y = (state * 1.01).tolist()
+        J = np.array(_jacobian(residual, y))
+        for j in range(len(y)):
             # The real part of each complex-step residual is r(y).
-            point = y.astype(complex)
+            point = list(map(complex, y))
             point[j] += 1e-30j
-            r = residual(point).real
+            r = np.array(residual(point)).real
             np.testing.assert_allclose(r, residual(y), rtol=1e-14, atol=1e-16)
-        ref = np.eye(y.size) - dt * f_y(y)
-        for j in range(y.size):
+        ref = np.eye(len(y)) - dt * f_y(y)
+        for j in range(len(y)):
             np.testing.assert_allclose(J[:, j], ref[:, j], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("theta,order", [(0.5, 3), (0.5, 5), (1.0, 2)])
@@ -219,7 +219,7 @@ class TestBatchedJacobian:
         W = -theta * dt * A
         exact = sum(np.linalg.matrix_power(W, k) / math.factorial(k)
                     for k in range(order + 1))
-        J = _jacobian(residual, np.array([0.9, -1.1, 0.4]))
+        J = np.array(_jacobian(residual, [0.9, -1.1, 0.4]))
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
 
     def test_one_batched_call_per_iteration(self):
@@ -228,9 +228,9 @@ class TestBatchedJacobian:
         calls = []
 
         def residual(y):
-            calls.append((y.shape, np.iscomplexobj(y)))
-            return y ** 2 - 4.0
+            calls.append(((len(y),), isinstance(y[0], complex)))
+            return [v ** 2 - 4.0 for v in y]
 
-        _, iters = newton_solve(residual, np.array([3.0, 1.0]))
+        _, iters = newton_solve(residual, [3.0, 1.0])
         assert calls[0] == ((2,), False)
         assert [c for c in calls if c[1]] == [((2,), True)] * (2 * iters)

@@ -1,5 +1,6 @@
 """Built-in ODE systems: recurrence correctness against independent oracles."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -18,7 +19,9 @@ from ieldtm.problems import (
     seir,
     van_der_pol,
 )
-from ieldtm.stepper import build_coeff_table
+from ieldtm import stepper
+from ieldtm.stepper import EXTRA_DEPTH, build_coeff_table
+from test_taylor import triple_product
 
 
 def coeffs_from(problem, t, state, depth):
@@ -91,6 +94,12 @@ class TestSeir:
             SeirParams(eta=0.5)
         with pytest.raises(ValueError):
             SeirParams(alpha=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SeirParams)])
+    def test_non_finite_params_refused(self, field, value):
+        with pytest.raises(ValueError):
+            SeirParams(**{field: value})
 
 
 class TestDuffing:
@@ -231,6 +240,100 @@ class TestBatchAxis:
             assert column.shape == (8, problem.dim)
             np.testing.assert_allclose(column.real, single, rtol=1e-13,
                                        atol=1e-13 * np.abs(single).max())
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: van_der_pol(v),
+        lambda v: dahlquist(v),
+        lambda v: dahlquist(-1.0, v),
+        lambda v: duffing(alpha=v),
+        lambda v: duffing(beta=v),
+        lambda v: duffing(gamma=v),
+    ], ids=["vdp-epsilon", "dahlquist-lam", "dahlquist-x0", "duffing-alpha",
+            "duffing-beta", "duffing-gamma"])
+    def test_refused(self, make, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(value)
+
+
+def _old_vdp(eps):
+    """The Van der Pol recurrence as written before U^2 became an auxiliary
+    series."""
+    def recurrence(t, coeffs, k):
+        u, v = coeffs
+        return [v[k] / (k + 1),
+                (-u[k] + eps * v[k] - eps * triple_product(u, u, v, k)) / (k + 1)]
+    return recurrence
+
+
+def _old_duffing(alpha, beta, gamma):
+    def recurrence(t, coeffs, k):
+        x1, x2 = coeffs
+        cubic = triple_product(x1, x1, x1, k)
+        return [x2[k] / (k + 1),
+                (-beta * x1[k] - alpha * x2[k] - gamma * cubic) / (k + 1)]
+    return recurrence
+
+
+def _old_table(recurrence, state, depth):
+    table = [[x] for x in state]
+    for k in range(depth):
+        for col, x in zip(table, recurrence(0.0, table, k)):
+            col.append(x)
+    return table
+
+
+def _bits(table):
+    return [np.array(col).tobytes() for col in table]
+
+
+class TestAuxiliarySeries:
+    """Keeping the prefix product as an auxiliary series changes no bit of a
+    table: the oracle triple_product recomputes it on every call."""
+
+    CASES = [
+        (van_der_pol(10.0), _old_vdp(10.0), [1.7, -0.4]),
+        (van_der_pol(1000.0), _old_vdp(1000.0), [-2.0, 0.3]),
+        (duffing(), _old_duffing(-3.0, 2.0, -2.0), [0.5, 0.25]),
+        (duffing(1.0, -0.5, 3.0), _old_duffing(1.0, -0.5, 3.0), [-0.9, 1.3]),
+    ]
+
+    @staticmethod
+    def states(y):
+        """y and its complex-step points y + ih e_j."""
+        points = [list(y)]
+        for j in range(len(y)):
+            point = list(map(complex, y))
+            point[j] += 1e-30j
+            points.append(point)
+        return points
+
+    @pytest.mark.parametrize("depth", [5, 11])
+    @pytest.mark.parametrize("problem,old,y", CASES,
+                             ids=["vdp10", "vdp1000", "duffing", "duffing-other"])
+    def test_table_equals_old_formula(self, problem, old, y, depth):
+        assert problem.aux == 1
+        for state in self.states(y):
+            table = stepper._new_table(problem, 0.0, state, depth)
+            assert len(table) == problem.dim + problem.aux
+            assert _bits(table[:problem.dim]) == _bits(_old_table(old, state, depth))
+            assert _bits(build_coeff_table(problem, 0.0, state, depth)) == \
+                _bits(table[:problem.dim])
+
+    @pytest.mark.parametrize("order", [3, 5, 9])
+    @pytest.mark.parametrize("problem,old,y", CASES,
+                             ids=["vdp10", "vdp1000", "duffing", "duffing-other"])
+    def test_extended_table_equals_fresh_build(self, problem, old, y, order):
+        for state in self.states(y):
+            extended = stepper._run_recurrence(
+                problem, 0.0, stepper._new_table(problem, 0.0, state, order),
+                order + EXTRA_DEPTH)
+            fresh = stepper._new_table(problem, 0.0, state, order + EXTRA_DEPTH)
+            assert _bits(extended) == _bits(fresh)
+            assert _bits(extended[:problem.dim]) == \
+                _bits(_old_table(old, state, order + EXTRA_DEPTH))
 
 
 class TestRegistry:

@@ -418,8 +418,8 @@ class TestNodeTableReuse:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(stepper, "build_coeff_table",
-                            counted("build", stepper.build_coeff_table))
+        monkeypatch.setattr(stepper, "_new_table",
+                            counted("build", stepper._new_table))
         monkeypatch.setattr(stepper, "implicit_residual",
                             counted("residual", stepper.implicit_residual))
         cfg = SchemeConfig(0.5, 5, AdaptiveStep(1e-10))
@@ -452,7 +452,40 @@ class TestNodeTableReuse:
         prob = duffing()
         known = horner_eval(build_coeff_table(prob, 0.0, prob.default_initial, 4),
                             0.05, 4)
-        trial = np.array([0.51, 0.24])
-        _, trial_table = implicit_residual(prob, 0.1, known, trial, 0.5, 4, 0.1)
+        trial = [0.51, 0.24]
+        _, full_table = implicit_residual(prob, 0.1, known, trial, 0.5, 4, 0.1)
+        trial_table, aux_lists = full_table[:prob.dim], full_table[prob.dim:]
         assert coeff_array(trial_table).tobytes() == \
             coeff_array(build_coeff_table(prob, 0.1, trial, 4)).tobytes()
+        assert coeff_array(aux_lists).tobytes() == \
+            coeff_array(stepper._new_table(prob, 0.1, trial, 4)[prob.dim:]).tobytes()
+
+
+class TestAuxiliarySeriesHidden:
+    """Van der Pol keeps U^2 after its two state lists; no state reader may
+    see it."""
+
+    @pytest.mark.parametrize("theta, order, controller", [
+        (0.5, 5, "adaptive_dt_case2"),
+        (1.0, 4, "adaptive_dt_case1"),
+    ])
+    def test_readers_see_the_state_lists(self, monkeypatch, theta, order,
+                                         controller):
+        prob = van_der_pol(10.0)
+        seen = []
+
+        def guarded(name, fn):
+            def reader(table, *args, **kwargs):
+                value = fn(table, *args, **kwargs)
+                assert value == fn(table[:prob.dim], *args, **kwargs)
+                seen.append((name, len(table)))
+                return value
+            return reader
+
+        for name in ("horner_eval", controller, "_local_error_estimate"):
+            monkeypatch.setattr(stepper, name, guarded(name, getattr(stepper, name)))
+        trace = integrate(prob, SchemeConfig(theta, order, AdaptiveStep(1e-8)), 2.0)
+        assert trace.status == "completed"
+        assert {name for name, _ in seen} == {
+            "horner_eval", controller, "_local_error_estimate"}
+        assert {size for _, size in seen} == {prob.dim}

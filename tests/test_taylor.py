@@ -1,6 +1,7 @@
 """Coefficient-sequence algebra: convolution products and series evaluation."""
 
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,7 +11,22 @@ from hypothesis import strategies as st
 from ieldtm.errors import NonFiniteStateError
 from ieldtm.problems import dahlquist
 from ieldtm.stepper import build_coeff_table
-from ieldtm.taylor import cauchy_product, horner_eval, triple_product
+from ieldtm.taylor import cauchy_product, horner_eval
+
+
+def triple_product(a, b, c, k: int):
+    """Nested convolution sum_{l=0}^{k} sum_{n=0}^{l} a(n) b(l-n) c(k-l),
+    the transform of a*b*c, with the prefix a*b recomputed on every call.
+
+    The Van der Pol and Duffing recurrences used this before they kept the
+    prefix as an auxiliary series; their tables must still equal it bit for
+    bit, so it stays here as the oracle."""
+    if len(a) <= k or len(b) <= k or len(c) <= k:
+        raise IndexError(f"sequences must be defined up to index {k}")
+    total = 0.0
+    for l in range(k + 1):
+        total += sum(map(mul, a[: l + 1], b[l::-1])) * c[k - l]
+    return total
 
 
 def exp_coeffs(n):
@@ -61,6 +77,8 @@ class TestCauchyProduct:
 
 
 class TestTripleProduct:
+    """The oracle triple_product above."""
+
     def test_cube_of_one_plus_t(self):
         # coefficient of t^2 in (1 + t)^3 is C(3, 2) = 3
         a = np.array([1.0, 1.0, 0.0])
@@ -82,8 +100,8 @@ class TestTripleProduct:
 
 
 class TestBatchAxis:
-    """The list products, one column at a time, against numpy's convolution
-    of a whole batch of columns."""
+    """The list products (the triple one being the oracle above), one column
+    at a time, against numpy's convolution of a whole batch of columns."""
 
     @pytest.mark.parametrize("k", range(8))
     def test_cauchy_matches_columns(self, k):
