@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     IeldtmError,
-    InvalidConfigurationError,
     NewtonFailureError,
     NonFiniteStateError,
     PoleError,

@@ -5,10 +5,6 @@ class IeldtmError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidConfigurationError(IeldtmError):
-    """A scheme/problem parameter combination is not supported."""
-
-
 class NonFiniteStateError(IeldtmError):
     """A state vector or coefficient table picked up a NaN/Inf."""
 

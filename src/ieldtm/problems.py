@@ -9,8 +9,11 @@ The recurrence first appends entry k to every auxiliary list, then returns
 the ``dim`` values of X(k+1) as a list.  An auxiliary list keeps the series
 of an intermediate product, such as U^2 in U^2 V, so that each index costs
 one convolution per product instead of recomputing the product's prefix.
-Any user ODE can be added by writing such a recurrence; the library does
-not derive recurrences from closed-form right-hand sides automatically.
+``stepper.build_coeff_table`` takes the state as a list and returns the
+whole table, auxiliary lists included; readers of the state slice
+``table[:dim]``.  Any user ODE can be added by writing such a recurrence;
+the library does not derive recurrences from closed-form right-hand sides
+automatically.
 
 Recurrences must be complex-analytic: the Newton solver builds tables whose
 coefficients are complex numbers (its complex-step Jacobian), and these must
@@ -28,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidConfigurationError
 from .taylor import cauchy_product
 
 __all__ = [
@@ -60,7 +62,6 @@ class ProblemDefinition:
     recurrence: Recurrence
     default_initial: np.ndarray
     exact_solution: Optional[Callable[[float], np.ndarray]] = None
-    linear_matrix: Optional[np.ndarray] = None
     conserved_sum: Optional[float] = None
     discontinuities: tuple = ()
     # Auxiliary series the recurrence keeps after the dim state series.
@@ -75,11 +76,6 @@ class ProblemDefinition:
         if init.shape != (self.dim,):
             raise ValueError("default_initial must have length dim")
         object.__setattr__(self, "default_initial", init)
-        if self.linear_matrix is not None:
-            a = np.asarray(self.linear_matrix, dtype=float)
-            if a.shape != (self.dim, self.dim):
-                raise ValueError("linear_matrix must be dim x dim")
-            object.__setattr__(self, "linear_matrix", a)
 
 
 def _finite(**params) -> list:
@@ -110,7 +106,6 @@ def dahlquist(lam: float, x0: float = 1.0) -> ProblemDefinition:
         recurrence=recurrence,
         default_initial=np.array([x0]),
         exact_solution=lambda t: np.array([x0 * math.exp(lam * t)]),
-        linear_matrix=np.array([[lam]]),
     )
 
 
@@ -144,7 +139,6 @@ def linear_system(A, forcing=None, name: str = "linear",
         recurrence=recurrence,
         default_initial=np.asarray(default_initial, dtype=float),
         exact_solution=exact_solution,
-        linear_matrix=A if forcing is None else None,
     )
 
 
@@ -314,8 +308,7 @@ PROBLEM_NAMES = ("dahlquist", "duffing", "robertson", "vanderpol", "seir")
 
 
 def make_problem(name: str, **params) -> ProblemDefinition:
-    """CLI-facing problem factory; unknown names raise
-    InvalidConfigurationError."""
+    """CLI-facing problem factory; unknown names raise ValueError."""
     if name == "dahlquist":
         return dahlquist(params.get("lam", -1.0))
     if name == "duffing":
@@ -329,6 +322,6 @@ def make_problem(name: str, **params) -> ProblemDefinition:
         keys = ("beta", "mu", "alpha", "d1", "d2", "d3", "p", "N", "eta", "t_c")
         kwargs = {k: params[k] for k in keys if k in params and params[k] is not None}
         return seir(SeirParams(**kwargs))
-    raise InvalidConfigurationError(
+    raise ValueError(
         f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
     )

@@ -18,12 +18,7 @@ from typing import List, Union
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigurationError,
-    NewtonFailureError,
-    NonFiniteStateError,
-    SingularMatrixError,
-)
+from .errors import NewtonFailureError, NonFiniteStateError, SingularMatrixError
 from .nonlinear import newton_solve
 from .problems import ProblemDefinition
 from .taylor import horner_eval
@@ -90,6 +85,11 @@ class SchemeConfig:
             raise ValueError("theta must be in [0, 1]")
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if not isinstance(self.step_mode, (FixedStep, AdaptiveStep)):
+            raise ValueError("step_mode must be a FixedStep or an AdaptiveStep")
+        if (isinstance(self.step_mode, AdaptiveStep)
+                and self.theta not in _ADAPTIVE_THETAS):
+            raise ValueError("adaptive mode supports theta in {0, 0.5, 1} only")
 
 
 @dataclass(frozen=True)
@@ -135,26 +135,19 @@ class SolutionTrace:
         )
 
 
-def build_coeff_table(problem: ProblemDefinition, t_i: float, state,
+def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
                       depth: int) -> list:
-    """Run the problem recurrence ``depth`` times starting from one state of
-    shape ``(dim,)``.
+    """The coefficient table of the list of ``dim`` numbers ``state`` about
+    t_i through ``depth``.
 
-    The table is a list of ``dim`` lists, ``table[j][k]`` = X_j(k); the
-    problem's auxiliary series are left out.  A complex state gives complex
-    coefficients; any other becomes float.
+    The table holds the ``dim`` state lists, ``table[j][k]`` = X_j(k),
+    followed by the problem's auxiliary lists; readers of the state slice
+    ``table[:dim]``.  Complex entries give complex coefficients.
     """
+    if len(state) != problem.dim:
+        raise ValueError(f"state must have {problem.dim} entries")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
-    if state.shape != (problem.dim,):
-        raise ValueError(f"state must have shape ({problem.dim},)")
-    return _new_table(problem, t_i, state.tolist(), depth)[:problem.dim]
-
-
-def _new_table(problem, t_i, state: list, depth: int) -> list:
-    """The table of the list ``state`` about t_i through ``depth``, with the
-    problem's auxiliary series after the ``dim`` state lists."""
     table = [[x] for x in state]
     table += [[] for _ in range(problem.aux)]
     return _run_recurrence(problem, t_i, table, depth)
@@ -190,9 +183,7 @@ def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
     defect's root is the accepted next state; a complex trial state gives
     the complex defect.  Returns (defect as a list, trial table).
     """
-    if len(trial_state) != problem.dim:
-        raise ValueError(f"trial_state must have {problem.dim} entries")
-    trial_table = _new_table(problem, t_next, trial_state, order)
+    trial_table = build_coeff_table(problem, t_next, trial_state, order)
     lhs = horner_eval(trial_table[:problem.dim], -theta * dt, order)
     return list(map(sub, lhs, known_value)), trial_table
 
@@ -229,46 +220,61 @@ def _step(problem, t_i, node_table, theta, order, dt):
 
 
 def adaptive_dt_case1(table: list, order: int, tol: float,
-                      safety: float = 1.0, dt_max: float = math.inf) -> float:
+                      safety: float = 1.0) -> float:
     """Step proposal for the forward/backward controllers, driven by
-    ||X(K+1)||_inf; a vanishing coefficient yields dt_max."""
+    ||X(K+1)||_inf, the leading term at theta in {0, 1}; a vanishing
+    coefficient yields inf.
+
+    The central scheme with even K uses it too, although its error estimate
+    weights ||X(K+1)||_inf by 0.5^K: there the controller steers by a lead
+    2^K times the estimate's.
+    """
     if len(table[0]) < order + 2:
         raise IndexError("table must hold coefficients through K+1")
-    lead = _lead(table, order + 1)
+    lead, power = _leading_term(table, 1.0, order)
     if lead == 0.0:
-        return dt_max
-    return min(safety * (tol / lead) ** (1.0 / order), dt_max)
+        return math.inf
+    return safety * (tol / lead) ** (1.0 / (power - 1))
 
 
 def adaptive_dt_case2(table: list, order: int, tol: float,
-                      safety: float = 1.0, dt_max: float = math.inf) -> float:
+                      safety: float = 1.0) -> float:
     """Step proposal for the central scheme with odd K, driven by the scaled
-    coefficient (1/2)^(K+1) (K+1) X(K+2)."""
+    coefficient (1/2)^(K+1) (K+1) X(K+2); a vanishing coefficient yields
+    inf."""
     if order % 2 == 0:
-        raise InvalidConfigurationError("case-2 controller requires odd order")
+        raise ValueError("case-2 controller requires odd order")
     if len(table[0]) < order + 3:
         raise IndexError("table must hold coefficients through K+2")
-    factor = 0.5 ** (order + 1) * (order + 1)
-    lead = factor * _lead(table, order + 2)
+    lead, power = _leading_term(table, 0.5, order)
     if lead == 0.0:
-        return dt_max
-    return min(safety * (tol / lead) ** (1.0 / (order + 1)), dt_max)
+        return math.inf
+    return safety * (tol / lead) ** (1.0 / (power - 1))
 
 
-def _lead(table: list, k: int) -> float:
-    """max_j |X_j(k)|, the inf-norm of coefficient k."""
-    return max(abs(col[k]) for col in table)
+def _leading_term(table: list, theta: float, order: int):
+    """(lead, power) of the local truncation error lead * dt^power.
+
+    It is |(1-theta)^(K+1) - (-theta)^(K+1)| ||X(K+1)||_inf with power K+1;
+    the central scheme with odd K cancels that term and gains an order,
+    (1/2)^(K+1) (K+1) ||X(K+2)||_inf with power K+2.
+    """
+    if theta == 0.5 and order % 2 == 1:
+        power = order + 2
+        weight = 0.5 ** (order + 1) * (order + 1)
+    else:
+        power = order + 1
+        weight = abs((1.0 - theta) ** power - (-theta) ** power)
+    return weight * max(abs(col[power]) for col in table), power
 
 
 def _local_error_estimate(table: list, theta: float, order: int,
                           dt: float) -> float:
-    """Leading local-truncation-error magnitude from the node coefficients."""
-    if theta == 0.5 and order % 2 == 1:
-        power = order + 2
-        lead = 0.5 ** (order + 1) * (order + 1) * _lead(table, power)
-    else:
-        power = order + 1
-        lead = abs((1.0 - theta) ** power - (-theta) ** power) * _lead(table, power)
+    """Leading local-truncation-error magnitude from the node coefficients.
+
+    At theta = 0.5 with even K it is 2^-K of the lead the case-1 controller
+    steers by."""
+    lead, power = _leading_term(table, theta, order)
     if lead == 0.0:
         return 0.0
     try:
@@ -302,8 +308,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     Only the choice of each node's dt depends on the mode.  ``FixedStep``
     takes its dt.  ``AdaptiveStep`` proposes dt once per node from the node's
     coefficients (case-2 controller for the central scheme with odd K, case 1
-    otherwise), capped at t_final; it supports theta in {0, 0.5, 1}, has no
-    reject/retry loop yet, and a proposal below dt_min ends the trace with
+    otherwise); it supports theta in {0, 0.5, 1}, has no reject/retry loop
+    yet, and a proposal below dt_min ends the trace with
     ``min-step-underflow``.  Every step is shortened to land exactly on
     t_final and on the problem's discontinuities.
 
@@ -315,19 +321,11 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     explicit step.  A failed trace says where and why in
     ``SolutionTrace.failure``.
     """
-    mode = config.step_mode
-    if not isinstance(mode, (FixedStep, AdaptiveStep)):
-        raise InvalidConfigurationError(
-            "step_mode must be a FixedStep or an AdaptiveStep")
     if not 0 < t_final < math.inf:  # also refuses nan
         raise ValueError("t_final must be positive and finite")
-    theta, order = config.theta, config.order
+    mode, theta, order = config.step_mode, config.theta, config.order
     adaptive = isinstance(mode, AdaptiveStep)
     if adaptive:
-        if theta not in _ADAPTIVE_THETAS:
-            raise InvalidConfigurationError(
-                "adaptive mode supports theta in {0, 0.5, 1} only"
-            )
         controller = (adaptive_dt_case2 if theta == 0.5 and order % 2 == 1
                       else adaptive_dt_case1)
 
@@ -346,13 +344,12 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         try:
             while t < t_final - eps_end:
                 dt = None
-                table = (_new_table(problem, t, x.tolist(), depth)
+                table = (build_coeff_table(problem, t, x.tolist(), depth)
                          if trial is None
                          else _run_recurrence(problem, t, trial, depth))
                 table = table[:problem.dim]  # what every reader sees
                 if adaptive:
-                    dt = controller(table, order, mode.tol, mode.safety,
-                                    dt_max=t_final)
+                    dt = controller(table, order, mode.tol, mode.safety)
                     if dt < mode.dt_min:
                         status = "min-step-underflow"
                         failure = _failure_context(

@@ -4,8 +4,9 @@ A node of the integration is its coefficient table: a list of ``dim``
 per-component lists, where ``table[j][k]`` is the scaled derivative
 X_j(k) = x_j^(k)(t_i)/k! of the solution, so ``table[j][0]`` is the state.
 The table does not store t_i; whoever builds or reads it already holds that
-time.  The stepper's own tables carry the problem's auxiliary series after
-these lists (see ``problems``); everything here reads state lists only.
+time.  ``stepper.build_coeff_table`` returns the problem's auxiliary series
+after these lists (see ``problems``); readers pass ``table[:dim]``, so
+everything here reads state lists only.
 Everything downstream (stepping, error control, stability
 evaluation) is built from convolution products and truncated series
 evaluation of these sequences.

@@ -147,7 +147,7 @@ def test_criterion_7_seir_structure():
         state = rng.uniform(0.0, 1.0, 6)
         state *= 3e6 / state.sum()
         table = np.array(build_coeff_table(prob, rng.uniform(0.0, 100.0),
-                                           state, 10)).T
+                                           state.tolist(), 10)).T
         assert np.abs(table[1:].sum(axis=1)).max() <= 1e-9 * 3e6
     rows = [r for r in seir_sweep_rows(orders=(8,)) if r["K"] == 8]
     assert all(r["status"] == "completed" for r in rows)

@@ -99,6 +99,13 @@ class TestSolve:
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output
 
+    def test_adaptive_intermediate_theta_rejected(self, runner):
+        # A usage error (2), not a failed run (1).
+        result = runner.invoke(main, ["solve", "--problem", "dahlquist",
+                                      "--theta", "0.3", "--tol", "1e-6"])
+        assert result.exit_code == 2, result.output
+        assert "adaptive mode supports theta in {0, 0.5, 1} only" in result.output
+
     def test_unknown_problem_rejected(self, runner):
         result = runner.invoke(main, ["solve", "--problem", "lorenz",
                                       "--dt", "0.1"])

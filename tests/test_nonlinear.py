@@ -168,8 +168,8 @@ class TestNewtonSolve:
 
 def step_residual(problem, state, theta, order, dt):
     """The implicit-step residual newton_solve sees for one step from state."""
-    table = build_coeff_table(problem, 0.4, state, order)
-    known = horner_eval(table, (1.0 - theta) * dt, order)
+    table = build_coeff_table(problem, 0.4, state.tolist(), order)
+    known = horner_eval(table[:problem.dim], (1.0 - theta) * dt, order)
     return lambda y: implicit_residual(problem, 0.4 + dt, known, y, theta,
                                        order, dt)[0]
 

@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from ieldtm.errors import InvalidConfigurationError
 from ieldtm.problems import (
     PROBLEM_NAMES,
     SeirParams,
@@ -25,8 +24,10 @@ from test_taylor import triple_product
 
 
 def coeffs_from(problem, t, state, depth):
-    """The coefficient table as a (depth+1, dim) array: row k is X(k)."""
-    return np.array(build_coeff_table(problem, t, state, depth)).T
+    """The state lists of the coefficient table as a (depth+1, dim) array:
+    row k is X(k)."""
+    table = build_coeff_table(problem, t, np.asarray(state).tolist(), depth)
+    return np.array(table[:problem.dim]).T
 
 
 class TestDahlquist:
@@ -212,9 +213,8 @@ def _exp_decay_forcing(t, k):
 
 
 class TestBatchAxis:
-    """The Newton Jacobian's complex-step states, once the columns of one
-    batched table, are built one at a time: the real part of the table
-    built from y + ih e_j is the real table of y."""
+    """The real part of the complex-step table built from y + ih e_j, one of
+    the Newton Jacobian's points, equals the real table of y."""
 
     CASES = [
         (dahlquist(-2.0), 0.0),
@@ -291,7 +291,8 @@ def _bits(table):
 
 class TestAuxiliarySeries:
     """Keeping the prefix product as an auxiliary series changes no bit of a
-    table: the oracle triple_product recomputes it on every call."""
+    table: the oracle triple_product recomputes it on every call.  The
+    builder returns the auxiliary lists after the state lists."""
 
     CASES = [
         (van_der_pol(10.0), _old_vdp(10.0), [1.7, -0.4]),
@@ -316,11 +317,9 @@ class TestAuxiliarySeries:
     def test_table_equals_old_formula(self, problem, old, y, depth):
         assert problem.aux == 1
         for state in self.states(y):
-            table = stepper._new_table(problem, 0.0, state, depth)
+            table = build_coeff_table(problem, 0.0, state, depth)
             assert len(table) == problem.dim + problem.aux
             assert _bits(table[:problem.dim]) == _bits(_old_table(old, state, depth))
-            assert _bits(build_coeff_table(problem, 0.0, state, depth)) == \
-                _bits(table[:problem.dim])
 
     @pytest.mark.parametrize("order", [3, 5, 9])
     @pytest.mark.parametrize("problem,old,y", CASES,
@@ -328,9 +327,9 @@ class TestAuxiliarySeries:
     def test_extended_table_equals_fresh_build(self, problem, old, y, order):
         for state in self.states(y):
             extended = stepper._run_recurrence(
-                problem, 0.0, stepper._new_table(problem, 0.0, state, order),
+                problem, 0.0, build_coeff_table(problem, 0.0, state, order),
                 order + EXTRA_DEPTH)
-            fresh = stepper._new_table(problem, 0.0, state, order + EXTRA_DEPTH)
+            fresh = build_coeff_table(problem, 0.0, state, order + EXTRA_DEPTH)
             assert _bits(extended) == _bits(fresh)
             assert _bits(extended[:problem.dim]) == \
                 _bits(_old_table(old, state, order + EXTRA_DEPTH))
@@ -342,8 +341,10 @@ class TestRegistry:
             assert make_problem(name).name == name
 
     def test_unknown_name(self):
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(ValueError, match="unknown problem 'lorenz'"):
             make_problem("lorenz")
 
     def test_parameter_override(self):
-        assert make_problem("dahlquist", lam=-3.0).linear_matrix[0, 0] == -3.0
+        # X(1) = lam X(0) for the Dahlquist rate lam.
+        c = coeffs_from(make_problem("dahlquist", lam=-3.0), 0.0, [1.0], 1)
+        assert c[1, 0] == -3.0

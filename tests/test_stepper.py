@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ieldtm import nonlinear, stepper
-from ieldtm.errors import InvalidConfigurationError
 from ieldtm.problems import (
     ProblemDefinition,
     SeirParams,
@@ -40,7 +39,7 @@ def step_residual(problem, state, trial, theta, order, dt):
     """implicit_residual of a trial state for one step of dt from state at
     t = 0."""
     table = build_coeff_table(problem, 0.0, state, order)
-    known = horner_eval(table, (1.0 - theta) * dt, order)
+    known = horner_eval(table[:problem.dim], (1.0 - theta) * dt, order)
     return implicit_residual(problem, dt, known, trial, theta, order, dt)[0]
 
 
@@ -80,13 +79,10 @@ class TestBuildCoeffTable:
             build_coeff_table(dahlquist(1.0), 0.0, [1.0], 0)
 
     def test_state_shape_validated(self):
-        with pytest.raises(ValueError):
-            build_coeff_table(duffing(), 0.0, [1.0], 2)
-        with pytest.raises(ValueError):
-            build_coeff_table(duffing(), 0.0, np.ones((2, 3, 1)), 2)
-        # A table holds one state: a (dim, B) batch is rejected.
-        with pytest.raises(ValueError):
-            build_coeff_table(duffing(), 0.0, np.ones((2, 3)), 2)
+        # The state is a list of exactly dim numbers.
+        for state in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="state must have 2 entries"):
+                build_coeff_table(duffing(), 0.0, state, 2)
 
 
 class TestExplicitStep:
@@ -95,11 +91,11 @@ class TestExplicitStep:
         assert result[0] == pytest.approx(1.105)
 
     def test_k1_is_forward_euler(self):
-        prob = linear_system(np.array([[0.0, 1.0], [-4.0, -1.0]]))
+        A = np.array([[0.0, 1.0], [-4.0, -1.0]])
         x = np.array([1.0, -2.0])
         dt = 0.2
-        result = one_step(prob, x, 0.0, 1, dt)
-        euler = x + dt * (prob.linear_matrix @ x)
+        result = one_step(linear_system(A), x, 0.0, 1, dt)
+        euler = x + dt * (A @ x)
         np.testing.assert_allclose(result, euler, rtol=1e-15)
 
     def test_taylor_remainder_bound(self):
@@ -110,17 +106,17 @@ class TestExplicitStep:
 class TestImplicitResidual:
     def test_zero_at_linear_fixed_point(self):
         lam, dt = -0.8, 0.3
-        trial = np.array([scalar_R(lam * dt, 0.5, 3).real])
+        trial = [scalar_R(lam * dt, 0.5, 3).real]
         r = step_residual(dahlquist(lam), [1.0], trial, 0.5, 3, dt)
         assert abs(r[0]) <= 1e-13
 
     def test_crank_nicolson_root_is_zero(self):
         # (1 + z/2) / (1 - z/2) vanishes at z = -2
-        r = step_residual(dahlquist(-2.0), [1.0], np.array([0.0]), 0.5, 1, 1.0)
+        r = step_residual(dahlquist(-2.0), [1.0], [0.0], 0.5, 1, 1.0)
         assert abs(r[0]) <= 1e-14
 
     def test_small_dt_near_identity(self):
-        r = step_residual(dahlquist(-1.0), [1.0], np.array([1.0]), 0.5, 2, 1e-13)
+        r = step_residual(dahlquist(-1.0), [1.0], [1.0], 0.5, 2, 1e-13)
         assert abs(r[0]) <= 1e-12
 
 
@@ -157,9 +153,12 @@ class TestAdaptiveFormulas:
         table = self.table_with_lead(3, 1, 1.0)
         assert adaptive_dt_case1(table, 3, 1e-6) == pytest.approx(0.01)
 
-    def test_case1_zero_coefficient_gives_dt_max(self):
-        table = self.table_with_lead(3, 1, 0.0)
-        assert adaptive_dt_case1(table, 3, 1e-6, dt_max=7.0) == 7.0
+    def test_case1_zero_coefficient_gives_inf(self):
+        # No cap: integrate shortens the step to land on t_final.
+        assert adaptive_dt_case1(self.table_with_lead(3, 1, 0.0), 3, 1e-6) \
+            == math.inf
+        assert adaptive_dt_case2(self.table_with_lead(3, 2, 0.0), 3, 1e-6) \
+            == math.inf
 
     def test_case1_tolerance_scaling(self):
         table = self.table_with_lead(4, 1, 0.3)
@@ -174,7 +173,7 @@ class TestAdaptiveFormulas:
 
     def test_case2_rejects_even_order(self):
         table = self.table_with_lead(4, 2, 1.0)
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(ValueError, match="requires odd order"):
             adaptive_dt_case2(table, 4, 1e-8)
 
     def test_case2_tolerance_scaling(self):
@@ -182,6 +181,23 @@ class TestAdaptiveFormulas:
         base = adaptive_dt_case2(table, 5, 1e-9)
         halved = adaptive_dt_case2(table, 5, 5e-10)
         assert halved == pytest.approx(base * 0.5 ** (1.0 / 6.0))
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_case1_lead_is_2_to_the_K_of_the_central_estimate(self, order):
+        # At theta = 0.5 with even K the estimate weights ||X(K+1)|| by
+        # 0.5^K while case 1 steers by it unweighted; at theta in {0, 1} the
+        # weight is 1.  All factors are powers of two, so equality is exact.
+        tol = 1e-8
+        table = build_coeff_table(van_der_pol(10.0), 0.0, [1.7, -0.4],
+                                  order + 1)[:2]
+        central, power = stepper._leading_term(table, 0.5, order)
+        assert power == order + 1
+        case1 = adaptive_dt_case1(table, order, tol)
+        assert case1 == (tol / (2 ** order * central)) ** (1.0 / order)
+        for theta in (0.0, 1.0):
+            lead = stepper._leading_term(table, theta, order)[0]
+            assert lead == 2 ** order * central
+            assert case1 == (tol / lead) ** (1.0 / order)
 
 
 class TestIntegrateFixed:
@@ -252,9 +268,10 @@ class TestIntegrateAdaptive:
         assert np.abs(trace.times - 66.0).min() <= 1e-9
 
     def test_intermediate_theta_unsupported(self):
-        cfg = SchemeConfig(0.75, 3, AdaptiveStep(1e-8))
-        with pytest.raises(InvalidConfigurationError):
-            integrate(dahlquist(-1.0), cfg, 1.0)
+        # Refused when the config is built, before any run.
+        with pytest.raises(ValueError, match=r"theta in \{0, 0.5, 1\}"):
+            SchemeConfig(0.75, 3, AdaptiveStep(1e-8))
+        assert SchemeConfig(0.75, 3, FixedStep(0.1)).theta == 0.75
 
     def test_min_step_underflow(self):
         # The first proposal is far below dt_min: no step is taken.
@@ -262,6 +279,15 @@ class TestIntegrateAdaptive:
         trace = integrate(dahlquist(-1.0), cfg, 1.0)
         assert trace.status == "min-step-underflow"
         assert trace.steps == 0
+
+    def test_t_final_below_dt_min_completes(self):
+        # The proposal (about 1.2) exceeds dt_min; the step is shortened to
+        # land on t_final, which lies below dt_min.
+        cfg = SchemeConfig(1.0, 3, AdaptiveStep(1e-1, dt_min=0.5))
+        trace = integrate(dahlquist(-1.0), cfg, 0.4)
+        assert trace.status == "completed"
+        assert trace.times.tolist() == [0.0, 0.4]
+        assert trace.final_state[0] == pytest.approx(math.exp(-0.4), rel=1e-3)
 
     def test_explicit_adaptive_runs(self):
         cfg = SchemeConfig(0.0, 4, AdaptiveStep(1e-8))
@@ -356,9 +382,8 @@ class TestIntegrateDispatch:
         assert fixed.steps == 10
 
     def test_rejects_unknown_mode(self):
-        cfg = SchemeConfig(0.5, 3, step_mode=0.1)
-        with pytest.raises(InvalidConfigurationError):
-            integrate(dahlquist(-1.0), cfg, 1.0)
+        with pytest.raises(ValueError, match="step_mode must be"):
+            SchemeConfig(0.5, 3, step_mode=0.1)
 
 
 class TestFailureContext:
@@ -418,8 +443,8 @@ class TestNodeTableReuse:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(stepper, "_new_table",
-                            counted("build", stepper._new_table))
+        monkeypatch.setattr(stepper, "build_coeff_table",
+                            counted("build", stepper.build_coeff_table))
         monkeypatch.setattr(stepper, "implicit_residual",
                             counted("residual", stepper.implicit_residual))
         cfg = SchemeConfig(0.5, 5, AdaptiveStep(1e-10))
@@ -450,15 +475,15 @@ class TestNodeTableReuse:
     def test_residual_of_prebuilt_trial_table(self):
         # The trial table handed back with the defect is a fresh build.
         prob = duffing()
-        known = horner_eval(build_coeff_table(prob, 0.0, prob.default_initial, 4),
-                            0.05, 4)
+        node = build_coeff_table(prob, 0.0, prob.default_initial.tolist(), 4)
+        known = horner_eval(node[:prob.dim], 0.05, 4)
         trial = [0.51, 0.24]
         _, full_table = implicit_residual(prob, 0.1, known, trial, 0.5, 4, 0.1)
-        trial_table, aux_lists = full_table[:prob.dim], full_table[prob.dim:]
-        assert coeff_array(trial_table).tobytes() == \
-            coeff_array(build_coeff_table(prob, 0.1, trial, 4)).tobytes()
-        assert coeff_array(aux_lists).tobytes() == \
-            coeff_array(stepper._new_table(prob, 0.1, trial, 4)[prob.dim:]).tobytes()
+        fresh = build_coeff_table(prob, 0.1, trial, 4)
+        assert coeff_array(full_table[:prob.dim]).tobytes() == \
+            coeff_array(fresh[:prob.dim]).tobytes()
+        assert coeff_array(full_table[prob.dim:]).tobytes() == \
+            coeff_array(fresh[prob.dim:]).tobytes()
 
 
 class TestAuxiliarySeriesHidden:

@@ -100,8 +100,8 @@ class TestTripleProduct:
 
 
 class TestBatchAxis:
-    """The list products (the triple one being the oracle above), one column
-    at a time, against numpy's convolution of a whole batch of columns."""
+    """The list products (the triple one being the oracle above), per column,
+    against numpy's convolution of the same columns."""
 
     @pytest.mark.parametrize("k", range(8))
     def test_cauchy_matches_columns(self, k):
