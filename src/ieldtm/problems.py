@@ -1,25 +1,23 @@
 """Built-in ODE systems expressed as Taylor-coefficient recurrences.
 
-Each problem supplies a ``recurrence(t_i, coeffs, k) -> X(k+1)`` that maps the
-coefficients known through index k to the next scaled derivative.
-``coeffs`` is a coefficient table expanded about ``t_i``: the ``dim``
-per-component lists, ``coeffs[j][k]`` = X_j(k), each holding k+1 entries,
-followed by the problem's ``aux`` auxiliary lists, each holding k entries.
-The recurrence first appends entry k to every auxiliary list, then returns
-the ``dim`` values of X(k+1) as a list.  An auxiliary list keeps the series
-of an intermediate product, such as U^2 in U^2 V, so that each index costs
-one convolution per product instead of recomputing the product's prefix.
-``stepper.build_coeff_table`` takes the state as a list and returns the
-whole table, auxiliary lists included; readers of the state slice
-``table[:dim]``.  Any user ODE can be added by writing such a recurrence;
-the library does not derive recurrences from closed-form right-hand sides
-automatically.
+Each problem supplies a ``recurrence(t_i, table, depth)`` that extends, in
+place, every list of a coefficient table expanded about ``t_i``, state and
+auxiliary lists alike, from the lists' current length until each state list
+holds depth+1 entries; it returns nothing.  The table is the ``dim``
+per-component lists, ``table[j][k]`` = X_j(k), followed by the problem's
+``aux`` auxiliary lists, which hold one entry fewer.  An auxiliary list
+keeps the series of an intermediate product, such as U^2 in U^2 V, so that
+each index costs one convolution per product instead of recomputing the
+product's prefix.  ``stepper.build_coeff_table`` takes the state as a list
+and returns the whole table; readers of the state slice ``table[:dim]``.
+Any user ODE can be added by writing such a recurrence; the library does
+not derive recurrences from closed-form right-hand sides automatically.
 
 Recurrences must be complex-analytic: the Newton solver builds tables whose
 coefficients are complex numbers (its complex-step Jacobian), and these must
 give the complex X(k+1) of the same formula.  So no ``abs``, ``max``,
 comparisons or ``float()`` on coefficients; sums, products and
-``cauchy_product`` keep the type.
+dot products of coefficient slices keep the type.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
-
-from .taylor import cauchy_product
 
 __all__ = [
     "ProblemDefinition",
@@ -46,7 +42,7 @@ __all__ = [
     "PROBLEM_NAMES",
 ]
 
-Recurrence = Callable[[float, list, int], list]
+Recurrence = Callable[[float, list, int], None]
 
 
 @dataclass(frozen=True)
@@ -97,8 +93,10 @@ def dahlquist(lam: float, x0: float = 1.0) -> ProblemDefinition:
     """
     lam, x0 = _finite(lam=lam, x0=x0)
 
-    def recurrence(t, coeffs, k):
-        return [lam * coeffs[0][k] / (k + 1)]
+    def recurrence(t, table, depth):
+        x, = table
+        for k in range(len(x) - 1, depth):
+            x.append(lam * x[k] / (k + 1))
 
     return ProblemDefinition(
         name="dahlquist",
@@ -118,20 +116,21 @@ def linear_system(A, forcing=None, name: str = "linear",
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     m = A.shape[0]
     if default_initial is None:
         default_initial = np.ones(m)
     rows = A.tolist()
-
     if forcing is None:
-        def recurrence(t, coeffs, k):
-            x = [col[k] for col in coeffs]
-            return [sum(map(mul, row, x)) / (k + 1) for row in rows]
-    else:
-        def recurrence(t, coeffs, k):
-            x = [col[k] for col in coeffs]
-            return [(sum(map(mul, row, x)) + float(f)) / (k + 1)
-                    for row, f in zip(rows, forcing(t, k))]
+        zeros = [0.0] * m
+        forcing = lambda t, k: zeros
+
+    def recurrence(t, table, depth):
+        for k in range(len(table[0]) - 1, depth):
+            x = [col[k] for col in table]
+            for col, row, f in zip(table, rows, forcing(t, k)):
+                col.append((sum(map(mul, row, x)) + float(f)) / (k + 1))
 
     return ProblemDefinition(
         name=name,
@@ -192,19 +191,24 @@ def seir(params: SeirParams | None = None) -> ProblemDefinition:
     inv_N = 1.0 / params.N
     mu = params.mu
 
-    def recurrence(t, coeffs, k):
-        s, e, p, a, d, _ = coeffs
-        # S * (P + D + mu A), the infection term, in one convolution loop.
-        conv = 0.0
-        for j in range(k + 1):
-            i = k - j
-            conv += s[j] * (p[i] + d[i] + mu * a[i])
-        lam = params.beta_at(t) * inv_N * conv
-        ek, pk, ak, dk = e[k], p[k], a[k], d[k]
-        n = k + 1
-        return [-lam / n, (-r_e * ek + lam) / n, (e_to_p * ek - r_p * pk) / n,
-                (e_to_a * ek - r_a * ak) / n, (r_p * pk - r_d * dk) / n,
-                (r_a * ak + r_d * dk) / n]
+    def recurrence(t, table, depth):
+        s, e, p, a, d, r = table
+        rate = params.beta_at(t) * inv_N
+        for k in range(len(s) - 1, depth):
+            # S * (P + D + mu A), the infection term, in one convolution loop.
+            conv = 0.0
+            for j in range(k + 1):
+                i = k - j
+                conv += s[j] * (p[i] + d[i] + mu * a[i])
+            lam = rate * conv
+            ek, pk, ak, dk = e[k], p[k], a[k], d[k]
+            n = k + 1
+            s.append(-lam / n)
+            e.append((-r_e * ek + lam) / n)
+            p.append((e_to_p * ek - r_p * pk) / n)
+            a.append((e_to_a * ek - r_a * ak) / n)
+            d.append((r_p * pk - r_d * dk) / n)
+            r.append((r_a * ak + r_d * dk) / n)
 
     disc = (params.t_c,) if params.eta != 1.0 else ()
     initial = np.array([params.N - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
@@ -230,12 +234,13 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
     """
     alpha, beta, gamma = _finite(alpha=alpha, beta=beta, gamma=gamma)
 
-    def recurrence(t, coeffs, k):
-        x1, x2, sq = coeffs
-        sq.append(sum(map(mul, x1[: k + 1], x1[k::-1])))
-        cubic = sum(map(mul, sq, x1[k::-1]))
-        return [x2[k] / (k + 1),
-                (-beta * x1[k] - alpha * x2[k] - gamma * cubic) / (k + 1)]
+    def recurrence(t, table, depth):
+        x1, x2, sq = table
+        for k in range(len(x1) - 1, depth):
+            sq.append(sum(map(mul, x1[: k + 1], x1[k::-1])))
+            cubic = sum(map(mul, sq, x1[k::-1]))
+            x1.append(x2[k] / (k + 1))
+            x2.append((-beta * x1[k] - alpha * x2[k] - gamma * cubic) / (k + 1))
 
     exact = None
     if (alpha, beta, gamma) == _LOGISTIC_PARAMS:
@@ -261,15 +266,18 @@ def robertson_modified() -> ProblemDefinition:
     from differentiating e^(-t)).
     """
 
-    def recurrence(t, coeffs, k):
-        x1, x2, x3 = coeffs
-        q23 = cauchy_product(x2, x3, k)
-        q22 = cauchy_product(x2, x2, k)
-        f = math.exp(-t) * (-1.0 if k % 2 else 1.0) / math.factorial(k)
-        a1, a23, a22 = 0.04 * x1[k], 1e4 * q23, 3e7 * q22
-        n = k + 1
-        return [(a23 - a1 - 0.96 * f) / n, (a1 - a23 - a22 - 0.04 * f) / n,
-                (a22 + f) / n]
+    def recurrence(t, table, depth):
+        x1, x2, x3 = table
+        decay = math.exp(-t)
+        for k in range(len(x1) - 1, depth):
+            q23 = sum(map(mul, x2[: k + 1], x3[k::-1]))
+            q22 = sum(map(mul, x2[: k + 1], x2[k::-1]))
+            f = decay * (-1.0 if k % 2 else 1.0) / math.factorial(k)
+            a1, a23, a22 = 0.04 * x1[k], 1e4 * q23, 3e7 * q22
+            n = k + 1
+            x1.append((a23 - a1 - 0.96 * f) / n)
+            x2.append((a1 - a23 - a22 - 0.04 * f) / n)
+            x3.append((a22 + f) / n)
 
     def exact(t):
         e = math.exp(-t)
@@ -289,11 +297,13 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     grows with eps."""
     eps, = _finite(epsilon=epsilon)
 
-    def recurrence(t, coeffs, k):
-        u, v, uu = coeffs
-        uu.append(sum(map(mul, u[: k + 1], u[k::-1])))
-        return [v[k] / (k + 1),
-                (-u[k] + eps * v[k] - eps * sum(map(mul, uu, v[k::-1]))) / (k + 1)]
+    def recurrence(t, table, depth):
+        u, v, uu = table
+        for k in range(len(u) - 1, depth):
+            uu.append(sum(map(mul, u[: k + 1], u[k::-1])))
+            u.append(v[k] / (k + 1))
+            v.append((-u[k] + eps * v[k]
+                      - eps * sum(map(mul, uu, v[k::-1]))) / (k + 1))
 
     return ProblemDefinition(
         name="vanderpol",

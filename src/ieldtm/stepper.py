@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from operator import sub
 from typing import List, Union
 
@@ -83,8 +84,11 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
+        if isinstance(self.order, bool) or not isinstance(self.order, Integral):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        object.__setattr__(self, "order", int(self.order))
         if not isinstance(self.step_mode, (FixedStep, AdaptiveStep)):
             raise ValueError("step_mode must be a FixedStep or an AdaptiveStep")
         if (isinstance(self.step_mode, AdaptiveStep)
@@ -141,7 +145,8 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
     t_i through ``depth``.
 
     The table holds the ``dim`` state lists, ``table[j][k]`` = X_j(k),
-    followed by the problem's auxiliary lists; readers of the state slice
+    followed by the problem's auxiliary lists, and one recurrence call
+    extends them all in place from the state; readers of the state slice
     ``table[:dim]``.  Complex entries give complex coefficients.
     """
     if len(state) != problem.dim:
@@ -156,16 +161,12 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
 def _run_recurrence(problem, t_i, table, depth: int) -> list:
     """Extend the table about t_i in place through ``depth`` and return it.
 
-    Only the missing recurrences run, so extending a table equals building
-    it afresh, bit for bit.
+    One call of the problem's recurrence extends every list, state and
+    auxiliary alike, from its current length until each state list holds
+    depth+1 entries, so extending a table equals building it afresh, bit for
+    bit.
     """
-    recurrence = problem.recurrence
-    for k in range(len(table[0]) - 1, depth):
-        # One pass of map appends X_j(k+1) to every state list and stops
-        # there, before the auxiliary lists the recurrence appends to
-        # itself; at these sizes a Python loop over the components costs
-        # more.
-        list(map(list.append, table, recurrence(t_i, table, k)))
+    problem.recurrence(t_i, table, depth)
     if not all(map(cmath.isfinite, chain.from_iterable(table))):
         raise NonFiniteStateError(
             f"non-finite Taylor coefficient at t = {t_i!r}")

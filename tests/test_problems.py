@@ -251,8 +251,11 @@ class TestNonFiniteParameters:
         lambda v: duffing(alpha=v),
         lambda v: duffing(beta=v),
         lambda v: duffing(gamma=v),
+        lambda v: linear_system([[v, 0.0], [0.0, -1.0]]),
+        lambda v: linear_system([[-1.0, 0.0], [v, -1.0]]),
     ], ids=["vdp-epsilon", "dahlquist-lam", "dahlquist-x0", "duffing-alpha",
-            "duffing-beta", "duffing-gamma"])
+            "duffing-beta", "duffing-gamma", "linear-diagonal",
+            "linear-off-diagonal"])
     def test_refused(self, make, value):
         with pytest.raises(ValueError, match="must be finite"):
             make(value)
@@ -292,7 +295,8 @@ def _bits(table):
 class TestAuxiliarySeries:
     """Keeping the prefix product as an auxiliary series changes no bit of a
     table: the oracle triple_product recomputes it on every call.  The
-    builder returns the auxiliary lists after the state lists."""
+    builder returns the auxiliary lists after the state lists, and every
+    problem's recurrence extends a table from its current length."""
 
     CASES = [
         (van_der_pol(10.0), _old_vdp(10.0), [1.7, -0.4]),
@@ -311,7 +315,7 @@ class TestAuxiliarySeries:
             points.append(point)
         return points
 
-    @pytest.mark.parametrize("depth", [5, 11])
+    @pytest.mark.parametrize("depth", [5, 7, 11])
     @pytest.mark.parametrize("problem,old,y", CASES,
                              ids=["vdp10", "vdp1000", "duffing", "duffing-other"])
     def test_table_equals_old_formula(self, problem, old, y, depth):
@@ -321,18 +325,36 @@ class TestAuxiliarySeries:
             assert len(table) == problem.dim + problem.aux
             assert _bits(table[:problem.dim]) == _bits(_old_table(old, state, depth))
 
+    # (problem, expansion time, state) for every built-in problem.  The
+    # depths the extension reaches are those test_table_equals_old_formula
+    # checks against the oracles.
+    EXTEND_CASES = [
+        (van_der_pol(10.0), 0.0, [1.7, -0.4]),
+        (van_der_pol(1000.0), 0.0, [-2.0, 0.3]),
+        (duffing(), 0.0, [0.5, 0.25]),
+        (duffing(1.0, -0.5, 3.0), 0.0, [-0.9, 1.3]),
+        (dahlquist(-2.0), 0.0, [1.3]),
+        (linear_system([[-2.0, 1.0], [0.5, -3.0]]), 0.0, [0.8, -1.1]),
+        (linear_system([[-2.0, 1.0], [0.5, -3.0]], forcing=_exp_decay_forcing),
+         0.7, [0.8, -1.1]),
+        (seir(SeirParams(eta=8.0)), 70.0,
+         [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4]),
+        (robertson_modified(), 1.2, [0.3, 2e-5, 0.7]),
+    ]
+
     @pytest.mark.parametrize("order", [3, 5, 9])
-    @pytest.mark.parametrize("problem,old,y", CASES,
-                             ids=["vdp10", "vdp1000", "duffing", "duffing-other"])
-    def test_extended_table_equals_fresh_build(self, problem, old, y, order):
+    @pytest.mark.parametrize("problem,t,y", EXTEND_CASES,
+                             ids=["vdp10", "vdp1000", "duffing", "duffing-other",
+                                  "dahlquist", "linear", "linear-forced",
+                                  "seir-after-tc", "robertson"])
+    def test_extended_table_equals_fresh_build(self, problem, t, y, order):
         for state in self.states(y):
             extended = stepper._run_recurrence(
-                problem, 0.0, build_coeff_table(problem, 0.0, state, order),
+                problem, t, build_coeff_table(problem, t, state, order),
                 order + EXTRA_DEPTH)
-            fresh = build_coeff_table(problem, 0.0, state, order + EXTRA_DEPTH)
+            fresh = build_coeff_table(problem, t, state, order + EXTRA_DEPTH)
+            assert len(extended[0]) == order + EXTRA_DEPTH + 1
             assert _bits(extended) == _bits(fresh)
-            assert _bits(extended[:problem.dim]) == \
-                _bits(_old_table(old, state, order + EXTRA_DEPTH))
 
 
 class TestRegistry:

@@ -52,8 +52,10 @@ def one_step(problem, state, theta, order, dt):
 def quadratic_blowup():
     """x' = x^2, x(0) = 1: backward Euler with dt = 1 needs y - y^2 = 1,
     which has no real root."""
-    def recurrence(t, coeffs, k):
-        return [cauchy_product(coeffs[0], coeffs[0], k) / (k + 1)]
+    def recurrence(t, table, depth):
+        x, = table
+        for k in range(len(x) - 1, depth):
+            x.append(cauchy_product(x, x, k) / (k + 1))
 
     return ProblemDefinition(name="quadratic", dim=1, recurrence=recurrence,
                              default_initial=np.array([1.0]))
@@ -304,6 +306,19 @@ class TestSchemeConfigValidation:
     def test_order_positive(self):
         with pytest.raises(ValueError):
             SchemeConfig(0.5, 0, FixedStep(0.1))
+
+    @pytest.mark.parametrize("order", [2.5, True], ids=["float", "bool"])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            SchemeConfig(0.5, order, FixedStep(0.1))
+
+    def test_numpy_integer_order_accepted(self):
+        cfg = SchemeConfig(0.5, np.int64(3), FixedStep(0.1))
+        assert type(cfg.order) is int and cfg.order == 3
+        trace = integrate(dahlquist(-1.0), cfg, 1.0)
+        ref = integrate(dahlquist(-1.0), SchemeConfig(0.5, 3, FixedStep(0.1)), 1.0)
+        assert trace.status == ref.status == "completed"
+        assert trace.final_state.tobytes() == ref.final_state.tobytes()
 
     def test_step_mode_validation(self):
         with pytest.raises(ValueError):
