@@ -14,7 +14,6 @@ from .errors import (
 from .nonlinear import lu_solve, newton_solve
 from .problems import (
     ProblemDefinition,
-    SeirParams,
     dahlquist,
     duffing,
     linear_system,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 
 import numpy as np
@@ -24,6 +23,7 @@ from .stepper import (
     SchemeConfig,
     SolutionTrace,
     integrate,
+    theoretical_order,
 )
 
 __all__ = [
@@ -135,13 +135,6 @@ def run_solve(problem: ProblemDefinition, config: SchemeConfig,
     if self_err is not None:
         summary["oracle_self_error"] = self_err
     return trace, summary
-
-
-def theoretical_order(theta: float, order: int) -> int:
-    """Order rule: K+1 for the central scheme with odd K, K otherwise."""
-    if theta == 0.5 and order % 2 == 1:
-        return order + 1
-    return order
 
 
 def order_sweep_rows(problem: ProblemDefinition | None = None,
@@ -399,6 +392,3 @@ def write_grid_csv(stream, theta: float, order: int, re_range, im_range,
     write_csv(stream, meta, ["re", "im", "absR"], rows)
     return grid
 
-
-def summary_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=False)

@@ -22,7 +22,6 @@ from .bench import (
     rows_to_csv,
     run_solve,
     seir_sweep_rows,
-    summary_json,
     table3_rows,
     table4_rows,
     table5_rows,
@@ -71,33 +70,26 @@ def _scheme_options(func):
 def _problem_options(func):
     func = click.option("--problem", type=click.Choice(PROBLEM_NAMES),
                         default="duffing", show_default=True)(func)
-    func = click.option("--lambda", "lam", type=_FINITE, default=-1.0,
-                        show_default=True, help="Dahlquist rate.")(func)
-    func = click.option("--epsilon", type=_FINITE, default=10.0, show_default=True,
-                        help="Van der Pol stiffness.")(func)
-    for name, default, help_text in (
-        ("--beta", 1.12, "SEIR daily transmission rate."),
-        ("--mu", 0.55, "SEIR transmission reduction factor."),
-        ("--alpha", 0.14, "SEIR pre-symptomatic ratio."),
-        ("--d1", 3.69, "SEIR mean latency period (days)."),
-        ("--d2", 3.47, "SEIR mean pre-symptomatic period (days)."),
-        ("--d3", 3.47, "SEIR mean asymptomatic period (days)."),
-        ("--hosp-period", 1.92, "SEIR mean hospitalization period (days)."),
-        ("--population", 3e6, "SEIR total population."),
-        ("--eta", 1.0, "SEIR transmission scaling after t_c."),
-        ("--tc", 66.0, "SEIR transmission switch time (days)."),
+    # Each option is named after a parameter of the problem factories in
+    # problems.py, which hold the defaults; solve forwards the given ones.
+    for flag, name, help_text in (
+        ("--lambda", "lam", "Dahlquist rate."),
+        ("--epsilon", "epsilon", "Van der Pol stiffness."),
+        ("--beta", "beta", "Duffing linear coefficient, or SEIR daily "
+                           "transmission rate."),
+        ("--mu", "mu", "SEIR transmission reduction factor."),
+        ("--alpha", "alpha", "Duffing damping, or SEIR pre-symptomatic ratio."),
+        ("--d1", "d1", "SEIR mean latency period (days)."),
+        ("--d2", "d2", "SEIR mean pre-symptomatic period (days)."),
+        ("--d3", "d3", "SEIR mean asymptomatic period (days)."),
+        ("--hosp-period", "p", "SEIR mean hospitalization period (days)."),
+        ("--population", "N", "SEIR total population."),
+        ("--eta", "eta", "SEIR transmission scaling after t_c."),
+        ("--tc", "t_c", "SEIR transmission switch time (days)."),
     ):
-        func = click.option(name, type=_FINITE, default=default,
-                            show_default=True, help=help_text)(func)
+        func = click.option(flag, name, type=_FINITE, default=None,
+                            help=help_text)(func)
     return func
-
-
-def _build_problem(problem, lam, epsilon, beta, mu, alpha, d1, d2, d3,
-                   hosp_period, population, eta, tc):
-    return make_problem(
-        problem, lam=lam, epsilon=epsilon, beta=beta, mu=mu, alpha=alpha,
-        d1=d1, d2=d2, d3=d3, p=hosp_period, N=population, eta=eta, t_c=tc,
-    )
 
 
 def _build_config(theta, order, dt, tol, safety):
@@ -145,13 +137,17 @@ def main():
               default="csv", show_default=True)
 @click.option("--no-oracle", is_flag=True,
               help="Skip the reference-solution error estimate.")
-def solve(problem, lam, epsilon, beta, mu, alpha, d1, d2, d3, hosp_period,
-          population, eta, tc, theta, order, dt, tol, safety, tf, out, fmt,
-          no_oracle):
-    """Integrate one problem and report a JSON summary."""
+def solve(problem, theta, order, dt, tol, safety, tf, out, fmt, no_oracle,
+          **params):
+    """Integrate one problem and report a JSON summary.
+
+    The problem options given pass to the chosen problem's factory, whose
+    defaults fill the rest; an option that problem does not take is a usage
+    error."""
     try:
-        prob = _build_problem(problem, lam, epsilon, beta, mu, alpha, d1, d2,
-                              d3, hosp_period, population, eta, tc)
+        given = {name: value for name, value in params.items()
+                 if value is not None}
+        prob = make_problem(problem, **given)
         config = _build_config(theta, order, dt, tol, safety)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -166,10 +162,10 @@ def solve(problem, lam, epsilon, beta, mu, alpha, d1, d2, d3, hosp_period,
     if out:
         with open(out, "w") as fh:
             if fmt == "json":
-                fh.write(summary_json(summary) + "\n")
+                fh.write(json.dumps(summary, indent=2) + "\n")
             else:
                 write_trace_csv(fh, trace, meta)
-    click.echo(summary_json(summary))
+    click.echo(json.dumps(summary, indent=2))
     if trace.status != "completed":
         sys.exit(1)
 

@@ -22,8 +22,9 @@ dot products of coefficient slices keep the type.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Optional
 
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "ProblemDefinition",
-    "SeirParams",
     "dahlquist",
     "linear_system",
     "seir",
@@ -85,7 +85,7 @@ def _finite(**params) -> list:
     return values
 
 
-def dahlquist(lam: float, x0: float = 1.0) -> ProblemDefinition:
+def dahlquist(lam: float = -1.0, x0: float = 1.0) -> ProblemDefinition:
     """Scalar test equation x' = lam * x with exact solution x0 * e^(lam t).
 
     Real lam only; complex arguments belong to the closed-form stability
@@ -125,6 +125,8 @@ def linear_system(A, forcing=None, name: str = "linear",
     if forcing is None:
         zeros = [0.0] * m
         forcing = lambda t, k: zeros
+    elif len(list(forcing(0.0, 0))) != m:
+        raise ValueError(f"forcing must give {m} values, one per component")
 
     def recurrence(t, table, depth):
         for k in range(len(table[0]) - 1, depth):
@@ -141,59 +143,35 @@ def linear_system(A, forcing=None, name: str = "linear",
     )
 
 
-@dataclass(frozen=True)
-class SeirParams:
-    """Epidemic-model rates.  Defaults are the COVID-19 calibration of
-    Li et al. (2020): transmission 1.12/day, latency 3.69 days, etc."""
-
-    beta: float = 1.12
-    mu: float = 0.55
-    alpha: float = 0.14
-    d1: float = 3.69
-    d2: float = 3.47
-    d3: float = 3.47
-    p: float = 1.92
-    N: float = 3e6
-    eta: float = 1.0
-    t_c: float = 66.0
-
-    def __post_init__(self):
-        # A nan t_c would silently never switch (t >= nan is false).
-        if not all(map(math.isfinite, astuple(self))):
-            raise ValueError("SEIR parameters must be finite")
-        if min(self.d1, self.d2, self.d3, self.p, self.N) <= 0:
-            raise ValueError("d1, d2, d3, p, N must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.eta < 1.0:
-            raise ValueError("eta must be >= 1")
-
-    def beta_at(self, t: float) -> float:
-        """Transmission rate used by the expansion starting at t.
-
-        Steps launched at t >= t_c integrate over (t, t+dt] where the scaled
-        rate applies, so the right limit is the faithful choice.
-        """
-        return self.beta * self.eta if t >= self.t_c else self.beta
-
-
-def seir(params: SeirParams | None = None) -> ProblemDefinition:
+def seir(*, beta: float = 1.12, mu: float = 0.55, alpha: float = 0.14,
+         d1: float = 3.69, d2: float = 3.47, d3: float = 3.47, p: float = 1.92,
+         N: float = 3e6, eta: float = 1.0, t_c: float = 66.0) -> ProblemDefinition:
     """Six-compartment epidemic system with a bilinear infection term and an
-    optional transmission-rate jump at t_c (stiffness scaling eta)."""
-    if params is None:
-        params = SeirParams()
+    optional transmission-rate jump to eta * beta at t_c.  The defaults are
+    the COVID-19 calibration of Li et al. (2020): transmission 1.12/day,
+    latency 3.69 days, etc."""
+    # A nan t_c would silently never switch (t >= nan is false).
+    beta, mu, alpha, d1, d2, d3, p, N, eta, t_c = _finite(
+        beta=beta, mu=mu, alpha=alpha, d1=d1, d2=d2, d3=d3, p=p, N=N, eta=eta,
+        t_c=t_c)
+    if min(d1, d2, d3, p, N) <= 0:
+        raise ValueError("d1, d2, d3, p, N must be positive")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
+    if eta < 1.0:
+        raise ValueError("eta must be >= 1")
     # Rates of the linear compartment flows, state order (S, E, P, A, D, R):
     # whatever leaves one compartment enters another, so the population is
     # conserved at the coefficient level.
-    r_e, r_p, r_a, r_d = (1.0 / params.d1, 1.0 / params.d2, 1.0 / params.d3,
-                          1.0 / params.p)
-    e_to_p, e_to_a = params.alpha / params.d1, (1.0 - params.alpha) / params.d1
-    inv_N = 1.0 / params.N
-    mu = params.mu
+    r_e, r_p, r_a, r_d = 1.0 / d1, 1.0 / d2, 1.0 / d3, 1.0 / p
+    e_to_p, e_to_a = alpha / d1, (1.0 - alpha) / d1
+    inv_N = 1.0 / N
 
     def recurrence(t, table, depth):
         s, e, p, a, d, r = table
-        rate = params.beta_at(t) * inv_N
+        # Steps launched at t >= t_c integrate over (t, t+dt] where the
+        # scaled rate applies, so the right limit is the faithful choice.
+        rate = (beta * eta if t >= t_c else beta) * inv_N
         for k in range(len(s) - 1, depth):
             # S * (P + D + mu A), the infection term, in one convolution loop.
             conv = 0.0
@@ -210,14 +188,14 @@ def seir(params: SeirParams | None = None) -> ProblemDefinition:
             d.append((r_p * pk - r_d * dk) / n)
             r.append((r_a * ak + r_d * dk) / n)
 
-    disc = (params.t_c,) if params.eta != 1.0 else ()
-    initial = np.array([params.N - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    disc = (t_c,) if eta != 1.0 else ()
+    initial = np.array([N - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     return ProblemDefinition(
         name="seir",
         dim=6,
         recurrence=recurrence,
         default_initial=initial,
-        conserved_sum=params.N,
+        conserved_sum=N,
         discontinuities=disc,
     )
 
@@ -314,24 +292,30 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     )
 
 
-PROBLEM_NAMES = ("dahlquist", "duffing", "robertson", "vanderpol", "seir")
+_FACTORIES = {
+    "dahlquist": dahlquist,
+    "duffing": duffing,
+    "robertson": robertson_modified,
+    "vanderpol": van_der_pol,
+    "seir": seir,
+}
+PROBLEM_NAMES = tuple(_FACTORIES)
 
 
 def make_problem(name: str, **params) -> ProblemDefinition:
-    """CLI-facing problem factory; unknown names raise ValueError."""
-    if name == "dahlquist":
-        return dahlquist(params.get("lam", -1.0))
-    if name == "duffing":
-        return duffing(params.get("alpha", -3.0), params.get("beta", 2.0),
-                       params.get("gamma", -2.0))
-    if name == "robertson":
-        return robertson_modified()
-    if name == "vanderpol":
-        return van_der_pol(params.get("epsilon", 10.0))
-    if name == "seir":
-        keys = ("beta", "mu", "alpha", "d1", "d2", "d3", "p", "N", "eta", "t_c")
-        kwargs = {k: params[k] for k in keys if k in params and params[k] is not None}
-        return seir(SeirParams(**kwargs))
-    raise ValueError(
-        f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
-    )
+    """The built-in problem ``name`` from its factory called with
+    ``params``; an unknown name, or a parameter that factory does not take,
+    raises ValueError."""
+    factory = _FACTORIES.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
+        )
+    taken = inspect.signature(factory).parameters
+    extra = [key for key in params if key not in taken]
+    if extra:
+        raise ValueError(
+            f"problem {name!r} takes no parameter {', '.join(map(repr, extra))}"
+            f" (it takes: {', '.join(taken) or 'none'})"
+        )
+    return factory(**params)

@@ -35,6 +35,7 @@ __all__ = [
     "adaptive_dt_case1",
     "adaptive_dt_case2",
     "integrate",
+    "theoretical_order",
 ]
 
 # Two coefficients beyond the scheme order are always generated: the central
@@ -253,6 +254,13 @@ def adaptive_dt_case2(table: list, order: int, tol: float,
     return safety * (tol / lead) ** (1.0 / (power - 1))
 
 
+def theoretical_order(theta: float, order: int) -> int:
+    """Order rule: K+1 for the central scheme with odd K, K otherwise."""
+    if theta == 0.5 and order % 2 == 1:
+        return order + 1
+    return order
+
+
 def _leading_term(table: list, theta: float, order: int):
     """(lead, power) of the local truncation error lead * dt^power.
 
@@ -260,11 +268,10 @@ def _leading_term(table: list, theta: float, order: int):
     the central scheme with odd K cancels that term and gains an order,
     (1/2)^(K+1) (K+1) ||X(K+2)||_inf with power K+2.
     """
-    if theta == 0.5 and order % 2 == 1:
-        power = order + 2
+    power = theoretical_order(theta, order) + 1
+    if power == order + 2:
         weight = 0.5 ** (order + 1) * (order + 1)
     else:
-        power = order + 1
         weight = abs((1.0 - theta) ** power - (-theta) ** power)
     return weight * max(abs(col[power]) for col in table), power
 
@@ -327,7 +334,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     mode, theta, order = config.step_mode, config.theta, config.order
     adaptive = isinstance(mode, AdaptiveStep)
     if adaptive:
-        controller = (adaptive_dt_case2 if theta == 0.5 and order % 2 == 1
+        controller = (adaptive_dt_case2 if theoretical_order(theta, order) > order
                       else adaptive_dt_case1)
 
     x = np.asarray(problem.default_initial if initial is None else initial,

@@ -16,7 +16,7 @@ from ieldtm.bench import (
     table4_rows,
     table5_rows,
 )
-from ieldtm.problems import SeirParams, dahlquist, duffing, linear_system, seir
+from ieldtm.problems import dahlquist, duffing, linear_system, seir
 from ieldtm.stability import is_A_stable, is_L_stable, matrix_R
 from ieldtm.stepper import (
     AdaptiveStep,

@@ -34,7 +34,8 @@ class TestSolve:
         ])
         assert result.exit_code == 0, result.output
         summary = json.loads(result.output)
-        assert summary["max_error"] <= 1e-8
+        assert summary["oracle"] == "closed-form solution of duffing"
+        assert summary["max_error"] <= 10 * 2.38e-10  # Table 3, T = 1, K = 5
         assert summary["steps"] <= 18  # twice the reference count
         assert set(summary) >= {"problem", "theta", "K", "mode", "steps",
                                 "max_error", "oracle", "wall_ms", "status"}
@@ -74,6 +75,12 @@ class TestSolve:
         assert summary["status"] == "non-finite-state"
         assert summary["failure"] == ("step at t = 1.0, dt = 0.5: "
                                       "non-finite Taylor coefficient at t = 1.5")
+
+    def test_option_the_problem_does_not_take_rejected(self, runner):
+        result = runner.invoke(main, ["solve", "--problem", "duffing",
+                                      "--epsilon", "5", "--dt", "0.1"])
+        assert result.exit_code == 2, result.output
+        assert "takes no parameter 'epsilon'" in result.output
 
     def test_dt_and_tol_mutually_exclusive(self, runner):
         both = runner.invoke(main, ["solve", "--dt", "0.1", "--tol", "1e-8"])

@@ -1,9 +1,15 @@
 """The package imports and every name in a module's __all__ exists, so a
-deleted function cannot stay listed; the settable solver values are pinned."""
+deleted function cannot stay listed; the settable solver values are pinned,
+and every problem option of the CLI names a factory parameter."""
 
 import dataclasses
 import importlib
+import inspect
 
+import click
+
+from ieldtm.cli import _problem_options
+from ieldtm.problems import _FACTORIES
 from ieldtm.stepper import AdaptiveStep, FixedStep, SchemeConfig
 
 MODULES = ("taylor", "problems", "nonlinear", "stepper", "stability", "bench")
@@ -26,3 +32,12 @@ def test_config_fields_pinned():
         "FixedStep": ["dt"],
         "AdaptiveStep": ["tol", "dt_min", "safety"],
     }
+
+
+def test_problem_options_name_factory_parameters():
+    # A renamed factory argument must not leave a dead solve option.
+    command = click.command()(_problem_options(lambda **params: None))
+    options = {param.name for param in command.params} - {"problem"}
+    taken = {name for factory in _FACTORIES.values()
+             for name in inspect.signature(factory).parameters}
+    assert options <= taken, options - taken

@@ -1,6 +1,6 @@
 """Built-in ODE systems: recurrence correctness against independent oracles."""
 
-import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -9,7 +9,6 @@ import pytest
 
 from ieldtm.problems import (
     PROBLEM_NAMES,
-    SeirParams,
     dahlquist,
     duffing,
     linear_system,
@@ -64,6 +63,12 @@ class TestLinearSystem:
         with pytest.raises(ValueError):
             linear_system(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("values", [[1.0], [1.0, 0.0, 0.0]],
+                             ids=["short", "long"])
+    def test_forcing_length_mismatch(self, values):
+        with pytest.raises(ValueError, match="forcing must give 2 values"):
+            linear_system(np.eye(2), forcing=lambda t, k: values)
+
 
 class TestSeir:
     def test_disease_free_equilibrium(self):
@@ -87,20 +92,20 @@ class TestSeir:
         assert c[1, 1] == pytest.approx(-1.0 / 3.69, rel=1e-12)
 
     def test_transmission_jump_declared(self):
-        assert seir(SeirParams(eta=4.0)).discontinuities == (66.0,)
+        assert seir(eta=4.0).discontinuities == (66.0,)
         assert seir().discontinuities == ()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            SeirParams(eta=0.5)
+            seir(eta=0.5)
         with pytest.raises(ValueError):
-            SeirParams(alpha=1.5)
+            seir(alpha=1.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SeirParams)])
+    @pytest.mark.parametrize("field", list(inspect.signature(seir).parameters))
     def test_non_finite_params_refused(self, field, value):
-        with pytest.raises(ValueError):
-            SeirParams(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            seir(**{field: value})
 
 
 class TestDuffing:
@@ -221,7 +226,7 @@ class TestBatchAxis:
         (linear_system(np.array([[-2.0, 1.0], [0.5, -3.0]])), 0.0),
         (linear_system(np.array([[-2.0, 1.0], [0.5, -3.0]]),
                        forcing=_exp_decay_forcing, name="forced"), 0.7),
-        (seir(SeirParams(eta=8.0)), 70.0),
+        (seir(eta=8.0), 70.0),
         (duffing(), 0.3),
         (robertson_modified(), 1.2),
         (van_der_pol(10.0), 0.0),
@@ -337,7 +342,7 @@ class TestAuxiliarySeries:
         (linear_system([[-2.0, 1.0], [0.5, -3.0]]), 0.0, [0.8, -1.1]),
         (linear_system([[-2.0, 1.0], [0.5, -3.0]], forcing=_exp_decay_forcing),
          0.7, [0.8, -1.1]),
-        (seir(SeirParams(eta=8.0)), 70.0,
+        (seir(eta=8.0), 70.0,
          [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4]),
         (robertson_modified(), 1.2, [0.3, 2e-5, 0.7]),
     ]
@@ -365,6 +370,10 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown problem 'lorenz'"):
             make_problem("lorenz")
+
+    def test_parameter_not_taken(self):
+        with pytest.raises(ValueError, match="'duffing' takes no parameter 'epsilon'"):
+            make_problem("duffing", epsilon=5.0)
 
     def test_parameter_override(self):
         # X(1) = lam X(0) for the Dahlquist rate lam.

@@ -8,7 +8,6 @@ import pytest
 from ieldtm import nonlinear, stepper
 from ieldtm.problems import (
     ProblemDefinition,
-    SeirParams,
     dahlquist,
     duffing,
     linear_system,
@@ -229,7 +228,7 @@ class TestIntegrateFixed:
 
     def test_seir_discontinuity_node_placed(self):
         # 66 is not a multiple of dt: the step before t_c is shortened.
-        prob = seir(SeirParams(eta=6.0))
+        prob = seir(eta=6.0)
         cfg = SchemeConfig(0.5, 6, FixedStep(0.7))
         trace = integrate(prob, cfg, 80.0)
         assert trace.status == "completed"
@@ -263,7 +262,7 @@ class TestIntegrateAdaptive:
         assert max(r.newton_iters for r in trace.records) <= 10
 
     def test_seir_discontinuity_node_placed(self):
-        prob = seir(SeirParams(eta=6.0))
+        prob = seir(eta=6.0)
         cfg = SchemeConfig(0.5, 6, AdaptiveStep(1e-5))
         trace = integrate(prob, cfg, 80.0)
         assert trace.status == "completed"
@@ -472,7 +471,7 @@ class TestNodeTableReuse:
     @pytest.mark.parametrize("prob, cfg, t_final", [
         (van_der_pol(10.0), SchemeConfig(0.5, 5, AdaptiveStep(1e-10)), 5.0),
         (robertson_modified(), SchemeConfig(0.5, 4, FixedStep(2.0 ** -5)), 4.0),
-        (seir(SeirParams(eta=6.0)), SchemeConfig(0.5, 6, AdaptiveStep(1e-5)), 80.0),
+        (seir(eta=6.0), SchemeConfig(0.5, 6, AdaptiveStep(1e-5)), 80.0),
     ], ids=["vanderpol", "robertson-fixed", "seir-discontinuity"])
     def test_trace_equals_fresh_builds(self, monkeypatch, prob, cfg, t_final):
         reused = integrate(prob, cfg, t_final)
