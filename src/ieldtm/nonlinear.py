@@ -4,9 +4,12 @@ Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
 and factored densely.  It is the complex-step derivative, exact to rounding:
 column j comes from one residual call at the iterate perturbed by ih along
 e_j, so each iteration's Jacobian costs m complex residual calls and the
-residual must be complex-analytic.  Points, residuals, the Jacobian and the
-LU are Python lists of floats: at m <= 6 a numpy call per residual, column,
-pivot, swap or row update costs more than the arithmetic it does.
+residual must be complex-analytic.  The real part of such a call is the
+residual at the iterate itself, so the first residual comes from the first
+iteration's column 0: no real call precedes the first update.  Points,
+residuals, the Jacobian and the LU are Python lists of floats: at m <= 6 a
+numpy call per residual, column, pivot, swap or row update costs more than
+the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ _STEP_TOL = 1e-13  # update inf-norm threshold, relative to the state scale
 _MAX_ITERS = 25
 
 
-def lu_solve(A, b) -> np.ndarray:
+def lu_solve(A, b) -> list:
     """Solve A x = b by partial-pivot LU elimination.
 
     A is a sequence of n rows of length n, b one of length n; lists and
-    arrays both work and neither is modified.  Raises SingularMatrixError
-    when a pivot falls below 1e-14 times the inf-norm of its row, both
-    measured with each column scaled to a largest entry of 1, so a badly
-    scaled but well-conditioned matrix passes.
+    arrays both work and neither is modified.  Returns x as a list of n
+    floats.  Raises SingularMatrixError when a pivot falls below 1e-14 times
+    the inf-norm of its row, both measured with each column scaled to a
+    largest entry of 1, so a badly scaled but well-conditioned matrix passes.
     """
     a = [list(map(float, row)) for row in A]
     b = list(map(float, b))
@@ -63,22 +66,34 @@ def lu_solve(A, b) -> np.ndarray:
             b[i] -= f * b[col]
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        # np.dot, not a Python sum: a BLAS dot may fuse its multiply-adds,
-        # and the solution keeps the bits of the all-numpy elimination.
-        x[i] = (b[i] - float(np.dot(a[i][i + 1:], x[i + 1:]))) / a[i][i]
-    return np.array(x)
+        # A dot of length 1 is one rounded product and an empty one leaves
+        # b[i], in Python as in numpy.  Longer ones stay np.dot, not a Python
+        # sum: a BLAS dot may fuse its multiply-adds, and the solution keeps
+        # the bits of the all-numpy elimination.
+        s = b[i]
+        if i == n - 2:
+            s -= a[i][n - 1] * x[n - 1]
+        elif i < n - 2:
+            s -= float(np.dot(a[i][i + 1:], x[i + 1:]))
+        x[i] = s / a[i][i]
+    return x
 
 
-def _jacobian(residual, y: list) -> list:
+def _perturbed(residual, y: list, j: int) -> list:
+    """residual(y + ih e_j) at the real point y, as complex values."""
+    point = list(map(complex, y))
+    point[j] += 1j * _COMPLEX_STEP
+    return residual(point)
+
+
+def _jacobian(residual, y: list, first=None) -> list:
     """The exact Jacobian of residual at the real point y, as a list of
     rows: column j is Im residual(y + ih e_j) / h, to rounding (Squire &
-    Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003)."""
-    columns = []
-    for j in range(len(y)):
-        point = list(map(complex, y))
-        point[j] += 1j * _COMPLEX_STEP
-        columns.append([v.imag / _COMPLEX_STEP for v in residual(point)])
-    return list(zip(*columns))
+    Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003).
+    ``first``, when given, is residual(y + ih e_0), already evaluated."""
+    values = [first if first is not None else _perturbed(residual, y, 0)]
+    values += [_perturbed(residual, y, j) for j in range(1, len(y))]
+    return list(zip(*([v.imag / _COMPLEX_STEP for v in col] for col in values)))
 
 
 def _inf_norm(v: list) -> float:
@@ -95,6 +110,12 @@ def newton_solve(residual, guess):
     ``residual`` maps a list of n floats to the list of its n residuals, and
     a list of complex numbers (a Jacobian column's point) to complex values.
 
+    The first residual is the real part of residual(guess + ih e_0), which
+    equals residual(guess) bit for bit: an imaginary-by-imaginary product
+    term is about h^2 = 1e-60 relative to its real-by-real term, far below
+    half an ulp.  That call's imaginary part is column 0 of the first
+    Jacobian, so no real call precedes the first LU solve.
+
     Returns (root as a list, iterations).  Converges when the residual
     inf-norm drops below _ABS_TOL or the update inf-norm drops below
     _STEP_TOL * max(1, |y|); after the last of _MAX_ITERS iterations, a
@@ -103,7 +124,8 @@ def newton_solve(residual, guess):
     and NewtonFailureError at a later one.
     """
     y = list(map(float, guess))
-    r = residual(y)
+    first = _perturbed(residual, y, 0)
+    r = [v.real for v in first]
     # Accept at _ABS_TOL only once quadratic progress has stalled: while the
     # residual is still collapsing by orders of magnitude per step, one more
     # (cheap) iteration buys the round-off floor instead of an O(_ABS_TOL)
@@ -118,12 +140,13 @@ def newton_solve(residual, guess):
             return y, it - 1
         prev_norm = r_norm
         try:
-            delta = lu_solve(_jacobian(residual, y), [-v for v in r]).tolist()
+            delta = lu_solve(_jacobian(residual, y, first), [-v for v in r])
         except SingularMatrixError as exc:
             if it == 1:
                 raise
             raise NewtonFailureError(
                 f"singular Jacobian at iteration {it} ({exc})") from exc
+        first = None
         alpha = 1.0
         y_new = list(map(add, y, delta))
         r_new = residual(y_new)

@@ -38,10 +38,6 @@ __all__ = [
     "theoretical_order",
 ]
 
-# Two coefficients beyond the scheme order are always generated: the central
-# adaptive controller reads X(K+2) and the others X(K+1).
-EXTRA_DEPTH = 2
-
 _ADAPTIVE_THETAS = (0.0, 0.5, 1.0)
 
 # Step failures the driver reports as a trace status instead of raising.
@@ -201,7 +197,9 @@ def _step(problem, t_i, node_table, theta, order, dt):
     only when Newton returned that very list: it is then the next node's
     table through ``order``, auxiliary series included.  Newton's
     complex-step points are lists of their own, so a complex table is never
-    handed on.
+    handed on: a solve that accepts the predictor at 0 iterations has made
+    only its first complex call, and the next node is built afresh.  A
+    one-iteration step makes m complex residual calls and one real one.
     """
     predictor = horner_eval(node_table, dt, order)
     if theta == 0.0:
@@ -321,13 +319,15 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     ``min-step-underflow``.  Every step is shortened to land exactly on
     t_final and on the problem's discontinuities.
 
-    Each node needs one coefficient table expanded about the loop's t.
-    After an implicit step the Newton solve has already built the accepted
-    state's table through ``order`` (the trial table of its last residual
-    evaluation), so that table is extended by ``EXTRA_DEPTH`` coefficients
-    and reused; a node gets a fresh build only at t = 0 and after an
-    explicit step.  A failed trace says where and why in
-    ``SolutionTrace.failure``.
+    Each node needs one coefficient table expanded about the loop's t,
+    through the index of the leading error term, theoretical_order + 1: the
+    highest coefficient the error estimate and the controller read.  After
+    an implicit step the Newton solve has already built the accepted state's
+    table through ``order`` (the trial table of its last residual
+    evaluation), so that table is extended to that depth and reused; a node
+    gets a fresh build only at t = 0, after an explicit step and after a
+    solve that accepted the predictor at 0 iterations.  A failed trace says
+    where and why in ``SolutionTrace.failure``.
     """
     if not 0 < t_final < math.inf:  # also refuses nan
         raise ValueError("t_final must be positive and finite")
@@ -343,7 +343,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         raise ValueError(f"initial state must have shape ({problem.dim},)")
     records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
     t, status, failure = 0.0, "completed", ""
-    depth = order + EXTRA_DEPTH
+    depth = theoretical_order(theta, order) + 1
     trial = None  # the accepted state's table from the last Newton solve
     eps_end = 1e-12 * max(1.0, t_final)
     # Overflow surfaces as NonFiniteStateError from the coefficient table,

@@ -8,7 +8,8 @@ import pytest
 from ieldtm import nonlinear
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
 from ieldtm.nonlinear import _jacobian, lu_solve, newton_solve
-from ieldtm.problems import linear_system, robertson_modified, van_der_pol
+from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
+                             robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table, implicit_residual
 from ieldtm.taylor import horner_eval
 
@@ -62,7 +63,9 @@ class TestLuSolve:
             b = rng.normal(size=n)
             ref = np.linalg.solve(A, b)
             x = lu_solve(A, b)
-            assert isinstance(x, np.ndarray) and x.shape == (n,)
+            assert isinstance(x, list) and len(x) == n
+            assert all(type(v) is float for v in x)
+            x = np.array(x)
             assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
             swaps += (perm != np.arange(n)).any()
         assert n == 1 or swaps > 0
@@ -89,7 +92,7 @@ class TestLuSolve:
             n = int(rng.integers(1, 7))
             A = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
             b = rng.normal(size=n)
-            assert lu_solve(A, b).tobytes() == reference(A, b).tobytes()
+            assert np.array(lu_solve(A, b)).tobytes() == reference(A, b).tobytes()
 
     def test_rank_deficient_raises(self):
         A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]])
@@ -222,15 +225,72 @@ class TestBatchedJacobian:
         J = np.array(_jacobian(residual, [0.9, -1.1, 0.4]))
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
 
-    def test_one_batched_call_per_iteration(self):
-        # r(y) comes from one real call; each iteration's Jacobian from m
-        # single-state complex calls, one per column.
+    # (problem, node time, node state, dt): every built-in problem, with
+    # the states spread by a seeded factor, plus exact zeros in the state.
+    REAL_PART_CASES = [
+        (make_problem("dahlquist", lam=-2.0), 0.3, [1.3], 0.2),
+        (make_problem("duffing"), 0.0, [0.5, 0.25], 0.1),
+        (make_problem("robertson"), 1.2, [0.3, 2e-5, 0.7], 2 ** -5),
+        (make_problem("robertson"), 0.0, [1.0, 0.0, 0.0], 2 ** -5),
+        (make_problem("vanderpol"), 0.0, [2.0, -0.5], 0.05),
+        (make_problem("vanderpol", epsilon=1000.0), 0.0, [-2.0, 0.3], 0.01),
+        (make_problem("seir", eta=8.0), 70.0,
+         [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4], 1.0),
+        (make_problem("seir"), 0.0, [3e6 - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+        (linear_system([[-2.0, 1.0], [0.5, -3.0]]), 0.0, [0.8, -1.1], 0.1),
+    ]
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("problem,t,state,dt", REAL_PART_CASES,
+                             ids=["dahlquist", "duffing", "robertson",
+                                  "robertson-start", "vdp10", "vdp1000",
+                                  "seir-after-tc", "seir-start", "linear"])
+    def test_complex_step_real_part_is_the_residual(self, problem, t, state,
+                                                    dt, theta):
+        """Re implicit_residual(y + ih e_j) equals implicit_residual(y) bit
+        for bit, so Newton takes its first residual from the first Jacobian
+        column.  The imaginary parts are h = 1e-30 times the real ones, so an
+        imaginary-by-imaginary product term is about 1e-60 relative to its
+        real-by-real term, far below half an ulp: it never changes the
+        rounded real part.  Sums and real scalings act on the two parts
+        separately."""
+        assert {p.name for p, *_ in self.REAL_PART_CASES} >= set(PROBLEM_NAMES)
+        rng = np.random.default_rng(len(state) + int(10 * theta))
+        for order in range(1, 10):
+            for draw in range(3):
+                # Draw 0 keeps the listed state, zeros included; the
+                # trial states are the predictor and the node state.
+                spread = 1.0 + 0.1 * rng.normal(size=len(state)) * (draw > 0)
+                node = (np.array(state) * spread).tolist()
+                table = build_coeff_table(problem, t, node, order)[:problem.dim]
+                known = horner_eval(table, (1.0 - theta) * dt, order)
+                for y in (horner_eval(table, dt, order), node):
+                    r, _ = implicit_residual(problem, t + dt, known, y, theta,
+                                             order, dt)
+                    for j in range(len(y)):
+                        point = list(map(complex, y))
+                        point[j] += 1e-30j
+                        c, _ = implicit_residual(problem, t + dt, known, point,
+                                                 theta, order, dt)
+                        assert [v.real.hex() for v in c] == [v.hex() for v in r]
+
+    def test_one_batched_call_per_iteration(self, monkeypatch):
+        # The first call is column 0's complex one, and its real part is
+        # r(y): each iteration's Jacobian takes m single-state complex calls
+        # and the first LU solve comes before any real call.
         calls = []
 
         def residual(y):
             calls.append(((len(y),), isinstance(y[0], complex)))
             return [v ** 2 - 4.0 for v in y]
 
+        def solve(A, b):
+            calls.append("lu")
+            return lu_solve(A, b)
+
+        monkeypatch.setattr(nonlinear, "lu_solve", solve)
         _, iters = newton_solve(residual, [3.0, 1.0])
-        assert calls[0] == ((2,), False)
-        assert [c for c in calls if c[1]] == [((2,), True)] * (2 * iters)
+        assert iters >= 2
+        assert calls[0] == ((2,), True)
+        assert calls[:calls.index("lu")] == [((2,), True)] * 2
+        assert [c for c in calls if c != "lu" and c[1]] == [((2,), True)] * (2 * iters)

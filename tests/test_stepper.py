@@ -423,11 +423,19 @@ class TestFailureContext:
                                  "non-finite Taylor coefficient at t = 1.5")
 
     def test_node_table_overflow_before_dt(self):
-        # X(3) = 1e450 / 6 overflows the first node table; no dt is chosen yet.
-        trace = integrate(dahlquist(1e150), SchemeConfig(1.0, 1, FixedStep(0.1)), 1.0)
+        # X(2) = 1e320 / 2 overflows the first node table; no dt is chosen yet.
+        trace = integrate(dahlquist(1e160), SchemeConfig(1.0, 1, FixedStep(0.1)), 1.0)
         assert trace.status == "non-finite-state"
         assert trace.failure == ("step at t = 0.0: "
                                  "non-finite Taylor coefficient at t = 0.0")
+
+    def test_unread_coefficient_not_built(self):
+        # At theta = 1, K = 1 the node table ends at X(2) = 1e300 / 2, the
+        # leading error term; X(3) = 1e450 / 6 would overflow but no reader
+        # needs it.
+        trace = integrate(dahlquist(1e150), SchemeConfig(1.0, 1, FixedStep(0.1)), 1.0)
+        assert trace.status == "completed"
+        assert trace.steps == 10
 
     def test_singular_matrix(self):
         trace = integrate(dahlquist(1.0), SchemeConfig(1.0, 1, FixedStep(1.0)), 2.0)
@@ -445,8 +453,8 @@ class TestFailureContext:
 
 
 class TestNodeTableReuse:
-    """After an implicit step the accepted state's trial table, extended by
-    EXTRA_DEPTH rows, is the next node table."""
+    """After an implicit step the accepted state's trial table, extended
+    through the leading error term, is the next node table."""
 
     def test_one_build_per_residual_after_the_first_node(self, monkeypatch):
         counts = {"build": 0, "residual": 0}
@@ -467,6 +475,32 @@ class TestNodeTableReuse:
         assert min(r.newton_iters for r in trace.records[1:]) >= 1
         assert counts["residual"] >= 2 * trace.steps
         assert counts["build"] == 1 + counts["residual"]
+
+    def test_m_plus_one_residuals_per_one_iteration_step(self, monkeypatch):
+        # Newton's first residual is the real part of its first complex
+        # column: m complex calls and the accepted iterate's real one.
+        calls = []  # whether each residual call of the step is complex
+        per_step, step_fn = [], stepper._step  # (iterations, calls) per step
+
+        def residual(*args):
+            calls.append(isinstance(args[3][0], complex))
+            return implicit_residual(*args)
+
+        def step(*args):
+            del calls[:]
+            out = step_fn(*args)
+            per_step.append((out[1], tuple(calls)))
+            return out
+
+        monkeypatch.setattr(stepper, "implicit_residual", residual)
+        monkeypatch.setattr(stepper, "_step", step)
+        prob = van_der_pol(10.0)
+        trace = integrate(prob, SchemeConfig(0.5, 5, AdaptiveStep(1e-10)), 5.0)
+        assert trace.status == "completed"
+        assert len(per_step) == trace.steps
+        one = [pattern for iters, pattern in per_step if iters == 1]
+        assert len(one) >= 0.9 * trace.steps
+        assert set(one) == {(True,) * prob.dim + (False,)}
 
     @pytest.mark.parametrize("prob, cfg, t_final", [
         (van_der_pol(10.0), SchemeConfig(0.5, 5, AdaptiveStep(1e-10)), 5.0),
