@@ -43,6 +43,14 @@ __all__ = [
 _POLE_FLOOR = 1e-300
 A_STABLE_SLACK = 1e-10
 _FAR_REAL = -np.logspace(1.0, 8.0, 8) + 0.0j  # real witness candidates, theta < 0.5
+# Grid points per block of rows in sample_region (256 KiB of complex128).
+# Whole-grid temporaries are several MB each, taken as fresh pages whose
+# faults cost as much as the arithmetic.  Per 400^2 grid on a 2-vCPU Xeon VM,
+# blocks of 8 192 and 16 384 points take no page fault and 3.9-6.0 and
+# 3.6-5.5 ms, 4 096 points 4.1-6.7 ms; 32 768 and 65 536 points fault about
+# 790 and 2 160 times and take 5.1-7.5 and 7.8-11.5 ms, the whole grid at once
+# 2 155 times and 11.3-12.0 ms.
+_BLOCK_POINTS = 1 << 14
 
 
 def _check_order(order: int) -> None:
@@ -100,8 +108,16 @@ class StabilityGrid:
 
 def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
                   im_range=(-10.0, 10.0), resolution=(400, 400)) -> StabilityGrid:
-    """Sample |R| on a uniform grid for region plotting."""
+    """Sample |R| on a uniform grid for region plotting.
+
+    The grid is evaluated one block of rows at a time, so peak memory is the
+    output plus one block.  Every operation is elementwise, so the values do
+    not depend on the blocking."""
     _check_order(order)
+    for name, bounds in (("re_range", re_range), ("im_range", im_range)):
+        for k, bound in enumerate(bounds):
+            if not math.isfinite(bound):
+                raise ValueError(f"{name}[{k}] must be finite, got {bound!r}")
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     n_re, n_im = resolution
@@ -109,8 +125,12 @@ def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
         raise ValueError("resolution must be >= 2 per axis")
     re = np.linspace(re_range[0], re_range[1], n_re)
     im = np.linspace(im_range[0], im_range[1], n_im)
-    z = re[:, None] + 1j * im[None, :]
-    return StabilityGrid(theta, order, re, im, _abs_R_array(z, theta, order))
+    values = np.empty((n_re, n_im))
+    rows = max(1, _BLOCK_POINTS // n_im)
+    for i in range(0, n_re, rows):
+        z = re[i:i + rows, None] + 1j * im[None, :]
+        values[i:i + rows] = _abs_R_array(z, theta, order)
+    return StabilityGrid(theta, order, re, im, values)
 
 
 def unstable_fraction(grid: StabilityGrid, slack: float = 1e-10) -> float:

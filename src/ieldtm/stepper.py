@@ -164,7 +164,14 @@ def _run_recurrence(problem, t_i, table, depth: int) -> list:
     bit.
     """
     problem.recurrence(t_i, table, depth)
-    if not all(map(cmath.isfinite, chain.from_iterable(table))):
+    # One sum first: a nan or infinite entry makes the running sum nan or
+    # infinite, per component for complex entries, and adding anything to
+    # it leaves it so.  Python >= 3.12 compensates float sums, but adds the
+    # compensation to that plain running sum at the end, so this still
+    # holds.  A finite table can overflow the sum; only then is each entry
+    # tested.
+    if (not cmath.isfinite(sum(chain.from_iterable(table)))
+            and not all(map(cmath.isfinite, chain.from_iterable(table)))):
         raise NonFiniteStateError(
             f"non-finite Taylor coefficient at t = {t_i!r}")
     return table

@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ieldtm.errors import PoleError
 from ieldtm.stability import (
+    _abs_R_array,
     _e_poly,
     contraction_certificate,
     is_A_stable,
@@ -95,6 +98,36 @@ class TestSampleRegion:
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             sample_region(0.5, 2, resolution=1)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", range(4))
+    def test_non_finite_bound_rejected(self, which, bound):
+        bounds = [-10.0, 5.0, -10.0, 10.0]
+        bounds[which] = bound
+        name = ("re_range", "im_range")[which // 2] + f"[{which % 2}]"
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+            sample_region(0.5, 4, bounds[:2], bounds[2:], 5)
+
+    @pytest.mark.parametrize("shape", [(400, 400), (1000, 37), (3, 20000),
+                                       (2, 2), (41, 41)])
+    def test_blocks_match_whole_mesh(self, shape):
+        # (1000, 37) ends in a short block; a (3, 20000) row exceeds a block.
+        for theta in (0.0, 0.3, 0.5, 0.7, 1.0):
+            for order in (1, 4, 9, 12):
+                grid = sample_region(theta, order, resolution=shape)
+                z = grid.re_values[:, None] + 1j * grid.im_values[None, :]
+                expected = _abs_R_array(z, theta, order)
+                assert grid.values.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_output_plus_one_block(self):
+        sample_region(0.5, 4, resolution=(2, 2))  # caches filled
+        tracemalloc.start()
+        try:
+            grid = sample_region(0.5, 4, resolution=(1000, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.values.nbytes + 4 * 2**20
 
     def test_unstable_fraction_quantifies_almost_stability(self):
         stable = sample_region(0.5, 3, (-50.0, 0.0), (-50.0, 50.0), (121, 121))

@@ -85,6 +85,14 @@ class TestBuildCoeffTable:
             with pytest.raises(ValueError, match="state must have 2 entries"):
                 build_coeff_table(duffing(), 0.0, state, 2)
 
+    @pytest.mark.parametrize("state", [[1e308, 1e308],
+                                       [1e308 + 1e308j, 1e308 + 1e308j]],
+                             ids=["real", "complex"])
+    def test_finite_table_with_overflowing_sum(self, state):
+        # The entries' sum overflows, but every entry is finite.
+        table = build_coeff_table(linear_system(np.zeros((2, 2))), 0.0, state, 2)
+        assert table == [[state[0], 0.0, 0.0], [state[1], 0.0, 0.0]]
+
 
 class TestExplicitStep:
     def test_truncated_exponential(self):
