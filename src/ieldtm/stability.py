@@ -79,10 +79,43 @@ def scalar_R(z: complex, theta: float, order: int) -> complex:
     return complex(num / den)
 
 
+def _trunc_exp_reversed(a: float, w, order: int):
+    """w^K T_K(a / w), the Horner evaluation in w of T_K's coefficients
+    a^k / k! in reverse order: T_K(a z) z^-K at w = 1/z, finite where |z| is
+    so large that T_K(a z) overflows."""
+    acc = np.ones_like(w)
+    for k in range(1, order + 1):
+        acc *= w
+        acc += a ** k / math.factorial(k)
+    return acc
+
+
+def _abs_num_den(z, theta: float, order: int):
+    """|T_K((1 - theta) z)| and |T_K(-theta z)|, or where either overflows,
+    both times |z|^-K, from the reversed evaluation in 1/z."""
+    try:
+        # Inputs are finite, so a non-finite value needs an overflow first;
+        # raising on it spares a finite array a separate finiteness pass.
+        with np.errstate(over="raise", invalid="raise"):
+            return (np.abs(_trunc_exp((1.0 - theta) * z, order)),
+                    np.abs(_trunc_exp(-theta * z, order)))
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.abs(_trunc_exp((1.0 - theta) * z, order))
+        den = np.abs(_trunc_exp(-theta * z, order))
+    far = ~(np.isfinite(num) & np.isfinite(den))
+    w = 1.0 / z[far]
+    num[far] = np.abs(_trunc_exp_reversed(1.0 - theta, w, order))
+    den[far] = np.abs(_trunc_exp_reversed(-theta, w, order))
+    return num, den
+
+
 def _abs_R_array(z, theta: float, order: int) -> np.ndarray:
-    """|R| over a complex array; poles map to +inf."""
-    num = np.abs(_trunc_exp((1.0 - theta) * z, order))
-    den = np.abs(_trunc_exp(-theta * z, order))
+    """|R| over a complex array; poles map to +inf.  Where |z| is so large
+    that T_K overflows, |R| comes from the reversed evaluation in 1/z and
+    tends to ((1 - theta) / theta)^K, as it should."""
+    num, den = _abs_num_den(z, theta, order)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den < _POLE_FLOOR, np.inf, num / np.maximum(den, _POLE_FLOOR))
     return out

@@ -104,35 +104,55 @@ class StepRecord:
 
 @dataclass
 class SolutionTrace:
+    """One run's nodes, kept as columns with one entry per node; node 0 is
+    the initial state, with dt, iterations and estimate 0.
+
+    ``records``, ``times``, ``states`` and ``final_state`` are built from the
+    columns on each access, as fresh objects: a trace shares no array with
+    its problem or its caller.
+    """
+
     problem_name: str
     config: SchemeConfig
-    records: List[StepRecord]
+    node_times: List[float]
+    node_states: List[list]  # lists of floats
+    dts_used: List[float]
+    newton_iters: List[int]
+    error_estimates: List[float]
     # completed | min-step-underflow | newton-failure | non-finite-state |
-    # singular-matrix; records run up to the failure.
+    # singular-matrix; the nodes run up to the failure.
     status: str
     # Empty when completed; else the failing step's t, its dt and the reason.
     failure: str = ""
 
     @property
+    def records(self) -> List[StepRecord]:
+        """One StepRecord per node, each with its own state array."""
+        return list(map(StepRecord, self.node_times,
+                        map(np.array, self.node_states), self.dts_used,
+                        self.newton_iters, self.error_estimates))
+
+    @property
     def steps(self) -> int:
-        return len(self.records) - 1
+        return len(self.node_times) - 1
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return np.array(self.node_times)
 
     @property
     def states(self) -> np.ndarray:
-        return np.array([r.state for r in self.records])
+        return np.array(self.node_states)
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.records[-1].state
+        return np.array(self.node_states[-1])
 
     def max_error(self, exact) -> float:
         """Max inf-norm deviation from a callable reference over all nodes."""
         return max(
-            float(np.abs(r.state - exact(r.t)).max()) for r in self.records
+            float(np.abs(np.array(x) - exact(t)).max())
+            for t, x in zip(self.node_times, self.node_states)
         )
 
 
@@ -195,8 +215,8 @@ def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
 
 def _step(problem, t_i, node_table, theta, order, dt):
     """One step of dt from the node table about t_i, which holds the state
-    lists only.  Returns (state array, iterations, trial table of the state
-    or None).
+    lists only.  Returns (state as a list of floats, iterations, trial table
+    of the state or None).
 
     The explicit step (theta = 0) is the predictor, the local series at
     t_i + dt.  An implicit step is the Newton solve started from it.  The
@@ -210,7 +230,8 @@ def _step(problem, t_i, node_table, theta, order, dt):
     """
     predictor = horner_eval(node_table, dt, order)
     if theta == 0.0:
-        return np.array(predictor), 0, None
+        # Plain floats, also from a recurrence that appends numpy scalars.
+        return list(map(float, predictor)), 0, None
     # The known side is fixed for the whole step.
     known_value = horner_eval(node_table, (1.0 - theta) * dt, order)
     t_next = t_i + dt
@@ -223,14 +244,15 @@ def _step(problem, t_i, node_table, theta, order, dt):
         return r
 
     state, iters = newton_solve(residual, predictor)
-    return np.array(state), iters, last[1] if state is last[0] else None
+    return state, iters, last[1] if state is last[0] else None
 
 
 def adaptive_dt_case1(table: list, order: int, tol: float,
-                      safety: float = 1.0) -> float:
+                      safety: float = 1.0, *, peak=None) -> float:
     """Step proposal for the forward/backward controllers, driven by
     ||X(K+1)||_inf, the leading term at theta in {0, 1}; a vanishing
-    coefficient yields inf.
+    coefficient yields inf.  ``peak``, when given, is that norm, already
+    read from this table.
 
     The central scheme with even K uses it too, although its error estimate
     weights ||X(K+1)||_inf by 0.5^K: there the controller steers by a lead
@@ -238,22 +260,23 @@ def adaptive_dt_case1(table: list, order: int, tol: float,
     """
     if len(table[0]) < order + 2:
         raise IndexError("table must hold coefficients through K+1")
-    lead, power = _leading_term(table, 1.0, order)
+    lead, power = _leading_term(table, 1.0, order, peak)
     if lead == 0.0:
         return math.inf
     return safety * (tol / lead) ** (1.0 / (power - 1))
 
 
 def adaptive_dt_case2(table: list, order: int, tol: float,
-                      safety: float = 1.0) -> float:
+                      safety: float = 1.0, *, peak=None) -> float:
     """Step proposal for the central scheme with odd K, driven by the scaled
     coefficient (1/2)^(K+1) (K+1) X(K+2); a vanishing coefficient yields
-    inf."""
+    inf.  ``peak``, when given, is ||X(K+2)||_inf, already read from this
+    table."""
     if order % 2 == 0:
         raise ValueError("case-2 controller requires odd order")
     if len(table[0]) < order + 3:
         raise IndexError("table must hold coefficients through K+2")
-    lead, power = _leading_term(table, 0.5, order)
+    lead, power = _leading_term(table, 0.5, order, peak)
     if lead == 0.0:
         return math.inf
     return safety * (tol / lead) ** (1.0 / (power - 1))
@@ -266,28 +289,37 @@ def theoretical_order(theta: float, order: int) -> int:
     return order
 
 
-def _leading_term(table: list, theta: float, order: int):
+def _leading_term(table: list, theta: float, order: int, peak=None):
     """(lead, power) of the local truncation error lead * dt^power.
 
     It is |(1-theta)^(K+1) - (-theta)^(K+1)| ||X(K+1)||_inf with power K+1;
     the central scheme with odd K cancels that term and gains an order,
-    (1/2)^(K+1) (K+1) ||X(K+2)||_inf with power K+2.
+    (1/2)^(K+1) (K+1) ||X(K+2)||_inf with power K+2.  ``peak``, when given,
+    is the norm ||X(power)||_inf, already read from the table.
     """
     power = theoretical_order(theta, order) + 1
     if power == order + 2:
         weight = 0.5 ** (order + 1) * (order + 1)
     else:
         weight = abs((1.0 - theta) ** power - (-theta) ** power)
-    return weight * max(abs(col[power]) for col in table), power
+    if peak is None:
+        peak = _peak(table, power)
+    return weight * peak, power
+
+
+def _peak(table: list, power: int) -> float:
+    """||X(power)||_inf over the state lists of the table."""
+    return max(abs(col[power]) for col in table)
 
 
 def _local_error_estimate(table: list, theta: float, order: int,
-                          dt: float) -> float:
-    """Leading local-truncation-error magnitude from the node coefficients.
+                          dt: float, *, peak=None) -> float:
+    """Leading local-truncation-error magnitude from the node coefficients;
+    ``peak`` as for ``_leading_term``.
 
     At theta = 0.5 with even K it is 2^-K of the lead the case-1 controller
     steers by."""
-    lead, power = _leading_term(table, theta, order)
+    lead, power = _leading_term(table, theta, order, peak)
     if lead == 0.0:
         return 0.0
     try:
@@ -335,6 +367,10 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     gets a fresh build only at t = 0, after an explicit step and after a
     solve that accepted the predictor at 0 iterations.  A failed trace says
     where and why in ``SolutionTrace.failure``.
+
+    Each accepted node appends its t, state (a list of floats), dt,
+    iterations and error estimate to the trace's columns; no per-step record
+    or array is made, and ``SolutionTrace.records`` builds them on demand.
     """
     if not 0 < t_final < math.inf:  # also refuses nan
         raise ValueError("t_final must be positive and finite")
@@ -348,7 +384,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                    dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"initial state must have shape ({problem.dim},)")
-    records = [StepRecord(0.0, x, 0.0, 0, 0.0)]
+    state = x.tolist()  # a copy: the trace never aliases the caller's array
+    times, states, dts, iterations, estimates = [0.0], [state], [0.0], [0], [0.0]
     t, status, failure = 0.0, "completed", ""
     depth = theoretical_order(theta, order) + 1
     trial = None  # the accepted state's table from the last Newton solve
@@ -359,12 +396,16 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         try:
             while t < t_final - eps_end:
                 dt = None
-                table = (build_coeff_table(problem, t, x.tolist(), depth)
+                table = (build_coeff_table(problem, t, state, depth)
                          if trial is None
                          else _run_recurrence(problem, t, trial, depth))
                 table = table[:problem.dim]  # what every reader sees
+                # The controller and the estimate read the same coefficient,
+                # X(depth): its norm is taken once per node.
+                peak = _peak(table, depth)
                 if adaptive:
-                    dt = controller(table, order, mode.tol, mode.safety)
+                    dt = controller(table, order, mode.tol, mode.safety,
+                                    peak=peak)
                     if dt < mode.dt_min:
                         status = "min-step-underflow"
                         failure = _failure_context(
@@ -373,11 +414,16 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                 else:
                     dt = mode.dt
                 dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
-                est = _local_error_estimate(table, theta, order, dt)
-                x, iters, trial = _step(problem, t, table, theta, order, dt)
+                est = _local_error_estimate(table, theta, order, dt, peak=peak)
+                state, iters, trial = _step(problem, t, table, theta, order, dt)
                 t += dt
-                records.append(StepRecord(t, x, dt, iters, est))
+                times.append(t)
+                states.append(state)
+                dts.append(dt)
+                iterations.append(iters)
+                estimates.append(est)
         except tuple(_FAILURE_STATUS) as exc:
             status = _FAILURE_STATUS[type(exc)]
             failure = _failure_context(t, dt, exc)
-    return SolutionTrace(problem.name, config, records, status, failure)
+    return SolutionTrace(problem.name, config, times, states, dts, iterations,
+                         estimates, status, failure)

@@ -7,7 +7,8 @@ import pytest
 
 from ieldtm import nonlinear
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
-from ieldtm.nonlinear import _jacobian, lu_solve, newton_solve
+from ieldtm.nonlinear import (_jacobian, _lu_solve_2, _lu_solve_n, lu_solve,
+                              newton_solve)
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table, implicit_residual
@@ -117,6 +118,125 @@ class TestLuSolve:
             lu_solve(A, np.array([1.0, 2.0]))
 
 
+def outcome(solve, *args):
+    """A solve's result as hex strings, or its exception's type and text."""
+    try:
+        return [v.hex() for v in solve(*args)]
+    except (ArithmeticError, SingularMatrixError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def general_2x2(A, b):
+    """The general elimination loop forced on a 2 x 2 system."""
+    return outcome(_lu_solve_n, [list(map(float, row)) for row in A],
+                   list(map(float, b)))
+
+
+class TestLuSolve2x2:
+    """lu_solve's unrolled n = 2 path against the general loop, bit for bit,
+    results and errors alike."""
+
+    @staticmethod
+    def assert_same(A, b):
+        expected = general_2x2(A, b)
+        (a00, a01), (a10, a11) = A
+        assert outcome(_lu_solve_2, float(a00), float(a01), float(a10),
+                       float(a11), float(b[0]), float(b[1])) == expected
+        assert outcome(lu_solve, A, b) == expected
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5000):
+            v = rng.normal(size=6) * 10.0 ** rng.integers(-300, 301, size=6)
+            self.assert_same(v[:4].reshape(2, 2).tolist(), v[4:].tolist())
+
+    def test_near_singular_systems(self):
+        # Second rows close to a multiple of the first put the column-1
+        # pivot test on both sides of its threshold.
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            row = rng.normal(size=2)
+            scale = rng.normal() * 10.0 ** rng.integers(-5, 6)
+            wobble = 1.0 + rng.normal(size=2) * 10.0 ** rng.integers(-17, -11)
+            self.assert_same([row.tolist(), (scale * row * wobble).tolist()],
+                             rng.normal(size=2).tolist())
+
+    @pytest.mark.parametrize("a00,a10", [(2.0, 2.0), (2.0, -2.0), (-3.0, 3.0),
+                                         (0.0, -0.0), (1e-300, -1e-300)])
+    def test_pivot_ties(self, a00, a10):
+        # max() keeps the first of equal |a_i0|: no swap on a tie.
+        for a01, a11 in [(1.0, 5.0), (5.0, 1.0), (0.0, 3.0), (-7.0, -7.0)]:
+            self.assert_same([[a00, a01], [a10, a11]], [1.0, -2.0])
+
+    @pytest.mark.parametrize("A", [
+        [[0.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [2.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+        [[-0.0, 3.0], [0.0, -4.0]], [[5.0, 0.0], [0.0, 0.0]],
+    ])
+    def test_zero_columns(self, A):
+        self.assert_same(A, [1.0, 2.0])
+
+    def test_non_finite_entries(self):
+        # Every placement of nan, inf and -inf, one or two at a time,
+        # including pivots whose division raises ZeroDivisionError.
+        specials = [math.nan, math.inf, -math.inf]
+        base = [[1.5, -0.5], [0.25, 2.0]], [1.0, -3.0]
+        cells = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+        def system(changes):
+            (A, b) = [list(map(list, base[0])), list(base[1])]
+            for (i, j), value in changes:
+                if i == 2:
+                    b[j] = value
+                else:
+                    A[i][j] = value
+            return A, b
+
+        for first in cells:
+            for v in specials:
+                self.assert_same(*system([(first, v)]))
+                for second in cells:
+                    for w in specials + [0.0]:
+                        if second != first:
+                            self.assert_same(*system([(first, v), (second, w)]))
+
+    def test_int_and_numpy_inputs(self):
+        systems = [
+            ([[2, 1], [1, 3]], [1, 2]),
+            (np.array([[2, 1], [1, 3]]), np.array([1, 2])),
+            (np.array([[0.5, 4.0], [2.0, -1.0]]), np.array([1.0, 2.0])),
+            (((0.5, 4.0), (2.0, -1.0)), (1.0, 2.0)),
+            ([[np.float32(0.1), np.float32(3.0)], [1.0, np.int64(2)]],
+             [np.float32(2.0), 1]),
+        ]
+        for A, b in systems:
+            assert all(type(v) is float for v in lu_solve(A, b))
+            self.assert_same(A, b)
+
+    @pytest.mark.parametrize("A,column", [
+        ([[1.0, 2.0], [2.0, 4.0]], 1),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], 1),
+        ([[0.0, 1.0], [0.0, 1.0]], 0),
+        ([[-0.0, 2.0], [0.0, 5.0]], 0),
+    ])
+    def test_singular_messages(self, A, column):
+        expected = ("SingularMatrixError", f"pivot underflow in column {column}")
+        assert general_2x2(A, [1.0, 2.0]) == expected
+        self.assert_same(A, [1.0, 2.0])
+
+    @pytest.mark.parametrize("A,b", [
+        (np.ones((2, 3)), np.ones(2)),
+        ([[1.0, 2.0], [3.0, 4.0, 5.0]], [1.0, 2.0]),
+        ([[1.0, 2.0, 0.0], [3.0, 4.0]], [1.0, 2.0]),
+        ([[1.0], [3.0]], [1.0, 2.0]),
+        (np.ones((3, 2)), np.ones(2)),
+        (np.eye(2), np.ones(3)),
+    ])
+    def test_shape_mismatch(self, A, b):
+        with pytest.raises(ValueError, match="A must be n x n and b length n"):
+            lu_solve(A, b)
+
+
 class TestNewtonSolve:
     def test_affine(self):
         root, iters = newton_solve(lambda y: [v - 1.0 for v in y], [0.0])
@@ -167,6 +287,53 @@ class TestNewtonSolve:
 
         root, _ = newton_solve(residual, [20.0])
         assert abs(root[0]) <= 1e-10
+
+    @pytest.mark.parametrize("residual,guess,iters", [
+        (lambda y: [v - 1.0 for v in y], [0.0], 1),
+        (lambda y: [v ** 2 - 4.0 for v in y], [3.0], 5),
+        (lambda y: [v - 1.0 for v in y], [1.0], 0),
+        (lambda y: [y[0] ** 2 + y[1] ** 2 - 2.0, y[0] - y[1]], [2.0, 0.5], 5),
+        (lambda y: [np.arctan(v) * 10.0 for v in y], [20.0], 7),
+    ], ids=["affine", "quadratic", "converged", "coupled", "damping"])
+    def test_iteration_counts(self, residual, guess, iters):
+        # The counts of the cases above: the norm of each residual is taken
+        # once and carried into the next iteration's tests.
+        assert newton_solve(residual, guess)[1] == iters
+
+    def test_inf_residual_takes_every_halving(self):
+        # The residual is inf at the start and after every update: an inf
+        # norm is never a decrease, even against r_norm = inf.
+        real_calls = []
+
+        def residual(y):
+            if isinstance(y[0], complex):
+                return [complex(math.inf, v.imag) for v in y]
+            real_calls.append(list(y))
+            return [math.inf for _ in y]
+
+        newton_solve(residual, [2.0])
+        assert len(real_calls) >= 1 + nonlinear._MAX_HALVINGS
+        assert real_calls[:1 + nonlinear._MAX_HALVINGS] == \
+            [[-math.inf]] * (1 + nonlinear._MAX_HALVINGS)
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_nan_residual_counts_as_growth(self, where):
+        # The full update lands on the root, where the residual first comes
+        # back with a nan; the step is halved, wherever the nan sits (the
+        # builtin max would skip it in second place).
+        real_calls = []
+
+        def residual(y):
+            r = [v - 1.0 for v in y]
+            if not isinstance(y[0], complex):
+                real_calls.append(list(y))
+                if len(real_calls) == 1:
+                    r[where] = math.nan
+            return r
+
+        root, iters = newton_solve(residual, [0.0, 0.0])
+        assert real_calls[:3] == [[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]]
+        assert root == [1.0, 1.0] and iters == 2
 
 
 def step_residual(problem, state, theta, order, dt):

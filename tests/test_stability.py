@@ -108,6 +108,22 @@ class TestSampleRegion:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
             sample_region(0.5, 4, bounds[:2], bounds[2:], 5)
 
+    @pytest.mark.parametrize("order", [1, 4, 9, 12])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7, 1.0])
+    def test_huge_window_tends_to_far_limit(self, theta, order):
+        # T_K overflows at |z| = 1e100 for K >= 4, so the far cells are
+        # evaluated in 1/z: |R| -> ((1 - theta) / theta)^K, with no
+        # RuntimeWarning (an error in this suite) and no nan.  |R| differs
+        # from its limit by O(1/|z|) = 1e-100.
+        grid = sample_region(theta, order, (-1e100, 1e100), (-1e100, 1e100), 5)
+        limit = ((1.0 - theta) / theta) ** order
+        far = np.ones((5, 5), dtype=bool)
+        far[2, 2] = False  # z = 0, where |R| = 1
+        assert grid.values[2, 2] == 1.0
+        np.testing.assert_allclose(grid.values[far], limit, rtol=1e-12,
+                                   atol=1e-99)
+        assert (unstable_fraction(grid) > 0.0) == (theta < 0.5)
+
     @pytest.mark.parametrize("shape", [(400, 400), (1000, 37), (3, 20000),
                                        (2, 2), (41, 41)])
     def test_blocks_match_whole_mesh(self, shape):

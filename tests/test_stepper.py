@@ -1,11 +1,14 @@
 """Single steps, residuals, adaptive step-size formulas and the drivers."""
 
+import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ieldtm import nonlinear, stepper
+from ieldtm.bench import write_trace_csv
 from ieldtm.problems import (
     ProblemDefinition,
     dahlquist,
@@ -20,6 +23,7 @@ from ieldtm.stepper import (
     AdaptiveStep,
     FixedStep,
     SchemeConfig,
+    StepRecord,
     adaptive_dt_case1,
     adaptive_dt_case2,
     build_coeff_table,
@@ -570,3 +574,95 @@ class TestAuxiliarySeriesHidden:
         assert {name for name, _ in seen} == {
             "horner_eval", controller, "_local_error_estimate"}
         assert {size for _, size in seen} == {prob.dim}
+
+
+def run_with_step_records(monkeypatch, prob, cfg, t_final, initial=None):
+    """integrate's trace, and its nodes kept the way the march kept them
+    before the trace held columns: one StepRecord, with its own array, per
+    accepted step, the first holding the initial state array."""
+    x0 = prob.default_initial if initial is None else initial
+    records = [StepRecord(0.0, np.asarray(x0, dtype=float), 0.0, 0, 0.0)]
+    estimates = []
+    estimate, step = stepper._local_error_estimate, stepper._step
+
+    def estimate_spy(*args, **kwargs):
+        estimates.append(estimate(*args, **kwargs))
+        return estimates[-1]
+
+    def step_spy(problem, t, table, theta, order, dt):
+        x, iters, trial = step(problem, t, table, theta, order, dt)
+        records.append(StepRecord(t + dt, np.array(x), dt, iters, estimates[-1]))
+        return x, iters, trial
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper, "_local_error_estimate", estimate_spy)
+        patch.setattr(stepper, "_step", step_spy)
+        trace = integrate(prob, cfg, t_final, initial)
+    return trace, records
+
+
+class TestTraceViews:
+    """The trace keeps columns; every view built from them equals the one
+    built from per-step records, bit for bit."""
+
+    @pytest.mark.parametrize("prob, cfg, t_final, status", [
+        (van_der_pol(10.0), SchemeConfig(0.5, 5, AdaptiveStep(1e-8)), 5.0,
+         "completed"),
+        (robertson_modified(), SchemeConfig(0.5, 7, FixedStep(2.0 ** -4)), 4.0,
+         "newton-failure"),
+    ], ids=["vanderpol-adaptive", "robertson-newton-failure"])
+    def test_views_equal_step_records(self, monkeypatch, prob, cfg, t_final,
+                                      status):
+        trace, old = run_with_step_records(monkeypatch, prob, cfg, t_final)
+        assert trace.status == status and trace.steps >= 10
+        assert trace.steps == len(old) - 1
+        records = trace.records
+        assert len(records) == len(old)
+        for new, ref in zip(records, old):
+            for field in ("t", "dt_used", "newton_iters", "local_error_estimate"):
+                a, b = getattr(new, field), getattr(ref, field)
+                assert type(a) is type(b) and a == b
+            assert new.state.dtype == ref.state.dtype
+            assert new.state.tobytes() == ref.state.tobytes()
+        assert trace.times.tobytes() == np.array([r.t for r in old]).tobytes()
+        assert trace.states.tobytes() == \
+            np.array([r.state for r in old]).tobytes()
+        assert trace.final_state.tobytes() == old[-1].state.tobytes()
+        exact = prob.exact_solution or (lambda t: np.array([math.cos(t), 0.5]))
+        assert trace.max_error(exact) == max(
+            float(np.abs(r.state - exact(r.t)).max()) for r in old)
+
+    def test_trace_csv_unchanged(self, monkeypatch):
+        cfg = SchemeConfig(0.5, 4, FixedStep(2.0 ** -5))
+        trace, old = run_with_step_records(monkeypatch, robertson_modified(),
+                                           cfg, 1.0)
+        written, expected = io.StringIO(), io.StringIO()
+        write_trace_csv(written, trace, {"K": 4})
+        write_trace_csv(expected, SimpleNamespace(records=old), {"K": 4})
+        assert written.getvalue() == expected.getvalue()
+
+
+class TestTraceOwnsItsStates:
+    """A trace shares no array with its problem or its caller."""
+
+    def test_failed_run_leaves_default_initial_alone(self):
+        # This run fails at t = 0, so its only node is the initial state.
+        prob = robertson_modified()
+        before = prob.default_initial.copy()
+        trace = integrate(prob, SchemeConfig(0.5, 7, AdaptiveStep(1e-5)), 4.0)
+        assert trace.status == "newton-failure" and trace.steps == 0
+        assert trace.final_state is not prob.default_initial
+        trace.final_state[0] = 99.0
+        trace.records[0].state[1] = 99.0
+        trace.states[0, 2] = 99.0
+        assert prob.default_initial.tobytes() == before.tobytes()
+        assert trace.final_state.tobytes() == before.tobytes()
+
+    def test_caller_initial_not_aliased(self):
+        initial = np.array([2.0, 0.0])
+        cfg = SchemeConfig(0.5, 5, FixedStep(0.01))
+        trace = integrate(van_der_pol(10.0), cfg, 0.05, initial)
+        assert trace.records[0].state is not initial
+        initial[0] = 99.0
+        assert trace.records[0].state.tolist() == [2.0, 0.0]
+        assert trace.states[0].tolist() == [2.0, 0.0]
