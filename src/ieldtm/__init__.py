@@ -45,4 +45,3 @@ from .stepper import (
     implicit_residual,
     integrate,
 )
-from .taylor import cauchy_product, horner_eval

@@ -9,13 +9,14 @@ no randomness: identical specifications produce identical CSV bodies.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import time
 
 import numpy as np
 
 from . import __version__
-from .problems import ProblemDefinition, make_problem
+from .problems import ProblemDefinition, make_problem, seir
 from .stability import is_A_stable, is_L_stable, sample_region
 from .stepper import (
     AdaptiveStep,
@@ -222,19 +223,22 @@ def table5_rows(cases=((0.1, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, 1000.0)),
 
 
 def seir_sweep_rows(etas=tuple(range(1, 13)), orders=(6, 8), tol: float = 1e-5,
-                    t_c: float = 66.0, t_final: float = 300.0,
+                    t_c: float | None = None, t_final: float = 300.0,
                     safety: float = 0.9):
     """Step counts of the central adaptive scheme on the epidemic system as
     the stiffness scaling eta grows.
 
-    The horizon must cover the whole epidemic wave for every eta; truncating
-    mid-wave under-counts the slow (eta = 1) case and inflates the spread of
-    the step counts.
+    ``t_c`` goes to the ``seir`` factory only when given; otherwise the rows
+    report the factory's default.  The horizon must cover the whole epidemic
+    wave for every eta; truncating mid-wave under-counts the slow (eta = 1)
+    case and inflates the spread of the step counts.
     """
+    given = {} if t_c is None else {"t_c": t_c}
+    t_c = given.get("t_c", inspect.signature(seir).parameters["t_c"].default)
     rows = []
     for order in orders:
         for eta in etas:
-            problem = make_problem("seir", eta=float(eta), t_c=t_c)
+            problem = make_problem("seir", eta=float(eta), **given)
             cfg = SchemeConfig(0.5, order, AdaptiveStep(tol, safety=safety))
             trace = integrate(problem, cfg, t_final)
             drift = float(np.abs(trace.states.sum(axis=1)

@@ -255,7 +255,8 @@ main.add_command(table5, name="step-count")
 
 @main.command(name="seir-sweep")
 @click.option("--tol", type=_POSITIVE, default=1e-5, show_default=True)
-@click.option("--tc", type=_FINITE, default=66.0, show_default=True)
+@click.option("--tc", type=_FINITE, default=None,
+              show_default="the seir problem's")
 @click.option("--tf", type=_POSITIVE, default=300.0, show_default=True)
 @click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -269,7 +270,7 @@ def seir_sweep(tol, tc, tf, safety, out, fmt, check):
     header = ["K", "eta", "tol", "t_c", "t_final", "steps",
               "population_drift", "status"]
     meta = {"command": "seir-sweep", "problem": "seir", "theta": 0.5,
-            "tol": tol, "t_c": tc, "tf": tf, "safety": safety,
+            "tol": tol, "t_c": rows[0]["t_c"], "tf": tf, "safety": safety,
             "oracle": "population conservation only"}
     _emit_rows(rows, header, meta, out, fmt)
     if check:

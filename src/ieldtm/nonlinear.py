@@ -172,8 +172,8 @@ def newton_solve(residual, guess):
     inf-norm drops below _ABS_TOL or the update inf-norm drops below
     _STEP_TOL * max(1, |y|); after the last of _MAX_ITERS iterations, a
     residual at or below _ABS_TOL is accepted.
-    A singular Jacobian raises SingularMatrixError at the first iteration
-    and NewtonFailureError at a later one.
+    An infinite iterate raises NewtonFailureError, as does a singular
+    Jacobian after the first iteration, where it raises SingularMatrixError.
     """
     y = list(map(float, guess))
     first = _perturbed(residual, y, 0)
@@ -214,6 +214,8 @@ def newton_solve(residual, guess):
             new_norm = _inf_norm(r_new)
         y, r, r_norm = y_new, r_new, new_norm
         scale = max(1.0, max(map(abs, y)))
+        if scale == math.inf:  # else inf <= inf would accept it as a root
+            raise NewtonFailureError(f"non-finite iterate at iteration {it}")
         if alpha * max(map(abs, delta)) <= _STEP_TOL * scale:
             return y, it
     if r_norm <= _ABS_TOL:

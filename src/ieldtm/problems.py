@@ -1,17 +1,14 @@
 """Built-in ODE systems expressed as Taylor-coefficient recurrences.
 
 Each problem supplies a ``recurrence(t_i, table, depth)`` that extends, in
-place, every list of a coefficient table expanded about ``t_i``, state and
-auxiliary lists alike, from the lists' current length until each state list
-holds depth+1 entries; it returns nothing.  The table is the ``dim``
-per-component lists, ``table[j][k]`` = X_j(k), followed by the problem's
-``aux`` auxiliary lists, which hold one entry fewer.  An auxiliary list
-keeps the series of an intermediate product, such as U^2 in U^2 V, so that
-each index costs one convolution per product instead of recomputing the
-product's prefix.  ``stepper.build_coeff_table`` takes the state as a list
-and returns the whole table; readers of the state slice ``table[:dim]``.
-Any user ODE can be added by writing such a recurrence; the library does
-not derive recurrences from closed-form right-hand sides automatically.
+place, every list of a coefficient table expanded about ``t_i`` (its layout
+is in ``stepper.build_coeff_table``), state and auxiliary lists alike, from
+the lists' current length until each state list holds depth+1 entries; it
+returns nothing.  An auxiliary list keeps the series of an intermediate
+product, such as U^2 in U^2 V, so that each index costs one convolution per
+product instead of recomputing the product's prefix.  Any user ODE can be
+added by writing such a recurrence; the library does not derive recurrences
+from closed-form right-hand sides automatically.
 
 Recurrences must be complex-analytic: the Newton solver builds tables whose
 coefficients are complex numbers (its complex-step Jacobian), and these must

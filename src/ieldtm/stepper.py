@@ -22,7 +22,6 @@ import numpy as np
 from .errors import NewtonFailureError, NonFiniteStateError, SingularMatrixError
 from .nonlinear import newton_solve
 from .problems import ProblemDefinition
-from .taylor import horner_eval
 
 __all__ = [
     "FixedStep",
@@ -31,6 +30,7 @@ __all__ = [
     "StepRecord",
     "SolutionTrace",
     "build_coeff_table",
+    "horner_eval",
     "implicit_residual",
     "adaptive_dt_case1",
     "adaptive_dt_case2",
@@ -161,10 +161,13 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
     """The coefficient table of the list of ``dim`` numbers ``state`` about
     t_i through ``depth``.
 
-    The table holds the ``dim`` state lists, ``table[j][k]`` = X_j(k),
-    followed by the problem's auxiliary lists, and one recurrence call
-    extends them all in place from the state; readers of the state slice
-    ``table[:dim]``.  Complex entries give complex coefficients.
+    The table is the ``dim`` state lists, ``table[j][k]`` = X_j(k) =
+    x_j^(k)(t_i)/k!, followed by the problem's ``aux`` auxiliary lists,
+    which hold one entry fewer; one recurrence call extends them all in
+    place.  It does not store t_i, and readers of the state slice
+    ``table[:dim]``.  Entries are Python floats, or complex numbers for the
+    complex-step Jacobian: at m <= 6 and K <= 11 a numpy call costs more
+    than its arithmetic.
     """
     if len(state) != problem.dim:
         raise ValueError(f"state must have {problem.dim} entries")
@@ -195,6 +198,24 @@ def _run_recurrence(problem, t_i, table, depth: int) -> list:
         raise NonFiniteStateError(
             f"non-finite Taylor coefficient at t = {t_i!r}")
     return table
+
+
+def horner_eval(table, offset: float, order: int) -> list:
+    """Evaluate sum_{k=0}^{order} X_j(k) * offset^k for every component j,
+    highest order first for stability."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order >= len(table[0]):
+        raise IndexError(
+            f"order {order} exceeds stored coefficient depth {len(table[0]) - 1}"
+        )
+    values = []
+    for col in table:
+        acc = col[order]
+        for k in range(order - 1, -1, -1):
+            acc = acc * offset + col[k]
+        values.append(acc)
+    return values
 
 
 def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,

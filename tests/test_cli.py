@@ -232,3 +232,32 @@ class TestDeterminism:
         b = json.loads(second.output)
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+
+class TestSeirSweep:
+    ARGS = ["seir-sweep", "--tol", "1e-3", "--tf", "100"]
+
+    @staticmethod
+    def rows(output):
+        return [line.split(",") for line in output.splitlines()
+                if line[:1].isdigit()]
+
+    def test_tc_defaults_to_the_seir_problem(self, runner):
+        # The default t_c is the seir factory's, printed in the header and
+        # in every row; giving that value explicitly changes nothing.
+        default = runner.invoke(main, self.ARGS)
+        given = runner.invoke(main, [*self.ARGS, "--tc", "66"])
+        assert default.exit_code == 0, default.output
+        assert default.output == given.output
+        assert "# t_c=66.0" in default.output.splitlines()
+        assert {row[3] for row in self.rows(default.output)} == {"66.0"}
+
+    def test_given_tc_reaches_the_problem(self, runner):
+        default = runner.invoke(main, self.ARGS).output
+        result = runner.invoke(main, [*self.ARGS, "--tc", "70"])
+        assert result.exit_code == 0, result.output
+        assert "# t_c=70.0" in result.output.splitlines()
+        assert {row[3] for row in self.rows(result.output)} == {"70.0"}
+        # A later switch changes the step counts.
+        assert ([row[5] for row in self.rows(result.output)]
+                != [row[5] for row in self.rows(default)])

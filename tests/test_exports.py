@@ -1,10 +1,12 @@
-"""The package imports and every name in a module's __all__ exists, so a
-deleted function cannot stay listed; the settable solver values are pinned,
-and every problem option of the CLI names a factory parameter."""
+"""The package imports, MODULES lists exactly its modules with an __all__,
+and every name in a module's __all__ exists, so a deleted module or function
+cannot stay listed; the settable solver values are pinned, and every problem
+option of the CLI names a factory parameter."""
 
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 
 import click
 
@@ -12,7 +14,15 @@ from ieldtm.cli import _problem_options
 from ieldtm.problems import _FACTORIES
 from ieldtm.stepper import AdaptiveStep, FixedStep, SchemeConfig
 
-MODULES = ("taylor", "problems", "nonlinear", "stepper", "stability", "bench")
+MODULES = ("problems", "nonlinear", "stepper", "stability", "bench")
+
+
+def test_modules_match_package():
+    package = importlib.import_module("ieldtm")
+    exporting = {info.name for info in pkgutil.iter_modules(package.__path__)
+                 if hasattr(importlib.import_module(f"ieldtm.{info.name}"),
+                            "__all__")}
+    assert set(MODULES) == exporting
 
 
 def test_all_names_resolve():

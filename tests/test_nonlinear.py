@@ -11,8 +11,7 @@ from ieldtm.nonlinear import (_jacobian, _lu_solve_2, _lu_solve_n, lu_solve,
                               newton_solve)
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
-from ieldtm.stepper import build_coeff_table, implicit_residual
-from ieldtm.taylor import horner_eval
+from ieldtm.stepper import build_coeff_table, horner_eval, implicit_residual
 
 
 class TestLuSolve:
@@ -311,10 +310,19 @@ class TestNewtonSolve:
             real_calls.append(list(y))
             return [math.inf for _ in y]
 
-        newton_solve(residual, [2.0])
+        with pytest.raises(NewtonFailureError):
+            newton_solve(residual, [2.0])
         assert len(real_calls) >= 1 + nonlinear._MAX_HALVINGS
         assert real_calls[:1 + nonlinear._MAX_HALVINGS] == \
             [[-math.inf]] * (1 + nonlinear._MAX_HALVINGS)
+
+    def test_root_beyond_float_range_raises(self):
+        # The root 1e310 overflows: the update and every halving of it land
+        # on inf, and inf <= inf must not pass the update test as
+        # convergence.
+        with pytest.raises(NewtonFailureError,
+                           match=r"^non-finite iterate at iteration 1$"):
+            newton_solve(lambda y: [1e-250 * v - 1e60 for v in y], [0.0])
 
     @pytest.mark.parametrize("where", [0, 1])
     def test_nan_residual_counts_as_growth(self, where):

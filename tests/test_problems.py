@@ -2,10 +2,13 @@
 
 import inspect
 import math
+from operator import mul
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ieldtm.problems import (
     PROBLEM_NAMES,
@@ -19,7 +22,6 @@ from ieldtm.problems import (
 )
 from ieldtm import stepper
 from ieldtm.stepper import build_coeff_table
-from test_taylor import triple_product
 
 
 def coeffs_from(problem, t, state, depth):
@@ -217,7 +219,7 @@ def _exp_decay_forcing(t, k):
                      1.0 if k == 0 else 0.0])
 
 
-class TestBatchAxis:
+class TestComplexStepRealPart:
     """The real part of the complex-step table built from y + ih e_j, one of
     the Newton Jacobian's points, equals the real table of y."""
 
@@ -264,6 +266,46 @@ class TestNonFiniteParameters:
     def test_refused(self, make, value):
         with pytest.raises(ValueError, match="must be finite"):
             make(value)
+
+
+def triple_product(a, b, c, k: int):
+    """Nested convolution sum_{l=0}^{k} sum_{n=0}^{l} a(n) b(l-n) c(k-l),
+    the transform of a*b*c, with the prefix a*b recomputed on every call.
+
+    The Van der Pol and Duffing recurrences used this before they kept the
+    prefix as an auxiliary series; their tables must still equal it bit for
+    bit, so it stays here as the oracle."""
+    if len(a) <= k or len(b) <= k or len(c) <= k:
+        raise IndexError(f"sequences must be defined up to index {k}")
+    total = 0.0
+    for l in range(k + 1):
+        total += sum(map(mul, a[: l + 1], b[l::-1])) * c[k - l]
+    return total
+
+
+_SEQUENCE9 = st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False),
+                      min_size=9, max_size=9).map(np.array)
+
+
+class TestTripleProduct:
+    """The oracle triple_product above."""
+
+    def test_cube_of_one_plus_t(self):
+        # coefficient of t^2 in (1 + t)^3 is C(3, 2) = 3
+        a = np.array([1.0, 1.0, 0.0])
+        assert triple_product(a, a, a, 2) == pytest.approx(3.0)
+
+    def test_double_identity(self):
+        a = np.array([2.0, 4.0, 8.0, 16.0])
+        e = np.array([1.0, 0.0, 0.0, 0.0])
+        assert triple_product(a, e, e, 3) == pytest.approx(a[3])
+
+    @settings(max_examples=100)
+    @given(_SEQUENCE9, _SEQUENCE9, _SEQUENCE9, st.integers(0, 8))
+    def test_matches_nested_convolution(self, a, b, c, k):
+        expected = np.convolve(np.convolve(a, b)[: k + 1], c)[k]
+        assert triple_product(a, b, c, k) == pytest.approx(
+            expected, abs=1e-7 * (1 + abs(expected)))
 
 
 def _old_vdp(eps):

@@ -2,13 +2,17 @@
 
 import io
 import math
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ieldtm import nonlinear, stepper
 from ieldtm.bench import write_trace_csv
+from ieldtm.errors import NonFiniteStateError
 from ieldtm.problems import (
     ProblemDefinition,
     dahlquist,
@@ -27,10 +31,10 @@ from ieldtm.stepper import (
     adaptive_dt_case1,
     adaptive_dt_case2,
     build_coeff_table,
+    horner_eval,
     implicit_residual,
     integrate,
 )
-from ieldtm.taylor import cauchy_product, horner_eval
 
 
 def coeff_array(table):
@@ -58,7 +62,7 @@ def quadratic_blowup():
     def recurrence(t, table, depth):
         x, = table
         for k in range(len(x) - 1, depth):
-            x.append(cauchy_product(x, x, k) / (k + 1))
+            x.append(sum(map(mul, x[:k + 1], x[k::-1])) / (k + 1))
 
     return ProblemDefinition(name="quadratic", dim=1, recurrence=recurrence,
                              default_initial=np.array([1.0]))
@@ -96,6 +100,48 @@ class TestBuildCoeffTable:
         # The entries' sum overflows, but every entry is finite.
         table = build_coeff_table(linear_system(np.zeros((2, 2))), 0.0, state, 2)
         assert table == [[state[0], 0.0, 0.0], [state[1], 0.0, 0.0]]
+
+
+class TestCoeffTable:
+    """A coefficient table is a list of per-component lists of floats."""
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite Taylor coefficient at t = 0\.0$"):
+            build_coeff_table(dahlquist(1.0), 0.0, [np.nan], 1)
+
+    def test_eval_point_order_capped_by_depth(self):
+        table = [[1.0, 1.0, 1.0]]
+        with pytest.raises(IndexError):
+            horner_eval(table, 0.1, 5)
+        with pytest.raises(ValueError):
+            horner_eval(table, 0.1, -1)
+
+
+class TestHornerEval:
+    def test_truncated_exponential(self):
+        table = [[1.0, 1.0, 0.5]]
+        value = horner_eval(table, 0.1, 2)
+        assert value[0] == pytest.approx(1.105)
+
+    def test_zero_offset_returns_state(self):
+        table = [[4.0, 1.0, 9.0]]
+        assert horner_eval(table, 0.0, 2)[0] == 4.0
+
+    def test_alternating_series(self):
+        # e^(-t) truncated: 1 - 1 + 1/2 at offset 1
+        table = [[1.0, -1.0, 0.5]]
+        assert horner_eval(table, 1.0, 2)[0] == pytest.approx(0.5)
+
+    @given(st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False),
+                    min_size=1, max_size=13),
+           st.floats(min_value=-2, max_value=2, allow_nan=False))
+    def test_matches_naive_power_sum(self, coeffs, offset):
+        table = [coeffs]
+        order = len(coeffs) - 1
+        naive = sum(c * offset ** k for k, c in enumerate(coeffs))
+        value = horner_eval(table, offset, order)[0]
+        assert value == pytest.approx(naive, abs=1e-10 * (1 + abs(naive)))
 
 
 class TestExplicitStep:
