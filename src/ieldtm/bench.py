@@ -367,13 +367,14 @@ def rows_to_csv(meta: dict, header, dict_rows) -> str:
 
 
 def write_trace_csv(stream, trace: SolutionTrace, meta: dict):
-    dim = trace.records[0].state.shape[0]
+    records = trace.records
+    dim = records[0].state.shape[0]
     header = ["t"] + [f"x{j + 1}" for j in range(dim)] + [
         "dt", "newton_iters", "local_err_est"]
     rows = (
         [rec.t, *(f"{v:.17g}" for v in rec.state), rec.dt_used,
          rec.newton_iters, rec.local_error_estimate]
-        for rec in trace.records
+        for rec in records
     )
     write_csv(stream, meta, header, rows)
 

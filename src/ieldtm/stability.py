@@ -9,12 +9,17 @@ The scalar stability function is the ratio of two truncated exponentials,
 so R(z) approximates e^z near the origin and the classical theta-method is
 recovered at K = 1.
 
-The certificates are proofs, not samples (Hairer & Wanner, Solving ODEs II,
-IV.3): R is A-stable exactly when it has no pole with Re z <= 0 and
-E(y) = |T_K(-i theta y)|^2 - |T_K(i (1 - theta) y)|^2 >= 0 for real y.  The
-A-stable sets are theta in [0.5, 1] for K <= 2, theta = 0.5 for K = 3, 4 and
-none for K >= 5 (T_K has right-half-plane roots, so R has a left-half-plane
-pole); L-stable only at theta = 1, K <= 2.
+R is A-stable exactly when it has no pole with Re z <= 0 and, for real y,
+E(y) = |T_K(-i theta y)|^2 - |T_K(i (1 - theta) y)|^2 >= 0 (Hairer & Wanner,
+Solving ODEs II, IV.3), where E = sum_m b[m] (theta^2m - (1 - theta)^2m) y^2m.
+The certificates decide this from exact per-K facts by comparisons alone.
+T_K is Hurwitz by Routh's table on its coefficients 1/k! (Gantmacher, Theory
+of Matrices II, XV) only for K <= 4; otherwise R has a pole with Re z <= 0
+for every theta > 0.  Below theta = 0.5, |R(-inf)| = ((1 - theta) / theta)^K
+> 1; at 0.5, E = 0; above, E >= 0 when every nonzero b[m] is positive and
+E < 0 near 0 when the lowest is negative.  So the A-stable sets are theta in
+[0.5, 1] for K <= 2, 0.5 for K = 3, 4 and none for K >= 5; L-stable
+(R(-inf) = 0) only at theta = 1, K <= 2.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from numbers import Integral
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +48,6 @@ __all__ = [
 
 _POLE_FLOOR = 1e-300
 A_STABLE_SLACK = 1e-10
-_FAR_REAL = -np.logspace(1.0, 8.0, 8) + 0.0j  # real witness candidates, theta < 0.5
 # Grid points per block of rows in sample_region (256 KiB of complex128).
 # Whole-grid temporaries are several MB each, taken as fresh pages whose
 # faults cost as much as the arithmetic.  Per 400^2 grid on a 2-vCPU Xeon VM,
@@ -53,7 +58,12 @@ _FAR_REAL = -np.logspace(1.0, 8.0, 8) + 0.0j  # real witness candidates, theta <
 _BLOCK_POINTS = 1 << 14
 
 
-def _check_order(order: int) -> None:
+def _check(theta: float, order: int) -> None:
+    """SchemeConfig's rules (int is tested first: the Integral check is slow)."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must be in [0, 1]")
+    if isinstance(order, bool) or not isinstance(order, (int, Integral)):
+        raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
 
@@ -71,7 +81,7 @@ def _trunc_exp(w, order: int):
 
 def scalar_R(z: complex, theta: float, order: int) -> complex:
     """Scalar stability function R(z) for one (theta, K)."""
-    _check_order(order)
+    _check(theta, order)
     num = _trunc_exp((1.0 - theta) * z, order)
     den = _trunc_exp(-theta * z, order)
     if abs(den) < _POLE_FLOOR:
@@ -146,7 +156,7 @@ def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
     The grid is evaluated one block of rows at a time, so peak memory is the
     output plus one block.  Every operation is elementwise, so the values do
     not depend on the blocking."""
-    _check_order(order)
+    _check(theta, order)
     for name, bounds in (("re_range", re_range), ("im_range", im_range)):
         for k, bound in enumerate(bounds):
             if not math.isfinite(bound):
@@ -166,8 +176,8 @@ def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
     return StabilityGrid(theta, order, re, im, values)
 
 
-def unstable_fraction(grid: StabilityGrid, slack: float = 1e-10) -> float:
-    """Fraction of left-half-plane grid cells with |R| > 1 + slack.
+def unstable_fraction(grid: StabilityGrid) -> float:
+    """Fraction of left-half-plane grid cells with |R| > 1 + A_STABLE_SLACK.
 
     Quantifies "almost stable" schemes: high-order central/backward variants
     violate |R| <= 1 only on a small left-half-plane region, and this measures
@@ -176,88 +186,87 @@ def unstable_fraction(grid: StabilityGrid, slack: float = 1e-10) -> float:
     lhp = grid.re_values < 0.0
     if not lhp.any():
         return 0.0
-    vals = grid.values[lhp, :]
-    return float(np.mean(vals > 1.0 + slack))
+    return float(np.mean(grid.values[lhp, :] > 1.0 + A_STABLE_SLACK))
+
+
+class _OrderFacts(NamedTuple):
+    hurwitz: bool                 # every root of T_K has Re < 0 (Routh)
+    b: tuple                      # exact Fractions b[0..K], b[0] = 0
+    signs: Tuple[int, ...]        # signs of the nonzero b[m], m ascending
+    pole_root: Optional[complex]  # float root in Re >= 0 nearest iR; pole -root/theta
 
 
 @functools.lru_cache(maxsize=None)
-def _order_constants(order: int):
-    """The theta-independent constants of the certificates: the roots of T_K
-    (the poles of R are these times -1/theta) and b[m] = (-1)^m c_2m for
-    m = 0..K, c_n = sum_{j+l=n; j,l<=K} (-1)^l / (j! l!) summed exactly in
-    integers scaled by K!^2 (c_n = 0 for 0 < n <= K)."""
+def _order_facts(order: int) -> _OrderFacts:
+    """T_K is Hurwitz iff every first-column entry of Routh's table on its
+    coefficients 1/k! is positive.  b[m] = (-1)^m c_2m, c_n = sum_{j+l=n;
+    j,l<=K} (-1)^l / (j! l!), so that |T_K(iw)|^2 = 1 + sum_{m>=1} b[m] w^2m."""
+    from fractions import Fraction  # imported here: it takes ~3 ms to load
+    inv = [Fraction(1, math.factorial(k)) for k in range(order + 1)]
+    upper, lower = inv[::-2], inv[-2::-2]  # Routh's first two rows
+    while lower and lower[0] > 0:
+        ratio = upper[0] / lower[0]
+        upper, lower = lower, [u - ratio * v for u, v in zip(upper[1:], lower[1:] + [0])]
+    b = tuple((-1) ** m * sum((-1) ** l * inv[2 * m - l] * inv[l]
+                              for l in range(2 * m - order, order + 1))
+              if 2 * m > order else Fraction(0) for m in range(order + 1))
     roots = np.roots([1.0 / math.factorial(k) for k in range(order, -1, -1)])
-    scaled = [math.factorial(order) // math.factorial(k) for k in range(order + 1)]
-    b = np.zeros(order + 1)
-    for m in range(order // 2 + 1, order + 1):
-        b[m] = (-1) ** m * sum((-1) ** l * scaled[2 * m - l] * scaled[l]
-                               for l in range(2 * m - order, order + 1)) / scaled[0] ** 2
-    roots.flags.writeable = b.flags.writeable = False
-    return roots, b
+    pole_root = min(roots, key=lambda r: (r.real < 0.0, abs(r.real))) if lower else None
+    return _OrderFacts(not lower, b, tuple(1 if x > 0 else -1 for x in b if x), pole_root)
 
 
-def _e_poly(theta: float, order: int) -> np.ndarray:
-    """E in s = y^2, ascending coefficients: |T_K(i a y)|^2 is 1 plus
-    sum_m b[m] (a y)^2m, so e[m] = b[m] (theta^2m - (1 - theta)^2m)."""
-    m = np.arange(order + 1)
-    return _order_constants(order)[1] * (theta ** (2 * m) - (1.0 - theta) ** (2 * m))
+def _stable(theta: float, facts: _OrderFacts) -> bool:
+    if theta > 0.0 and not facts.hurwitz:
+        return False  # R has a pole with Re z <= 0
+    if theta <= 0.5:
+        return theta == 0.5  # |R(-inf)| > 1 below 0.5; E = 0 at 0.5
+    if min(facts.signs) < 0 < facts.signs[0]:
+        raise NotImplementedError("E's sign depends on theta: needs Sturm's theorem")
+    return facts.signs[0] > 0
+
+
+def _witness(theta: float, order: int, facts: _OrderFacts) -> complex:
+    """A z with |R(z)| > 1: next to a pole, far out on R- (theta < 0.5) or the
+    iy, y = 2^j, with the largest -E / |den|^2.  Just above theta = 0.5 that is
+    O(theta - 0.5), so |R(w)| > 1 + A_STABLE_SLACK need not hold anywhere."""
+    if theta > 0.0 and not facts.hurwitz:
+        # |R| blows up next to the pole; report a concrete violating point.
+        pole, step = complex(-facts.pole_root / theta), 1e-6
+        while (step <= 1.0
+               and abs(scalar_R(pole - step, theta, order)) <= 1.0 + A_STABLE_SLACK):
+            step *= 10.0
+        return pole - step
+    # |R(-inf)| > 1; just below 0.5 no x passes the slack, but E(y) < 0 far out.
+    for x in (-10.0 ** k for k in range(1, 9) if theta < 0.5):
+        if abs(scalar_R(x, theta, order)) > 1.0 + A_STABLE_SLACK:
+            return complex(x)
+    # |R(iy)|^2 - 1 = -E(y) / |T_K(-i theta y)|^2, both sums over b[m] y^2m.
+    y, m, b = 2.0 ** np.arange(-10, 21), np.arange(order + 1), np.array(facts.b, float)
+    powers = (y[:, None] ** 2) ** m
+    e = powers @ (b * (theta ** (2 * m) - (1.0 - theta) ** (2 * m)))
+    return 1j * float(y[np.argmax(-e / (1.0 + powers @ (b * theta ** (2 * m))))])
 
 
 def is_A_stable(theta: float, order: int) -> Tuple[bool, Optional[complex]]:
     """Exact A-stability certificate (see the module docstring).  Returns
-    (stable, witness); an unstable witness is a z with |R(z)| > 1: next to a
-    pole, on the negative real axis (theta < 0.5) or on iR where E < 0.
-
-    A witness guarantees |R(w)| > 1, not |R(w)| > 1 + A_STABLE_SLACK: no
-    such point need exist.  Just above theta = 0.5, R has no pole with
-    Re z <= 0 and |R(inf)| < 1, so by the maximum-modulus principle the
-    worst violation lies on iR, where |R|^2 - 1 = -E / |den|^2 and E's
-    coefficients are O(theta - 0.5) (3.5e-11 at theta = 0.5 + 1e-10,
-    K = 3)."""
-    _check_order(order)
-    poles = -_order_constants(order)[0] / theta if theta else np.empty(0)
-    poles = poles[poles.real <= 1e-9]
-    if poles.size:
-        # |R| blows up next to the pole; report a concrete violating point.
-        pole, step = complex(poles[np.argmax(poles.real)]), 1e-6
-        while (step <= 1.0
-               and abs(scalar_R(pole - step, theta, order)) <= 1.0 + A_STABLE_SLACK):
-            step *= 10.0
-        return False, pole - step
-
-    if theta < 0.5:
-        # |R(x)| -> ((1 - theta) / theta)^K > 1 as x -> -inf (R is a
-        # polynomial at theta = 0): the nearest far sample past the slack.
-        # Just below 0.5 none gets past it; then E's leading coefficient
-        # b_K (theta^2K - (1 - theta)^2K) < 0 and the E test below finds iy.
-        bad = _abs_R_array(_FAR_REAL, theta, order) > 1.0 + A_STABLE_SLACK
-        if bad.any():
-            return False, complex(_FAR_REAL[np.argmax(bad)])
-
-    # E keeps its sign between consecutive positive roots (np.roots drops the
-    # s^m0 factor), so one sample per interval decides E >= 0 on s > 0.
-    p = _e_poly(theta, order)[::-1]
-    cuts = np.unique(np.roots(p).real)
-    cuts = np.concatenate([[0.0], cuts[cuts > 0.0],
-                           [2.0 * max(cuts.max(initial=0.0), 0.5)]])
-    s = 0.5 * (cuts[:-1] + cuts[1:])
-    e = np.polyval(p, s)
-    if e.min() >= 0.0:
-        return True, None
-    return False, 1j * math.sqrt(s[np.argmin(e)])  # |R|^2 = 1 - E / |den|^2
+    (stable, witness); an unstable witness is a z with |R(z)| > 1."""
+    _check(theta, order)
+    facts = _order_facts(order)
+    stable = _stable(theta, facts)
+    return stable, None if stable else _witness(theta, order, facts)
 
 
 def is_L_stable(theta: float, order: int) -> bool:
     """A-stability plus R(-inf) = 0.  |R(inf)| = ((1 - theta) / theta)^K
     vanishes only at theta = 1."""
-    _check_order(order)
-    return theta == 1.0 and is_A_stable(1.0, order)[0]
+    _check(theta, order)
+    return theta == 1.0 and _stable(1.0, _order_facts(order))
 
 
 def matrix_R(theta: float, dtA, order: int) -> np.ndarray:
     """Matrix stability function: the implicit-step propagator of a linear
     homogeneous system x' = A x over one step (dtA = dt * A)."""
-    _check_order(order)
+    _check(theta, order)
     dtA = np.asarray(dtA, dtype=float)
     m = dtA.shape[0]
     if dtA.shape != (m, m):

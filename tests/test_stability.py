@@ -4,14 +4,20 @@ import cmath
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from ieldtm.errors import PoleError
 from ieldtm.stability import (
+    A_STABLE_SLACK,
+    StabilityGrid,
     _abs_R_array,
-    _e_poly,
+    _order_facts,
+    _OrderFacts,
+    _stable,
     contraction_certificate,
     is_A_stable,
     is_L_stable,
@@ -36,6 +42,35 @@ from ieldtm.stability import (
 def test_order_below_one_rejected(call, order):
     with pytest.raises(ValueError, match="order must be >= 1"):
         call(order)
+
+
+_CALLS = {
+    "scalar_R": lambda theta, order: scalar_R(-1.0, theta, order),
+    "sample_region": lambda theta, order: sample_region(theta, order, resolution=3),
+    "is_A_stable": is_A_stable,
+    "is_L_stable": is_L_stable,
+    "matrix_R": lambda theta, order: matrix_R(theta, -np.eye(2), order),
+}
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+@pytest.mark.parametrize("name", _CALLS)
+def test_theta_outside_unit_interval_rejected(name, theta):
+    # A nan theta fails every comparison, so without the check the exact
+    # decision would take it for theta > 0.5.
+    with pytest.raises(ValueError, match=re.escape("theta must be in [0, 1]")):
+        _CALLS[name](theta, 3)
+
+
+@pytest.mark.parametrize("order", [True, 3.0, 2.5, "3"])
+@pytest.mark.parametrize("name", _CALLS)
+def test_non_integer_order_rejected(name, order):
+    with pytest.raises(ValueError, match="order must be an integer"):
+        _CALLS[name](0.5, order)
+
+
+def test_numpy_integer_order_accepted():
+    assert is_A_stable(0.5, np.int64(3)) == (True, None)
 
 
 class TestScalarR:
@@ -145,6 +180,11 @@ class TestSampleRegion:
             tracemalloc.stop()
         assert peak <= grid.values.nbytes + 4 * 2**20
 
+    def test_unstable_fraction_uses_certificate_slack(self):
+        values = np.array([[1.0 + 0.5 * A_STABLE_SLACK, 1.0 + 2.0 * A_STABLE_SLACK]])
+        grid = StabilityGrid(0.5, 3, np.array([-1.0]), np.array([0.0, 1.0]), values)
+        assert unstable_fraction(grid) == 0.5
+
     def test_unstable_fraction_quantifies_almost_stability(self):
         stable = sample_region(0.5, 3, (-50.0, 0.0), (-50.0, 50.0), (121, 121))
         almost = sample_region(0.5, 5, (-50.0, 0.0), (-50.0, 50.0), (121, 121))
@@ -184,6 +224,19 @@ _ORACLE_THETAS = np.concatenate([
     np.linspace(0.0, 1.0, 41),
     np.random.default_rng(7).uniform(0.0, 1.0, 10),
 ])
+
+
+# theta = 0.5 -+ 10^-k, k = 1..16; every one is a float other than 0.5.
+_NEAR_HALF = np.array([0.5 + sign * 10.0 ** -k for k in range(1, 17)
+                       for sign in (-1.0, 1.0)])
+
+
+def _abs_R_mp(z, theta, order):
+    """|R(z)| in mpmath at the working precision."""
+    z, theta = mpmath.mpc(z), mpmath.mpf(theta)
+    def t(w):
+        return mpmath.fsum(w ** k / mpmath.factorial(k) for k in range(order + 1))
+    return abs(t((1 - theta) * z)) / abs(t(-theta * z))
 
 
 class TestAStability:
@@ -241,6 +294,24 @@ class TestAStability:
             assert not stable and witness is not None
             assert _abs_R(witness, theta, order) > 1.0, (theta, witness)
 
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_classification_next_to_half(self, order):
+        for theta in _NEAR_HALF:
+            stable, witness = is_A_stable(theta, order)
+            assert stable == (theta > 0.5 and order <= 2), theta
+            assert (witness is None) == stable
+            assert not is_L_stable(theta, order)
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_witness_violates_in_extended_precision(self, order):
+        # The witness is found in float64; |R(w)| > 1 is checked at 50 digits
+        # with the exact values of the float theta and w.
+        with mpmath.workdps(50):
+            for theta in np.concatenate([_ORACLE_THETAS, _NEAR_HALF]):
+                stable, witness = is_A_stable(theta, order)
+                if not stable:
+                    assert _abs_R_mp(witness, theta, order) > 1, (theta, witness)
+
     def test_exact_stable_theta_sets(self):
         thetas = np.linspace(0.0, 1.0, 201)
         for order, expected in ((1, thetas >= 0.5), (2, thetas >= 0.5),
@@ -251,32 +322,74 @@ class TestAStability:
             assert not any(is_A_stable(t, order)[0] for t in thetas)
 
 
+def _exact_e(theta, order):
+    """E's coefficients in s = y^2, e[m] = b[m] (theta^2m - (1 - theta)^2m),
+    from the exact b and the exact value of the float theta."""
+    t = Fraction(theta)
+    return [bm * (t ** (2 * m) - (1 - t) ** (2 * m))
+            for m, bm in enumerate(_order_facts(order).b)]
+
+
 class TestEPolynomial:
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_first_order_closed_form(self, theta):
-        np.testing.assert_allclose(_e_poly(theta, 1), [0.0, 2.0 * theta - 1.0],
-                                   atol=1e-15)
+        assert _exact_e(theta, 1) == [0, 2 * Fraction(theta) - 1]
 
     def test_backward_third_order_closed_form(self):
-        np.testing.assert_allclose(_e_poly(1.0, 3),
-                                   [0.0, 0.0, -1.0 / 12.0, 1.0 / 36.0],
-                                   rtol=1e-15)
+        expected = [0, 0, Fraction(-1, 12), Fraction(1, 36)]
+        assert list(_order_facts(3).b) == expected
+        assert _exact_e(1.0, 3) == expected
 
     @pytest.mark.parametrize("order", range(1, 9))
     def test_matches_definition(self, order):
-        """E(y) = |T_K(-i theta y)|^2 - |T_K(i (1 - theta) y)|^2."""
+        """E(y) = sum b[m] (theta^2m - (1 - theta)^2m) y^2m equals
+        |T_K(-i theta y)|^2 - |T_K(i (1 - theta) y)|^2."""
         c = [1.0 / math.factorial(k) for k in range(order, -1, -1)]
         y = np.linspace(-3.0, 3.0, 13)
         for theta in (0.2, 0.5, 0.75, 1.0):
             direct = (np.abs(np.polyval(c, -1j * theta * y)) ** 2
                       - np.abs(np.polyval(c, 1j * (1.0 - theta) * y)) ** 2)
-            e = _e_poly(theta, order)
+            e = np.array(_exact_e(theta, order), dtype=float)
             np.testing.assert_allclose(np.polyval(e[::-1], y ** 2), direct,
                                        atol=1e-12 * (1.0 + np.abs(direct).max()))
 
     def test_central_scheme_vanishes(self):
         for order in range(1, 13):
-            assert not _e_poly(0.5, order).any()
+            assert not any(_exact_e(0.5, order))
+
+
+class TestOrderFacts:
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_hurwitz_by_routh_matches_roots(self, order):
+        coeffs = [1.0 / math.factorial(k) for k in range(order, -1, -1)]
+        largest = np.roots(coeffs).real.max()
+        assert _order_facts(order).hurwitz == (order <= 4) == (largest < 0.0)
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_signs_are_those_of_b(self, order):
+        facts = _order_facts(order)
+        assert facts.signs == tuple((x > 0) - (x < 0) for x in facts.b if x)
+        assert facts.b[-1] == Fraction(1, math.factorial(order) ** 2)
+
+    def test_theta_dependent_sign_of_e_is_refused(self):
+        # No T_K reaches this: where T_K is Hurwitz (K <= 4) the b[m] are all
+        # positive or the lowest is negative.  So the facts are made up.
+        facts = _OrderFacts(True, (0, 1, -1, 1), (1, -1, 1), None)
+        with pytest.raises(NotImplementedError, match="Sturm"):
+            _stable(0.75, facts)
+
+    def test_warm_cache_needs_no_float_roots(self, monkeypatch):
+        for order in range(1, 13):
+            _order_facts(order)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("float polynomial routine called")
+        monkeypatch.setattr(np, "roots", refuse)
+        monkeypatch.setattr(np, "polyval", refuse)
+        for order in range(1, 13):
+            for theta in _ORACLE_THETAS:
+                is_A_stable(theta, order)
+                is_L_stable(theta, order)
 
 
 class TestLStability:
