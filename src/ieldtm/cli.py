@@ -30,6 +30,7 @@ from .bench import (
 )
 from .errors import IeldtmError
 from .problems import PROBLEM_NAMES, make_problem
+from .stability import MAX_ORDER
 from .stepper import AdaptiveStep, FixedStep, SchemeConfig
 
 
@@ -279,7 +280,8 @@ def seir_sweep(tol, tc, tf, safety, out, fmt, check):
 
 @main.command(name="stability-grid")
 @click.option("--theta", type=_THETA, default=0.5, show_default=True)
-@click.option("--K", "order", type=_ORDER, default=3, show_default=True)
+@click.option("--K", "order", type=click.IntRange(1, MAX_ORDER), default=3,
+              show_default=True)
 @click.option("--re-min", type=_FINITE, default=-10.0, show_default=True)
 @click.option("--re-max", type=_FINITE, default=5.0, show_default=True)
 @click.option("--im-min", type=_FINITE, default=-10.0, show_default=True)

@@ -11,13 +11,17 @@ residuals, the Jacobian and the LU are Python lists of floats: at m <= 6 a
 numpy call per residual, column, pivot, swap or row update costs more than
 the arithmetic it does.
 
-``lu_solve`` has a second, unrolled path for n = 2 (Van der Pol, Duffing).
-There the bookkeeping of the general loop (row copies, column maxima, row
-scales, pivot search) costs several times the elimination itself: 10.9
-against 1.5 us per call on a 2-vCPU Xeon VM.  The unrolled path makes the
-same pivot choice, singularity test and operations, so it returns the same
-bits and raises the same errors.  Larger systems keep the general loop and
-its np.dot, whose fused multiply-adds a Python sum would not reproduce.
+``lu_solve`` has unrolled paths for n = 2 (Van der Pol, Duffing) and n = 3
+(Robertson).  There the bookkeeping of the general loop (row copies, column
+maxima, row scales, pivot search) costs several times the elimination
+itself.  Per lu_solve call on a 2-vCPU Xeon VM (fastest of 9 interleaved
+runs), the unrolled paths take 1.4 us at n = 2 and 4.6 us at n = 3, the
+general loop 7.8 and 15.1 us.  An unrolled path makes the same pivot choice,
+singularity tests and operations, so it returns the same bits and raises the
+same errors.  Back-substitution at n = 3 keeps one np.dot of length 2, for
+row 0, a third of that path's time (1.6 us): a BLAS dot may fuse its
+multiply-adds, which a Python expression would not reproduce.  Larger systems
+(SEIR, m = 6) keep the general loop.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ def lu_solve(A, b) -> list:
     the inf-norm of its row, both measured with each column scaled to a
     largest entry of 1, so a badly scaled but well-conditioned matrix passes.
 
-    A 2 x 2 system takes ``_lu_solve_2``, the same elimination unrolled: at
-    n = 2 the general loop's bookkeeping costs several times its arithmetic.
+    A 2 x 2 or 3 x 3 system takes ``_lu_solve_2`` or ``_lu_solve_3``, the
+    same elimination unrolled: at n <= 3 the general loop's bookkeeping costs
+    several times its arithmetic.
     """
     b = list(map(float, b))
     n = len(b)
@@ -61,6 +66,14 @@ def lu_solve(A, b) -> list:
         except ValueError:  # a row of another length
             raise ValueError(_SHAPE_MESSAGE) from None
         return _lu_solve_2(float(a00), float(a01), float(a10), float(a11), *b)
+    if n == 3 and len(A) == 3:
+        try:
+            (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+        except ValueError:
+            raise ValueError(_SHAPE_MESSAGE) from None
+        return _lu_solve_3(float(a00), float(a01), float(a02), float(a10),
+                           float(a11), float(a12), float(a20), float(a21),
+                           float(a22), *b)
     a = [list(map(float, row)) for row in A]
     if len(a) != n or any(len(row) != n for row in a):
         raise ValueError(_SHAPE_MESSAGE)
@@ -128,6 +141,58 @@ def _lu_solve_2(a00: float, a01: float, a10: float, a11: float,
         raise SingularMatrixError("pivot underflow in column 1")
     x1 = b1 / a11
     return [(b0 - a01 * x1) / a00, x1]
+
+
+def _lu_solve_3(a00: float, a01: float, a02: float, a10: float, a11: float,
+                a12: float, a20: float, a21: float, a22: float,
+                b0: float, b1: float, b2: float) -> list:
+    """``_lu_solve_n`` for n = 3, unrolled: every float operation, comparison
+    and error of the general loop, in its order.  A row scale of three terms
+    stays ``sum`` of a tuple: a compensated sum (Python >= 3.12) carries the
+    rounding error of the first addition into the second, so t0 + t1 + t2
+    can differ from it in the last bit.  Row 0's back-substitution keeps the
+    general loop's np.dot, as a BLAS dot may fuse its multiply-adds."""
+    e00, e01, e02 = abs(a00), abs(a01), abs(a02)
+    e10, e11, e12 = abs(a10), abs(a11), abs(a12)
+    e20, e21, e22 = abs(a20), abs(a21), abs(a22)
+    # max() keeps the first of equal candidates, and a leading nan.
+    top = e10 if e10 > e00 else e00
+    c0 = (e20 if e20 > top else top) or 1.0
+    c1 = e11 if e11 > e01 else e01
+    c1 = (e21 if e21 > c1 else c1) or 1.0
+    c2 = e12 if e12 > e02 else e02
+    c2 = (e22 if e22 > c2 else c2) or 1.0
+    s0 = sum((e00 / c0, e01 / c1, e02 / c2))
+    s1 = sum((e10 / c0, e11 / c1, e12 / c2))
+    s2 = sum((e20 / c0, e21 / c1, e22 / c2))
+    if e20 > top:
+        a00, a01, a02, b0, s0, a20, a21, a22, b2, s2 = \
+            a20, a21, a22, b2, s2, a00, a01, a02, b0, s0
+    elif e10 > e00:
+        a00, a01, a02, b0, s0, a10, a11, a12, b1, s1 = \
+            a10, a11, a12, b1, s1, a00, a01, a02, b0, s0
+    if abs(a00) <= _PIVOT_REL_TOL * s0 * c0:
+        raise SingularMatrixError("pivot underflow in column 0")
+    f = a10 / a00
+    a11 -= f * a01
+    a12 -= f * a02
+    b1 -= f * b0
+    f = a20 / a00
+    a21 -= f * a01
+    a22 -= f * a02
+    b2 -= f * b0
+    if abs(a21) > abs(a11):
+        a11, a12, b1, s1, a21, a22, b2, s2 = a21, a22, b2, s2, a11, a12, b1, s1
+    if abs(a11) <= _PIVOT_REL_TOL * s1 * c1:
+        raise SingularMatrixError("pivot underflow in column 1")
+    f = a21 / a11
+    a22 -= f * a12
+    b2 -= f * b1
+    if abs(a22) <= _PIVOT_REL_TOL * s2 * c2:
+        raise SingularMatrixError("pivot underflow in column 2")
+    x2 = b2 / a22
+    x1 = (b1 - a12 * x2) / a11
+    return [(b0 - float(np.dot([a01, a02], [x1, x2]))) / a00, x1, x2]
 
 
 def _perturbed(residual, y: list, j: int) -> list:

@@ -48,6 +48,11 @@ __all__ = [
 
 _POLE_FLOOR = 1e-300
 A_STABLE_SLACK = 1e-10
+# The highest order the functions accept.  The pole witness is placed from
+# np.roots of T_K, which loses accuracy with the degree: at K = 92 the witness
+# has |R| <= 1 + A_STABLE_SLACK at 67 of the 201 thetas 0, 0.005, ..., 1, and
+# from K = 171 on 1 / K! overflows a float.  Every K <= 91 passes at all 201.
+MAX_ORDER = 91
 # Grid points per block of rows in sample_region (256 KiB of complex128).
 # Whole-grid temporaries are several MB each, taken as fresh pages whose
 # faults cost as much as the arithmetic.  Per 400^2 grid on a 2-vCPU Xeon VM,
@@ -59,13 +64,16 @@ _BLOCK_POINTS = 1 << 14
 
 
 def _check(theta: float, order: int) -> None:
-    """SchemeConfig's rules (int is tested first: the Integral check is slow)."""
+    """SchemeConfig's rules plus order <= MAX_ORDER (int is tested first: the
+    Integral check is slow)."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must be in [0, 1]")
     if isinstance(order, bool) or not isinstance(order, (int, Integral)):
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}")
 
 
 def _trunc_exp(w, order: int):

@@ -130,12 +130,18 @@ class TestSolve:
     ["stability-grid", "--res", "1"],
     ["stability-grid", "--K", "0"],
     ["stability-grid", "--theta", "2"],
+    ["stability-grid", "--K", "92"],
+    ["stability-grid", "--K", "171"],
 ], ids=["solve-tf-inf", "solve-dt-nan", "order-sweep-dt", "table3-tol",
         "table3-tol-nan", "table5-safety", "seir-sweep-tf", "stability-grid-res",
-        "stability-grid-K", "stability-grid-theta"])
+        "stability-grid-K", "stability-grid-theta", "stability-grid-K-92",
+        "stability-grid-K-171"])
 def test_paper_command_option_out_of_range(runner, args):
+    # A usage error (2), not a traceback: from --K 171 on, 1 / K! overflows
+    # a float.
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
     assert "Error: Invalid value for" in result.output
 
 

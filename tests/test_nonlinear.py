@@ -7,8 +7,8 @@ import pytest
 
 from ieldtm import nonlinear
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
-from ieldtm.nonlinear import (_jacobian, _lu_solve_2, _lu_solve_n, lu_solve,
-                              newton_solve)
+from ieldtm.nonlinear import (_jacobian, _lu_solve_2, _lu_solve_3, _lu_solve_n,
+                              lu_solve, newton_solve)
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table, horner_eval, implicit_residual
@@ -125,40 +125,103 @@ def outcome(solve, *args):
         return type(exc).__name__, str(exc)
 
 
-def general_2x2(A, b):
-    """The general elimination loop forced on a 2 x 2 system."""
+def general(A, b):
+    """The general elimination loop forced on a system of any size."""
     return outcome(_lu_solve_n, [list(map(float, row)) for row in A],
                    list(map(float, b)))
 
 
-class TestLuSolve2x2:
-    """lu_solve's unrolled n = 2 path against the general loop, bit for bit,
-    results and errors alike."""
+class _UnrolledLuChecks:
+    """The checks of an unrolled lu_solve path against the general loop, bit
+    for bit, results and errors alike, on n x n systems.  Each system below
+    is the top-left n x n block of a 3 x 3 one."""
 
-    @staticmethod
-    def assert_same(A, b):
-        expected = general_2x2(A, b)
-        (a00, a01), (a10, a11) = A
-        assert outcome(_lu_solve_2, float(a00), float(a01), float(a10),
-                       float(a11), float(b[0]), float(b[1])) == expected
-        assert outcome(lu_solve, A, b) == expected
+    n: int
+    unrolled: staticmethod
+
+    def assert_same(self, A, b):
+        # np.dot warns on an overflow or a nan, in both paths alike.
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = general(A, b)
+            flat = [float(v) for row in A for v in row] + [float(v) for v in b]
+            assert outcome(self.unrolled, *flat) == expected
+            assert outcome(lu_solve, A, b) == expected
 
     def test_random_systems(self):
         rng = np.random.default_rng(21)
+        size = self.n * (self.n + 1)
         for _ in range(5000):
-            v = rng.normal(size=6) * 10.0 ** rng.integers(-300, 301, size=6)
-            self.assert_same(v[:4].reshape(2, 2).tolist(), v[4:].tolist())
+            v = rng.normal(size=size) * 10.0 ** rng.integers(-300, 301, size=size)
+            self.assert_same(v[:-self.n].reshape(self.n, self.n).tolist(),
+                             v[-self.n:].tolist())
 
     def test_near_singular_systems(self):
-        # Second rows close to a multiple of the first put the column-1
-        # pivot test on both sides of its threshold.
+        # A last row close to a combination of the rows above it puts the
+        # last pivot test on both sides of its threshold.  At n = 3, every
+        # other system has column 1 close to a multiple of column 0 instead,
+        # which does the same for the column-1 test.
         rng = np.random.default_rng(22)
-        for _ in range(2000):
-            row = rng.normal(size=2)
-            scale = rng.normal() * 10.0 ** rng.integers(-5, 6)
-            wobble = 1.0 + rng.normal(size=2) * 10.0 ** rng.integers(-17, -11)
-            self.assert_same([row.tolist(), (scale * row * wobble).tolist()],
-                             rng.normal(size=2).tolist())
+        for k in range(2000):
+            A = rng.normal(size=(self.n, self.n))
+            near = 1 + k % (self.n - 1)
+            weights = rng.normal(size=near) * 10.0 ** rng.integers(-5, 6, size=near)
+            wobble = 1.0 + rng.normal(size=self.n) * 10.0 ** rng.integers(-17, -11)
+            A[near] = (weights @ A[:near]) * wobble
+            if near < self.n - 1:
+                A = A.T
+            self.assert_same(A.tolist(), rng.normal(size=self.n).tolist())
+
+    def test_non_finite_entries(self):
+        # Every placement of nan, inf and -inf, one or two at a time,
+        # including pivots whose division raises ZeroDivisionError.  Row n
+        # of a cell is b.
+        specials = [math.nan, math.inf, -math.inf]
+        cells = [(i, j) for i in range(self.n + 1) for j in range(self.n)]
+
+        def system(changes):
+            A = [[1.5, -0.5, 0.3], [0.25, 2.0, -1.0], [0.7, 0.1, 3.0]]
+            A = [row[:self.n] for row in A[:self.n]] + [[1.0, -3.0, 2.0][:self.n]]
+            for (i, j), value in changes:
+                A[i][j] = value
+            return A[:-1], A[-1]
+
+        for first in cells:
+            for v in specials:
+                self.assert_same(*system([(first, v)]))
+                for second in cells:
+                    for w in specials + [0.0]:
+                        if second != first:
+                            self.assert_same(*system([(first, v), (second, w)]))
+
+    def test_int_and_numpy_inputs(self):
+        n = self.n
+        ints = np.array([[2, 1, 0], [1, 3, 1], [0, 2, 4]])[:n, :n]
+        floats = np.array([[0.5, 4.0, 1.0], [2.0, -1.0, 0.5], [1.0, 3.0, -2.0]])[:n, :n]
+        mixed = [[np.float32(0.1), np.float32(3.0), 7], [1.0, np.int64(2), 0.5],
+                 [np.int64(-1), 2.0, np.float32(0.25)]]
+        systems = [
+            (ints.tolist(), [1, 2, 3][:n]),
+            (ints, np.array([1, 2, 3][:n])),
+            (floats, np.array([1.0, 2.0, 3.0][:n])),
+            (tuple(map(tuple, floats.tolist())), (1.0, 2.0, 3.0)[:n]),
+            ([row[:n] for row in mixed[:n]], [np.float32(2.0), 1, np.int64(-3)][:n]),
+        ]
+        for A, b in systems:
+            assert all(type(v) is float for v in lu_solve(A, b))
+            self.assert_same(A, b)
+
+    def check_singular_message(self, A, column):
+        b = [1.0, 2.0, 3.0][:self.n]
+        expected = ("SingularMatrixError", f"pivot underflow in column {column}")
+        assert general(A, b) == expected
+        self.assert_same(A, b)
+
+
+class TestLuSolve2x2(_UnrolledLuChecks):
+    """lu_solve's unrolled n = 2 path against the general loop."""
+
+    n = 2
+    unrolled = staticmethod(_lu_solve_2)
 
     @pytest.mark.parametrize("a00,a10", [(2.0, 2.0), (2.0, -2.0), (-3.0, 3.0),
                                          (0.0, -0.0), (1e-300, -1e-300)])
@@ -175,43 +238,6 @@ class TestLuSolve2x2:
     def test_zero_columns(self, A):
         self.assert_same(A, [1.0, 2.0])
 
-    def test_non_finite_entries(self):
-        # Every placement of nan, inf and -inf, one or two at a time,
-        # including pivots whose division raises ZeroDivisionError.
-        specials = [math.nan, math.inf, -math.inf]
-        base = [[1.5, -0.5], [0.25, 2.0]], [1.0, -3.0]
-        cells = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-
-        def system(changes):
-            (A, b) = [list(map(list, base[0])), list(base[1])]
-            for (i, j), value in changes:
-                if i == 2:
-                    b[j] = value
-                else:
-                    A[i][j] = value
-            return A, b
-
-        for first in cells:
-            for v in specials:
-                self.assert_same(*system([(first, v)]))
-                for second in cells:
-                    for w in specials + [0.0]:
-                        if second != first:
-                            self.assert_same(*system([(first, v), (second, w)]))
-
-    def test_int_and_numpy_inputs(self):
-        systems = [
-            ([[2, 1], [1, 3]], [1, 2]),
-            (np.array([[2, 1], [1, 3]]), np.array([1, 2])),
-            (np.array([[0.5, 4.0], [2.0, -1.0]]), np.array([1.0, 2.0])),
-            (((0.5, 4.0), (2.0, -1.0)), (1.0, 2.0)),
-            ([[np.float32(0.1), np.float32(3.0)], [1.0, np.int64(2)]],
-             [np.float32(2.0), 1]),
-        ]
-        for A, b in systems:
-            assert all(type(v) is float for v in lu_solve(A, b))
-            self.assert_same(A, b)
-
     @pytest.mark.parametrize("A,column", [
         ([[1.0, 2.0], [2.0, 4.0]], 1),
         ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], 1),
@@ -219,9 +245,7 @@ class TestLuSolve2x2:
         ([[-0.0, 2.0], [0.0, 5.0]], 0),
     ])
     def test_singular_messages(self, A, column):
-        expected = ("SingularMatrixError", f"pivot underflow in column {column}")
-        assert general_2x2(A, [1.0, 2.0]) == expected
-        self.assert_same(A, [1.0, 2.0])
+        self.check_singular_message(A, column)
 
     @pytest.mark.parametrize("A,b", [
         (np.ones((2, 3)), np.ones(2)),
@@ -230,6 +254,67 @@ class TestLuSolve2x2:
         ([[1.0], [3.0]], [1.0, 2.0]),
         (np.ones((3, 2)), np.ones(2)),
         (np.eye(2), np.ones(3)),
+    ])
+    def test_shape_mismatch(self, A, b):
+        with pytest.raises(ValueError, match="A must be n x n and b length n"):
+            lu_solve(A, b)
+
+
+class TestLuSolve3x3(_UnrolledLuChecks):
+    """lu_solve's unrolled n = 3 path against the general loop."""
+
+    n = 3
+    unrolled = staticmethod(_lu_solve_3)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, -2.0), (-3.0, 3.0),
+                                     (0.0, -0.0), (1e-300, -1e-300)])
+    def test_pivot_ties(self, p, q):
+        # max() keeps the first of equal |a_ij|: no swap on a tie.  Column 0
+        # ties between each pair of rows and all three; column 1 ties after
+        # an elimination that leaves rows 1 and 2 as they are.
+        rest = [[1.0, 5.0], [5.0, 1.0], [0.0, 3.0], [-7.0, -7.0]]
+        for tie in [(p, q, 0.5 * p), (p, 0.5 * p, q), (0.5 * p, p, q), (p, q, p)]:
+            A = [[t, *r] for t, r in zip(tie, rest)]
+            self.assert_same(A, [1.0, -2.0, 0.5])
+        for top in [[1.0, 2.0, 3.0], [1.0, 0.0, 0.0], [-4.0, 1.0, 1.0]]:
+            self.assert_same([top, [0.0, p, 1.0], [0.0, q, 5.0]], [1.0, -2.0, 0.5])
+            self.assert_same([top, [0.0, p, -7.0], [-0.0, q, -7.0]], [3.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("A", [
+        [[0.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, 2.0, 5.0]],
+        [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [2.0, 0.0, 5.0]],
+        [[1.0, 2.0, 0.0], [3.0, 1.0, 0.0], [2.0, 5.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[-0.0, 3.0, 0.0], [0.0, -4.0, -0.0], [-0.0, 0.0, 2.0]],
+        [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[5.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+    ])
+    def test_zero_columns(self, A):
+        self.assert_same(A, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("A,column", [
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]], 2),
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0 + 1e-15]], 2),
+        ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]], 1),
+        ([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]], 1),
+        ([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]], 0),
+        ([[-0.0, 2.0, 1.0], [0.0, 5.0, 1.0], [-0.0, 1.0, 1.0]], 0),
+    ])
+    def test_singular_messages(self, A, column):
+        self.check_singular_message(A, column)
+
+    @pytest.mark.parametrize("A,b", [
+        (np.ones((3, 2)), np.ones(3)),
+        (np.ones((3, 4)), np.ones(3)),
+        ([[1.0, 2.0, 3.0], [3.0, 4.0], [5.0, 6.0, 7.0]], [1.0, 2.0, 3.0]),
+        ([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0], [5.0, 6.0, 7.0, 8.0]], [1.0, 2.0, 3.0]),
+        ([[1.0], [3.0], [5.0]], [1.0, 2.0, 3.0]),
+        (np.ones((2, 3)), np.ones(3)),
+        (np.ones((4, 3)), np.ones(3)),
+        (np.eye(3), np.ones(2)),
+        (np.eye(3), np.ones(4)),
     ])
     def test_shape_mismatch(self, A, b):
         with pytest.raises(ValueError, match="A must be n x n and b length n"):
@@ -365,6 +450,9 @@ def robertson_jacobian(y):
 
 
 class TestBatchedJacobian:
+    """The complex-step Jacobian: one single-state complex residual call per
+    column, m per Newton iteration."""
+
     @pytest.mark.parametrize("problem,f_y,state,dt", [
         (van_der_pol(10.0), vdp_jacobian, np.array([2.0, -0.5]), 0.05),
         (robertson_modified(), robertson_jacobian, np.array([0.7, 3e-5, 0.3]),
@@ -449,7 +537,7 @@ class TestBatchedJacobian:
                                                  theta, order, dt)
                         assert [v.real.hex() for v in c] == [v.hex() for v in r]
 
-    def test_one_batched_call_per_iteration(self, monkeypatch):
+    def test_m_complex_calls_per_iteration(self, monkeypatch):
         # The first call is column 0's complex one, and its real part is
         # r(y): each iteration's Jacobian takes m single-state complex calls
         # and the first LU solve comes before any real call.

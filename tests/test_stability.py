@@ -13,6 +13,7 @@ import pytest
 from ieldtm.errors import PoleError
 from ieldtm.stability import (
     A_STABLE_SLACK,
+    MAX_ORDER,
     StabilityGrid,
     _abs_R_array,
     _order_facts,
@@ -66,6 +67,15 @@ def test_theta_outside_unit_interval_rejected(name, theta):
 @pytest.mark.parametrize("name", _CALLS)
 def test_non_integer_order_rejected(name, order):
     with pytest.raises(ValueError, match="order must be an integer"):
+        _CALLS[name](0.5, order)
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 171])
+@pytest.mark.parametrize("name", _CALLS)
+def test_order_above_max_order_rejected(name, order):
+    # Above MAX_ORDER a pole witness need not have |R| > 1, and from 171 on
+    # 1 / K! overflows a float.
+    with pytest.raises(ValueError, match=f"order must be <= {MAX_ORDER}"):
         _CALLS[name](0.5, order)
 
 
@@ -311,6 +321,17 @@ class TestAStability:
                 stable, witness = is_A_stable(theta, order)
                 if not stable:
                     assert _abs_R_mp(witness, theta, order) > 1, (theta, witness)
+
+    def test_witness_violates_at_max_order(self):
+        # MAX_ORDER is the highest order at which every witness on this grid
+        # passes the slack; every 20th is also checked at 50 digits.
+        for k, theta in enumerate(np.linspace(0.0, 1.0, 201)):
+            stable, witness = is_A_stable(theta, MAX_ORDER)
+            assert not stable
+            assert _abs_R(witness, theta, MAX_ORDER) > 1.0 + A_STABLE_SLACK, theta
+            if k % 20 == 0:
+                with mpmath.workdps(50):
+                    assert _abs_R_mp(witness, theta, MAX_ORDER) > 1 + A_STABLE_SLACK
 
     def test_exact_stable_theta_sets(self):
         thetas = np.linspace(0.0, 1.0, 201)
