@@ -10,11 +10,18 @@ product instead of recomputing the product's prefix.  Any user ODE can be
 added by writing such a recurrence; the library does not derive recurrences
 from closed-form right-hand sides automatically.
 
+Within one call, at index k each state list holds exactly k+1 entries and
+each auxiliary list k, until the recurrence appends to it.  So a Cauchy
+product sum_j a(j) b(k-j) reads whole lists, with no slice copied:
+``sum(map(mul, a, reversed(b)))``, taken before either list is appended at
+k; an auxiliary list appended at k is whole again for the products that
+follow.  The built-in recurrences keep this idiom.
+
 Recurrences must be complex-analytic: the Newton solver builds tables whose
 coefficients are complex numbers (its complex-step Jacobian), and these must
 give the complex X(k+1) of the same formula.  So no ``abs``, ``max``,
-comparisons or ``float()`` on coefficients; sums, products and
-dot products of coefficient slices keep the type.
+comparisons or ``float()`` on coefficients; sums, products and Cauchy
+products of coefficient lists keep the type.
 """
 
 from __future__ import annotations
@@ -212,8 +219,9 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
     def recurrence(t, table, depth):
         x1, x2, sq = table
         for k in range(len(x1) - 1, depth):
-            sq.append(sum(map(mul, x1[: k + 1], x1[k::-1])))
-            cubic = sum(map(mul, sq, x1[k::-1]))
+            rev = x1[::-1]
+            sq.append(sum(map(mul, x1, rev)))
+            cubic = sum(map(mul, sq, rev))
             x1.append(x2[k] / (k + 1))
             x2.append((-beta * x1[k] - alpha * x2[k] - gamma * cubic) / (k + 1))
 
@@ -245,9 +253,13 @@ def robertson_modified() -> ProblemDefinition:
         x1, x2, x3 = table
         decay = math.exp(-t)
         for k in range(len(x1) - 1, depth):
-            q23 = sum(map(mul, x2[: k + 1], x3[k::-1]))
-            q22 = sum(map(mul, x2[: k + 1], x2[k::-1]))
-            f = decay * (-1.0 if k % 2 else 1.0) / math.factorial(k)
+            q23 = sum(map(mul, x2, reversed(x3)))
+            q22 = sum(map(mul, x2, reversed(x2)))
+            sign = -1.0 if k % 2 else 1.0
+            if k <= 170:
+                f = decay * sign / math.factorial(k)
+            else:  # 171! exceeds the float range: take k! in log space
+                f = sign * math.exp(-t - math.lgamma(k + 1))
             a1, a23, a22 = 0.04 * x1[k], 1e4 * q23, 3e7 * q22
             n = k + 1
             x1.append((a23 - a1 - 0.96 * f) / n)
@@ -275,10 +287,10 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     def recurrence(t, table, depth):
         u, v, uu = table
         for k in range(len(u) - 1, depth):
-            uu.append(sum(map(mul, u[: k + 1], u[k::-1])))
+            uu.append(sum(map(mul, u, reversed(u))))
             u.append(v[k] / (k + 1))
             v.append((-u[k] + eps * v[k]
-                      - eps * sum(map(mul, uu, v[k::-1]))) / (k + 1))
+                      - eps * sum(map(mul, uu, reversed(v)))) / (k + 1))
 
     return ProblemDefinition(
         name="vanderpol",

@@ -212,8 +212,8 @@ def horner_eval(table, offset: float, order: int) -> list:
     values = []
     for col in table:
         acc = col[order]
-        for k in range(order - 1, -1, -1):
-            acc = acc * offset + col[k]
+        for c in col[order - 1::-1] if order else ():
+            acc = acc * offset + c
         values.append(acc)
     return values
 

@@ -76,6 +76,16 @@ class TestSolve:
         assert summary["failure"] == ("step at t = 1.0, dt = 0.5: "
                                       "non-finite Taylor coefficient at t = 1.5")
 
+    def test_order_beyond_float_factorial(self, runner):
+        # 171! exceeds the float range; Robertson's forcing must not raise.
+        result = runner.invoke(main, [
+            "solve", "--problem", "robertson", "--K", "171", "--dt", "0.01",
+            "--tf", "0.02",
+        ])
+        assert result.exception is None
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["status"] == "completed"
+
     def test_option_the_problem_does_not_take_rejected(self, runner):
         result = runner.invoke(main, ["solve", "--problem", "duffing",
                                       "--epsilon", "5", "--dt", "0.1"])

@@ -21,7 +21,7 @@ from ieldtm.problems import (
     van_der_pol,
 )
 from ieldtm import stepper
-from ieldtm.stepper import build_coeff_table
+from ieldtm.stepper import FixedStep, SchemeConfig, build_coeff_table, integrate
 
 
 def coeffs_from(problem, t, state, depth):
@@ -150,6 +150,16 @@ class TestRobertson:
         x = robertson_modified().exact_solution(4.0)
         assert x[0] == pytest.approx(math.exp(-4.0))
         assert x.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_order_beyond_float_factorial(self, theta):
+        # 171! exceeds the float range, so the forcing transform takes k! in
+        # log space there instead of raising OverflowError.
+        prob = robertson_modified()
+        trace = integrate(prob, SchemeConfig(theta, 171, FixedStep(0.01)), 0.02)
+        assert trace.status == "completed"
+        assert trace.steps == 2
+        assert trace.max_error(prob.exact_solution) <= 1e-15
 
 
 class TestVanDerPol:
@@ -327,10 +337,25 @@ def _old_duffing(alpha, beta, gamma):
     return recurrence
 
 
-def _old_table(recurrence, state, depth):
+def _old_robertson():
+    """The Robertson recurrence as written with prefix slices, before its
+    products read whole lists."""
+    def recurrence(t, coeffs, k):
+        x1, x2, x3 = coeffs
+        q23 = sum(map(mul, x2[: k + 1], x3[k::-1]))
+        q22 = sum(map(mul, x2[: k + 1], x2[k::-1]))
+        f = math.exp(-t) * (-1.0 if k % 2 else 1.0) / math.factorial(k)
+        a1, a23, a22 = 0.04 * x1[k], 1e4 * q23, 3e7 * q22
+        n = k + 1
+        return [(a23 - a1 - 0.96 * f) / n, (a1 - a23 - a22 - 0.04 * f) / n,
+                (a22 + f) / n]
+    return recurrence
+
+
+def _old_table(recurrence, state, depth, t=0.0):
     table = [[x] for x in state]
     for k in range(depth):
-        for col, x in zip(table, recurrence(0.0, table, k)):
+        for col, x in zip(table, recurrence(t, table, k)):
             col.append(x)
     return table
 
@@ -346,9 +371,11 @@ _EXTRA = 2
 
 class TestAuxiliarySeries:
     """Keeping the prefix product as an auxiliary series changes no bit of a
-    table: the oracle triple_product recomputes it on every call.  The
-    builder returns the auxiliary lists after the state lists, and every
-    problem's recurrence extends a table from its current length."""
+    table: the oracle triple_product recomputes it on every call.  Nor do
+    products over whole lists: the oracles take prefix slices, so a list
+    appended before a product that reads it shows here.  The builder
+    returns the auxiliary lists after the state lists, and every problem's
+    recurrence extends a table from its current length."""
 
     CASES = [
         (van_der_pol(10.0), _old_vdp(10.0), [1.7, -0.4]),
@@ -376,6 +403,17 @@ class TestAuxiliarySeries:
             table = build_coeff_table(problem, 0.0, state, depth)
             assert len(table) == problem.dim + problem.aux
             assert _bits(table[:problem.dim]) == _bits(_old_table(old, state, depth))
+
+    @pytest.mark.parametrize("depth", [5, 7, 11])
+    @pytest.mark.parametrize("t,y", [(0.0, [1.0, 0.0, 0.0]),
+                                     (1.2, [0.3, 2e-5, 0.7])],
+                             ids=["initial", "later"])
+    def test_robertson_equals_slice_form(self, t, y, depth):
+        problem = robertson_modified()
+        for state in self.states(y):
+            table = build_coeff_table(problem, t, state, depth)
+            assert _bits(table) == _bits(
+                _old_table(_old_robertson(), state, depth, t))
 
     # (problem, expansion time, state) for every built-in problem.  The
     # depths the extension reaches are those test_table_equals_old_formula

@@ -62,7 +62,7 @@ def quadratic_blowup():
     def recurrence(t, table, depth):
         x, = table
         for k in range(len(x) - 1, depth):
-            x.append(sum(map(mul, x[:k + 1], x[k::-1])) / (k + 1))
+            x.append(sum(map(mul, x, reversed(x))) / (k + 1))
 
     return ProblemDefinition(name="quadratic", dim=1, recurrence=recurrence,
                              default_initial=np.array([1.0]))
