@@ -55,11 +55,15 @@ A_STABLE_SLACK = 1e-10
 MAX_ORDER = 91
 # Grid points per block of rows in sample_region (256 KiB of complex128).
 # Whole-grid temporaries are several MB each, taken as fresh pages whose
-# faults cost as much as the arithmetic.  Per 400^2 grid on a 2-vCPU Xeon VM,
-# blocks of 8 192 and 16 384 points take no page fault and 3.9-6.0 and
-# 3.6-5.5 ms, 4 096 points 4.1-6.7 ms; 32 768 and 65 536 points fault about
-# 790 and 2 160 times and take 5.1-7.5 and 7.8-11.5 ms, the whole grid at once
-# 2 155 times and 11.3-12.0 ms.
+# faults cost as much as the arithmetic.  Per 400^2 grid at K = 4 on a 2-vCPU
+# Xeon VM (10th-90th percentile of 30 runs): at theta = 0.5, where both
+# factors are evaluated, blocks of 8 192 and 16 384 points take no page fault
+# and 5.0-5.6 and 4.6-4.9 ms, 4 096 points 6.3-6.8 ms; 32 768 and 65 536
+# points fault about 790 and 2 160 times and take 6.8-7.3 and 10.4-11.2 ms,
+# the whole grid at once 1 550 times and 10.6-11.2 ms.  At theta = 0 and 1,
+# where one factor is evaluated, 16 384 points take 2.1-2.2 and 2.7-3.0 ms,
+# no block of up to 65 536 points faults, and the whole grid faults about
+# 1 220 times and takes 6.8-7.9 ms.
 _BLOCK_POINTS = 1 << 14
 
 
@@ -77,13 +81,16 @@ def _check(theta: float, order: int) -> None:
 
 
 def _trunc_exp(w, order: int):
-    """Horner evaluation of the degree-``order`` Taylor polynomial of e^w;
-    works elementwise, in place, on complex arrays (``[()]`` turns a 0-d
-    input into a numpy scalar, which is far cheaper than a 0-d array)."""
-    acc = np.full_like(np.asarray(w, dtype=complex), 1.0 / math.factorial(order))[()]
-    for k in range(order - 1, -1, -1):
-        acc *= w
+    """Horner evaluation of the degree-``order`` Taylor polynomial of e^w,
+    elementwise on complex arrays.  The first step, w times 1/K!, makes the
+    accumulator; every later step works in place on it.  ``[()]`` turns a
+    0-d input into a numpy scalar, which is far cheaper than a 0-d array."""
+    w = np.asarray(w, dtype=complex)[()]
+    acc = w * (1.0 / math.factorial(order))
+    for k in range(order - 1, 0, -1):
         acc += 1.0 / math.factorial(k)
+        acc *= w
+    acc += 1.0
     return acc
 
 
@@ -110,13 +117,16 @@ def _trunc_exp_reversed(a: float, w, order: int):
 
 def _abs_num_den(z, theta: float, order: int):
     """|T_K((1 - theta) z)| and |T_K(-theta z)|, or where either overflows,
-    both times |z|^-K, from the reversed evaluation in 1/z."""
+    both times |z|^-K, from the reversed evaluation in 1/z.  Without an
+    overflow, the factor at theta = 1 (numerator) or theta = 0 (denominator)
+    is T_K(0 z) = 1 for every finite z and comes back as the float 1.0."""
     try:
         # Inputs are finite, so a non-finite value needs an overflow first;
         # raising on it spares a finite array a separate finiteness pass.
         with np.errstate(over="raise", invalid="raise"):
-            return (np.abs(_trunc_exp((1.0 - theta) * z, order)),
-                    np.abs(_trunc_exp(-theta * z, order)))
+            num = np.abs(_trunc_exp((1.0 - theta) * z, order)) if theta < 1.0 else 1.0
+            den = np.abs(_trunc_exp(-theta * z, order)) if theta > 0.0 else 1.0
+            return num, den
     except FloatingPointError:
         pass
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,6 +144,8 @@ def _abs_R_array(z, theta: float, order: int) -> np.ndarray:
     that T_K overflows, |R| comes from the reversed evaluation in 1/z and
     tends to ((1 - theta) / theta)^K, as it should."""
     num, den = _abs_num_den(z, theta, order)
+    if isinstance(den, float):
+        return num  # den = T_K(0 z) = 1: no pole, and num / 1.0 is num
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den < _POLE_FLOOR, np.inf, num / np.maximum(den, _POLE_FLOOR))
     return out
@@ -169,9 +181,12 @@ def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
         for k, bound in enumerate(bounds):
             if not math.isfinite(bound):
                 raise ValueError(f"{name}[{k}] must be finite, got {bound!r}")
-    if isinstance(resolution, int):
-        resolution = (resolution, resolution)
-    n_re, n_im = resolution
+    pair = (resolution, resolution) if isinstance(resolution, Integral) else resolution
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+            isinstance(n, Integral) and not isinstance(n, bool) for n in pair)):
+        raise ValueError("resolution must be an integer or a pair of integers, "
+                         f"got {resolution!r}")
+    n_re, n_im = int(pair[0]), int(pair[1])  # an int8 would overflow in rows below
     if n_re < 2 or n_im < 2:
         raise ValueError("resolution must be >= 2 per axis")
     re = np.linspace(re_range[0], re_range[1], n_re)

@@ -144,6 +144,19 @@ class TestSampleRegion:
         with pytest.raises(ValueError):
             sample_region(0.5, 2, resolution=1)
 
+    @pytest.mark.parametrize("resolution, shape", [
+        (np.int64(5), (5, 5)), ((np.int32(3), 7), (3, 7)), ([4, np.uint8(2)], (4, 2)),
+        (np.int8(100), (100, 100))])
+    def test_numpy_integer_resolution_accepted(self, resolution, shape):
+        assert sample_region(0.5, 2, resolution=resolution).values.shape == shape
+
+    @pytest.mark.parametrize("resolution", [
+        5.0, np.float64(5.0), (5.0, 5), (5, 5.0), True, (True, 5), "55", None,
+        (5,), (5, 5, 5), np.array([5, 5])])
+    def test_non_integer_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            sample_region(0.5, 2, resolution=resolution)
+
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("which", range(4))
     def test_non_finite_bound_rejected(self, which, bound):
@@ -169,6 +182,20 @@ class TestSampleRegion:
                                    atol=1e-99)
         assert (unstable_fraction(grid) > 0.0) == (theta < 0.5)
 
+    @pytest.mark.parametrize("order", [1, 4, 9, 12])
+    def test_huge_window_forward_is_unbounded(self, order):
+        # At theta = 0 the far limit ((1 - theta) / theta)^K is infinite: K = 1
+        # stays finite (|1 + z| >= 5e99 off z = 0), and from K = 4 on T_K
+        # overflows and the reversed denominator |z|^-K underflows to a pole.
+        # A RuntimeWarning would be an error in this suite.
+        grid = sample_region(0.0, order, (-1e100, 1e100), (-1e100, 1e100), 5)
+        far = np.ones((5, 5), dtype=bool)
+        far[2, 2] = False
+        assert not np.isnan(grid.values).any()
+        assert grid.values[2, 2] == 1.0
+        assert ((grid.values[far] == np.inf) | (grid.values[far] >= 1e99)).all()
+        assert unstable_fraction(grid) == 1.0
+
     @pytest.mark.parametrize("shape", [(400, 400), (1000, 37), (3, 20000),
                                        (2, 2), (41, 41)])
     def test_blocks_match_whole_mesh(self, shape):
@@ -179,6 +206,93 @@ class TestSampleRegion:
                 z = grid.re_values[:, None] + 1j * grid.im_values[None, :]
                 expected = _abs_R_array(z, theta, order)
                 assert grid.values.tobytes() == expected.tobytes()
+
+
+# The float evaluation of |R| before T_K(0 z) = 1 was taken as exact, copied
+# as it was: every grid and scalar R must keep its bits.
+def _oracle_trunc_exp(w, order):
+    acc = np.full_like(np.asarray(w, dtype=complex), 1.0 / math.factorial(order))[()]
+    for k in range(order - 1, -1, -1):
+        acc *= w
+        acc += 1.0 / math.factorial(k)
+    return acc
+
+
+def _oracle_trunc_exp_reversed(a, w, order):
+    acc = np.ones_like(w)
+    for k in range(1, order + 1):
+        acc *= w
+        acc += a ** k / math.factorial(k)
+    return acc
+
+
+def _oracle_abs_num_den(z, theta, order):
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return (np.abs(_oracle_trunc_exp((1.0 - theta) * z, order)),
+                    np.abs(_oracle_trunc_exp(-theta * z, order)))
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.abs(_oracle_trunc_exp((1.0 - theta) * z, order))
+        den = np.abs(_oracle_trunc_exp(-theta * z, order))
+    far = ~(np.isfinite(num) & np.isfinite(den))
+    w = 1.0 / z[far]
+    num[far] = np.abs(_oracle_trunc_exp_reversed(1.0 - theta, w, order))
+    den[far] = np.abs(_oracle_trunc_exp_reversed(-theta, w, order))
+    return num, den
+
+
+def _oracle_abs_R_array(z, theta, order):
+    num, den = _oracle_abs_num_den(z, theta, order)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(den < 1e-300, np.inf, num / np.maximum(den, 1e-300))
+    return out
+
+
+def _oracle_scalar_R(z, theta, order):
+    num = _oracle_trunc_exp((1.0 - theta) * z, order)
+    den = _oracle_trunc_exp(-theta * z, order)
+    if abs(den) < 1e-300:
+        raise PoleError(f"denominator vanishes at z = {z!r}")
+    return complex(num / den)
+
+
+_BITS_THETAS = (0.0, 0.3, 0.5, 0.7, 1.0)
+_BITS_ORDERS = (1, 2, 4, 9, 12)
+
+
+class TestBitsKept:
+    @pytest.mark.parametrize("window, shape", [
+        (((-10.0, 5.0), (-10.0, 10.0)), (1000, 37)),
+        (((-10.0, 5.0), (-10.0, 10.0)), (3, 20000)),
+        (((-1e100, 1e100), (-1e100, 1e100)), (41, 41)),
+    ], ids=["short-last-block", "row-over-block", "overflow"])
+    def test_grid_matches_oracle(self, window, shape):
+        for theta in _BITS_THETAS:
+            for order in _BITS_ORDERS:
+                grid = sample_region(theta, order, *window, shape)
+                z = grid.re_values[:, None] + 1j * grid.im_values[None, :]
+                expected = _oracle_abs_R_array(z, theta, order)
+                assert grid.values.tobytes() == expected.tobytes(), (theta, order)
+
+    def test_scalar_R_matches_oracle(self):
+        rng = np.random.default_rng(23)
+        points = [float(x) for x in 4.0 * rng.standard_normal(100)]
+        points += [complex(x, y) for x, y in 4.0 * rng.standard_normal((200, 2))]
+        points += [0.0, -0.0, 1.0, 2.0, 1e-300j]
+        for theta in _BITS_THETAS:
+            for order in _BITS_ORDERS:
+                for z in points:
+                    try:
+                        expected = _oracle_scalar_R(z, theta, order)
+                    except PoleError:
+                        with pytest.raises(PoleError):
+                            scalar_R(z, theta, order)
+                        continue
+                    got = scalar_R(z, theta, order)
+                    assert (np.array(got).tobytes()
+                            == np.array(expected).tobytes()), (z, theta, order)
 
     def test_peak_memory_is_output_plus_one_block(self):
         sample_region(0.5, 4, resolution=(2, 2))  # caches filled
