@@ -207,6 +207,27 @@ class TestSampleRegion:
                 expected = _abs_R_array(z, theta, order)
                 assert grid.values.tobytes() == expected.tobytes()
 
+    def test_peak_memory_is_output_plus_one_block(self):
+        sample_region(0.5, 4, resolution=(2, 2))  # caches filled
+        tracemalloc.start()
+        try:
+            grid = sample_region(0.5, 4, resolution=(1000, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.values.nbytes + 4 * 2**20
+
+    def test_unstable_fraction_uses_certificate_slack(self):
+        values = np.array([[1.0 + 0.5 * A_STABLE_SLACK, 1.0 + 2.0 * A_STABLE_SLACK]])
+        grid = StabilityGrid(0.5, 3, np.array([-1.0]), np.array([0.0, 1.0]), values)
+        assert unstable_fraction(grid) == 0.5
+
+    def test_unstable_fraction_quantifies_almost_stability(self):
+        stable = sample_region(0.5, 3, (-50.0, 0.0), (-50.0, 50.0), (121, 121))
+        almost = sample_region(0.5, 5, (-50.0, 0.0), (-50.0, 50.0), (121, 121))
+        assert unstable_fraction(stable) == 0.0
+        assert 0.0 < unstable_fraction(almost) < 0.01
+
 
 # The float evaluation of |R| before T_K(0 z) = 1 was taken as exact, copied
 # as it was: every grid and scalar R must keep its bits.
@@ -293,27 +314,6 @@ class TestBitsKept:
                     got = scalar_R(z, theta, order)
                     assert (np.array(got).tobytes()
                             == np.array(expected).tobytes()), (z, theta, order)
-
-    def test_peak_memory_is_output_plus_one_block(self):
-        sample_region(0.5, 4, resolution=(2, 2))  # caches filled
-        tracemalloc.start()
-        try:
-            grid = sample_region(0.5, 4, resolution=(1000, 1000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= grid.values.nbytes + 4 * 2**20
-
-    def test_unstable_fraction_uses_certificate_slack(self):
-        values = np.array([[1.0 + 0.5 * A_STABLE_SLACK, 1.0 + 2.0 * A_STABLE_SLACK]])
-        grid = StabilityGrid(0.5, 3, np.array([-1.0]), np.array([0.0, 1.0]), values)
-        assert unstable_fraction(grid) == 0.5
-
-    def test_unstable_fraction_quantifies_almost_stability(self):
-        stable = sample_region(0.5, 3, (-50.0, 0.0), (-50.0, 50.0), (121, 121))
-        almost = sample_region(0.5, 5, (-50.0, 0.0), (-50.0, 50.0), (121, 121))
-        assert unstable_fraction(stable) == 0.0
-        assert 0.0 < unstable_fraction(almost) < 0.01
 
 
 def _abs_R(z, theta, order):
