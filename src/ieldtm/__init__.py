@@ -39,8 +39,6 @@ from .stepper import (
     SchemeConfig,
     SolutionTrace,
     StepRecord,
-    adaptive_dt_case1,
-    adaptive_dt_case2,
     build_coeff_table,
     implicit_residual,
     integrate,

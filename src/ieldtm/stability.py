@@ -33,6 +33,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import IeldtmError, PoleError, SingularMatrixError
+from .stepper import check_theta_order
 
 __all__ = [
     "StabilityGrid",
@@ -68,14 +69,8 @@ _BLOCK_POINTS = 1 << 14
 
 
 def _check(theta: float, order: int) -> None:
-    """SchemeConfig's rules plus order <= MAX_ORDER (int is tested first: the
-    Integral check is slow)."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must be in [0, 1]")
-    if isinstance(order, bool) or not isinstance(order, (int, Integral)):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    """SchemeConfig's (theta, K) rule plus order <= MAX_ORDER."""
+    check_theta_order(theta, order)
     if order > MAX_ORDER:
         raise ValueError(f"order must be <= {MAX_ORDER}")
 
@@ -146,8 +141,10 @@ def _abs_R_array(z, theta: float, order: int) -> np.ndarray:
     num, den = _abs_num_den(z, theta, order)
     if isinstance(den, float):
         return num  # den = T_K(0 z) = 1: no pole, and num / 1.0 is num
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den < _POLE_FLOOR, np.inf, num / np.maximum(den, _POLE_FLOOR))
+    # A quotient by den below the floor may divide by zero or overflow;
+    # np.where replaces it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where(den < _POLE_FLOOR, np.inf, num / den)
     return out
 
 

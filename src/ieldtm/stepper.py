@@ -32,8 +32,6 @@ __all__ = [
     "build_coeff_table",
     "horner_eval",
     "implicit_residual",
-    "adaptive_dt_case1",
-    "adaptive_dt_case2",
     "integrate",
     "theoretical_order",
 ]
@@ -72,6 +70,17 @@ class AdaptiveStep:
             raise ValueError("safety must be in (0, 1]")
 
 
+def check_theta_order(theta: float, order: int) -> None:
+    """The rule every (theta, K) keeps: theta in [0, 1] and K an integer
+    >= 1 (int is tested first: the Integral check is slow)."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must be in [0, 1]")
+    if isinstance(order, bool) or not isinstance(order, (int, Integral)):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     theta: float
@@ -79,12 +88,7 @@ class SchemeConfig:
     step_mode: Union[FixedStep, AdaptiveStep]
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must be in [0, 1]")
-        if isinstance(self.order, bool) or not isinstance(self.order, Integral):
-            raise ValueError(f"order must be an integer, got {self.order!r}")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        check_theta_order(self.theta, self.order)
         object.__setattr__(self, "order", int(self.order))
         if not isinstance(self.step_mode, (FixedStep, AdaptiveStep)):
             raise ValueError("step_mode must be a FixedStep or an AdaptiveStep")
@@ -268,41 +272,6 @@ def _step(problem, t_i, node_table, theta, order, dt):
     return state, iters, last[1] if state is last[0] else None
 
 
-def adaptive_dt_case1(table: list, order: int, tol: float,
-                      safety: float = 1.0, *, peak=None) -> float:
-    """Step proposal for the forward/backward controllers, driven by
-    ||X(K+1)||_inf, the leading term at theta in {0, 1}; a vanishing
-    coefficient yields inf.  ``peak``, when given, is that norm, already
-    read from this table.
-
-    The central scheme with even K uses it too, although its error estimate
-    weights ||X(K+1)||_inf by 0.5^K: there the controller steers by a lead
-    2^K times the estimate's.
-    """
-    if len(table[0]) < order + 2:
-        raise IndexError("table must hold coefficients through K+1")
-    lead, power = _leading_term(table, 1.0, order, peak)
-    if lead == 0.0:
-        return math.inf
-    return safety * (tol / lead) ** (1.0 / (power - 1))
-
-
-def adaptive_dt_case2(table: list, order: int, tol: float,
-                      safety: float = 1.0, *, peak=None) -> float:
-    """Step proposal for the central scheme with odd K, driven by the scaled
-    coefficient (1/2)^(K+1) (K+1) X(K+2); a vanishing coefficient yields
-    inf.  ``peak``, when given, is ||X(K+2)||_inf, already read from this
-    table."""
-    if order % 2 == 0:
-        raise ValueError("case-2 controller requires odd order")
-    if len(table[0]) < order + 3:
-        raise IndexError("table must hold coefficients through K+2")
-    lead, power = _leading_term(table, 0.5, order, peak)
-    if lead == 0.0:
-        return math.inf
-    return safety * (tol / lead) ** (1.0 / (power - 1))
-
-
 def theoretical_order(theta: float, order: int) -> int:
     """Order rule: K+1 for the central scheme with odd K, K otherwise."""
     if theta == 0.5 and order % 2 == 1:
@@ -310,43 +279,26 @@ def theoretical_order(theta: float, order: int) -> int:
     return order
 
 
-def _leading_term(table: list, theta: float, order: int, peak=None):
-    """(lead, power) of the local truncation error lead * dt^power.
+def _error_rule(theta: float, order: int):
+    """(power, estimate_weight, controller_weight) of a run's local error
+    rule, fixed by (theta, K).
 
-    It is |(1-theta)^(K+1) - (-theta)^(K+1)| ||X(K+1)||_inf with power K+1;
-    the central scheme with odd K cancels that term and gains an order,
-    (1/2)^(K+1) (K+1) ||X(K+2)||_inf with power K+2.  ``peak``, when given,
-    is the norm ||X(power)||_inf, already read from the table.
+    The local truncation error is estimate_weight ||X(power)||_inf dt^power
+    with power = theoretical_order + 1 and weight
+    |(1-theta)^(K+1) - (-theta)^(K+1)|; the central scheme with odd K
+    cancels that term and gains an order, weight (1/2)^(K+1) (K+1).  The
+    controller proposes safety (tol / lead)^(1/(power-1)) from the lead
+    controller_weight ||X(power)||_inf.  Case 2, the central scheme with odd
+    K, steers by the estimate's weight; case 1, every other scheme, by 1.
+    At theta in {0, 1} that is the estimate's weight too, but at theta = 0.5
+    with even K the estimate's weight is 0.5^K: there the controller steers
+    by a lead 2^K times the estimate's.
     """
     power = theoretical_order(theta, order) + 1
     if power == order + 2:
         weight = 0.5 ** (order + 1) * (order + 1)
-    else:
-        weight = abs((1.0 - theta) ** power - (-theta) ** power)
-    if peak is None:
-        peak = _peak(table, power)
-    return weight * peak, power
-
-
-def _peak(table: list, power: int) -> float:
-    """||X(power)||_inf over the state lists of the table."""
-    return max(abs(col[power]) for col in table)
-
-
-def _local_error_estimate(table: list, theta: float, order: int,
-                          dt: float, *, peak=None) -> float:
-    """Leading local-truncation-error magnitude from the node coefficients;
-    ``peak`` as for ``_leading_term``.
-
-    At theta = 0.5 with even K it is 2^-K of the lead the case-1 controller
-    steers by."""
-    lead, power = _leading_term(table, theta, order, peak)
-    if lead == 0.0:
-        return 0.0
-    try:
-        return lead * dt ** power
-    except OverflowError:  # a float power raises where a product gives inf
-        return math.inf
+        return power, weight, weight
+    return power, abs((1.0 - theta) ** power - (-theta) ** power), 1.0
 
 
 def _clip_to_events(t: float, dt: float, t_final: float,
@@ -373,15 +325,14 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
 
     Only the choice of each node's dt depends on the mode.  ``FixedStep``
     takes its dt.  ``AdaptiveStep`` proposes dt once per node from the node's
-    coefficients (case-2 controller for the central scheme with odd K, case 1
-    otherwise); it supports theta in {0, 0.5, 1}, has no reject/retry loop
-    yet, and a proposal below dt_min ends the trace with
-    ``min-step-underflow``.  Every step is shortened to land exactly on
-    t_final and on the problem's discontinuities.
+    coefficients by the run's error rule (``_error_rule``); it supports theta
+    in {0, 0.5, 1}, has no reject/retry loop yet, and a proposal below dt_min
+    ends the trace with ``min-step-underflow``.  Every step is shortened to
+    land exactly on t_final and on the problem's discontinuities.
 
     Each node needs one coefficient table expanded about the loop's t,
     through the index of the leading error term, theoretical_order + 1: the
-    highest coefficient the error estimate and the controller read.  After
+    one coefficient the error estimate and the controller read.  After
     an implicit step the Newton solve has already built the accepted state's
     table through ``order`` (the trial table of its last residual
     evaluation), so that table is extended to that depth and reused; a node
@@ -397,9 +348,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         raise ValueError("t_final must be positive and finite")
     mode, theta, order = config.step_mode, config.theta, config.order
     adaptive = isinstance(mode, AdaptiveStep)
-    if adaptive:
-        controller = (adaptive_dt_case2 if theoretical_order(theta, order) > order
-                      else adaptive_dt_case1)
+    power, est_weight, ctrl_weight = _error_rule(theta, order)
 
     x = np.asarray(problem.default_initial if initial is None else initial,
                    dtype=float)
@@ -408,7 +357,6 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     state = x.tolist()  # a copy: the trace never aliases the caller's array
     times, states, dts, iterations, estimates = [0.0], [state], [0.0], [0], [0.0]
     t, status, failure = 0.0, "completed", ""
-    depth = theoretical_order(theta, order) + 1
     trial = None  # the accepted state's table from the last Newton solve
     eps_end = 1e-12 * max(1.0, t_final)
     # Overflow surfaces as NonFiniteStateError from the coefficient table,
@@ -417,16 +365,17 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         try:
             while t < t_final - eps_end:
                 dt = None
-                table = (build_coeff_table(problem, t, state, depth)
+                table = (build_coeff_table(problem, t, state, power)
                          if trial is None
-                         else _run_recurrence(problem, t, trial, depth))
+                         else _run_recurrence(problem, t, trial, power))
                 table = table[:problem.dim]  # what every reader sees
                 # The controller and the estimate read the same coefficient,
-                # X(depth): its norm is taken once per node.
-                peak = _peak(table, depth)
+                # X(power): its norm is taken once per node.
+                peak = max(abs(col[power]) for col in table)
                 if adaptive:
-                    dt = controller(table, order, mode.tol, mode.safety,
-                                    peak=peak)
+                    lead = ctrl_weight * peak
+                    dt = (math.inf if lead == 0.0 else
+                          mode.safety * (mode.tol / lead) ** (1 / (power - 1)))
                     if dt < mode.dt_min:
                         status = "min-step-underflow"
                         failure = _failure_context(
@@ -435,7 +384,11 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                 else:
                     dt = mode.dt
                 dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
-                est = _local_error_estimate(table, theta, order, dt, peak=peak)
+                lead = est_weight * peak
+                try:
+                    est = lead * dt ** power if lead else 0.0
+                except OverflowError:  # a float power raises where a product gives inf
+                    est = math.inf
                 state, iters, trial = _step(problem, t, table, theta, order, dt)
                 t += dt
                 times.append(t)

@@ -6,6 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from ieldtm import bench
 from ieldtm.cli import main
 
 
@@ -187,6 +188,44 @@ class TestOrderSweep:
 
     def test_table2_alias(self, runner):
         assert runner.invoke(main, ["table2"]).exit_code == 0
+
+
+class TestOrderSweepRows:
+    def test_failing_cell_keeps_its_row(self, runner):
+        rows = bench.order_sweep_rows(thetas=(0.5, 1.0), orders=(1, 2),
+                                      dt=0.5, t_final=4.0)
+        failed = rows[0]
+        assert failed["status"] == "failed: newton-failure"
+        assert failed["err_dt"] is failed["err_half"] is failed["observed"] \
+            is None
+        assert [r["status"] for r in rows[1:]] == ["ok"] * 3
+        result = runner.invoke(main, ["order-sweep", "--dt", "0.5", "--tf", "4"])
+        assert result.exit_code == 1
+        assert "failed: newton-failure" in result.output
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a trace")
+
+        monkeypatch.setattr(bench, "integrate", broken)
+        with pytest.raises(TypeError, match="not a trace"):
+            bench.order_sweep_rows()
+
+    def test_zero_error_at_half_step_gives_a_row(self, monkeypatch):
+        # An exact run at dt/2 leaves no order to read, not a failure.
+        real = bench.integrate
+
+        def exact_at_half(problem, config, t_final):
+            trace = real(problem, config, t_final)
+            if config.step_mode.dt < 0.05:
+                trace.max_error = lambda exact: 0.0
+            return trace
+
+        monkeypatch.setattr(bench, "integrate", exact_at_half)
+        row, = bench.order_sweep_rows(thetas=(0.5,), orders=(3,))
+        assert row["status"] == "ok"
+        assert row["err_dt"] > 0.0 and row["err_half"] == 0.0
+        assert row["observed"] is None
 
 
 class TestTable3:

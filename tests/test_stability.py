@@ -28,6 +28,7 @@ from ieldtm.stability import (
     scalar_R,
     unstable_fraction,
 )
+from ieldtm.stepper import FixedStep, SchemeConfig
 
 
 @pytest.mark.parametrize("order", [0, -1])
@@ -61,6 +62,19 @@ def test_theta_outside_unit_interval_rejected(name, theta):
     # decision would take it for theta > 0.5.
     with pytest.raises(ValueError, match=re.escape("theta must be in [0, 1]")):
         _CALLS[name](theta, 3)
+
+
+@pytest.mark.parametrize("theta, order", [
+    (math.nan, 3), (1.5, 3), (0.5, 0), (0.5, True), (0.5, 2.5), (0.5, "3")])
+def test_scheme_config_refuses_alike(theta, order):
+    # One (theta, K) rule: the stepper's config and the stability functions
+    # refuse the same values with the same message.
+    with pytest.raises(ValueError) as config_refusal:
+        SchemeConfig(theta, order, FixedStep(0.1))
+    for call in _CALLS.values():
+        with pytest.raises(ValueError) as refusal:
+            call(theta, order)
+        assert str(refusal.value) == str(config_refusal.value)
 
 
 @pytest.mark.parametrize("order", [True, 3.0, 2.5, "3"])

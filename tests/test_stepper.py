@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ieldtm import nonlinear, stepper
 from ieldtm.bench import write_trace_csv
-from ieldtm.errors import NonFiniteStateError
+from ieldtm.errors import NonFiniteStateError, SingularMatrixError
 from ieldtm.problems import (
     ProblemDefinition,
     dahlquist,
@@ -28,8 +28,6 @@ from ieldtm.stepper import (
     FixedStep,
     SchemeConfig,
     StepRecord,
-    adaptive_dt_case1,
-    adaptive_dt_case2,
     build_coeff_table,
     horner_eval,
     implicit_residual,
@@ -200,63 +198,249 @@ class TestImplicitStep:
         assert np.abs(y - prob.exact_solution(0.05)).max() <= 1e-9
 
 
+# The two step controllers and the error estimate as integrate called them
+# before the run fixed its error rule once, kept verbatim as the oracle of
+# that rule, with the march that chose between the controllers.
+def adaptive_dt_case1(table: list, order: int, tol: float,
+                      safety: float = 1.0, *, peak=None) -> float:
+    if len(table[0]) < order + 2:
+        raise IndexError("table must hold coefficients through K+1")
+    lead, power = _leading_term(table, 1.0, order, peak)
+    if lead == 0.0:
+        return math.inf
+    return safety * (tol / lead) ** (1.0 / (power - 1))
+
+
+def adaptive_dt_case2(table: list, order: int, tol: float,
+                      safety: float = 1.0, *, peak=None) -> float:
+    if order % 2 == 0:
+        raise ValueError("case-2 controller requires odd order")
+    if len(table[0]) < order + 3:
+        raise IndexError("table must hold coefficients through K+2")
+    lead, power = _leading_term(table, 0.5, order, peak)
+    if lead == 0.0:
+        return math.inf
+    return safety * (tol / lead) ** (1.0 / (power - 1))
+
+
+def _leading_term(table: list, theta: float, order: int, peak=None):
+    power = stepper.theoretical_order(theta, order) + 1
+    if power == order + 2:
+        weight = 0.5 ** (order + 1) * (order + 1)
+    else:
+        weight = abs((1.0 - theta) ** power - (-theta) ** power)
+    if peak is None:
+        peak = _peak(table, power)
+    return weight * peak, power
+
+
+def _peak(table: list, power: int) -> float:
+    return max(abs(col[power]) for col in table)
+
+
+def _local_error_estimate(table: list, theta: float, order: int,
+                          dt: float, *, peak=None) -> float:
+    lead, power = _leading_term(table, theta, order, peak)
+    if lead == 0.0:
+        return 0.0
+    try:
+        return lead * dt ** power
+    except OverflowError:  # a float power raises where a product gives inf
+        return math.inf
+
+
+def oracle_integrate(problem, config, t_final):
+    mode, theta, order = config.step_mode, config.theta, config.order
+    adaptive = isinstance(mode, AdaptiveStep)
+    if adaptive:
+        controller = (adaptive_dt_case2
+                      if stepper.theoretical_order(theta, order) > order
+                      else adaptive_dt_case1)
+    state = np.asarray(problem.default_initial, dtype=float).tolist()
+    times, states, dts, iterations, estimates = [0.0], [state], [0.0], [0], [0.0]
+    t, status, failure = 0.0, "completed", ""
+    depth = stepper.theoretical_order(theta, order) + 1
+    trial = None
+    eps_end = 1e-12 * max(1.0, t_final)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            while t < t_final - eps_end:
+                dt = None
+                table = (build_coeff_table(problem, t, state, depth)
+                         if trial is None
+                         else stepper._run_recurrence(problem, t, trial, depth))
+                table = table[:problem.dim]
+                peak = _peak(table, depth)
+                if adaptive:
+                    dt = controller(table, order, mode.tol, mode.safety,
+                                    peak=peak)
+                    if dt < mode.dt_min:
+                        status = "min-step-underflow"
+                        failure = stepper._failure_context(
+                            t, dt, f"proposed dt below dt_min = {mode.dt_min!r}")
+                        break
+                else:
+                    dt = mode.dt
+                dt = stepper._clip_to_events(t, dt, t_final,
+                                             problem.discontinuities)
+                est = _local_error_estimate(table, theta, order, dt, peak=peak)
+                state, iters, trial = stepper._step(problem, t, table, theta,
+                                                    order, dt)
+                t += dt
+                times.append(t)
+                states.append(state)
+                dts.append(dt)
+                iterations.append(iters)
+                estimates.append(est)
+        except tuple(stepper._FAILURE_STATUS) as exc:
+            status = stepper._FAILURE_STATUS[type(exc)]
+            failure = stepper._failure_context(t, dt, exc)
+    return stepper.SolutionTrace(problem.name, config, times, states, dts,
+                                 iterations, estimates, status, failure)
+
+
+# tol = 10^-(K+2), at most 1e-8, keeps every run within 1 200 steps.
+_ORACLE_RUNS = [
+    pytest.param(prob, SchemeConfig(theta, order,
+                                    AdaptiveStep(10.0 ** -min(order + 2, 8))),
+                 2.0, id=f"{name}-theta{theta}-K{order}")
+    for name, prob in (("duffing", duffing()), ("vanderpol", van_der_pol(10.0)))
+    for theta in (0.0, 0.5, 1.0)
+    for order in (1, 2, 3, 4, 5, 6, 9)
+] + [
+    pytest.param(seir(eta=6.0), SchemeConfig(0.5, order, AdaptiveStep(1e-5)),
+                 80.0, id=f"seir-K{order}")
+    for order in (6, 8)
+] + [
+    pytest.param(robertson_modified(), SchemeConfig(0.5, 7, FixedStep(2.0 ** -4)),
+                 4.0, id="robertson-fixed-newton-failure"),
+    pytest.param(robertson_modified(), SchemeConfig(0.5, 7, AdaptiveStep(1e-5)),
+                 4.0, id="robertson-adaptive-newton-failure"),
+    pytest.param(duffing(), SchemeConfig(0.3, 4, FixedStep(0.1)), 1.0,
+                 id="duffing-fixed-theta0.3"),
+    pytest.param(dahlquist(0.0), SchemeConfig(0.5, 3, AdaptiveStep(1e-8)), 2.0,
+                 id="dahlquist-zero-lead"),
+    pytest.param(dahlquist(-1.0), SchemeConfig(0.5, 3,
+                                               AdaptiveStep(1e-8, dt_min=0.5)),
+                 1.0, id="dahlquist-min-step-underflow"),
+]
+
+
+def first_node(prob, cfg):
+    """The first step's dt and error estimate of a run to t = 1e6, stopped
+    at its second step."""
+    step, calls = stepper._step, []
+
+    def once(*args):
+        if calls:
+            raise SingularMatrixError("stopped after the first step")
+        calls.append(args)
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stepper, "_step", once)
+        trace = integrate(prob, cfg, 1e6)
+    assert trace.steps == 1 and trace.status == "singular-matrix"
+    return trace.dts_used[1], trace.error_estimates[1]
+
+
+class TestErrorRuleBitsKept:
+    """integrate reads the run's error rule inline; every trace equals the
+    one the two controllers and the separate estimate gave, bit for bit."""
+
+    @pytest.mark.parametrize("prob, cfg, t_final", _ORACLE_RUNS)
+    def test_trace_equals_oracle(self, prob, cfg, t_final):
+        new = integrate(prob, cfg, t_final)
+        old = oracle_integrate(prob, cfg, t_final)
+        assert (new.status, new.failure) == (old.status, old.failure)
+        for column in ("node_times", "node_states", "dts_used",
+                       "error_estimates"):
+            assert np.array(getattr(new, column)).tobytes() == \
+                np.array(getattr(old, column)).tobytes(), column
+        assert new.newton_iters == old.newton_iters
+
+
 class TestAdaptiveFormulas:
+    """The run's error rule, (power, estimate weight, controller weight),
+    and the step proposals integrate makes from it."""
+
     @staticmethod
-    def table_with_lead(order, extra, lead):
-        coeffs = np.zeros((order + extra + 1, 1))
-        coeffs[0, 0] = 1.0
-        coeffs[order + extra, 0] = lead
-        return coeffs.T.tolist()
+    def first_dt(prob, theta, order, tol, safety=1.0):
+        cfg = SchemeConfig(theta, order, AdaptiveStep(tol, safety=safety))
+        return first_node(prob, cfg)[0]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 9])
+    def test_rule_weights(self, order):
+        for theta in (0.0, 1.0):
+            assert stepper._error_rule(theta, order) == (order + 1, 1.0, 1.0)
+        central = stepper._error_rule(0.5, order)
+        if order % 2:
+            weight = 0.5 ** (order + 1) * (order + 1)
+            assert central == (order + 2, weight, weight)
+        else:
+            assert central == (order + 1, 0.5 ** order, 1.0)
+        assert stepper._error_rule(0.3, order) == (
+            order + 1, abs(0.7 ** (order + 1) - (-0.3) ** (order + 1)), 1.0)
 
     def test_case1_direct_value(self):
-        table = self.table_with_lead(3, 1, 1.0)
-        assert adaptive_dt_case1(table, 3, 1e-6) == pytest.approx(0.01)
+        # x' = x from 1: X(4) = 1/24, dt = (tol / (1/24))^(1/3).
+        dt = self.first_dt(dahlquist(1.0), 1.0, 3, 1e-6 / 24)
+        assert dt == pytest.approx(0.01)
 
     def test_case1_zero_coefficient_gives_inf(self):
-        # No cap: integrate shortens the step to land on t_final.
-        assert adaptive_dt_case1(self.table_with_lead(3, 1, 0.0), 3, 1e-6) \
-            == math.inf
-        assert adaptive_dt_case2(self.table_with_lead(3, 2, 0.0), 3, 1e-6) \
-            == math.inf
+        # A zero lead proposes an unbounded step, shortened to land on
+        # t_final: one step, with estimate 0.
+        for theta, order in ((0.0, 3), (0.5, 4), (1.0, 4), (0.5, 3)):
+            cfg = SchemeConfig(theta, order, AdaptiveStep(1e-8))
+            trace = integrate(dahlquist(0.0), cfg, 2.5)
+            assert trace.status == "completed"
+            assert trace.dts_used == [0.0, 2.5]
+            assert trace.error_estimates == [0.0, 0.0]
 
     def test_case1_tolerance_scaling(self):
-        table = self.table_with_lead(4, 1, 0.3)
-        base = adaptive_dt_case1(table, 4, 1e-7)
-        doubled = adaptive_dt_case1(table, 4, 2e-7)
-        assert doubled == pytest.approx(base * 2 ** 0.25)
+        prob = van_der_pol(10.0)
+        for theta in (0.0, 0.5, 1.0):
+            base = self.first_dt(prob, theta, 4, 1e-7, 0.9)
+            doubled = self.first_dt(prob, theta, 4, 2e-7, 0.9)
+            assert doubled == pytest.approx(base * 2 ** 0.25)
 
     def test_case2_direct_value(self):
-        # (1e-8 / ((1/2)^4 * 4))^(1/4) = (4e-8)^(1/4)
-        table = self.table_with_lead(3, 2, 1.0)
-        assert adaptive_dt_case2(table, 3, 1e-8) == pytest.approx(4e-8 ** 0.25)
+        # x' = x from 1: the lead is (1/2)^4 * 4 * X(5) = 1/480, so
+        # dt = (tol * 480)^(1/4).
+        dt = self.first_dt(dahlquist(1.0), 0.5, 3, 1e-8)
+        assert dt == pytest.approx((1e-8 * 480) ** 0.25)
 
     def test_case2_rejects_even_order(self):
-        table = self.table_with_lead(4, 2, 1.0)
-        with pytest.raises(ValueError, match="requires odd order"):
-            adaptive_dt_case2(table, 4, 1e-8)
+        # The central scheme with even K has no order gain; it steers by
+        # the unweighted lead, as theta in {0, 1} does.
+        for order in (2, 4, 6):
+            power, _, ctrl_weight = stepper._error_rule(0.5, order)
+            assert (power, ctrl_weight) == (order + 1, 1.0)
 
     def test_case2_tolerance_scaling(self):
-        table = self.table_with_lead(5, 2, 2.0)
-        base = adaptive_dt_case2(table, 5, 1e-9)
-        halved = adaptive_dt_case2(table, 5, 5e-10)
+        prob = van_der_pol(10.0)
+        base = self.first_dt(prob, 0.5, 5, 1e-9, 0.9)
+        halved = self.first_dt(prob, 0.5, 5, 5e-10, 0.9)
         assert halved == pytest.approx(base * 0.5 ** (1.0 / 6.0))
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_case1_lead_is_2_to_the_K_of_the_central_estimate(self, order):
         # At theta = 0.5 with even K the estimate weights ||X(K+1)|| by
-        # 0.5^K while case 1 steers by it unweighted; at theta in {0, 1} the
-        # weight is 1.  All factors are powers of two, so equality is exact.
-        tol = 1e-8
-        table = build_coeff_table(van_der_pol(10.0), 0.0, [1.7, -0.4],
-                                  order + 1)[:2]
-        central, power = stepper._leading_term(table, 0.5, order)
-        assert power == order + 1
-        case1 = adaptive_dt_case1(table, order, tol)
-        assert case1 == (tol / (2 ** order * central)) ** (1.0 / order)
+        # 0.5^K while the controller steers by it unweighted; at theta in
+        # {0, 1} both weights are 1.  The first node's table does not depend
+        # on theta, and all factors are powers of two, so equality is exact.
+        prob = van_der_pol(10.0)
+        nodes = {theta: first_node(prob, SchemeConfig(theta, order,
+                                                      AdaptiveStep(1e-8)))
+                 for theta in (0.0, 0.5, 1.0)}
+        dt, central = nodes[0.5]
         for theta in (0.0, 1.0):
-            lead = stepper._leading_term(table, theta, order)[0]
-            assert lead == 2 ** order * central
-            assert case1 == (tol / lead) ** (1.0 / order)
+            assert nodes[theta] == (dt, 2 ** order * central)
+        table = build_coeff_table(prob, 0.0, prob.default_initial.tolist(),
+                                  order + 1)[:prob.dim]
+        lead = max(abs(col[order + 1]) for col in table)
+        assert dt == 0.9 * (1e-8 / lead) ** (1.0 / order)
+        assert central == 0.5 ** order * lead * dt ** (order + 1)
 
 
 class TestIntegrateFixed:
@@ -596,52 +780,48 @@ class TestAuxiliarySeriesHidden:
     """Van der Pol keeps U^2 after its two state lists; no state reader may
     see it."""
 
-    @pytest.mark.parametrize("theta, order, controller", [
-        (0.5, 5, "adaptive_dt_case2"),
-        (1.0, 4, "adaptive_dt_case1"),
-    ])
-    def test_readers_see_the_state_lists(self, monkeypatch, theta, order,
-                                         controller):
+    @pytest.mark.parametrize("theta, order", [(0.5, 5), (1.0, 4)])
+    def test_readers_see_the_state_lists(self, monkeypatch, theta, order):
         prob = van_der_pol(10.0)
         seen = []
+        horner, step = stepper.horner_eval, stepper._step
 
-        def guarded(name, fn):
-            def reader(table, *args, **kwargs):
-                value = fn(table, *args, **kwargs)
-                assert value == fn(table[:prob.dim], *args, **kwargs)
-                seen.append((name, len(table)))
-                return value
-            return reader
+        def horner_guard(table, *args):
+            value = horner(table, *args)
+            assert value == horner(table[:prob.dim], *args)
+            seen.append(("horner_eval", len(table)))
+            return value
 
-        for name in ("horner_eval", controller, "_local_error_estimate"):
-            monkeypatch.setattr(stepper, name, guarded(name, getattr(stepper, name)))
+        def step_guard(problem, t, table, *args):
+            # The controller and the error estimate read this same table.
+            seen.append(("_step", len(table)))
+            return step(problem, t, table, *args)
+
+        monkeypatch.setattr(stepper, "horner_eval", horner_guard)
+        monkeypatch.setattr(stepper, "_step", step_guard)
         trace = integrate(prob, SchemeConfig(theta, order, AdaptiveStep(1e-8)), 2.0)
         assert trace.status == "completed"
-        assert {name for name, _ in seen} == {
-            "horner_eval", controller, "_local_error_estimate"}
+        assert {name for name, _ in seen} == {"horner_eval", "_step"}
         assert {size for _, size in seen} == {prob.dim}
 
 
 def run_with_step_records(monkeypatch, prob, cfg, t_final, initial=None):
     """integrate's trace, and its nodes kept the way the march kept them
     before the trace held columns: one StepRecord, with its own array, per
-    accepted step, the first holding the initial state array."""
+    accepted step, the first holding the initial state array.  Each record's
+    estimate is the former ``_local_error_estimate`` of the table the step
+    starts from."""
     x0 = prob.default_initial if initial is None else initial
     records = [StepRecord(0.0, np.asarray(x0, dtype=float), 0.0, 0, 0.0)]
-    estimates = []
-    estimate, step = stepper._local_error_estimate, stepper._step
-
-    def estimate_spy(*args, **kwargs):
-        estimates.append(estimate(*args, **kwargs))
-        return estimates[-1]
+    step = stepper._step
 
     def step_spy(problem, t, table, theta, order, dt):
+        est = _local_error_estimate(table, theta, order, dt)
         x, iters, trial = step(problem, t, table, theta, order, dt)
-        records.append(StepRecord(t + dt, np.array(x), dt, iters, estimates[-1]))
+        records.append(StepRecord(t + dt, np.array(x), dt, iters, est))
         return x, iters, trial
 
     with monkeypatch.context() as patch:
-        patch.setattr(stepper, "_local_error_estimate", estimate_spy)
         patch.setattr(stepper, "_step", step_spy)
         trace = integrate(prob, cfg, t_final, initial)
     return trace, records
