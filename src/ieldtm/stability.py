@@ -54,17 +54,17 @@ A_STABLE_SLACK = 1e-10
 # has |R| <= 1 + A_STABLE_SLACK at 67 of the 201 thetas 0, 0.005, ..., 1, and
 # from K = 171 on 1 / K! overflows a float.  Every K <= 91 passes at all 201.
 MAX_ORDER = 91
-# Grid points per block of rows in sample_region (256 KiB of complex128).
-# Whole-grid temporaries are several MB each, taken as fresh pages whose
-# faults cost as much as the arithmetic.  Per 400^2 grid at K = 4 on a 2-vCPU
-# Xeon VM (10th-90th percentile of 30 runs): at theta = 0.5, where both
-# factors are evaluated, blocks of 8 192 and 16 384 points take no page fault
-# and 5.0-5.6 and 4.6-4.9 ms, 4 096 points 6.3-6.8 ms; 32 768 and 65 536
-# points fault about 790 and 2 160 times and take 6.8-7.3 and 10.4-11.2 ms,
-# the whole grid at once 1 550 times and 10.6-11.2 ms.  At theta = 0 and 1,
-# where one factor is evaluated, 16 384 points take 2.1-2.2 and 2.7-3.0 ms,
-# no block of up to 65 536 points faults, and the whole grid faults about
-# 1 220 times and takes 6.8-7.9 ms.
+# Grid points per block of rows in sample_region (256 KiB of complex128 per
+# argument buffer).  Whole-grid temporaries are several MB each, taken as
+# fresh pages whose faults cost as much as the arithmetic.  Per 400^2 grid at
+# K = 4 on a 2-vCPU Xeon VM (10th-90th percentile of 30 runs): at
+# theta = 0.5, where both factors are evaluated, blocks of 8 192 and 16 384
+# points take no page fault and 3.1-4.2 and 3.0-3.8 ms, 4 096 points
+# 4.7-5.1 ms; 32 768 and 65 536 points fault about 790 and 990 times and take
+# 4.4-5.0 and 5.2-6.1 ms, the whole grid at once 2 470 times and 10.3-13.0 ms.
+# At theta = 0 and 1, where one factor is evaluated, 16 384 and 32 768 points
+# take 1.4-1.5 and 1.5-1.7 ms, no block of up to 65 536 points faults, and the
+# whole grid faults about 1 530 times and takes 5.0-6.5 ms.
 _BLOCK_POINTS = 1 << 14
 
 
@@ -110,18 +110,30 @@ def _trunc_exp_reversed(a: float, w, order: int):
     return acc
 
 
+def _arg_scales(theta: float):
+    """The scales a of the arguments a z of T_K in the numerator (1 - theta)
+    and the denominator (-theta).  None marks a factor that is T_K(0 z) = 1
+    for every finite z, the numerator at theta = 1 and the denominator at
+    theta = 0, which is not evaluated."""
+    return (1.0 - theta if theta < 1.0 else None, -theta if theta > 0.0 else None)
+
+
+def _abs_factors(args, order: int):
+    """|T_K(w)| for the numerator's and the denominator's argument w, the
+    float 1.0 for an argument None.  Raises FloatingPointError where T_K
+    overflows: inputs are finite, so a non-finite value needs an overflow
+    first, and raising on it spares a finite array a separate finiteness
+    pass."""
+    with np.errstate(over="raise", invalid="raise"):
+        return tuple(1.0 if w is None else np.abs(_trunc_exp(w, order)) for w in args)
+
+
 def _abs_num_den(z, theta: float, order: int):
-    """|T_K((1 - theta) z)| and |T_K(-theta z)|, or where either overflows,
-    both times |z|^-K, from the reversed evaluation in 1/z.  Without an
-    overflow, the factor at theta = 1 (numerator) or theta = 0 (denominator)
-    is T_K(0 z) = 1 for every finite z and comes back as the float 1.0."""
+    """|T_K((1 - theta) z)| and |T_K(-theta z)| (see _abs_factors), or where
+    either overflows, both times |z|^-K, from the reversed evaluation in 1/z."""
     try:
-        # Inputs are finite, so a non-finite value needs an overflow first;
-        # raising on it spares a finite array a separate finiteness pass.
-        with np.errstate(over="raise", invalid="raise"):
-            num = np.abs(_trunc_exp((1.0 - theta) * z, order)) if theta < 1.0 else 1.0
-            den = np.abs(_trunc_exp(-theta * z, order)) if theta > 0.0 else 1.0
-            return num, den
+        return _abs_factors([None if a is None else a * z for a in _arg_scales(theta)],
+                            order)
     except FloatingPointError:
         pass
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,18 +146,25 @@ def _abs_num_den(z, theta: float, order: int):
     return num, den
 
 
+def _abs_R_into(out: np.ndarray, num, den) -> np.ndarray:
+    """Write |R| = num / den into out, with poles (den below _POLE_FLOOR) at
+    +inf.  A den of 1.0 is T_K(0 z) = 1: no pole, and num / 1.0 is num."""
+    if isinstance(den, float):
+        out[...] = num
+        return out
+    # A quotient by den below the floor may divide by zero or overflow; the
+    # pole mask overwrites it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(num, den, out=out)
+    out[den < _POLE_FLOOR] = np.inf
+    return out
+
+
 def _abs_R_array(z, theta: float, order: int) -> np.ndarray:
     """|R| over a complex array; poles map to +inf.  Where |z| is so large
     that T_K overflows, |R| comes from the reversed evaluation in 1/z and
     tends to ((1 - theta) / theta)^K, as it should."""
-    num, den = _abs_num_den(z, theta, order)
-    if isinstance(den, float):
-        return num  # den = T_K(0 z) = 1: no pole, and num / 1.0 is num
-    # A quotient by den below the floor may divide by zero or overflow;
-    # np.where replaces it.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.where(den < _POLE_FLOOR, np.inf, num / den)
-    return out
+    return _abs_R_into(np.empty(np.shape(z)), *_abs_num_den(z, theta, order))
 
 
 @dataclass(frozen=True)
@@ -189,10 +208,29 @@ def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
     re = np.linspace(re_range[0], re_range[1], n_re)
     im = np.linspace(im_range[0], im_range[1], n_im)
     values = np.empty((n_re, n_im))
-    rows = max(1, _BLOCK_POINTS // n_im)
+    rows = min(n_re, max(1, _BLOCK_POINTS // n_im))
+    # One argument buffer a z per evaluated factor, its imaginary parts a im
+    # written once and its real parts a re per block.  numpy takes a z as
+    # (a x - 0 y) + i (a y + 0 x), so the buffer holds its bits up to the
+    # sign of an exact zero, which |T_K| does not see.
+    scales = _arg_scales(theta)
+    args = [None if a is None else np.empty((rows, n_im), dtype=complex) for a in scales]
+    for a, w in zip(scales, args):
+        if w is not None:
+            w.imag = a * im
     for i in range(0, n_re, rows):
-        z = re[i:i + rows, None] + 1j * im[None, :]
-        values[i:i + rows] = _abs_R_array(z, theta, order)
+        block = values[i:i + rows]
+        n = block.shape[0]
+        for a, w in zip(scales, args):
+            if w is not None:
+                w.real[:n] = (a * re[i:i + n])[:, None]
+        # num and den die with this statement: held into the next block,
+        # they made the heap trim and refault about 590 pages per 400^2 grid.
+        try:
+            _abs_R_into(block, *_abs_factors([None if w is None else w[:n] for w in args],
+                                             order))
+        except FloatingPointError:  # this block overflows: evaluate it from z
+            block[...] = _abs_R_array(re[i:i + n, None] + 1j * im[None, :], theta, order)
     return StabilityGrid(theta, order, re, im, values)
 
 
@@ -291,6 +329,8 @@ def matrix_R(theta: float, dtA, order: int) -> np.ndarray:
     m = dtA.shape[0]
     if dtA.shape != (m, m):
         raise ValueError("dtA must be square")
+    if not np.isfinite(dtA).all():
+        raise ValueError("dtA must be finite")
     eye = np.eye(m)
 
     def matrix_trunc_exp(W):
@@ -313,6 +353,8 @@ def log_norm_euclid(A) -> float:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     sym = 0.5 * (A + A.T)
     return float(np.linalg.eigvalsh(sym)[-1])
 
@@ -321,6 +363,8 @@ def contraction_certificate(theta: float, order: int, A, dt: float) -> bool:
     """True when the linear flow is contractive (log-norm <= 0) and the
     scheme is A-stable; then the one-step propagator is verified to be
     non-expansive in the 2-norm."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if log_norm_euclid(A) > 0.0:
         return False
     stable, _ = is_A_stable(theta, order)

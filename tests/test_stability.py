@@ -295,17 +295,26 @@ def _oracle_scalar_R(z, theta, order):
 
 _BITS_THETAS = (0.0, 0.3, 0.5, 0.7, 1.0)
 _BITS_ORDERS = (1, 2, 4, 9, 12)
+# Thetas whose argument scales are subnormal-small or round next to 1, and
+# orders up to MAX_ORDER.
+_BITS_WIDE = (_BITS_THETAS + (1e-300, 1.0 - 1e-10), _BITS_ORDERS + (40, 91))
 
 
 class TestBitsKept:
-    @pytest.mark.parametrize("window, shape", [
-        (((-10.0, 5.0), (-10.0, 10.0)), (1000, 37)),
-        (((-10.0, 5.0), (-10.0, 10.0)), (3, 20000)),
-        (((-1e100, 1e100), (-1e100, 1e100)), (41, 41)),
-    ], ids=["short-last-block", "row-over-block", "overflow"])
-    def test_grid_matches_oracle(self, window, shape):
-        for theta in _BITS_THETAS:
-            for order in _BITS_ORDERS:
+    @pytest.mark.parametrize("window, shape, wide", [
+        (((-10.0, 5.0), (-10.0, 10.0)), (1000, 37), False),
+        (((-10.0, 5.0), (-10.0, 10.0)), (3, 20000), False),
+        (((-1e100, 1e100), (-1e100, 1e100)), (41, 41), False),
+        # Block 0 is finite; blocks 1 and 2 overflow and fall back.
+        (((-10.0, 1e100), (-1.0, 1.0)), (3, 20000), True),
+        (((-1.0, 1.0), (-1.0, 1.0)), (3, 3), True),
+        (((0.0, 5.0), (-0.0, 3.0)), (7, 5), True),
+    ], ids=["short-last-block", "row-over-block", "overflow", "some-blocks-overflow",
+            "zero-on-both-axes", "signed-zero-axes"])
+    def test_grid_matches_oracle(self, window, shape, wide):
+        thetas, orders = _BITS_WIDE if wide else (_BITS_THETAS, _BITS_ORDERS)
+        for theta in thetas:
+            for order in orders:
                 grid = sample_region(theta, order, *window, shape)
                 z = grid.re_values[:, None] + 1j * grid.im_values[None, :]
                 expected = _oracle_abs_R_array(z, theta, order)
@@ -595,6 +604,11 @@ class TestMatrixR:
         with pytest.raises(ValueError):
             matrix_R(0.5, np.ones((2, 3)), 2)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="A must be finite"):
+            matrix_R(0.5, [[entry, 0.0], [0.0, -1.0]], 2)
+
 
 class TestLogNorm:
     def test_diagonal(self):
@@ -606,6 +620,12 @@ class TestLogNorm:
     def test_skew_symmetric(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert log_norm_euclid(A) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        # nan gave -0.0, which reads as a contractive matrix.
+        with pytest.raises(ValueError, match="A must be finite"):
+            log_norm_euclid([[entry, 0.0], [0.0, -1.0]])
 
 
 class TestContractionCertificate:
@@ -625,3 +645,8 @@ class TestContractionCertificate:
 
     def test_unstable_scheme_denied(self):
         assert not contraction_certificate(0.0, 2, np.diag([-1.0, -2.0]), 0.1)
+
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            contraction_certificate(0.5, 2, np.diag([-2.0, -1.0]), dt)
