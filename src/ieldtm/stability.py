@@ -24,6 +24,7 @@ E < 0 near 0 when the lowest is negative.  So the A-stable sets are theta in
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -90,81 +91,75 @@ def _trunc_exp(w, order: int):
 
 
 def scalar_R(z: complex, theta: float, order: int) -> complex:
-    """Scalar stability function R(z) for one (theta, K)."""
+    """Scalar stability function R(z) for one (theta, K).  Where T_K
+    overflows, R is the quotient of _reversed_factors; where that quotient's
+    denominator vanishes too, R overflows (T_K(z) at theta = 0)."""
     _check(theta, order)
-    num = _trunc_exp((1.0 - theta) * z, order)
-    den = _trunc_exp(-theta * z, order)
+    # Every Horner partial sum of T_K(w) is at most e^|w| <= e^700 ~ 1e304 at
+    # |z| <= 700, so only a larger z pays for the errstate that sees overflow.
+    if abs(z) <= 700.0:
+        num, den = _trunc_exp((1.0 - theta) * z, order), _trunc_exp(-theta * z, order)
+    elif not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    else:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                num, den = _trunc_exp((1.0 - theta) * z, order), _trunc_exp(-theta * z, order)
+        except FloatingPointError:
+            num, den = _reversed_factors(z, theta, order)
+            if abs(den) < _POLE_FLOOR:
+                raise OverflowError(f"R overflows at z = {z!r}") from None
+            return complex(num / den)
     if abs(den) < _POLE_FLOOR:
         raise PoleError(f"denominator vanishes at z = {z!r}")
     return complex(num / den)
 
 
-def _trunc_exp_reversed(a: float, w, order: int):
-    """w^K T_K(a / w), the Horner evaluation in w of T_K's coefficients
-    a^k / k! in reverse order: T_K(a z) z^-K at w = 1/z, finite where |z| is
-    so large that T_K(a z) overflows."""
-    acc = np.ones_like(w)
-    for k in range(1, order + 1):
-        acc *= w
-        acc += a ** k / math.factorial(k)
-    return acc
+def _reversed_factors(z, theta: float, order: int):
+    """T_K((1 - theta) z) z^-K and T_K(-theta z) z^-K by Horner in w = 1/z on
+    the coefficients a^k / k! of T_K(a z) in reverse order: finite where T_K
+    overflows, with quotient R -> ((theta - 1) / theta)^K.  The one far-field
+    rule of scalar_R and sample_region."""
+    w = 1.0 / z
+    factors = []
+    for a in (1.0 - theta, -theta):
+        acc = np.ones_like(w)
+        for k in range(1, order + 1):
+            acc *= w
+            acc += a ** k / math.factorial(k)
+        factors.append(acc)
+    return factors
 
 
-def _arg_scales(theta: float):
-    """The scales a of the arguments a z of T_K in the numerator (1 - theta)
-    and the denominator (-theta).  None marks a factor that is T_K(0 z) = 1
-    for every finite z, the numerator at theta = 1 and the denominator at
-    theta = 0, which is not evaluated."""
-    return (1.0 - theta if theta < 1.0 else None, -theta if theta > 0.0 else None)
-
-
-def _abs_factors(args, order: int):
-    """|T_K(w)| for the numerator's and the denominator's argument w, the
-    float 1.0 for an argument None.  Raises FloatingPointError where T_K
-    overflows: inputs are finite, so a non-finite value needs an overflow
-    first, and raising on it spares a finite array a separate finiteness
-    pass."""
-    with np.errstate(over="raise", invalid="raise"):
-        return tuple(1.0 if w is None else np.abs(_trunc_exp(w, order)) for w in args)
-
-
-def _abs_num_den(z, theta: float, order: int):
-    """|T_K((1 - theta) z)| and |T_K(-theta z)| (see _abs_factors), or where
-    either overflows, both times |z|^-K, from the reversed evaluation in 1/z."""
+def _abs_R_block(out: np.ndarray, args, re: np.ndarray, im: np.ndarray,
+                 theta: float, order: int) -> None:
+    """Write |R| on the rows re x im into out, poles (den below _POLE_FLOOR)
+    at +inf.  args are the numerator's and the denominator's arguments of
+    T_K, None for a factor T_K(0 z) = 1.  The factors are evaluated raising
+    on overflow: inputs are finite, so a non-finite value needs an overflow
+    first, and raising spares a finite block a finiteness pass.  A block that
+    overflows is evaluated once more, and the cells where a factor is not
+    finite take both factors from _reversed_factors."""
+    def abs_factors():
+        return [1.0 if w is None else np.abs(_trunc_exp(w, order)) for w in args]
     try:
-        return _abs_factors([None if a is None else a * z for a in _arg_scales(theta)],
-                            order)
+        with np.errstate(over="raise", invalid="raise"):
+            num, den = abs_factors()
     except FloatingPointError:
-        pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = np.abs(_trunc_exp((1.0 - theta) * z, order))
-        den = np.abs(_trunc_exp(-theta * z, order))
-    far = ~(np.isfinite(num) & np.isfinite(den))
-    w = 1.0 / z[far]
-    num[far] = np.abs(_trunc_exp_reversed(1.0 - theta, w, order))
-    den[far] = np.abs(_trunc_exp_reversed(-theta, w, order))
-    return num, den
-
-
-def _abs_R_into(out: np.ndarray, num, den) -> np.ndarray:
-    """Write |R| = num / den into out, with poles (den below _POLE_FLOOR) at
-    +inf.  A den of 1.0 is T_K(0 z) = 1: no pole, and num / 1.0 is num."""
-    if isinstance(den, float):
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den = (np.ones(out.shape) if isinstance(f, float) else f
+                        for f in abs_factors())
+        far = ~(np.isfinite(num) & np.isfinite(den))
+        r, c = np.nonzero(far)
+        num[far], den[far] = map(np.abs, _reversed_factors(re[r] + 1j * im[c], theta, order))
+    if isinstance(den, float):  # num / 1.0 is num, and 1.0 is no pole
         out[...] = num
-        return out
+        return
     # A quotient by den below the floor may divide by zero or overflow; the
     # pole mask overwrites it.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(num, den, out=out)
     out[den < _POLE_FLOOR] = np.inf
-    return out
-
-
-def _abs_R_array(z, theta: float, order: int) -> np.ndarray:
-    """|R| over a complex array; poles map to +inf.  Where |z| is so large
-    that T_K overflows, |R| comes from the reversed evaluation in 1/z and
-    tends to ((1 - theta) / theta)^K, as it should."""
-    return _abs_R_into(np.empty(np.shape(z)), *_abs_num_den(z, theta, order))
 
 
 @dataclass(frozen=True)
@@ -212,25 +207,23 @@ def sample_region(theta: float, order: int, re_range=(-10.0, 5.0),
     # One argument buffer a z per evaluated factor, its imaginary parts a im
     # written once and its real parts a re per block.  numpy takes a z as
     # (a x - 0 y) + i (a y + 0 x), so the buffer holds its bits up to the
-    # sign of an exact zero, which |T_K| does not see.
-    scales = _arg_scales(theta)
+    # sign of an exact zero, which |T_K| does not see.  The numerator's scale
+    # is 1 - theta and the denominator's -theta; None marks a factor that is
+    # T_K(0 z) = 1 for every finite z (at theta = 1 and 0), not evaluated.
+    scales = (1.0 - theta if theta < 1.0 else None, -theta if theta > 0.0 else None)
     args = [None if a is None else np.empty((rows, n_im), dtype=complex) for a in scales]
     for a, w in zip(scales, args):
         if w is not None:
             w.imag = a * im
     for i in range(0, n_re, rows):
-        block = values[i:i + rows]
-        n = block.shape[0]
+        n = min(rows, n_re - i)
         for a, w in zip(scales, args):
             if w is not None:
                 w.real[:n] = (a * re[i:i + n])[:, None]
-        # num and den die with this statement: held into the next block,
-        # they made the heap trim and refault about 590 pages per 400^2 grid.
-        try:
-            _abs_R_into(block, *_abs_factors([None if w is None else w[:n] for w in args],
-                                             order))
-        except FloatingPointError:  # this block overflows: evaluate it from z
-            block[...] = _abs_R_array(re[i:i + n, None] + 1j * im[None, :], theta, order)
+        # num and den die with this call: held into the next block, they
+        # made the heap trim and refault about 590 pages per 400^2 grid.
+        _abs_R_block(values[i:i + n], [None if w is None else w[:n] for w in args],
+                     re[i:i + n], im, theta, order)
     return StabilityGrid(theta, order, re, im, values)
 
 
@@ -339,8 +332,11 @@ def matrix_R(theta: float, dtA, order: int) -> np.ndarray:
             acc = acc @ W + eye / math.factorial(k)
         return acc
 
-    num = matrix_trunc_exp((1.0 - theta) * dtA)
-    den = matrix_trunc_exp(-theta * dtA)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = matrix_trunc_exp((1.0 - theta) * dtA)
+        den = matrix_trunc_exp(-theta * dtA)
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise OverflowError("T_K(dtA) overflows")
     try:
         return np.linalg.solve(den, num)
     except np.linalg.LinAlgError as exc:

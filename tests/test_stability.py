@@ -10,12 +10,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from ieldtm import stability
 from ieldtm.errors import PoleError
 from ieldtm.stability import (
     A_STABLE_SLACK,
     MAX_ORDER,
     StabilityGrid,
-    _abs_R_array,
     _order_facts,
     _OrderFacts,
     _stable,
@@ -117,6 +117,11 @@ class TestScalarR:
         with pytest.raises(PoleError):
             scalar_R(1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            scalar_R(z, 0.5, 2)
+
     def test_pade_consistency_order(self):
         """|R(z) - e^z| shrinks at the scheme order + 1 as z -> 0."""
         for theta, order, q in ((0.5, 3, 4), (0.5, 2, 2), (1.0, 3, 3),
@@ -195,6 +200,10 @@ class TestSampleRegion:
         np.testing.assert_allclose(grid.values[far], limit, rtol=1e-12,
                                    atol=1e-99)
         assert (unstable_fraction(grid) > 0.0) == (theta < 0.5)
+        # scalar_R takes the grid's far-field rule: the same |R| at every cell.
+        got = [[abs(scalar_R(complex(x, y), theta, order)) for y in grid.im_values]
+               for x in grid.re_values]
+        np.testing.assert_allclose(got, grid.values, rtol=1e-12, atol=1e-99)
 
     @pytest.mark.parametrize("order", [1, 4, 9, 12])
     def test_huge_window_forward_is_unbounded(self, order):
@@ -209,6 +218,16 @@ class TestSampleRegion:
         assert grid.values[2, 2] == 1.0
         assert ((grid.values[far] == np.inf) | (grid.values[far] >= 1e99)).all()
         assert unstable_fraction(grid) == 1.0
+        # There R = T_K(z) overflows with no pole: scalar_R raises
+        # OverflowError, as neither PoleError nor nan would be right.
+        for x, y in zip(*np.nonzero(far)):
+            z = complex(grid.re_values[x], grid.im_values[y])
+            if order == 1:
+                assert abs(scalar_R(z, 0.0, order)) == pytest.approx(grid.values[x, y],
+                                                                     rel=1e-12)
+            else:
+                with pytest.raises(OverflowError, match=re.escape(f"R overflows at z = {z!r}")):
+                    scalar_R(z, 0.0, order)
 
     @pytest.mark.parametrize("shape", [(400, 400), (1000, 37), (3, 20000),
                                        (2, 2), (41, 41)])
@@ -218,8 +237,26 @@ class TestSampleRegion:
             for order in (1, 4, 9, 12):
                 grid = sample_region(theta, order, resolution=shape)
                 z = grid.re_values[:, None] + 1j * grid.im_values[None, :]
-                expected = _abs_R_array(z, theta, order)
+                expected = _oracle_abs_R_array(z, theta, order)
                 assert grid.values.tobytes() == expected.tobytes()
+
+    def test_overflowing_block_evaluates_each_factor_at_most_twice(self, monkeypatch):
+        # One block whose numerator overflows: each factor is evaluated once
+        # raising and at most once more without raising, then the
+        # overflowing cells in 1/z.  Factors are told apart by the sign of
+        # their argument's real part, (1 - theta) Re z > 0 > -theta Re z.
+        calls = {}
+
+        def counted(w, order):
+            key = "num" if np.real(w).ravel()[-1] > 0.0 else "den"
+            calls[key] = calls.get(key, 0) + 1
+            return trunc_exp(w, order)
+
+        trunc_exp = stability._trunc_exp
+        monkeypatch.setattr(stability, "_trunc_exp", counted)
+        grid = sample_region(0.3, 4, (1.0, 1e100), (-1.0, 1.0), (3, 3))
+        assert set(calls) == {"num", "den"} and max(calls.values()) <= 2, calls
+        np.testing.assert_allclose(grid.values[1:], (0.7 / 0.3) ** 4, rtol=1e-12)
 
     def test_peak_memory_is_output_plus_one_block(self):
         sample_region(0.5, 4, resolution=(2, 2))  # caches filled
@@ -603,6 +640,13 @@ class TestMatrixR:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             matrix_R(0.5, np.ones((2, 3)), 2)
+
+    @pytest.mark.parametrize("dtA", [[[1e200]], [[-1e200]], [[1e100, 0.0], [0.0, -1.0]]])
+    def test_overflow_raises(self, dtA):
+        # The suite turns RuntimeWarning into an error, so nan with a
+        # warning would fail here too.
+        with pytest.raises(OverflowError, match="T_K\\(dtA\\) overflows"):
+            matrix_R(0.5, dtA, 4)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_rejected(self, entry):
