@@ -91,13 +91,14 @@ def _trunc_exp(w, order: int):
 
 
 def scalar_R(z: complex, theta: float, order: int) -> complex:
-    """Scalar stability function R(z) for one (theta, K).  Where T_K
-    overflows, R is the quotient of _reversed_factors; where that quotient's
-    denominator vanishes too, R overflows (T_K(z) at theta = 0)."""
+    """Scalar stability function R(z) for one (theta, K); the quotient of
+    _reversed_factors where T_K overflows.  PoleError where the denominator
+    vanishes, OverflowError where R may leave the float range."""
     _check(theta, order)
-    # Every Horner partial sum of T_K(w) is at most e^|w| <= e^700 ~ 1e304 at
-    # |z| <= 700, so only a larger z pays for the errstate that sees overflow.
-    if abs(z) <= 700.0:
+    # At |z| <= 700 every Horner partial sum of T_K(w) is at most e^700 ~ 1e304:
+    # no factor overflows, nor a quotient by |den| >= 1e-3.
+    near = abs(z) <= 700.0
+    if near:
         num, den = _trunc_exp((1.0 - theta) * z, order), _trunc_exp(-theta * z, order)
     elif not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
@@ -107,11 +108,14 @@ def scalar_R(z: complex, theta: float, order: int) -> complex:
                 num, den = _trunc_exp((1.0 - theta) * z, order), _trunc_exp(-theta * z, order)
         except FloatingPointError:
             num, den = _reversed_factors(z, theta, order)
-            if abs(den) < _POLE_FLOOR:
-                raise OverflowError(f"R overflows at z = {z!r}") from None
-            return complex(num / den)
-    if abs(den) < _POLE_FLOOR:
-        raise PoleError(f"denominator vanishes at z = {z!r}")
+    d = abs(den)
+    if not (near and d >= 1e-3):
+        if near and d < _POLE_FLOOR:
+            raise PoleError(f"denominator vanishes at z = {z!r}")
+        # Far out, a den below the floor is z^-K underflowing in the reversed
+        # one (theta = 0, R = T_K(z)); past |R| = 1e300 num / den may overflow.
+        if d < _POLE_FLOOR or abs(num) * _POLE_FLOOR >= d:
+            raise OverflowError(f"R overflows at z = {z!r}")
     return complex(num / den)
 
 
@@ -121,14 +125,8 @@ def _reversed_factors(z, theta: float, order: int):
     overflows, with quotient R -> ((theta - 1) / theta)^K.  The one far-field
     rule of scalar_R and sample_region."""
     w = 1.0 / z
-    factors = []
-    for a in (1.0 - theta, -theta):
-        acc = np.ones_like(w)
-        for k in range(1, order + 1):
-            acc *= w
-            acc += a ** k / math.factorial(k)
-        factors.append(acc)
-    return factors
+    return [np.polyval([a ** k / math.factorial(k) for k in range(order + 1)], w)
+            for a in (1.0 - theta, -theta)]
 
 
 def _abs_R_block(out: np.ndarray, args, re: np.ndarray, im: np.ndarray,
@@ -277,19 +275,24 @@ def _stable(theta: float, facts: _OrderFacts) -> bool:
 
 
 def _witness(theta: float, order: int, facts: _OrderFacts) -> complex:
-    """A z with |R(z)| > 1: next to a pole, far out on R- (theta < 0.5) or the
-    iy, y = 2^j, with the largest -E / |den|^2.  Just above theta = 0.5 that is
-    O(theta - 0.5), so |R(w)| > 1 + A_STABLE_SLACK need not hold anywhere."""
-    if theta > 0.0 and not facts.hurwitz:
+    """A z with |R(z)| > 1 or R overflowing: next to a pole, far out on R-
+    (theta < 0.5) or the iy, y = 2^j, with the largest -E / |den|^2.  Just above
+    0.5 that is O(theta - 0.5), so |R(w)| > 1 + A_STABLE_SLACK need not hold."""
+    def violates(z):
+        try:
+            return abs(scalar_R(z, theta, order)) > 1.0 + A_STABLE_SLACK
+        except OverflowError:
+            return True
+    # Below theta = |root| 1e-300 the pole is past 1e300; R- has a witness.
+    if not facts.hurwitz and abs(facts.pole_root) < 1e300 * theta:
         # |R| blows up next to the pole; report a concrete violating point.
         pole, step = complex(-facts.pole_root / theta), 1e-6
-        while (step <= 1.0
-               and abs(scalar_R(pole - step, theta, order)) <= 1.0 + A_STABLE_SLACK):
+        while step <= 1.0 and not violates(pole - step):
             step *= 10.0
         return pole - step
     # |R(-inf)| > 1; just below 0.5 no x passes the slack, but E(y) < 0 far out.
     for x in (-10.0 ** k for k in range(1, 9) if theta < 0.5):
-        if abs(scalar_R(x, theta, order)) > 1.0 + A_STABLE_SLACK:
+        if violates(x):
             return complex(x)
     # |R(iy)|^2 - 1 = -E(y) / |T_K(-i theta y)|^2, both sums over b[m] y^2m.
     y, m, b = 2.0 ** np.arange(-10, 21), np.arange(order + 1), np.array(facts.b, float)

@@ -1,5 +1,6 @@
 """Command-line interface: flags, output formats, determinism, exit codes."""
 
+import cmath
 import json
 import math
 
@@ -276,6 +277,19 @@ class TestStabilityGrid:
         lines = out.read_text().splitlines()
         assert {"# a_stable=True", "# witness=None", "# l_stable=True"} <= set(lines)
 
+
+    def test_grid_csv_at_tiny_theta(self, runner, tmp_path):
+        # The pole witness lies where R overflows; that is a violation.
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, [
+            "stability-grid", "--theta", "1e-4", "--K", "91", "--res", "3",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        meta = dict(l[2:].split("=", 1) for l in lines if "=" in l)
+        assert meta["a_stable"] == "False" and meta["l_stable"] == "False"
+        assert cmath.isfinite(complex(meta["witness"]))
 
 class TestDeterminism:
     def test_identical_runs_identical_output(self, runner):

@@ -117,6 +117,14 @@ class TestScalarR:
         with pytest.raises(PoleError):
             scalar_R(1.0, 1.0, 1)
 
+    def test_quotient_overflow_raises(self):
+        # theta = 1e-61, K = 5: next to the pole near 1e61, T_5((1 - theta) z)
+        # is about 1e303 and T_5(-theta z) is rounding noise, so num / den
+        # would overflow with a RuntimeWarning (an error in this suite).
+        _, z = is_A_stable(1e-61, 5)
+        with pytest.raises(OverflowError, match=re.escape(f"R overflows at z = {z!r}")):
+            scalar_R(z, 1e-61, 5)
+
     @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
     def test_non_finite_z_rejected(self, z):
         with pytest.raises(ValueError, match="z must be finite"):
@@ -506,6 +514,18 @@ class TestAStability:
             if k % 20 == 0:
                 with mpmath.workdps(50):
                     assert _abs_R_mp(witness, theta, MAX_ORDER) > 1 + A_STABLE_SLACK
+
+    @pytest.mark.parametrize("order", [5, 9, 12, 40, MAX_ORDER])
+    def test_witness_violates_at_tiny_theta(self, order):
+        # The pole -root / theta is far out, where T_K((1 - theta) z) and R
+        # overflow; below theta ~ 1e-300 it is past the float range and the
+        # witness is on R-.  Either way is_A_stable returns a finite witness
+        # with no RuntimeWarning (an error in this suite).
+        with mpmath.workdps(50):
+            for theta in (1e-4, 1e-61, 1e-100, 1e-300, 5e-324):
+                stable, witness = is_A_stable(theta, order)
+                assert not stable and cmath.isfinite(witness), theta
+                assert _abs_R_mp(witness, theta, order) > 1 + A_STABLE_SLACK, theta
 
     def test_exact_stable_theta_sets(self):
         thetas = np.linspace(0.0, 1.0, 201)
