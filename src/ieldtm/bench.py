@@ -327,6 +327,10 @@ def check_seir_sweep(rows, max_ratio: float = 1.5, checked_orders=(8,)):
     for order, counts in by_order.items():
         if order not in checked_orders:
             continue
+        if not min(counts):
+            violations.append(f"seir-sweep K={order}: a run took no step, so "
+                              f"the step-count ratio across eta is undefined")
+            continue
         ratio = max(counts) / min(counts)
         if ratio > max_ratio:
             violations.append(

@@ -330,3 +330,11 @@ class TestSeirSweep:
         # A later switch changes the step counts.
         assert ([row[5] for row in self.rows(result.output)]
                 != [row[5] for row in self.rows(default)])
+
+    def test_check_with_no_step_fails_by_name(self, runner):
+        # Every run ends at t = 1e-13 before its first step: the check
+        # names the order instead of dividing by a zero step count.
+        result = runner.invoke(main, ["seir-sweep", "--tf", "1e-13", "--check"])
+        assert result.exit_code == 1, result.output
+        assert "CHECK FAIL: seir-sweep K=8: a run took no step" in result.output
+        assert isinstance(result.exception, SystemExit)

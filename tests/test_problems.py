@@ -2,7 +2,14 @@
 
 import inspect
 import math
-from operator import mul
+import random
+import struct
+import subprocess
+import sys
+import threading
+import time
+from operator import is_, mul
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,8 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ieldtm
+from ieldtm import problems
 from ieldtm.problems import (
     PROBLEM_NAMES,
+    ProblemDefinition,
+    _UNROLL_LIMIT,
+    _cauchy_products,
     dahlquist,
     duffing,
     linear_system,
@@ -464,3 +476,132 @@ class TestRegistry:
         # X(1) = lam X(0) for the Dahlquist rate lam.
         c = coeffs_from(make_problem("dahlquist", lam=-3.0), 0.0, [1.0], 1)
         assert c[1, 0] == -3.0
+
+
+def _left_to_right(a, b):
+    """sum_j a(j) b(k-j) for lists of k+1 entries, added to 0.0 one term
+    at a time from j = 0."""
+    total = 0.0
+    for x, y in zip(a, reversed(b)):
+        total = total + x * y
+    return total
+
+
+def _key(value):
+    """The type and the bytes of each component, with every nan alike:
+    where two nans of opposite sign meet, which one an addition returns
+    depends on the operand order of the machine code, and CPython 3.11's
+    generic and specialised float additions differ in it, so a plain loop
+    changes its nan once it is warm."""
+    parts = (value.real, value.imag) if isinstance(value, complex) else (value,)
+    return type(value), tuple("nan" if math.isnan(x) else struct.pack("<d", x)
+                              for x in parts)
+
+
+_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+
+
+def _draw(rng, kind):
+    """A float or complex coefficient, a special value one time in three."""
+    def part():
+        if rng.random() < 1 / 3:
+            return rng.choice(_SPECIALS)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)
+    return complex(part(), part()) if kind == "complex" else part()
+
+
+_INDICES = [0, 1, _UNROLL_LIMIT - 1, _UNROLL_LIMIT, _UNROLL_LIMIT + 1, 3000]
+
+
+class TestCauchyProducts:
+    """conv[k] from _cauchy_products makes exactly the additions of a
+    left-to-right loop from 0.0, as sum(map(mul, a, reversed(b))) does on
+    CPython 3.11; entries are generated only when first asked for."""
+
+    @pytest.fixture()
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(problems, "_products", ())
+
+    @pytest.mark.parametrize("kind", ["float", "complex"])
+    @pytest.mark.parametrize("k", _INDICES)
+    def test_entry_matches_left_to_right_loop(self, k, kind):
+        if k >= _UNROLL_LIMIT and sys.version_info >= (3, 12):
+            # From the limit on the entry is sum(), which compensates float
+            # sums from Python 3.12 on.
+            oracle = lambda a, b: sum(map(mul, a, reversed(b)))
+        else:
+            oracle = _left_to_right
+        product = _cauchy_products(k)[k]
+        rng = random.Random(k)
+        # Products that are all -0.0 first: they add up to 0.0 from 0.0.
+        pairs = [([-0.0] * (k + 1), [1.0] * (k + 1))]
+        for _ in range(200 if k < 1000 else 20):
+            pairs.append(([_draw(rng, kind) for _ in range(k + 1)],
+                          [_draw(rng, kind) for _ in range(k + 1)]))
+        for a, b in pairs:
+            assert _key(product(a, b)) == _key(oracle(a, b))
+
+    def test_depth_3000_is_cheap(self, empty_cache):
+        start = time.perf_counter()
+        conv = _cauchy_products(3000)
+        assert time.perf_counter() - start < 0.5
+        assert len(conv) == 3001
+        assert len(set(conv[_UNROLL_LIMIT:])) == 1
+
+    def test_extension_keeps_earlier_entries(self, empty_cache):
+        short = _cauchy_products(5)
+        longer = _cauchy_products(20)
+        assert len(short) == 6 and len(longer) == 21
+        assert all(map(is_, short, longer))
+        assert _cauchy_products(3) is longer
+
+    def test_concurrent_extension(self, empty_cache):
+        # Threads extending the cache at once each get entry k right at
+        # index k, whichever tuple ends up stored.
+        returned = []  # (depth, tuple returned for it), checked below
+
+        def work(seed):
+            depths = list(range(130))
+            random.Random(seed).shuffle(depths)
+            for depth in depths:
+                returned.append((depth, _cauchy_products(depth)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(returned) == 6 * 130
+        a = [1.0 + j / 7 for j in range(130)]
+        b = [2.0 - j / 11 for j in range(130)]
+        for depth, conv in returned:
+            assert len(conv) > depth
+            assert (conv[depth](a[:depth + 1], b[:depth + 1])
+                    == _left_to_right(a[:depth + 1], b[:depth + 1]))
+
+    def test_import_and_factories_generate_nothing(self):
+        src = Path(ieldtm.__file__).resolve().parents[1]
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import numpy as np; from ieldtm import problems; "
+                "[problems.make_problem(name) for name in problems.PROBLEM_NAMES]; "
+                "problems.linear_system(np.eye(2)); print(len(problems._products))")
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "0"
+
+
+class TestProblemDefinition:
+    @pytest.mark.parametrize("field,value", [("dim", 1.0), ("aux", 1.5),
+                                             ("dim", True), ("aux", True)])
+    def test_non_integral_sizes_refused(self, field, value):
+        args = {"name": "x", "dim": 1, "recurrence": lambda t, table, depth: None,
+                "default_initial": [1.0], field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProblemDefinition(**args)
