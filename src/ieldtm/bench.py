@@ -143,7 +143,12 @@ def order_sweep_rows(thetas=(0.0, 0.5, 1.0), orders=range(1, 7),
     """Observed convergence orders on the cubic oscillator from paired
     fixed-step runs at dt, dt/2.  A cell whose run fails keeps its row with
     status ``failed: <trace status>``; an exact run leaves no order to read,
-    so ``observed`` is None where either error is 0."""
+    so ``observed`` is None where either error is 0.  ValueError unless
+    dt/2 < t_final: otherwise both runs take the same single step, clipped
+    to t_final, and measure no order."""
+    if not dt / 2.0 < t_final:
+        raise ValueError(f"dt / 2 = {dt / 2.0!r} must be below t_final = "
+                         f"{t_final!r}, or both runs take the same single step")
     problem = make_problem("duffing")
     rows = []
     for theta in thetas:

@@ -179,7 +179,10 @@ def solve(problem, theta, order, dt, tol, safety, tf, out, fmt, no_oracle,
               default="csv", show_default=True)
 def order_sweep(dt, tf, out, fmt):
     """Observed vs theoretical convergence orders on the cubic oscillator."""
-    rows = order_sweep_rows(dt=dt, t_final=tf)
+    try:
+        rows = order_sweep_rows(dt=dt, t_final=tf)
+    except ValueError as exc:  # dt / 2 not below tf
+        raise click.UsageError(str(exc))
     header = ["theta", "K", "dt", "err_dt", "err_half", "observed", "theory",
               "status"]
     meta = {"command": "order-sweep", "problem": "duffing", "dt": dt, "tf": tf,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
-from operator import sub
 from typing import List, Union
 
 import numpy as np
@@ -191,6 +190,13 @@ def _run_recurrence(problem, t_i, table, depth: int) -> list:
     bit.
     """
     problem.recurrence(t_i, table, depth)
+    _check_finite(table, t_i)
+    return table
+
+
+def _check_finite(table, t_i) -> None:
+    """Raise NonFiniteStateError unless every entry of the table about t_i
+    is finite."""
     # One sum first: a nan or infinite entry makes the running sum nan or
     # infinite, per component for complex entries, and adding anything to
     # it leaves it so.  Python >= 3.12 compensates float sums, but adds the
@@ -201,25 +207,72 @@ def _run_recurrence(problem, t_i, table, depth: int) -> list:
             and not all(map(cmath.isfinite, chain.from_iterable(table)))):
         raise NonFiniteStateError(
             f"non-finite Taylor coefficient at t = {t_i!r}")
-    return table
+
+
+# The Horner kernel of every order generated so far, by order; see _horner.
+_kernels = {}
+
+
+def _horner(order: int):
+    """The Horner kernel of ``order``: h(col, s) takes a = col[order], then
+    a = a * s + col[k] for k = order-1, ..., 0, and returns a, the series
+    through ``order`` at s in the type of its inputs.
+
+    The kernel is written out one statement per k (a nested expression
+    would pass CPython's limit of 200 nested parentheses at order 200).  It
+    is generated on first use and cached; replacing an entry concurrently
+    stores an equal kernel.
+    """
+    kernel = _kernels.get(order)
+    if kernel is None:
+        lines = [f"    a = col[{order}]\n"]
+        lines += [f"    a = a * s + col[{k}]\n" for k in range(order - 1, -1, -1)]
+        namespace = {}
+        exec("def horner(col, s):\n" + "".join(lines) + "    return a\n",
+             namespace)
+        kernel = _kernels[order] = namespace["horner"]
+    return kernel
 
 
 def horner_eval(table, offset: float, order: int) -> list:
     """Evaluate sum_{k=0}^{order} X_j(k) * offset^k for every component j,
-    highest order first for stability."""
+    highest order first for stability, through the kernel ``_horner(order)``;
+    the values keep the type of the table and the offset."""
     if order < 0:
         raise ValueError("order must be non-negative")
     if order >= len(table[0]):
         raise IndexError(
             f"order {order} exceeds stored coefficient depth {len(table[0]) - 1}"
         )
-    values = []
-    for col in table:
-        acc = col[order]
-        for c in col[order - 1::-1] if order else ():
-            acc = acc * offset + c
-        values.append(acc)
-    return values
+    h = _horner(order)
+    return [h(col, offset) for col in table]
+
+
+def _residual_function(problem, t_next, known_value, theta, order, dt):
+    """The continuity defect of one implicit step as a function of the
+    trial state, and the [trial state, trial table] pair of its last call.
+
+    ``residual(y)`` expands the list y of ``dim`` numbers about t_next to
+    depth ``order``, auxiliary series included, tests the table's
+    finiteness and returns h(col, -theta dt) - known for each state column
+    and each entry of ``known_value``, h = ``_horner(order)``.  Everything
+    fixed for the step is bound here once; y is not validated.
+    """
+    recurrence, aux = problem.recurrence, range(problem.aux)
+    offset = -theta * dt
+    h = _horner(order)
+    last = [None, None]
+
+    def residual(y):
+        table = [[x] for x in y]
+        table += [[] for _ in aux]
+        recurrence(t_next, table, order)
+        _check_finite(table, t_next)
+        r = [h(col, offset) - k for col, k in zip(table, known_value)]
+        last[0], last[1] = y, table
+        return r
+
+    return residual, last
 
 
 def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
@@ -231,11 +284,17 @@ def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
     the matching point; the trial table expands the list ``trial_state``
     about t_next to depth ``order``, auxiliary series included.  The
     defect's root is the accepted next state; a complex trial state gives
-    the complex defect.  Returns (defect as a list, trial table).
+    the complex defect.  This is one call of the residual function an
+    implicit step builds (``_residual_function``), after checking the
+    arguments.  Returns (defect as a list, trial table).
     """
-    trial_table = build_coeff_table(problem, t_next, trial_state, order)
-    lhs = horner_eval(trial_table[:problem.dim], -theta * dt, order)
-    return list(map(sub, lhs, known_value)), trial_table
+    if len(trial_state) != problem.dim:
+        raise ValueError(f"state must have {problem.dim} entries")
+    if order < 1:
+        raise ValueError("depth must be >= 1")
+    residual, last = _residual_function(problem, t_next, known_value, theta,
+                                        order, dt)
+    return residual(trial_state), last[1]
 
 
 def _step(problem, t_i, node_table, theta, order, dt):
@@ -244,7 +303,8 @@ def _step(problem, t_i, node_table, theta, order, dt):
     of the state or None).
 
     The explicit step (theta = 0) is the predictor, the local series at
-    t_i + dt.  An implicit step is the Newton solve started from it.  The
+    t_i + dt.  An implicit step is the Newton solve started from it, on the
+    one residual function ``_residual_function`` builds for the step.  The
     table returned is the one the last residual evaluation built, returned
     only when Newton returned that very list: it is then the next node's
     table through ``order``, auxiliary series included.  Newton's
@@ -259,15 +319,8 @@ def _step(problem, t_i, node_table, theta, order, dt):
         return list(map(float, predictor)), 0, None
     # The known side is fixed for the whole step.
     known_value = horner_eval(node_table, (1.0 - theta) * dt, order)
-    t_next = t_i + dt
-    last = [None, None]  # the last trial state and its table
-
-    def residual(y):
-        r, trial_table = implicit_residual(problem, t_next, known_value, y,
-                                           theta, order, dt)
-        last[:] = y, trial_table
-        return r
-
+    residual, last = _residual_function(problem, t_i + dt, known_value, theta,
+                                        order, dt)
     state, iters = newton_solve(residual, predictor)
     return state, iters, last[1] if state is last[0] else None
 

@@ -204,6 +204,19 @@ class TestOrderSweepRows:
         assert result.exit_code == 1
         assert "failed: newton-failure" in result.output
 
+    @pytest.mark.parametrize("dt, t_final", [(2.0, 1.0), (0.2, 0.1)])
+    def test_step_not_below_twice_t_final_refused(self, dt, t_final):
+        # Both runs would take one step clipped to t_final: no order.
+        with pytest.raises(ValueError, match=r"dt / 2 = .* must be below "
+                                             r"t_final = "):
+            bench.order_sweep_rows(dt=dt, t_final=t_final)
+
+    def test_cli_step_not_below_twice_t_final_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["order-sweep", "--dt", "2", "--tf", "1"])
+        assert result.exit_code == 2
+        assert ("dt / 2 = 1.0 must be below t_final = 1.0, or both runs take "
+                "the same single step") in result.output
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args):
             raise TypeError("not a trace")

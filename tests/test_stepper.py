@@ -1,5 +1,6 @@
 """Single steps, residuals, adaptive step-size formulas and the drivers."""
 
+import dataclasses
 import io
 import math
 from operator import mul
@@ -140,6 +141,105 @@ class TestHornerEval:
         naive = sum(c * offset ** k for k, c in enumerate(coeffs))
         value = horner_eval(table, offset, order)[0]
         assert value == pytest.approx(naive, abs=1e-10 * (1 + abs(naive)))
+
+
+def horner_loop(table, offset, order):
+    """The Horner loop horner_eval ran before its generated kernels,
+    verbatim: the oracle of their bits."""
+    values = []
+    for col in table:
+        acc = col[order]
+        for c in col[order - 1::-1] if order else ():
+            acc = acc * offset + c
+        values.append(acc)
+    return values
+
+
+def kernel_columns(order, rng):
+    """Float and complex columns through ``order`` plus two entries the
+    kernel must not read, with signed zeros, infinities and nans among
+    them."""
+    n = order + 3
+    finite = rng.normal(size=n).tolist()
+    zeros = [(-1.0) ** k * 0.0 for k in range(n)]
+    special = list(finite)
+    special[0], special[order // 2], special[order] = -0.0, math.inf, -0.0
+    with_nan = list(finite)
+    with_nan[order] = math.nan
+    floats = [finite, zeros, [-0.0] * n, special, with_nan]
+    spread = rng.normal(size=n).tolist()
+    tiny = [complex(x, 1e-30 * y) for x, y in zip(finite, spread)]
+    signed = [complex(-0.0 if k % 2 else 0.0, -0.0) for k in range(n)]
+    odd = list(tiny)
+    odd[order // 2] = complex(math.inf, 1.0)
+    odd[0] = complex(math.nan, 0.0)
+    return floats + [tiny, signed, odd]
+
+
+class TestHornerKernelBits:
+    """The generated kernels make the loop's operations in its order: every
+    value keeps its bits, sign of zero included."""
+
+    OFFSETS = (0.0, -0.0, 0.7, -1.3, 2.0 ** -7, 1e300, -math.inf, math.nan,
+               0.5 + 1e-30j, complex(-0.0, 0.0))
+
+    @pytest.mark.parametrize("order", list(range(13)) + [95, 171, 250])
+    def test_repr_equals_loop(self, order):
+        rng = np.random.default_rng(order)
+        table = kernel_columns(order, rng)
+        kernel = stepper._horner(order)
+        for offset in self.OFFSETS:
+            expected = repr(horner_loop(table, offset, order))
+            assert repr(horner_eval(table, offset, order)) == expected
+            assert repr([kernel(col, offset) for col in table]) == expected
+
+    def test_kernel_generated_once_per_order(self):
+        assert stepper._horner(7) is stepper._horner(7)
+        assert stepper._horner(7) is not stepper._horner(8)
+
+
+class TestResidualFunctionBits:
+    """The residual function an implicit step builds, ``implicit_residual``
+    and the defect written out from ``build_coeff_table`` and the Horner
+    loop agree bit for bit, at real and at complex-step points."""
+
+    CASES = [
+        (van_der_pol(10.0), 0.3, [1.8, -0.7], 5, 0.05),
+        (robertson_modified(), 0.4, [0.67, 2e-5, 0.33], 5, 2.0 ** -6),
+        (seir(eta=6.0), 12.0, [0.6, 0.1, 0.1, 0.1, 0.05, 0.05], 6, 0.4),
+    ]
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 0.3])
+    @pytest.mark.parametrize("problem, t, state, order, dt", CASES,
+                             ids=["vanderpol", "robertson", "seir"])
+    def test_defect_and_table_bits(self, problem, t, state, order, dt, theta):
+        table = build_coeff_table(problem, t, state, order)[:problem.dim]
+        known = horner_loop(table, (1.0 - theta) * dt, order)
+        residual, last = stepper._residual_function(problem, t + dt, known,
+                                                    theta, order, dt)
+        predictor = horner_loop(table, dt, order)
+        points = [predictor, state]
+        for j in range(problem.dim):
+            point = list(map(complex, predictor))
+            point[j] += 1e-30j
+            points.append(point)
+        for y in points:
+            trial = build_coeff_table(problem, t + dt, y, order)
+            oracle = [a - b for a, b in zip(
+                horner_loop(trial[:problem.dim], -theta * dt, order), known)]
+            r = residual(y)
+            assert last[0] is y and repr(last[1]) == repr(trial)
+            public, public_table = implicit_residual(problem, t + dt, known, y,
+                                                     theta, order, dt)
+            assert repr(r) == repr(public) == repr(oracle)
+            assert repr(public_table) == repr(trial)
+
+    def test_public_residual_checks_its_arguments(self):
+        with pytest.raises(ValueError, match="state must have 2 entries"):
+            implicit_residual(van_der_pol(), 0.1, [0.0, 0.0], [1.0], 0.5, 3, 0.1)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            implicit_residual(van_der_pol(), 0.1, [0.0, 0.0], [1.0, 0.0], 0.5,
+                              0, 0.1)
 
 
 class TestExplicitStep:
@@ -698,21 +798,32 @@ class TestNodeTableReuse:
     """After an implicit step the accepted state's trial table, extended
     through the leading error term, is the next node table."""
 
-    def test_one_build_per_residual_after_the_first_node(self, monkeypatch):
+    @staticmethod
+    def counted_recurrence(problem, on_call):
+        """The problem with its recurrence wrapped: on_call(table, depth)
+        sees each call's table before the recurrence extends it."""
+        recurrence = problem.recurrence
+
+        def wrapper(t, table, depth):
+            on_call(table, depth)
+            return recurrence(t, table, depth)
+
+        return dataclasses.replace(problem, recurrence=wrapper)
+
+    def test_one_build_per_residual_after_the_first_node(self):
+        # A build starts from one-entry state lists; a residual's build runs
+        # to depth K, a node's to the leading error term K + 2 = 7.
         counts = {"build": 0, "residual": 0}
+        order = 5
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def on_call(table, depth):
+            if len(table[0]) == 1:
+                counts["build"] += 1
+                counts["residual"] += depth == order
 
-        monkeypatch.setattr(stepper, "build_coeff_table",
-                            counted("build", stepper.build_coeff_table))
-        monkeypatch.setattr(stepper, "implicit_residual",
-                            counted("residual", stepper.implicit_residual))
-        cfg = SchemeConfig(0.5, 5, AdaptiveStep(1e-10))
-        trace = integrate(van_der_pol(10.0), cfg, 5.0)
+        cfg = SchemeConfig(0.5, order, AdaptiveStep(1e-10))
+        prob = self.counted_recurrence(van_der_pol(10.0), on_call)
+        trace = integrate(prob, cfg, 5.0)
         assert trace.status == "completed"
         assert min(r.newton_iters for r in trace.records[1:]) >= 1
         assert counts["residual"] >= 2 * trace.steps
@@ -720,13 +831,10 @@ class TestNodeTableReuse:
 
     def test_m_plus_one_residuals_per_one_iteration_step(self, monkeypatch):
         # Newton's first residual is the real part of its first complex
-        # column: m complex calls and the accepted iterate's real one.
+        # column: m complex calls and the accepted iterate's real one.  Inside
+        # a step every recurrence call is a residual's.
         calls = []  # whether each residual call of the step is complex
         per_step, step_fn = [], stepper._step  # (iterations, calls) per step
-
-        def residual(*args):
-            calls.append(isinstance(args[3][0], complex))
-            return implicit_residual(*args)
 
         def step(*args):
             del calls[:]
@@ -734,9 +842,10 @@ class TestNodeTableReuse:
             per_step.append((out[1], tuple(calls)))
             return out
 
-        monkeypatch.setattr(stepper, "implicit_residual", residual)
         monkeypatch.setattr(stepper, "_step", step)
-        prob = van_der_pol(10.0)
+        prob = self.counted_recurrence(
+            van_der_pol(10.0),
+            lambda table, depth: calls.append(isinstance(table[0][0], complex)))
         trace = integrate(prob, SchemeConfig(0.5, 5, AdaptiveStep(1e-10)), 5.0)
         assert trace.status == "completed"
         assert len(per_step) == trace.steps
