@@ -11,24 +11,20 @@ residuals, the Jacobian and the LU are Python lists of floats: at m <= 6 a
 numpy call per residual, column, pivot, swap or row update costs more than
 the arithmetic it does.
 
-``lu_solve`` has unrolled paths for n = 2 (Van der Pol, Duffing) and n = 3
-(Robertson).  There the bookkeeping of the general loop (row copies, column
-maxima, row scales, pivot search) costs several times the elimination
-itself.  Per lu_solve call on a 2-vCPU Xeon VM (fastest of 9 interleaved
-runs), the unrolled paths take 1.4 us at n = 2 and 4.6 us at n = 3, the
-general loop 7.8 and 15.1 us.  An unrolled path makes the same pivot choice,
-singularity tests and operations, so it returns the same bits and raises the
-same errors.  Back-substitution at n = 3 keeps one np.dot of length 2, for
-row 0, a third of that path's time (1.6 us): a BLAS dot may fuse its
-multiply-adds, which a Python expression would not reproduce.  Larger systems
-(SEIR, m = 6) keep the general loop.
+``lu_solve`` runs one straight-line kernel per n, generated on first use
+(``_lu_kernel``): the general elimination written out with a local name
+per entry, so no row copy, index or loop is left, only the float
+operations, comparisons and errors of the elimination, in its order.  Per
+call on the Newton systems of real runs (2-vCPU Xeon VM, CPython 3.11,
+fastest of 15 interleaved rounds), it takes 1.0-1.7 us at n = 2 (Van der
+Pol), 6.1-6.3 us at n = 3 (Robertson) and 13-18 us at n = 6 (SEIR).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import add, truediv
+from operator import add
 
 import numpy as np
 
@@ -50,149 +46,84 @@ def lu_solve(A, b) -> list:
 
     A is a sequence of n rows of length n, b one of length n; lists and
     arrays both work and neither is modified.  Returns x as a list of n
-    floats.  Raises SingularMatrixError when a pivot falls below 1e-14 times
-    the inf-norm of its row, both measured with each column scaled to a
-    largest entry of 1, so a badly scaled but well-conditioned matrix passes.
-
-    A 2 x 2 or 3 x 3 system takes ``_lu_solve_2`` or ``_lu_solve_3``, the
-    same elimination unrolled: at n <= 3 the general loop's bookkeeping costs
-    several times its arithmetic.
+    floats.  Raises ValueError when A is not n x n for n = len(b), and
+    SingularMatrixError when a pivot falls below 1e-14 times the inf-norm
+    of its row, both measured with each column scaled to a largest entry of
+    1, so a badly scaled but well-conditioned matrix passes.  The
+    elimination is the straight-line kernel ``_lu_kernel(n)``.
     """
-    b = list(map(float, b))
-    n = len(b)
-    if n == 2 and len(A) == 2:
-        try:
-            (a00, a01), (a10, a11) = A
-        except ValueError:  # a row of another length
-            raise ValueError(_SHAPE_MESSAGE) from None
-        return _lu_solve_2(float(a00), float(a01), float(a10), float(a11), *b)
-    if n == 3 and len(A) == 3:
-        try:
-            (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
-        except ValueError:
-            raise ValueError(_SHAPE_MESSAGE) from None
-        return _lu_solve_3(float(a00), float(a01), float(a02), float(a10),
-                           float(a11), float(a12), float(a20), float(a21),
-                           float(a22), *b)
-    a = [list(map(float, row)) for row in A]
-    if len(a) != n or any(len(row) != n for row in a):
-        raise ValueError(_SHAPE_MESSAGE)
-    return _lu_solve_n(a, b)
+    return _lu_kernel(len(b))(A, b)
 
 
-def _lu_solve_n(a: list, b: list) -> list:
-    """The elimination of lu_solve on n rows of n floats and n floats, both
-    lists it may overwrite."""
-    n = len(b)
-    col_max = [max(map(abs, col)) or 1.0 for col in zip(*a)]
-    row_scale = [sum(map(truediv, map(abs, row), col_max)) for row in a]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda i: abs(a[i][col]))
-        pivot = a[pivot_row][col]
-        if abs(pivot) <= _PIVOT_REL_TOL * row_scale[pivot_row] * col_max[col]:
-            raise SingularMatrixError(f"pivot underflow in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
-        upper = a[col]
-        for i in range(col + 1, n):
-            row = a[i]
-            f = row[col] / pivot
-            for j in range(col + 1, n):
-                row[j] -= f * upper[j]
-            b[i] -= f * b[col]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        # A dot of length 1 is one rounded product and an empty one leaves
-        # b[i], in Python as in numpy.  Longer ones stay np.dot, not a Python
-        # sum: a BLAS dot may fuse its multiply-adds, and the solution keeps
-        # the bits of the all-numpy elimination.
-        s = b[i]
-        if i == n - 2:
-            s -= a[i][n - 1] * x[n - 1]
-        elif i < n - 2:
-            s -= float(np.dot(a[i][i + 1:], x[i + 1:]))
-        x[i] = s / a[i][i]
-    return x
+# The LU kernel of every n generated so far, by n; see _lu_kernel.
+_lu_kernels = {}
 
 
-def _lu_solve_2(a00: float, a01: float, a10: float, a11: float,
-                b0: float, b1: float) -> list:
-    """``_lu_solve_n`` for n = 2, unrolled: every float operation, comparison
-    and error of the general loop, in its order.  A row scale of two terms is
-    their plain sum: the general loop's ``sum`` adds them to the int 0, and
-    both are >= +0.0 or nan (a compensated sum, Python >= 3.12, adds back
-    the exact rounding error of one addition, which leaves it unchanged)."""
-    c0 = abs(a10) if abs(a10) > abs(a00) else abs(a00)
-    c1 = abs(a11) if abs(a11) > abs(a01) else abs(a01)
-    c0 = c0 or 1.0
-    c1 = c1 or 1.0
-    s0 = abs(a00) / c0 + abs(a01) / c1
-    s1 = abs(a10) / c0 + abs(a11) / c1
-    if abs(a10) > abs(a00):  # max() keeps the first of equal candidates
-        a00, a01, b0, s0, a10, a11, b1, s1 = a10, a11, b1, s1, a00, a01, b0, s0
-    if abs(a00) <= _PIVOT_REL_TOL * s0 * c0:
-        raise SingularMatrixError("pivot underflow in column 0")
-    f = a10 / a00
-    a11 -= f * a01
-    b1 -= f * b0
-    if abs(a11) <= _PIVOT_REL_TOL * s1 * c1:
-        raise SingularMatrixError("pivot underflow in column 1")
-    x1 = b1 / a11
-    return [(b0 - a01 * x1) / a00, x1]
+def _lu_kernel(n: int):
+    """The elimination of ``lu_solve`` on n x n systems as one straight-line
+    function lu(A, b), a local name per entry, generated on first use and
+    cached (replacing an entry concurrently stores an equal kernel).  Its
+    source grows as n^3; the systems here have n <= 6.
 
-
-def _lu_solve_3(a00: float, a01: float, a02: float, a10: float, a11: float,
-                a12: float, a20: float, a21: float, a22: float,
-                b0: float, b1: float, b2: float) -> list:
-    """``_lu_solve_n`` for n = 3, unrolled: every float operation, comparison
-    and error of the general loop, in its order.  A row scale of three terms
-    stays ``sum`` of a tuple: a compensated sum (Python >= 3.12) carries the
-    rounding error of the first addition into the second, so t0 + t1 + t2
-    can differ from it in the last bit.  Row 0's back-substitution keeps the
-    general loop's np.dot, as a BLAS dot may fuse its multiply-adds."""
-    e00, e01, e02 = abs(a00), abs(a01), abs(a02)
-    e10, e11, e12 = abs(a10), abs(a11), abs(a12)
-    e20, e21, e22 = abs(a20), abs(a21), abs(a22)
-    # max() keeps the first of equal candidates, and a leading nan.
-    top = e10 if e10 > e00 else e00
-    c0 = (e20 if e20 > top else top) or 1.0
-    c1 = e11 if e11 > e01 else e01
-    c1 = (e21 if e21 > c1 else c1) or 1.0
-    c2 = e12 if e12 > e02 else e02
-    c2 = (e22 if e22 > c2 else c2) or 1.0
-    s0 = sum((e00 / c0, e01 / c1, e02 / c2))
-    s1 = sum((e10 / c0, e11 / c1, e12 / c2))
-    s2 = sum((e20 / c0, e21 / c1, e22 / c2))
-    if e20 > top:
-        a00, a01, a02, b0, s0, a20, a21, a22, b2, s2 = \
-            a20, a21, a22, b2, s2, a00, a01, a02, b0, s0
-    elif e10 > e00:
-        a00, a01, a02, b0, s0, a10, a11, a12, b1, s1 = \
-            a10, a11, a12, b1, s1, a00, a01, a02, b0, s0
-    if abs(a00) <= _PIVOT_REL_TOL * s0 * c0:
-        raise SingularMatrixError("pivot underflow in column 0")
-    f = a10 / a00
-    a11 -= f * a01
-    a12 -= f * a02
-    b1 -= f * b0
-    f = a20 / a00
-    a21 -= f * a01
-    a22 -= f * a02
-    b2 -= f * b0
-    if abs(a21) > abs(a11):
-        a11, a12, b1, s1, a21, a22, b2, s2 = a21, a22, b2, s2, a11, a12, b1, s1
-    if abs(a11) <= _PIVOT_REL_TOL * s1 * c1:
-        raise SingularMatrixError("pivot underflow in column 1")
-    f = a21 / a11
-    a22 -= f * a12
-    b2 -= f * b1
-    if abs(a22) <= _PIVOT_REL_TOL * s2 * c2:
-        raise SingularMatrixError("pivot underflow in column 2")
-    x2 = b2 / a22
-    x1 = (b1 - a12 * x2) / a11
-    return [(b0 - float(np.dot([a01, a02], [x1, x2]))) / a00, x1, x2]
+    lu unpacks A's n rows of n entries and b's n entries, any other shape
+    raising the shape ValueError, and converts each with float(), b first.
+    Column maxima keep the first of equal |a_ij| and a leading nan, each
+    ``or 1.0``.  A row scale sums |a_ij| / c_j with ``+`` at n <= 2 and
+    ``sum`` of a tuple from n = 3 on: a compensated sum (Python >= 3.12)
+    can differ from t0 + t1 + t2 in the last bit but adds to t0 + t1 the
+    exact error of one addition, which leaves it unchanged.  Column c's
+    pivot is the first largest |a_ic| in row order, whose row trades its
+    remaining entries, b entry and row scale with row c's before the pivot
+    test.  Back-substitution keeps np.dot for rows longer than one product:
+    a BLAS dot may fuse its multiply-adds, which Python would not.
+    """
+    kernel = _lu_kernels.get(n)
+    if kernel is None:
+        N, join = range(n), ", ".join
+        a = [[f"a{i}_{j}" for j in N] for i in N]
+        e = [[f"e{i}_{j}" for j in N] for i in N]
+        lines = ["def lu(A, b):", "    try:",
+                 f"        [{join(f'[{join(row)}]' for row in a)}] = A",
+                 f"        [{join(f'b{i}' for i in N)}] = b",
+                 "    except (TypeError, ValueError):",
+                 "        raise ValueError(_SHAPE_MESSAGE) from None"]
+        lines += [f"    b{i} = float(b{i})" for i in N]
+        lines += [f"    {v} = float({v})" for row in a for v in row]
+        lines += [f"    {e[i][j]} = abs({a[i][j]})" for i in N for j in N]
+        for j in N:
+            lines.append(f"    c{j} = {e[0][j]}")
+            lines += [f"    if {e[i][j]} > c{j}: c{j} = {e[i][j]}" for i in N[1:]]
+            lines.append(f"    c{j} = c{j} or 1.0")
+        for i in N:
+            terms = [f"{e[i][j]} / c{j}" for j in N]
+            lines.append(f"    s{i} = sum(({join(terms)}))" if n > 2
+                         else f"    s{i} = {' + '.join(terms)}")
+        for c in N:
+            lines += [f"    q = abs(a{c}_{c})", f"    p = {c}"]
+            for i in range(c + 1, n):
+                lines += [f"    m = abs(a{i}_{c})", f"    if m > q: q, p = m, {i}"]
+            for i in range(c + 1, n):
+                row_c, row_i = (a[k][c:] + [f"b{k}", f"s{k}"] for k in (c, i))
+                lines += [f"    if p == {i}:",
+                          f"        {join(row_c + row_i)} = {join(row_i + row_c)}"]
+            lines += [f"    if q <= _PIVOT_REL_TOL * s{c} * c{c}:",
+                      "        raise SingularMatrixError("
+                      f"'pivot underflow in column {c}')"]
+            for i in range(c + 1, n):
+                lines.append(f"    f = a{i}_{c} / a{c}_{c}")
+                lines += [f"    a{i}_{j} -= f * a{c}_{j}" for j in range(c + 1, n)]
+                lines.append(f"    b{i} -= f * b{c}")
+        for i in reversed(N):
+            x = [f"x{j}" for j in range(i + 1, n)]
+            s = (f"b{i}" if not x else
+                 f"(b{i} - {a[i][-1]} * {x[0]})" if len(x) == 1 else
+                 f"(b{i} - float(np.dot([{join(a[i][i + 1:])}], [{join(x)}])))")
+            lines.append(f"    x{i} = {s} / a{i}_{i}")
+        lines.append(f"    return [{join(f'x{i}' for i in N)}]")
+        namespace = {}
+        exec("\n".join(lines) + "\n", globals(), namespace)
+        kernel = _lu_kernels[n] = namespace["lu"]
+    return kernel
 
 
 def _perturbed(residual, y: list, j: int) -> list:

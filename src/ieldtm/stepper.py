@@ -354,15 +354,22 @@ def _error_rule(theta: float, order: int):
     return power, abs((1.0 - theta) ** power - (-theta) ** power), 1.0
 
 
-def _clip_to_events(t: float, dt: float, t_final: float,
-                    discontinuities) -> float:
-    """Shorten dt so the mesh lands exactly on t_final and on any declared
-    discontinuity (the expansion must restart there)."""
+def _clip_to_events(t: float, dt: float, t_final: float, discontinuities):
+    """The step from t as (dt, t_next): dt shortened so the mesh lands on
+    t_final and on each declared discontinuity t_d, where the expansion
+    must restart.  A step that would pass t_d, or end short of it by at
+    most 1e-12 max(1, t_d) (rounding drift of the accumulated t), is made
+    to end exactly on t_d, so no step starts a hair before t_d and runs
+    past it at the pre-switch rate."""
     dt = min(dt, t_final - t)
+    t_next = t + dt
     for t_d in discontinuities:
-        if t < t_d - 1e-12 and t + dt > t_d:
-            dt = t_d - t
-    return dt
+        eps = 1e-12 * max(1.0, t_d)
+        # A step already ending on t_d keeps its dt: t_d - t may differ
+        # from it in the last bit.
+        if t < t_d - eps and t_next > t_d - eps and t_next != t_d:
+            dt, t_next = t_d - t, t_d
+    return dt, t_next
 
 
 def _failure_context(t: float, dt, reason) -> str:
@@ -381,7 +388,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     coefficients by the run's error rule (``_error_rule``); it supports theta
     in {0, 0.5, 1}, has no reject/retry loop yet, and a proposal below dt_min
     ends the trace with ``min-step-underflow``.  Every step is shortened to
-    land exactly on t_final and on the problem's discontinuities.
+    land on t_final, and ends exactly on each of the problem's
+    discontinuities that it would pass or nearly reach (``_clip_to_events``).
 
     Each node needs one coefficient table expanded about the loop's t,
     through the index of the leading error term, theoretical_order + 1: the
@@ -391,7 +399,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     evaluation), so that table is extended to that depth and reused; a node
     gets a fresh build only at t = 0, after an explicit step and after a
     solve that accepted the predictor at 0 iterations.  A failed trace says
-    where and why in ``SolutionTrace.failure``.
+    where and why in ``SolutionTrace.failure``; a non-finite state fails as
+    ``non-finite-state`` at the node that holds it, the last node included.
 
     Each accepted node appends its t, state (a list of floats), dt,
     iterations and error estimate to the trace's columns; no per-step record
@@ -436,19 +445,25 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                         break
                 else:
                     dt = mode.dt
-                dt = _clip_to_events(t, dt, t_final, problem.discontinuities)
+                dt, t_next = _clip_to_events(t, dt, t_final,
+                                             problem.discontinuities)
                 lead = est_weight * peak
                 try:
                     est = lead * dt ** power if lead else 0.0
                 except OverflowError:  # a float power raises where a product gives inf
                     est = math.inf
                 state, iters, trial = _step(problem, t, table, theta, order, dt)
-                t += dt
+                t = t_next
                 times.append(t)
                 states.append(state)
                 dts.append(dt)
                 iterations.append(iters)
                 estimates.append(est)
+            # Every other node's state is tested in its own table; the last
+            # node is never expanded, so its state is tested here.
+            dt = None
+            if not all(map(math.isfinite, state)):
+                raise NonFiniteStateError(f"non-finite state at t = {t!r}")
         except tuple(_FAILURE_STATUS) as exc:
             status = _FAILURE_STATUS[type(exc)]
             failure = _failure_context(t, dt, exc)

@@ -78,6 +78,18 @@ class TestSolve:
         assert summary["failure"] == ("step at t = 1.0, dt = 0.5: "
                                       "non-finite Taylor coefficient at t = 1.5")
 
+    def test_non_finite_last_state_fails(self, runner):
+        # The one step overflows the state at t_final: not a completed run.
+        result = runner.invoke(main, [
+            "solve", "--problem", "dahlquist", "--theta", "0", "--K", "3",
+            "--dt", "1e300", "--tf", "1e300", "--no-oracle",
+        ])
+        assert result.exit_code == 1
+        summary = json.loads(result.output)
+        assert summary["status"] == "non-finite-state"
+        assert summary["failure"] == ("step at t = 1e+300: "
+                                      "non-finite state at t = 1e+300")
+
     def test_order_beyond_float_factorial(self, runner):
         # 171! exceeds the float range; Robertson's forcing must not raise.
         result = runner.invoke(main, [

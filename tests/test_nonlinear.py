@@ -1,14 +1,15 @@
 """Newton root-finder and partial-pivot LU solver."""
 
 import math
+from itertools import combinations
+from operator import truediv
 
 import numpy as np
 import pytest
 
 from ieldtm import nonlinear
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
-from ieldtm.nonlinear import (_jacobian, _lu_solve_2, _lu_solve_3, _lu_solve_n,
-                              lu_solve, newton_solve)
+from ieldtm.nonlinear import _PIVOT_REL_TOL, _jacobian, lu_solve, newton_solve
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table, horner_eval, implicit_residual
@@ -117,6 +118,43 @@ class TestLuSolve:
             lu_solve(A, np.array([1.0, 2.0]))
 
 
+def _lu_solve_n(a: list, b: list) -> list:
+    """The elimination of lu_solve on n rows of n floats and n floats, both
+    lists it may overwrite."""
+    n = len(b)
+    col_max = [max(map(abs, col)) or 1.0 for col in zip(*a)]
+    row_scale = [sum(map(truediv, map(abs, row), col_max)) for row in a]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda i: abs(a[i][col]))
+        pivot = a[pivot_row][col]
+        if abs(pivot) <= _PIVOT_REL_TOL * row_scale[pivot_row] * col_max[col]:
+            raise SingularMatrixError(f"pivot underflow in column {col}")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
+        upper = a[col]
+        for i in range(col + 1, n):
+            row = a[i]
+            f = row[col] / pivot
+            for j in range(col + 1, n):
+                row[j] -= f * upper[j]
+            b[i] -= f * b[col]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        # A dot of length 1 is one rounded product and an empty one leaves
+        # b[i], in Python as in numpy.  Longer ones stay np.dot, not a Python
+        # sum: a BLAS dot may fuse its multiply-adds, and the solution keeps
+        # the bits of the all-numpy elimination.
+        s = b[i]
+        if i == n - 2:
+            s -= a[i][n - 1] * x[n - 1]
+        elif i < n - 2:
+            s -= float(np.dot(a[i][i + 1:], x[i + 1:]))
+        x[i] = s / a[i][i]
+    return x
+
+
 def outcome(solve, *args):
     """A solve's result as hex strings, or its exception's type and text."""
     try:
@@ -126,25 +164,33 @@ def outcome(solve, *args):
 
 
 def general(A, b):
-    """The general elimination loop forced on a system of any size."""
+    """The general elimination loop, the oracle, on a system of any size."""
     return outcome(_lu_solve_n, [list(map(float, row)) for row in A],
                    list(map(float, b)))
 
 
-class _UnrolledLuChecks:
-    """The checks of an unrolled lu_solve path against the general loop, bit
-    for bit, results and errors alike, on n x n systems.  Each system below
-    is the top-left n x n block of a 3 x 3 one."""
+# The systems of the checks below are top-left n x n blocks of these.
+BASE_A = [[1.5, -0.5, 0.3, 0.2, -0.1, 0.4],
+          [0.25, 2.0, -1.0, 0.6, 0.3, -0.2],
+          [0.7, 0.1, 3.0, -0.4, 0.5, 0.1],
+          [-0.3, 0.8, 0.2, 2.5, -0.6, 0.7],
+          [0.4, -0.2, 0.9, 0.1, 1.8, -0.5],
+          [0.6, 0.3, -0.7, 0.5, 0.2, 2.2]]
+BASE_B = [1.0, -3.0, 2.0, 0.5, -1.5, 4.0]
+
+
+class _LuChecks:
+    """The checks of lu_solve's generated kernel against the general
+    elimination loop, bit for bit, results and errors alike, on n x n
+    systems.  Most systems below are top-left n x n blocks of 6 x 6 ones."""
 
     n: int
-    unrolled: staticmethod
 
     def assert_same(self, A, b):
         # np.dot warns on an overflow or a nan, in both paths alike.
         with np.errstate(over="ignore", invalid="ignore"):
             expected = general(A, b)
-            flat = [float(v) for row in A for v in row] + [float(v) for v in b]
-            assert outcome(self.unrolled, *flat) == expected
+            assert outcome(nonlinear._lu_kernel(self.n), A, b) == expected
             assert outcome(lu_solve, A, b) == expected
 
     def test_random_systems(self):
@@ -159,9 +205,14 @@ class _UnrolledLuChecks:
         # A last row close to a combination of the rows above it puts the
         # last pivot test on both sides of its threshold.  At n = 3, every
         # other system has column 1 close to a multiple of column 0 instead,
-        # which does the same for the column-1 test.
+        # which does the same for the column-1 test.  A 1 x 1 system is
+        # singular only at zero: there the entries reach the subnormals.
         rng = np.random.default_rng(22)
         for k in range(2000):
+            if self.n == 1:
+                A = rng.normal(size=(1, 1)) * 10.0 ** rng.integers(-325, 309)
+                self.assert_same(A.tolist(), rng.normal(size=1).tolist())
+                continue
             A = rng.normal(size=(self.n, self.n))
             near = 1 + k % (self.n - 1)
             weights = rng.normal(size=near) * 10.0 ** rng.integers(-5, 6, size=near)
@@ -179,8 +230,7 @@ class _UnrolledLuChecks:
         cells = [(i, j) for i in range(self.n + 1) for j in range(self.n)]
 
         def system(changes):
-            A = [[1.5, -0.5, 0.3], [0.25, 2.0, -1.0], [0.7, 0.1, 3.0]]
-            A = [row[:self.n] for row in A[:self.n]] + [[1.0, -3.0, 2.0][:self.n]]
+            A = [row[:self.n] for row in BASE_A[:self.n]] + [BASE_B[:self.n]]
             for (i, j), value in changes:
                 A[i][j] = value
             return A[:-1], A[-1]
@@ -195,33 +245,103 @@ class _UnrolledLuChecks:
 
     def test_int_and_numpy_inputs(self):
         n = self.n
-        ints = np.array([[2, 1, 0], [1, 3, 1], [0, 2, 4]])[:n, :n]
-        floats = np.array([[0.5, 4.0, 1.0], [2.0, -1.0, 0.5], [1.0, 3.0, -2.0]])[:n, :n]
-        mixed = [[np.float32(0.1), np.float32(3.0), 7], [1.0, np.int64(2), 0.5],
-                 [np.int64(-1), 2.0, np.float32(0.25)]]
+        ints = np.array([[2, 1, 0, 1, 0, 0], [1, 3, 1, 0, 1, 0],
+                         [0, 2, 4, 1, 0, 1], [1, 0, 1, 5, 2, 0],
+                         [0, 1, 0, 2, 6, 1], [1, 0, 2, 0, 1, 7]])[:n, :n]
+        floats = np.array([[0.5, 4.0, 1.0, 0.25, -1.0, 2.0],
+                           [2.0, -1.0, 0.5, 3.0, 0.75, -0.5],
+                           [1.0, 3.0, -2.0, 0.5, 1.5, 1.0],
+                           [-0.5, 1.0, 2.5, 4.0, 0.25, -3.0],
+                           [1.5, -2.0, 0.5, 1.0, 5.0, 0.5],
+                           [0.25, 0.5, -1.5, 2.0, -0.75, 6.0]])[:n, :n]
+        mixed = [[np.float32(0.1), np.float32(3.0), 7, 1.0, np.int64(0), 2],
+                 [1.0, np.int64(2), 0.5, np.float32(-1.5), 3, 0.0],
+                 [np.int64(-1), 2.0, np.float32(0.25), 4, 1.0, np.int64(1)],
+                 [2, np.float32(0.5), 1.0, np.int64(5), -2.0, 0.5],
+                 [0.0, 1, np.int64(-3), 0.75, np.float32(6.0), 1.0],
+                 [np.float32(1.25), 0.5, 2, -1.0, np.int64(1), 8.0]]
+        b_ints, b_floats = [1, 2, 3, -1, 0, 2], [1.0, 2.0, 3.0, -1.0, 0.5, 2.0]
+        b_mixed = [np.float32(2.0), 1, np.int64(-3), 0.5, np.float32(1.5), 4]
         systems = [
-            (ints.tolist(), [1, 2, 3][:n]),
-            (ints, np.array([1, 2, 3][:n])),
-            (floats, np.array([1.0, 2.0, 3.0][:n])),
-            (tuple(map(tuple, floats.tolist())), (1.0, 2.0, 3.0)[:n]),
-            ([row[:n] for row in mixed[:n]], [np.float32(2.0), 1, np.int64(-3)][:n]),
+            (ints.tolist(), b_ints[:n]),
+            (ints, np.array(b_ints[:n])),
+            (floats, np.array(b_floats[:n])),
+            (tuple(map(tuple, floats.tolist())), tuple(b_floats[:n])),
+            ([row[:n] for row in mixed[:n]], b_mixed[:n]),
         ]
         for A, b in systems:
             assert all(type(v) is float for v in lu_solve(A, b))
             self.assert_same(A, b)
 
     def check_singular_message(self, A, column):
-        b = [1.0, 2.0, 3.0][:self.n]
+        b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0][:self.n]
         expected = ("SingularMatrixError", f"pivot underflow in column {column}")
         assert general(A, b) == expected
         self.assert_same(A, b)
 
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, -2.0), (-3.0, 3.0),
+                                     (0.0, -0.0), (1e-300, -1e-300)])
+    def test_ties_in_every_column(self, p, q):
+        # max() keeps the first of equal |a_ic|: no swap on a tie.  Columns
+        # before c hold a diagonal of 10 and zeros below it, so elimination
+        # leaves column c as set: p and q on each pair of its candidate
+        # rows (the others 0.5 p), then p and q alternating on all of them.
+        n = self.n
+        for c in range(n):
+            rows = range(c, n)
+            patterns = [{i: p, j: q} for i, j in combinations(rows, 2)]
+            patterns.append({i: (p, q)[(i - c) % 2] for i in rows})
+            for pattern in patterns:
+                A = [row[:n] for row in BASE_A[:n]]
+                for i in range(n):
+                    A[i][:c] = [10.0 * (i == j) if i >= j else A[i][j]
+                                for j in range(c)]
+                    if i >= c:
+                        A[i][c] = pattern.get(i, 0.5 * p)
+                self.assert_same(A, BASE_B[:n])
 
-class TestLuSolve2x2(_UnrolledLuChecks):
-    """lu_solve's unrolled n = 2 path against the general loop."""
+    def test_zero_and_permuted_columns(self):
+        # Each column and each pair of columns made +-0.0, and the rows of
+        # the identity in every cyclic order.
+        n = self.n
+        for zeros in [(j,) for j in range(n)] + list(combinations(range(n), 2)):
+            A = [row[:n] for row in BASE_A[:n]]
+            for i in range(n):
+                for j in zeros:
+                    A[i][j] = (0.0, -0.0)[(i + j) % 2]
+            self.assert_same(A, BASE_B[:n])
+        for shift in range(n):
+            self.assert_same([[float(j == (i + shift) % n) for j in range(n)]
+                              for i in range(n)], BASE_B[:n])
+
+    def test_singular_message_of_every_column(self):
+        # Column c a sum of the columns before it (column 0 zero): the
+        # elimination of those columns leaves column c's candidates at
+        # rounding level, below the threshold.
+        n = self.n
+        for c in range(n):
+            A = [[float(v) for v in row[:n]] for row in BASE_A[:n]]
+            for row in A:
+                row[c] = sum(row[:c])
+            self.check_singular_message(A, c)
+
+    def test_one_dimensional_or_scalar_A(self):
+        n = self.n
+        for A in [np.ones(n), [1.0] * n, np.float64(1.0), 1.0, 3]:
+            with pytest.raises(ValueError, match="A must be n x n and b length n"):
+                lu_solve(A, np.ones(n))
+
+
+class TestLuSolve1x1(_LuChecks):
+    """lu_solve's n = 1 kernel against the general loop."""
+
+    n = 1
+
+
+class TestLuSolve2x2(_LuChecks):
+    """lu_solve's n = 2 kernel against the general loop."""
 
     n = 2
-    unrolled = staticmethod(_lu_solve_2)
 
     @pytest.mark.parametrize("a00,a10", [(2.0, 2.0), (2.0, -2.0), (-3.0, 3.0),
                                          (0.0, -0.0), (1e-300, -1e-300)])
@@ -254,17 +374,20 @@ class TestLuSolve2x2(_UnrolledLuChecks):
         ([[1.0], [3.0]], [1.0, 2.0]),
         (np.ones((3, 2)), np.ones(2)),
         (np.eye(2), np.ones(3)),
+        (np.ones(2), np.ones(2)),
+        ([1.0, 2.0], [1.0, 2.0]),
+        (np.float64(1.0), np.ones(2)),
+        (1.0, [1.0, 2.0]),
     ])
     def test_shape_mismatch(self, A, b):
         with pytest.raises(ValueError, match="A must be n x n and b length n"):
             lu_solve(A, b)
 
 
-class TestLuSolve3x3(_UnrolledLuChecks):
-    """lu_solve's unrolled n = 3 path against the general loop."""
+class TestLuSolve3x3(_LuChecks):
+    """lu_solve's n = 3 kernel against the general loop."""
 
     n = 3
-    unrolled = staticmethod(_lu_solve_3)
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, -2.0), (-3.0, 3.0),
                                      (0.0, -0.0), (1e-300, -1e-300)])
@@ -315,10 +438,50 @@ class TestLuSolve3x3(_UnrolledLuChecks):
         (np.ones((4, 3)), np.ones(3)),
         (np.eye(3), np.ones(2)),
         (np.eye(3), np.ones(4)),
+        (np.ones(3), np.ones(3)),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        (np.float64(1.0), np.ones(3)),
+        (1.0, [1.0, 2.0, 3.0]),
     ])
     def test_shape_mismatch(self, A, b):
         with pytest.raises(ValueError, match="A must be n x n and b length n"):
             lu_solve(A, b)
+
+
+class TestLuSolve4x4(_LuChecks):
+    """lu_solve's n = 4 kernel against the general loop."""
+
+    n = 4
+
+
+class TestLuSolve5x5(_LuChecks):
+    """lu_solve's n = 5 kernel against the general loop."""
+
+    n = 5
+
+
+class TestLuSolve6x6(_LuChecks):
+    """lu_solve's n = 6 kernel (SEIR) against the general loop."""
+
+    n = 6
+
+
+class TestLuKernel:
+    def test_empty_system(self):
+        # n = 0 keeps the general loop's empty solution; a row or a b entry
+        # more is a shape error.
+        assert lu_solve([], []) == [] and lu_solve(np.zeros((0, 0)), []) == []
+        for A, b in [([[1.0]], []), ([], [1.0]), (5.0, [])]:
+            with pytest.raises(ValueError, match="A must be n x n and b length n"):
+                lu_solve(A, b)
+
+    def test_one_kernel_per_n(self):
+        # Generated once per n and cached: a later system of that size
+        # runs the same function.
+        lu_solve(np.eye(4), np.ones(4))
+        kernel = nonlinear._lu_kernels[4]
+        lu_solve(np.diag([2.0, 3.0, 4.0, 5.0]), np.ones(4))
+        assert nonlinear._lu_kernel(4) is kernel
 
 
 class TestNewtonSolve:

@@ -589,13 +589,14 @@ class TestCauchyProducts:
     def test_import_and_factories_generate_nothing(self):
         src = Path(ieldtm.__file__).resolve().parents[1]
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "import numpy as np; from ieldtm import problems, stepper; "
+                "import numpy as np; from ieldtm import nonlinear, problems, stepper; "
                 "[problems.make_problem(name) for name in problems.PROBLEM_NAMES]; "
                 "problems.linear_system(np.eye(2)); "
-                "print(len(problems._products), len(stepper._kernels))")
+                "print(len(problems._products), len(stepper._kernels), "
+                "len(nonlinear._lu_kernels))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "0 0"
+        assert out.stdout.strip() == "0 0 0"
 
 
 class TestProblemDefinition:

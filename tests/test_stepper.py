@@ -381,12 +381,12 @@ def oracle_integrate(problem, config, t_final):
                         break
                 else:
                     dt = mode.dt
-                dt = stepper._clip_to_events(t, dt, t_final,
-                                             problem.discontinuities)
+                dt, t_next = stepper._clip_to_events(t, dt, t_final,
+                                                     problem.discontinuities)
                 est = _local_error_estimate(table, theta, order, dt, peak=peak)
                 state, iters, trial = stepper._step(problem, t, table, theta,
                                                     order, dt)
-                t += dt
+                t = t_next
                 times.append(t)
                 states.append(state)
                 dts.append(dt)
@@ -576,6 +576,20 @@ class TestIntegrateFixed:
         assert trace.status == "completed"
         assert np.abs(trace.times - 66.0).min() <= 1e-9
 
+    def test_discontinuity_reached_by_rounding_drift(self):
+        # 220 steps of 0.3 accumulate to 65.99999999999973, 2.7e-13 short of
+        # t_c = 66: that step ends exactly on t_c, as a mesh of 0.25 does,
+        # so no step runs past t_c at the pre-switch rate and the two runs
+        # agree to the Taylor error (1.0e4 people apart otherwise).
+        prob = seir(eta=8.0)
+        coarse = integrate(prob, SchemeConfig(0.0, 8, FixedStep(0.3)), 86.0)
+        fine = integrate(prob, SchemeConfig(0.0, 8, FixedStep(0.25)), 86.0)
+        assert coarse.status == fine.status == "completed"
+        assert 66.0 in coarse.node_times and 66.0 in fine.node_times
+        i = coarse.node_times.index(66.0)
+        assert coarse.dts_used[i] == 66.0 - coarse.node_times[i - 1]
+        assert np.abs(coarse.final_state - fine.final_state).max() <= 1e-3
+
     @pytest.mark.parametrize("order,dt,steps", [
         (5, 2 ** -4, 64), (6, 2 ** -5, 128), (7, 2 ** -6, 256)])
     def test_robertson_coarse_steps_complete(self, order, dt, steps):
@@ -706,14 +720,31 @@ class TestStepFailureStatus:
         assert trace.steps == 0
 
     def test_error_estimate_beyond_float_range(self):
-        # dt ** (K + 2) = 1e390 overflows a Python float power.
+        # dt ** (K + 1) = 1e324 overflows a Python float power; the state,
+        # about -dt^11 / 11! = -2.5e289, does not.
+        explicit = integrate(dahlquist(-1.0),
+                             SchemeConfig(0.0, 11, FixedStep(1e27)), 1e27)
+        assert explicit.status == "completed"
+        assert explicit.records[1].local_error_estimate == math.inf
+        # At dt = 1e30 the state overflows too: the last node is non-finite.
         explicit = integrate(dahlquist(-1.0),
                              SchemeConfig(0.0, 11, FixedStep(1e30)), 1e30)
-        assert explicit.status == "completed"
+        assert explicit.status == "non-finite-state"
         assert explicit.records[1].local_error_estimate == math.inf
         implicit = integrate(dahlquist(-1.0),
                              SchemeConfig(0.5, 11, FixedStep(1e30)), 1e30)
         assert implicit.status == "non-finite-state"
+
+    def test_non_finite_last_state(self):
+        # One explicit step of 1e300 overflows the state to -inf at t_final:
+        # the last node is kept, and the trace fails there.
+        trace = integrate(dahlquist(), SchemeConfig(0.0, 3, FixedStep(1e300)),
+                          1e300)
+        assert trace.status == "non-finite-state"
+        assert trace.node_times == [0.0, 1e300]
+        assert trace.node_states[-1] == [-math.inf]
+        assert trace.failure == ("step at t = 1e+300: "
+                                 "non-finite state at t = 1e+300")
 
     def test_converged_last_iteration_accepted(self, monkeypatch):
         # One Newton iteration reaches _ABS_TOL on every step: the run must
