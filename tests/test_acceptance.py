@@ -2,8 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` to see one line per
 criterion; each test prints a summary line with the measured values.
-The Van der Pol criterion integrates to T = 1000 and takes about 40 s;
-everything else completes in seconds.
+The Van der Pol criterion integrates to T = 1000 and takes about 10 s;
+everything else completes in seconds.  The paper tables' rows come from the
+shared ``paper_rows`` cache (conftest.py), which the golden oracle reads
+too.
 """
 
 import math
@@ -31,11 +33,12 @@ def report(number, label, detail):
     print(f"CRITERION {number} PASS ({label}): {detail}")
 
 
-def test_criterion_1_convergence_orders():
+def test_criterion_1_convergence_orders(paper_rows):
     """Observed order matches the K / K+1 rule within 0.5 for all 18 cells."""
     # Two step sizes per regime: dt = 0.05 keeps low orders asymptotic while
-    # dt = 0.1 keeps the order-6 errors above the round-off floor.
-    rows = (order_sweep_rows(dt=0.05, orders=range(1, 5))
+    # dt = 0.1 keeps the order-6 errors above the round-off floor.  The
+    # dt = 0.05 rows are the order-sweep command's, read at K <= 4.
+    rows = ([r for r in paper_rows(order_sweep_rows, dt=0.05) if r["K"] <= 4]
             + order_sweep_rows(dt=0.1, orders=range(5, 7)))
     worst = 0.0
     for row in rows:
@@ -48,9 +51,9 @@ def test_criterion_1_convergence_orders():
     report(1, "convergence orders", f"18 cells, worst deviation {worst:.3f}")
 
 
-def test_criterion_2_robertson_accuracy():
+def test_criterion_2_robertson_accuracy(paper_rows):
     """Fixed-step central errors on the Robertson system at t = 4."""
-    rows = {(r["K"], r["dt_exponent"]): r for r in table4_rows()}
+    rows = {(r["K"], r["dt_exponent"]): r for r in paper_rows(table4_rows)}
     coarse = rows[(3, 5)]
     fine = rows[(5, 7)]
     assert coarse["status"] == "completed" and fine["status"] == "completed"
@@ -77,10 +80,13 @@ def test_criterion_3_duffing_adaptive():
     report(3, "Duffing adaptive", "; ".join(details))
 
 
-def test_criterion_4_van_der_pol_step_counts():
+def test_criterion_4_van_der_pol_step_counts(paper_rows):
     """Adaptive central step counts: bounded at (eps=10, T=100, K=5) and
     non-increasing in K for every (eps, T) pair."""
-    rows = table5_rows()
+    # The cases of ``table5 --quick``, then the one it skips.
+    quick = ((0.1, 1.0), (1.0, 10.0), (10.0, 100.0))
+    rows = (paper_rows(table5_rows, cases=quick)
+            + table5_rows(cases=((100.0, 1000.0),)))
     by_case = {}
     for row in rows:
         assert row["status"] == "completed", row
@@ -138,7 +144,7 @@ def test_criterion_6_linear_consistency():
     report(6, "linear consistency", f"100 systems, worst relative {worst:.2e}")
 
 
-def test_criterion_7_seir_structure():
+def test_criterion_7_seir_structure(paper_rows):
     """Coefficient-level population conservation plus step-count flatness of
     the eta sweep (K=8, tol=1e-5, t_c=66)."""
     prob = seir()
@@ -149,7 +155,7 @@ def test_criterion_7_seir_structure():
         table = np.array(build_coeff_table(prob, rng.uniform(0.0, 100.0),
                                            state.tolist(), 10)).T
         assert np.abs(table[1:].sum(axis=1)).max() <= 1e-9 * 3e6
-    rows = [r for r in seir_sweep_rows(orders=(8,)) if r["K"] == 8]
+    rows = [r for r in paper_rows(seir_sweep_rows) if r["K"] == 8]
     assert all(r["status"] == "completed" for r in rows)
     counts = [r["steps"] for r in rows]
     ratio = max(counts) / min(counts)
