@@ -38,8 +38,6 @@ from .stepper import (
     FixedStep,
     SchemeConfig,
     SolutionTrace,
-    StepRecord,
     build_coeff_table,
-    implicit_residual,
     integrate,
 )

@@ -371,14 +371,15 @@ def rows_to_csv(meta: dict, header, dict_rows) -> str:
 
 
 def write_trace_csv(stream, trace: SolutionTrace, meta: dict):
-    records = trace.records
-    dim = records[0].state.shape[0]
+    """One row per node: t, the state entries, dt, iterations, estimate."""
+    dim = len(trace.node_states[0])
     header = ["t"] + [f"x{j + 1}" for j in range(dim)] + [
         "dt", "newton_iters", "local_err_est"]
     rows = (
-        [rec.t, *(f"{v:.17g}" for v in rec.state), rec.dt_used,
-         rec.newton_iters, rec.local_error_estimate]
-        for rec in records
+        [t, *(f"{v:.17g}" for v in x), dt, iters, est]
+        for t, x, dt, iters, est in zip(
+            trace.node_times, trace.node_states, trace.dts_used,
+            trace.newton_iters, trace.error_estimates)
     )
     write_csv(stream, meta, header, rows)
 

@@ -26,11 +26,8 @@ __all__ = [
     "FixedStep",
     "AdaptiveStep",
     "SchemeConfig",
-    "StepRecord",
     "SolutionTrace",
     "build_coeff_table",
-    "horner_eval",
-    "implicit_residual",
     "integrate",
     "theoretical_order",
 ]
@@ -96,23 +93,14 @@ class SchemeConfig:
             raise ValueError("adaptive mode supports theta in {0, 0.5, 1} only")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: float
-    state: np.ndarray
-    dt_used: float  # 0 for the initial record
-    newton_iters: int
-    local_error_estimate: float
-
-
 @dataclass
 class SolutionTrace:
     """One run's nodes, kept as columns with one entry per node; node 0 is
     the initial state, with dt, iterations and estimate 0.
 
-    ``records``, ``times``, ``states`` and ``final_state`` are built from the
-    columns on each access, as fresh objects: a trace shares no array with
-    its problem or its caller.
+    ``times``, ``states`` and ``final_state`` are built from the columns on
+    each access, as fresh arrays: a trace shares no array with its problem
+    or its caller.
     """
 
     problem_name: str
@@ -127,13 +115,6 @@ class SolutionTrace:
     status: str
     # Empty when completed; else the failing step's t, its dt and the reason.
     failure: str = ""
-
-    @property
-    def records(self) -> List[StepRecord]:
-        """One StepRecord per node, each with its own state array."""
-        return list(map(StepRecord, self.node_times,
-                        map(np.array, self.node_states), self.dts_used,
-                        self.newton_iters, self.error_estimates))
 
     @property
     def steps(self) -> int:
@@ -234,20 +215,6 @@ def _horner(order: int):
     return kernel
 
 
-def horner_eval(table, offset: float, order: int) -> list:
-    """Evaluate sum_{k=0}^{order} X_j(k) * offset^k for every component j,
-    highest order first for stability, through the kernel ``_horner(order)``;
-    the values keep the type of the table and the offset."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order >= len(table[0]):
-        raise IndexError(
-            f"order {order} exceeds stored coefficient depth {len(table[0]) - 1}"
-        )
-    h = _horner(order)
-    return [h(col, offset) for col in table]
-
-
 def _residual_function(problem, t_next, known_value, theta, order, dt):
     """The continuity defect of one implicit step as a function of the
     trial state, and the [trial state, trial table] pair of its last call.
@@ -275,28 +242,6 @@ def _residual_function(problem, t_next, known_value, theta, order, dt):
     return residual, last
 
 
-def implicit_residual(problem: ProblemDefinition, t_next: float, known_value,
-                      trial_state: list, theta: float, order: int, dt: float):
-    """Continuity defect of the two expansions at the matching point
-    t_next - theta dt, and the trial table it was read from.
-
-    ``known_value`` is the node's expansion about t_next - dt evaluated at
-    the matching point; the trial table expands the list ``trial_state``
-    about t_next to depth ``order``, auxiliary series included.  The
-    defect's root is the accepted next state; a complex trial state gives
-    the complex defect.  This is one call of the residual function an
-    implicit step builds (``_residual_function``), after checking the
-    arguments.  Returns (defect as a list, trial table).
-    """
-    if len(trial_state) != problem.dim:
-        raise ValueError(f"state must have {problem.dim} entries")
-    if order < 1:
-        raise ValueError("depth must be >= 1")
-    residual, last = _residual_function(problem, t_next, known_value, theta,
-                                        order, dt)
-    return residual(trial_state), last[1]
-
-
 def _step(problem, t_i, node_table, theta, order, dt):
     """One step of dt from the node table about t_i, which holds the state
     lists only.  Returns (state as a list of floats, iterations, trial table
@@ -304,7 +249,10 @@ def _step(problem, t_i, node_table, theta, order, dt):
 
     The explicit step (theta = 0) is the predictor, the local series at
     t_i + dt.  An implicit step is the Newton solve started from it, on the
-    one residual function ``_residual_function`` builds for the step.  The
+    one residual function ``_residual_function`` builds for the step: the
+    defect between the trial state's expansion about t_i + dt and the
+    node's, both at the matching point t_i + (1 - theta) dt.  Both of the
+    node's series values are read by the kernel ``_horner(order)``.  The
     table returned is the one the last residual evaluation built, returned
     only when Newton returned that very list: it is then the next node's
     table through ``order``, auxiliary series included.  Newton's
@@ -313,12 +261,13 @@ def _step(problem, t_i, node_table, theta, order, dt):
     only its first complex call, and the next node is built afresh.  A
     one-iteration step makes m complex residual calls and one real one.
     """
-    predictor = horner_eval(node_table, dt, order)
+    h = _horner(order)
+    predictor = [h(col, dt) for col in node_table]
     if theta == 0.0:
         # Plain floats, also from a recurrence that appends numpy scalars.
         return list(map(float, predictor)), 0, None
     # The known side is fixed for the whole step.
-    known_value = horner_eval(node_table, (1.0 - theta) * dt, order)
+    known_value = [h(col, (1.0 - theta) * dt) for col in node_table]
     residual, last = _residual_function(problem, t_i + dt, known_value, theta,
                                         order, dt)
     state, iters = newton_solve(residual, predictor)
@@ -403,8 +352,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     ``non-finite-state`` at the node that holds it, the last node included.
 
     Each accepted node appends its t, state (a list of floats), dt,
-    iterations and error estimate to the trace's columns; no per-step record
-    or array is made, and ``SolutionTrace.records`` builds them on demand.
+    iterations and error estimate to the trace's columns; no per-step
+    object or array is made.
     """
     if not 0 < t_final < math.inf:  # also refuses nan
         raise ValueError("t_final must be positive and finite")

@@ -12,7 +12,8 @@ from ieldtm.errors import NewtonFailureError, SingularMatrixError
 from ieldtm.nonlinear import _PIVOT_REL_TOL, _jacobian, lu_solve, newton_solve
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
-from ieldtm.stepper import build_coeff_table, horner_eval, implicit_residual
+from ieldtm import stepper
+from ieldtm.stepper import build_coeff_table
 
 
 class TestLuSolve:
@@ -592,12 +593,19 @@ class TestNewtonSolve:
         assert root == [1.0, 1.0] and iters == 2
 
 
+def horner(table, offset, order):
+    """Each column's series through ``order`` at ``offset``, by the kernel
+    the stepper evaluates it with."""
+    h = stepper._horner(order)
+    return [h(col, offset) for col in table]
+
+
 def step_residual(problem, state, theta, order, dt):
     """The implicit-step residual newton_solve sees for one step from state."""
     table = build_coeff_table(problem, 0.4, state.tolist(), order)
-    known = horner_eval(table[:problem.dim], (1.0 - theta) * dt, order)
-    return lambda y: implicit_residual(problem, 0.4 + dt, known, y, theta,
-                                       order, dt)[0]
+    known = horner(table[:problem.dim], (1.0 - theta) * dt, order)
+    return stepper._residual_function(problem, 0.4 + dt, known, theta, order,
+                                      dt)[0]
 
 
 def vdp_jacobian(y, eps=10.0):
@@ -673,8 +681,8 @@ class TestBatchedJacobian:
                                   "seir-after-tc", "seir-start", "linear"])
     def test_complex_step_real_part_is_the_residual(self, problem, t, state,
                                                     dt, theta):
-        """Re implicit_residual(y + ih e_j) equals implicit_residual(y) bit
-        for bit, so Newton takes its first residual from the first Jacobian
+        """Re r(y + ih e_j) equals r(y) bit for bit, r the step's residual
+        function, so Newton takes its first residual from the first Jacobian
         column.  The imaginary parts are h = 1e-30 times the real ones, so an
         imaginary-by-imaginary product term is about 1e-60 relative to its
         real-by-real term, far below half an ulp: it never changes the
@@ -689,15 +697,15 @@ class TestBatchedJacobian:
                 spread = 1.0 + 0.1 * rng.normal(size=len(state)) * (draw > 0)
                 node = (np.array(state) * spread).tolist()
                 table = build_coeff_table(problem, t, node, order)[:problem.dim]
-                known = horner_eval(table, (1.0 - theta) * dt, order)
-                for y in (horner_eval(table, dt, order), node):
-                    r, _ = implicit_residual(problem, t + dt, known, y, theta,
-                                             order, dt)
+                known = horner(table, (1.0 - theta) * dt, order)
+                residual, _ = stepper._residual_function(
+                    problem, t + dt, known, theta, order, dt)
+                for y in (horner(table, dt, order), node):
+                    r = residual(y)
                     for j in range(len(y)):
                         point = list(map(complex, y))
                         point[j] += 1e-30j
-                        c, _ = implicit_residual(problem, t + dt, known, point,
-                                                 theta, order, dt)
+                        c = residual(point)
                         assert [v.real.hex() for v in c] == [v.hex() for v in r]
 
     def test_m_complex_calls_per_iteration(self, monkeypatch):

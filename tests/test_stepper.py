@@ -3,8 +3,8 @@
 import dataclasses
 import io
 import math
+from collections import namedtuple
 from operator import mul
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ieldtm import nonlinear, stepper
-from ieldtm.bench import write_trace_csv
+from ieldtm.bench import write_csv, write_trace_csv
 from ieldtm.errors import NonFiniteStateError, SingularMatrixError
 from ieldtm.problems import (
     ProblemDefinition,
@@ -28,10 +28,7 @@ from ieldtm.stepper import (
     AdaptiveStep,
     FixedStep,
     SchemeConfig,
-    StepRecord,
     build_coeff_table,
-    horner_eval,
-    implicit_residual,
     integrate,
 )
 
@@ -41,12 +38,21 @@ def coeff_array(table):
     return np.array(table).T
 
 
+def horner(table, offset, order):
+    """Each column's series through ``order`` at ``offset``, by the kernel
+    ``stepper._horner(order)``."""
+    h = stepper._horner(order)
+    return [h(col, offset) for col in table]
+
+
 def step_residual(problem, state, trial, theta, order, dt):
-    """implicit_residual of a trial state for one step of dt from state at
-    t = 0."""
+    """The implicit-step defect of a trial state for one step of dt from
+    state at t = 0."""
     table = build_coeff_table(problem, 0.0, state, order)
-    known = horner_eval(table[:problem.dim], (1.0 - theta) * dt, order)
-    return implicit_residual(problem, dt, known, trial, theta, order, dt)[0]
+    known = horner(table[:problem.dim], (1.0 - theta) * dt, order)
+    residual, _ = stepper._residual_function(problem, dt, known, theta, order,
+                                             dt)
+    return residual(trial)
 
 
 def one_step(problem, state, theta, order, dt):
@@ -109,28 +115,21 @@ class TestCoeffTable:
                            match=r"^non-finite Taylor coefficient at t = 0\.0$"):
             build_coeff_table(dahlquist(1.0), 0.0, [np.nan], 1)
 
-    def test_eval_point_order_capped_by_depth(self):
-        table = [[1.0, 1.0, 1.0]]
-        with pytest.raises(IndexError):
-            horner_eval(table, 0.1, 5)
-        with pytest.raises(ValueError):
-            horner_eval(table, 0.1, -1)
-
 
 class TestHornerEval:
     def test_truncated_exponential(self):
         table = [[1.0, 1.0, 0.5]]
-        value = horner_eval(table, 0.1, 2)
+        value = horner(table, 0.1, 2)
         assert value[0] == pytest.approx(1.105)
 
     def test_zero_offset_returns_state(self):
         table = [[4.0, 1.0, 9.0]]
-        assert horner_eval(table, 0.0, 2)[0] == 4.0
+        assert horner(table, 0.0, 2)[0] == 4.0
 
     def test_alternating_series(self):
         # e^(-t) truncated: 1 - 1 + 1/2 at offset 1
         table = [[1.0, -1.0, 0.5]]
-        assert horner_eval(table, 1.0, 2)[0] == pytest.approx(0.5)
+        assert horner(table, 1.0, 2)[0] == pytest.approx(0.5)
 
     @given(st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False),
                     min_size=1, max_size=13),
@@ -139,12 +138,12 @@ class TestHornerEval:
         table = [coeffs]
         order = len(coeffs) - 1
         naive = sum(c * offset ** k for k, c in enumerate(coeffs))
-        value = horner_eval(table, offset, order)[0]
+        value = horner(table, offset, order)[0]
         assert value == pytest.approx(naive, abs=1e-10 * (1 + abs(naive)))
 
 
 def horner_loop(table, offset, order):
-    """The Horner loop horner_eval ran before its generated kernels,
+    """The Horner loop the stepper ran before its generated kernels,
     verbatim: the oracle of their bits."""
     values = []
     for col in table:
@@ -190,7 +189,6 @@ class TestHornerKernelBits:
         kernel = stepper._horner(order)
         for offset in self.OFFSETS:
             expected = repr(horner_loop(table, offset, order))
-            assert repr(horner_eval(table, offset, order)) == expected
             assert repr([kernel(col, offset) for col in table]) == expected
 
     def test_kernel_generated_once_per_order(self):
@@ -199,9 +197,9 @@ class TestHornerKernelBits:
 
 
 class TestResidualFunctionBits:
-    """The residual function an implicit step builds, ``implicit_residual``
-    and the defect written out from ``build_coeff_table`` and the Horner
-    loop agree bit for bit, at real and at complex-step points."""
+    """The residual function an implicit step builds and the defect written
+    out from ``build_coeff_table`` and the Horner loop agree bit for bit, at
+    real and at complex-step points."""
 
     CASES = [
         (van_der_pol(10.0), 0.3, [1.8, -0.7], 5, 0.05),
@@ -229,17 +227,7 @@ class TestResidualFunctionBits:
                 horner_loop(trial[:problem.dim], -theta * dt, order), known)]
             r = residual(y)
             assert last[0] is y and repr(last[1]) == repr(trial)
-            public, public_table = implicit_residual(problem, t + dt, known, y,
-                                                     theta, order, dt)
-            assert repr(r) == repr(public) == repr(oracle)
-            assert repr(public_table) == repr(trial)
-
-    def test_public_residual_checks_its_arguments(self):
-        with pytest.raises(ValueError, match="state must have 2 entries"):
-            implicit_residual(van_der_pol(), 0.1, [0.0, 0.0], [1.0], 0.5, 3, 0.1)
-        with pytest.raises(ValueError, match="depth must be >= 1"):
-            implicit_residual(van_der_pol(), 0.1, [0.0, 0.0], [1.0, 0.0], 0.5,
-                              0, 0.1)
+            assert repr(r) == repr(oracle)
 
 
 class TestExplicitStep:
@@ -615,7 +603,7 @@ class TestIntegrateAdaptive:
         prob = duffing()
         cfg = SchemeConfig(0.5, 5, AdaptiveStep(1e-10))
         trace = integrate(prob, cfg, 1.0)
-        assert max(r.newton_iters for r in trace.records) <= 10
+        assert max(trace.newton_iters) <= 10
 
     def test_seir_discontinuity_node_placed(self):
         prob = seir(eta=6.0)
@@ -696,7 +684,7 @@ class TestSchemeConfigValidation:
 
 
 class TestStepFailureStatus:
-    """A failed step ends the trace with a typed status, keeping the records
+    """A failed step ends the trace with a typed status, keeping the nodes
     before it; integrate() neither raises nor warns."""
 
     def test_non_finite_state(self):
@@ -725,12 +713,12 @@ class TestStepFailureStatus:
         explicit = integrate(dahlquist(-1.0),
                              SchemeConfig(0.0, 11, FixedStep(1e27)), 1e27)
         assert explicit.status == "completed"
-        assert explicit.records[1].local_error_estimate == math.inf
+        assert explicit.error_estimates[1] == math.inf
         # At dt = 1e30 the state overflows too: the last node is non-finite.
         explicit = integrate(dahlquist(-1.0),
                              SchemeConfig(0.0, 11, FixedStep(1e30)), 1e30)
         assert explicit.status == "non-finite-state"
-        assert explicit.records[1].local_error_estimate == math.inf
+        assert explicit.error_estimates[1] == math.inf
         implicit = integrate(dahlquist(-1.0),
                              SchemeConfig(0.5, 11, FixedStep(1e30)), 1e30)
         assert implicit.status == "non-finite-state"
@@ -856,7 +844,7 @@ class TestNodeTableReuse:
         prob = self.counted_recurrence(van_der_pol(10.0), on_call)
         trace = integrate(prob, cfg, 5.0)
         assert trace.status == "completed"
-        assert min(r.newton_iters for r in trace.records[1:]) >= 1
+        assert min(trace.newton_iters[1:]) >= 1
         assert counts["residual"] >= 2 * trace.steps
         assert counts["build"] == 1 + counts["residual"]
 
@@ -897,18 +885,21 @@ class TestNodeTableReuse:
         fresh = integrate(prob, cfg, t_final)
         assert reused.status == fresh.status == "completed"
         assert reused.steps == fresh.steps
-        for a, b in zip(reused.records, fresh.records):
-            assert (a.t, a.dt_used, a.newton_iters, a.local_error_estimate) == \
-                (b.t, b.dt_used, b.newton_iters, b.local_error_estimate)
-            assert a.state.tobytes() == b.state.tobytes()
+        for column in ("node_times", "dts_used", "newton_iters",
+                       "error_estimates"):
+            assert getattr(reused, column) == getattr(fresh, column), column
+        assert reused.states.tobytes() == fresh.states.tobytes()
 
     def test_residual_of_prebuilt_trial_table(self):
         # The trial table handed back with the defect is a fresh build.
         prob = duffing()
         node = build_coeff_table(prob, 0.0, prob.default_initial.tolist(), 4)
-        known = horner_eval(node[:prob.dim], 0.05, 4)
+        known = horner(node[:prob.dim], 0.05, 4)
         trial = [0.51, 0.24]
-        _, full_table = implicit_residual(prob, 0.1, known, trial, 0.5, 4, 0.1)
+        residual, last = stepper._residual_function(prob, 0.1, known, 0.5, 4,
+                                                    0.1)
+        residual(trial)
+        full_table = last[1]
         fresh = build_coeff_table(prob, 0.1, trial, 4)
         assert coeff_array(full_table[:prob.dim]).tobytes() == \
             coeff_array(fresh[:prob.dim]).tobytes()
@@ -923,26 +914,24 @@ class TestAuxiliarySeriesHidden:
     @pytest.mark.parametrize("theta, order", [(0.5, 5), (1.0, 4)])
     def test_readers_see_the_state_lists(self, monkeypatch, theta, order):
         prob = van_der_pol(10.0)
-        seen = []
-        horner, step = stepper.horner_eval, stepper._step
-
-        def horner_guard(table, *args):
-            value = horner(table, *args)
-            assert value == horner(table[:prob.dim], *args)
-            seen.append(("horner_eval", len(table)))
-            return value
+        sizes, step = [], stepper._step
 
         def step_guard(problem, t, table, *args):
-            # The controller and the error estimate read this same table.
-            seen.append(("_step", len(table)))
+            # The controller, the error estimate and both of the step's
+            # series values read this same table.
+            sizes.append(len(table))
             return step(problem, t, table, *args)
 
-        monkeypatch.setattr(stepper, "horner_eval", horner_guard)
         monkeypatch.setattr(stepper, "_step", step_guard)
         trace = integrate(prob, SchemeConfig(theta, order, AdaptiveStep(1e-8)), 2.0)
         assert trace.status == "completed"
-        assert {name for name, _ in seen} == {"horner_eval", "_step"}
-        assert {size for _, size in seen} == {prob.dim}
+        assert len(sizes) == trace.steps
+        assert set(sizes) == {prob.dim}
+
+
+# One node as the march kept it before the trace held columns.
+StepRecord = namedtuple("StepRecord",
+                        "t state dt_used newton_iters local_error_estimate")
 
 
 def run_with_step_records(monkeypatch, prob, cfg, t_final, initial=None):
@@ -967,6 +956,20 @@ def run_with_step_records(monkeypatch, prob, cfg, t_final, initial=None):
     return trace, records
 
 
+def write_records_csv(stream, records, meta):
+    """write_trace_csv as it was written over per-step records, verbatim:
+    the oracle of its bytes."""
+    dim = records[0].state.shape[0]
+    header = ["t"] + [f"x{j + 1}" for j in range(dim)] + [
+        "dt", "newton_iters", "local_err_est"]
+    rows = (
+        [rec.t, *(f"{v:.17g}" for v in rec.state), rec.dt_used,
+         rec.newton_iters, rec.local_error_estimate]
+        for rec in records
+    )
+    write_csv(stream, meta, header, rows)
+
+
 class TestTraceViews:
     """The trace keeps columns; every view built from them equals the one
     built from per-step records, bit for bit."""
@@ -982,14 +985,16 @@ class TestTraceViews:
         trace, old = run_with_step_records(monkeypatch, prob, cfg, t_final)
         assert trace.status == status and trace.steps >= 10
         assert trace.steps == len(old) - 1
-        records = trace.records
-        assert len(records) == len(old)
-        for new, ref in zip(records, old):
-            for field in ("t", "dt_used", "newton_iters", "local_error_estimate"):
-                a, b = getattr(new, field), getattr(ref, field)
+        for column, field in (("node_times", "t"), ("dts_used", "dt_used"),
+                              ("newton_iters", "newton_iters"),
+                              ("error_estimates", "local_error_estimate")):
+            new = getattr(trace, column)
+            assert len(new) == len(old)
+            for a, ref in zip(new, old):
+                b = getattr(ref, field)
                 assert type(a) is type(b) and a == b
-            assert new.state.dtype == ref.state.dtype
-            assert new.state.tobytes() == ref.state.tobytes()
+        for x, ref in zip(trace.node_states, old):
+            assert np.array(x).tobytes() == ref.state.tobytes()
         assert trace.times.tobytes() == np.array([r.t for r in old]).tobytes()
         assert trace.states.tobytes() == \
             np.array([r.state for r in old]).tobytes()
@@ -1004,7 +1009,7 @@ class TestTraceViews:
                                            cfg, 1.0)
         written, expected = io.StringIO(), io.StringIO()
         write_trace_csv(written, trace, {"K": 4})
-        write_trace_csv(expected, SimpleNamespace(records=old), {"K": 4})
+        write_records_csv(expected, old, {"K": 4})
         assert written.getvalue() == expected.getvalue()
 
 
@@ -1019,7 +1024,6 @@ class TestTraceOwnsItsStates:
         assert trace.status == "newton-failure" and trace.steps == 0
         assert trace.final_state is not prob.default_initial
         trace.final_state[0] = 99.0
-        trace.records[0].state[1] = 99.0
         trace.states[0, 2] = 99.0
         assert prob.default_initial.tobytes() == before.tobytes()
         assert trace.final_state.tobytes() == before.tobytes()
@@ -1028,7 +1032,5 @@ class TestTraceOwnsItsStates:
         initial = np.array([2.0, 0.0])
         cfg = SchemeConfig(0.5, 5, FixedStep(0.01))
         trace = integrate(van_der_pol(10.0), cfg, 0.05, initial)
-        assert trace.records[0].state is not initial
         initial[0] = 99.0
-        assert trace.records[0].state.tolist() == [2.0, 0.0]
         assert trace.states[0].tolist() == [2.0, 0.0]
