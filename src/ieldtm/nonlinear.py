@@ -68,10 +68,10 @@ def _lu_kernel(n: int):
     lu unpacks A's n rows of n entries and b's n entries, any other shape
     raising the shape ValueError, and converts each with float(), b first.
     Column maxima keep the first of equal |a_ij| and a leading nan, each
-    ``or 1.0``.  A row scale sums |a_ij| / c_j with ``+`` at n <= 2 and
-    ``sum`` of a tuple from n = 3 on: a compensated sum (Python >= 3.12)
-    can differ from t0 + t1 + t2 in the last bit but adds to t0 + t1 the
-    exact error of one addition, which leaves it unchanged.  Column c's
+    ``or 1.0``.  A row scale adds its terms |a_ij| / c_j from the left with
+    ``+``, so it does not depend on the interpreter (``sum()`` compensates
+    from Python 3.12 on); on 3.11 it equals ``sum()`` of the terms, which
+    are never -0.0.  Column c's
     pivot is the first largest |a_ic| in row order, whose row trades its
     remaining entries, b entry and row scale with row c's before the pivot
     test.  Back-substitution keeps np.dot for rows longer than one product:
@@ -96,8 +96,7 @@ def _lu_kernel(n: int):
             lines.append(f"    c{j} = c{j} or 1.0")
         for i in N:
             terms = [f"{e[i][j]} / c{j}" for j in N]
-            lines.append(f"    s{i} = sum(({join(terms)}))" if n > 2
-                         else f"    s{i} = {' + '.join(terms)}")
+            lines.append(f"    s{i} = {' + '.join(terms)}")
         for c in N:
             lines += [f"    q = abs(a{c}_{c})", f"    p = {c}"]
             for i in range(c + 1, n):

@@ -17,13 +17,14 @@ before either list is appended at k; an auxiliary list appended at k is
 whole again for the products that follow.  A user recurrence may take a
 product as ``sum(map(mul, a, reversed(b)))``.  The built-in recurrences take
 every product as ``conv[k](a, b)`` from ``conv = _cauchy_products(depth)``:
-entry k adds a(0) b(k), ..., a(k) b(0) to 0.0 in that order, written out as
-one expression below ``_UNROLL_LIMIT``.  On CPython 3.11 that makes the
-additions of the ``sum()`` form in 0.2-0.5 of its time at k <= 4 and in
-0.7-0.98 of it at k = 32-95, so the tables keep their bits (only the sign
-of a nan can differ where two nans of opposite sign meet).  On Python
->= 3.12 ``sum()`` compensates float sums, so there the written-out entries
-give other last bits than ``sum()`` would.
+entry k adds a(0) b(k), ..., a(k) b(0) to 0.0 in that order, one plain
+addition at a time, written out as one expression below ``_UNROLL_LIMIT``
+and as a ``reduce`` from it on.  So the tables do not depend on the
+interpreter: ``sum()`` compensates float sums from Python 3.12 on, and no
+built-in recurrence calls it.  The written-out entries take 0.2-0.5 of the
+``sum()`` form's time at k <= 4 and 0.7-0.98 of it at k = 32-95, and make
+its additions on CPython 3.11 (only the sign of a nan can differ where two
+nans of opposite sign meet).
 
 Recurrences must be complex-analytic: the Newton solver builds tables whose
 coefficients are complex numbers (its complex-step Jacobian), and these must
@@ -37,8 +38,9 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Integral
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,11 +93,13 @@ class ProblemDefinition:
         object.__setattr__(self, "default_initial", init)
 
 
-# Index from which conv[k] is the shared sum() form instead of a written-out
-# expression.  Timed on CPython 3.11 (2-vCPU Xeon VM), the expression takes
-# 0.68-0.78 of sum()'s time on float products at k = 32-64 and 0.89 at
-# k = 128, but 0.98-1.02 on complex products (the complex-step tables) from
-# k = 80 to 128.  Generating entries 0..k costs O(k^2): 0.03 s through 95.
+# Index from which conv[k] is the shared _sum_product instead of a
+# written-out expression.  Timed on CPython 3.11 (2-vCPU Xeon VM), the
+# expression takes 0.68-0.78 of sum()'s time on float products at k = 32-64
+# and 0.89 at k = 128, but 0.98-1.02 on complex products (the complex-step
+# tables) from k = 80 to 128; _sum_product's reduce takes about twice
+# sum()'s time (7.1 against 3.7 us at k = 120).  Generating entries 0..k
+# costs O(k^2): 0.03 s through 95.
 _UNROLL_LIMIT = 96
 # conv[k] for every k built so far.  Extended by replacing the tuple, never
 # by changing it, so a thread that extends it concurrently with another
@@ -104,15 +108,15 @@ _products = ()
 
 
 def _sum_product(a, b):
-    """The Cauchy product at index n - 1 of two lists of n entries: entry
-    k of every index k from _UNROLL_LIMIT on."""
-    return sum(map(mul, a, reversed(b)))
+    """The Cauchy product at index n - 1 of two lists of n entries, added
+    to 0.0 from the left: entry k of every index k from _UNROLL_LIMIT on."""
+    return reduce(add, map(mul, a, reversed(b)), 0.0)
 
 
 def _unrolled_product(k: int):
     """The Cauchy product at index k written out: ``0.0 + a[0] * b[k] +
-    ... + a[k] * b[0]``.  The leading 0.0 is sum()'s start, so a sum of
-    -0.0 terms is 0.0 as there."""
+    ... + a[k] * b[0]``.  The leading 0.0 is _sum_product's start, so a sum
+    of -0.0 terms is 0.0 as there."""
     terms = " + ".join(f"a[{j}] * b[{k - j}]" for j in range(k + 1))
     namespace = {}
     exec(f"def product(a, b):\n    return 0.0 + {terms}\n", namespace)
@@ -122,8 +126,8 @@ def _unrolled_product(k: int):
 def _cauchy_products(depth: int) -> tuple:
     """A tuple whose entry k, for every k <= depth, maps two lists holding
     k+1 entries each to their Cauchy product at index k, sum_j a(j) b(k-j),
-    with the additions of ``sum(map(mul, a, reversed(b)))`` on CPython 3.11
-    in the same order.  Entries are generated on first use and cached."""
+    added to 0.0 from j = 0 one plain addition at a time, at every k.
+    Entries are generated on first use and cached."""
     global _products
     products = _products
     if len(products) <= depth:
@@ -193,7 +197,8 @@ def linear_system(A, forcing=None, name: str = "linear",
         for k in range(len(table[0]) - 1, depth):
             x = [col[k] for col in table]
             for col, row, f in zip(table, rows, forcing(t, k)):
-                col.append((sum(map(mul, row, x)) + float(f)) / (k + 1))
+                col.append((reduce(add, map(mul, row, x), 0.0) + float(f))
+                           / (k + 1))
 
     return ProblemDefinition(
         name=name,

@@ -2,7 +2,6 @@
 
 import math
 from itertools import combinations
-from operator import truediv
 
 import numpy as np
 import pytest
@@ -124,7 +123,12 @@ def _lu_solve_n(a: list, b: list) -> list:
     lists it may overwrite."""
     n = len(b)
     col_max = [max(map(abs, col)) or 1.0 for col in zip(*a)]
-    row_scale = [sum(map(truediv, map(abs, row), col_max)) for row in a]
+    row_scale = []
+    for row in a:
+        scale = 0.0
+        for x, c in zip(row, col_max):
+            scale = scale + abs(x) / c
+        row_scale.append(scale)
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda i: abs(a[i][col]))
         pivot = a[pivot_row][col]
