@@ -39,7 +39,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from functools import reduce
-from numbers import Integral
+from numbers import Integral, Real
 from operator import add, mul
 from typing import Callable, Optional
 
@@ -87,6 +87,12 @@ class ProblemDefinition:
             raise ValueError("dim must be positive")
         if self.aux < 0:
             raise ValueError("aux must be non-negative")
+        # A nan would never clip a step; a string fails inside integrate.
+        for t_d in self.discontinuities:
+            if (isinstance(t_d, bool) or not isinstance(t_d, Real)
+                    or not math.isfinite(t_d)):
+                raise ValueError(
+                    f"discontinuities must be finite real numbers, got {t_d!r}")
         init = np.asarray(self.default_initial, dtype=float)
         if init.shape != (self.dim,):
             raise ValueError("default_initial must have length dim")

@@ -1,5 +1,6 @@
 """Built-in ODE systems: recurrence correctness against independent oracles."""
 
+import dataclasses
 import inspect
 import math
 import random
@@ -602,3 +603,19 @@ class TestProblemDefinition:
                 "default_initial": [1.0], field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ProblemDefinition(**args)
+
+    @pytest.mark.parametrize("t_d", [math.nan, math.inf, -math.inf, "x", 1j,
+                                     True, None],
+                             ids=["nan", "inf", "-inf", "str", "complex",
+                                  "bool", "None"])
+    def test_non_finite_discontinuity_refused(self, t_d):
+        with pytest.raises(ValueError, match=r"discontinuities must be finite "
+                                             r"real numbers, got "):
+            dataclasses.replace(dahlquist(), discontinuities=(1.0, t_d))
+
+    def test_finite_discontinuities_accepted(self):
+        prob = dataclasses.replace(dahlquist(),
+                                   discontinuities=(0.5, np.float64(0.75), 1))
+        trace = integrate(prob, SchemeConfig(0.5, 3, FixedStep(0.2)), 1.0)
+        assert trace.status == "completed"
+        assert {0.5, 0.75} <= set(trace.node_times)
