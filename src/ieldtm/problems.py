@@ -87,7 +87,7 @@ class ProblemDefinition:
             raise ValueError("dim must be positive")
         if self.aux < 0:
             raise ValueError("aux must be non-negative")
-        # A nan would never clip a step; a string fails inside integrate.
+        # A nan would never clip a step: every comparison with it is false.
         for t_d in self.discontinuities:
             if (isinstance(t_d, bool) or not isinstance(t_d, Real)
                     or not math.isfinite(t_d)):
@@ -104,8 +104,9 @@ class ProblemDefinition:
 # expression takes 0.68-0.78 of sum()'s time on float products at k = 32-64
 # and 0.89 at k = 128, but 0.98-1.02 on complex products (the complex-step
 # tables) from k = 80 to 128; _sum_product's reduce takes about twice
-# sum()'s time (7.1 against 3.7 us at k = 120).  Generating entries 0..k
-# costs O(k^2): 0.03 s through 95.
+# sum()'s time (9.5 against 4.9 us on float products at k = 120), a cost
+# only orders above 95 pay.  Generating entries 0..k costs O(k^2): 0.03 s
+# through 95.
 _UNROLL_LIMIT = 96
 # conv[k] for every k built so far.  Extended by replacing the tuple, never
 # by changing it, so a thread that extends it concurrently with another

@@ -34,7 +34,7 @@ from ieldtm.bench import (
     table4_rows,
     table5_rows,
 )
-from ieldtm.problems import linear_system, make_problem
+from ieldtm.problems import PROBLEM_NAMES, linear_system, make_problem
 from ieldtm.stepper import AdaptiveStep, FixedStep, SchemeConfig, integrate
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -170,7 +170,7 @@ def test_trace_set_covers_the_cases(golden):
         "non-finite-state", "singular-matrix"}
     assert len(golden["traces"]) == len(TRACES)
     problems = {p.values[0].name for p in TRACES}
-    assert problems >= set(cli.PROBLEM_NAMES)
+    assert problems >= set(PROBLEM_NAMES)
     configs = [p.values[1] for p in TRACES]
     assert {c.theta for c in configs
             if isinstance(c.step_mode, FixedStep)} >= {0.0, 0.3, 0.5, 1.0}

@@ -6,12 +6,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ieldtm import nonlinear
+from ieldtm import nonlinear, stepper
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
 from ieldtm.nonlinear import _PIVOT_REL_TOL, _jacobian, lu_solve, newton_solve
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
-from ieldtm import stepper
 from ieldtm.stepper import build_coeff_table
 
 

@@ -993,8 +993,6 @@ class TestTraceViews:
             for a, ref in zip(new, old):
                 b = getattr(ref, field)
                 assert type(a) is type(b) and a == b
-        for x, ref in zip(trace.node_states, old):
-            assert np.array(x).tobytes() == ref.state.tobytes()
         assert trace.times.tobytes() == np.array([r.t for r in old]).tobytes()
         assert trace.states.tobytes() == \
             np.array([r.state for r in old]).tobytes()
