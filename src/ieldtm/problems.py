@@ -1,30 +1,29 @@
 """Built-in ODE systems expressed as Taylor-coefficient recurrences.
 
-Each problem supplies a ``recurrence(t_i, table, depth)`` that extends, in
-place, every list of a coefficient table expanded about ``t_i`` (its layout
-is in ``stepper.build_coeff_table``), state and auxiliary lists alike, from
-the lists' current length until each state list holds depth+1 entries; it
-returns nothing.  An auxiliary list keeps the series of an intermediate
-product, such as U^2 in U^2 V, so that each index costs one convolution per
-product instead of recomputing the product's prefix.  Any user ODE can be
-added by writing such a recurrence; the library does not derive recurrences
-from closed-form right-hand sides automatically.
+A coefficient table is the ``dim`` state series of one state expanded about
+``t_i`` (its layout is in ``stepper.build_coeff_table``).  Each problem
+supplies a ``recurrence(t_i, table, depth)`` that is handed ``dim`` lists,
+each holding X(0), appends X(1), ..., X(depth) to each, and returns nothing.
+Any user ODE can be added by writing such a recurrence; the library does not
+derive recurrences from closed-form right-hand sides automatically.
 
-Within one call, at index k each state list holds exactly k+1 entries and
-each auxiliary list k, until the recurrence appends to it.  So a Cauchy
-product sum_j a(j) b(k-j) reads whole lists, with no slice copied, taken
-before either list is appended at k; an auxiliary list appended at k is
-whole again for the products that follow.  A user recurrence may take a
-product as ``sum(map(mul, a, reversed(b)))``.  The built-in recurrences take
-every product as ``conv[k](a, b)`` from ``conv = _cauchy_products(depth)``:
-entry k adds a(0) b(k), ..., a(k) b(0) to 0.0 in that order, one plain
-addition at a time, written out as one expression below ``_UNROLL_LIMIT``
-and as a ``reduce`` from it on.  So the tables do not depend on the
-interpreter: ``sum()`` compensates float sums from Python 3.12 on, and no
-built-in recurrence calls it.  The written-out entries take 0.2-0.5 of the
-``sum()`` form's time at k <= 4 and 0.7-0.98 of it at k = 32-95, and make
-its additions on CPython 3.11 (only the sign of a nan can differ where two
-nans of opposite sign meet).
+At index k each state list holds exactly k+1 entries until the recurrence
+appends to it.  So a Cauchy product sum_j a(j) b(k-j) reads whole lists,
+with no slice copied, taken before either list is appended at k.  The series
+of an intermediate product, such as U^2 in U^2 V, is a local list the
+recurrence appends to at k before the products that read it, so each index
+costs one convolution per product instead of recomputing the product's
+prefix.  A user recurrence may take a product as
+``sum(map(mul, a, reversed(b)))``.  The built-in recurrences take every
+product as ``conv[k](a, b)`` from ``conv = _cauchy_products(depth)``: entry
+k adds a(0) b(k), ..., a(k) b(0) to 0.0 in that order, one plain addition at
+a time, written out as one expression below ``_UNROLL_LIMIT`` and as a
+``reduce`` from it on.  So the tables do not depend on the interpreter:
+``sum()`` compensates float sums from Python 3.12 on, and no built-in
+recurrence calls it.  The written-out entries take 0.2-0.5 of the ``sum()``
+form's time at k <= 4 and 0.7-0.98 of it at k = 32-95, and make its
+additions on CPython 3.11 (only the sign of a nan can differ where two nans
+of opposite sign meet).
 
 Recurrences must be complex-analytic: the Newton solver builds tables whose
 coefficients are complex numbers (its complex-step Jacobian), and these must
@@ -75,18 +74,12 @@ class ProblemDefinition:
     exact_solution: Optional[Callable[[float], np.ndarray]] = None
     conserved_sum: Optional[float] = None
     discontinuities: tuple = ()
-    # Auxiliary series the recurrence keeps after the dim state series.
-    aux: int = 0
 
     def __post_init__(self):
-        for field in ("dim", "aux"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, Integral):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.aux < 0:
-            raise ValueError("aux must be non-negative")
         # A nan would never clip a step: every comparison with it is false.
         for t_d in self.discontinuities:
             if (isinstance(t_d, bool) or not isinstance(t_d, Real)
@@ -167,7 +160,7 @@ def dahlquist(lam: float = -1.0, x0: float = 1.0) -> ProblemDefinition:
 
     def recurrence(t, table, depth):
         x, = table
-        for k in range(len(x) - 1, depth):
+        for k in range(depth):
             x.append(lam * x[k] / (k + 1))
 
     return ProblemDefinition(
@@ -201,7 +194,7 @@ def linear_system(A, forcing=None, name: str = "linear",
         raise ValueError(f"forcing must give {m} values, one per component")
 
     def recurrence(t, table, depth):
-        for k in range(len(table[0]) - 1, depth):
+        for k in range(depth):
             x = [col[k] for col in table]
             for col, row, f in zip(table, rows, forcing(t, k)):
                 col.append((reduce(add, map(mul, row, x), 0.0) + float(f))
@@ -245,12 +238,11 @@ def seir(*, beta: float = 1.12, mu: float = 0.55, alpha: float = 0.14,
         # Steps launched at t >= t_c integrate over (t, t+dt] where the
         # scaled rate applies, so the right limit is the faithful choice.
         rate = (beta * eta if t >= t_c else beta) * inv_N
-        start = len(s) - 1
-        # P + D + mu A below the first index; entry k is appended at k, so
-        # the infection term S * (P + D + mu A) is one Cauchy product.
-        w = [p[i] + d[i] + mu * a[i] for i in range(start)]
+        # The series of P + D + mu A, appended at k, so the infection term
+        # S * (P + D + mu A) is one Cauchy product.
+        w = []
         conv = _cauchy_products(depth)
-        for k in range(start, depth):
+        for k in range(depth):
             ek, pk, ak, dk = e[k], p[k], a[k], d[k]
             w.append(pk + dk + mu * ak)
             lam = rate * conv[k](s, w)
@@ -287,9 +279,10 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
     alpha, beta, gamma = _finite(alpha=alpha, beta=beta, gamma=gamma)
 
     def recurrence(t, table, depth):
-        x1, x2, sq = table
+        x1, x2 = table
+        sq = []  # the series of x1^2
         conv = _cauchy_products(depth)
-        for k in range(len(x1) - 1, depth):
+        for k in range(depth):
             product = conv[k]
             sq.append(product(x1, x1))
             cubic = product(sq, x1)
@@ -308,7 +301,6 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
         recurrence=recurrence,
         default_initial=np.array([0.5, 0.25]),
         exact_solution=exact,
-        aux=1,  # x1^2
     )
 
 
@@ -324,7 +316,7 @@ def robertson_modified() -> ProblemDefinition:
         x1, x2, x3 = table
         decay = math.exp(-t)
         conv = _cauchy_products(depth)
-        for k in range(len(x1) - 1, depth):
+        for k in range(depth):
             product = conv[k]
             q23 = product(x2, x3)
             q22 = product(x2, x2)
@@ -358,9 +350,10 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     eps, = _finite(epsilon=epsilon)
 
     def recurrence(t, table, depth):
-        u, v, uu = table
+        u, v = table
+        uu = []  # the series of U^2
         conv = _cauchy_products(depth)
-        for k in range(len(u) - 1, depth):
+        for k in range(depth):
             product = conv[k]
             uu.append(product(u, u))
             u.append(v[k] / (k + 1))
@@ -371,7 +364,6 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
         dim=2,
         recurrence=recurrence,
         default_initial=np.array([2.0, 0.0]),
-        aux=1,  # U^2
     )
 
 

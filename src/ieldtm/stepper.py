@@ -145,47 +145,34 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
     """The coefficient table of the list of ``dim`` numbers ``state`` about
     t_i through ``depth``.
 
-    The table is the ``dim`` state lists, ``table[j][k]`` = X_j(k) =
-    x_j^(k)(t_i)/k!, followed by the problem's ``aux`` auxiliary lists,
-    which hold one entry fewer; one recurrence call extends them all in
-    place.  It does not store t_i, and readers of the state slice
-    ``table[:dim]``.  Entries are Python floats, or complex numbers for the
-    complex-step Jacobian: at m <= 6 and K <= 11 a numpy call costs more
-    than its arithmetic.
+    The table is the ``dim`` state series, ``table[j][k]`` = X_j(k) =
+    x_j^(k)(t_i)/k!, always built whole by one recurrence call from one-entry
+    lists.  It does not store t_i.  Entries are Python floats, or complex
+    numbers for the complex-step Jacobian: at m <= 6 and K <= 11 a numpy call
+    costs more than its arithmetic.
     """
     if len(state) != problem.dim:
         raise ValueError(f"state must have {problem.dim} entries")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     table = [[x] for x in state]
-    table += [[] for _ in range(problem.aux)]
-    return _run_recurrence(problem, t_i, table, depth)
-
-
-def _run_recurrence(problem, t_i, table, depth: int) -> list:
-    """Extend the table about t_i in place through ``depth`` and return it.
-
-    One call of the problem's recurrence extends every list, state and
-    auxiliary alike, from its current length until each state list holds
-    depth+1 entries, so extending a table equals building it afresh, bit for
-    bit.
-    """
     problem.recurrence(t_i, table, depth)
-    _check_finite(table, t_i)
+    _check_finite(table, t_i, depth)
     return table
 
 
-def _check_finite(table, t_i) -> None:
-    """Raise NonFiniteStateError unless every entry of the table about t_i
-    is finite."""
+def _check_finite(table, t_i, depth: int) -> None:
+    """Raise NonFiniteStateError unless every entry X(0), ..., X(depth) of
+    the table about t_i is finite; entries past depth may be anything."""
     # One sum first: a nan or infinite entry makes the running sum nan or
     # infinite, per component for complex entries, and adding anything to
     # it leaves it so.  Python >= 3.12 compensates float sums, but adds the
     # compensation to that plain running sum at the end, so this still
-    # holds.  A finite table can overflow the sum; only then is each entry
-    # tested.
+    # holds.  A finite table can overflow the sum, and an entry past depth
+    # can be non-finite; only then is each entry through depth tested.
     if (not cmath.isfinite(sum(chain.from_iterable(table)))
-            and not all(map(cmath.isfinite, chain.from_iterable(table)))):
+            and not all(map(cmath.isfinite, chain.from_iterable(
+                col[:depth + 1] for col in table)))):
         raise NonFiniteStateError(
             f"non-finite Taylor coefficient at t = {t_i!r}")
 
@@ -215,26 +202,28 @@ def _horner(order: int):
     return kernel
 
 
-def _residual_function(problem, t_next, known_value, theta, order, dt):
+def _residual_function(problem, t_next, known_value, theta, order, dt,
+                       depth):
     """The continuity defect of one implicit step as a function of the
     trial state, and the [trial state, trial table] pair of its last call.
 
-    ``residual(y)`` expands the list y of ``dim`` numbers about t_next to
-    depth ``order``, auxiliary series included, tests the table's
-    finiteness and returns h(col, -theta dt) - known for each state column
-    and each entry of ``known_value``, h = ``_horner(order)``.  Everything
+    ``residual(y)`` expands the list y of ``dim`` numbers about t_next, tests
+    the table's finiteness through ``order`` and returns h(col, -theta dt) -
+    known for each column and each entry of ``known_value``, h =
+    ``_horner(order)``.  A real y is a candidate next node, so its table runs
+    through ``depth``, the index the node's readers need; a complex-step
+    point's table stops at ``order``, all that Horner reads.  Everything
     fixed for the step is bound here once; y is not validated.
     """
-    recurrence, aux = problem.recurrence, range(problem.aux)
+    recurrence = problem.recurrence
     offset = -theta * dt
     h = _horner(order)
     last = [None, None]
 
     def residual(y):
         table = [[x] for x in y]
-        table += [[] for _ in aux]
-        recurrence(t_next, table, order)
-        _check_finite(table, t_next)
+        recurrence(t_next, table, order if type(y[0]) is complex else depth)
+        _check_finite(table, t_next, order)
         r = [h(col, offset) - k for col, k in zip(table, known_value)]
         last[0], last[1] = y, table
         return r
@@ -243,9 +232,8 @@ def _residual_function(problem, t_next, known_value, theta, order, dt):
 
 
 def _step(problem, t_i, node_table, theta, order, dt):
-    """One step of dt from the node table about t_i, which holds the state
-    lists only.  Returns (state as a list of floats, iterations, trial table
-    of the state or None).
+    """One step of dt from the node table about t_i.  Returns (state as a
+    list of floats, iterations, table of the state or None).
 
     The explicit step (theta = 0) is the predictor, the local series at
     t_i + dt.  An implicit step is the Newton solve started from it, on the
@@ -253,13 +241,14 @@ def _step(problem, t_i, node_table, theta, order, dt):
     defect between the trial state's expansion about t_i + dt and the
     node's, both at the matching point t_i + (1 - theta) dt.  Both of the
     node's series values are read by the kernel ``_horner(order)``.  The
-    table returned is the one the last residual evaluation built, returned
-    only when Newton returned that very list: it is then the next node's
-    table through ``order``, auxiliary series included.  Newton's
-    complex-step points are lists of their own, so a complex table is never
-    handed on: a solve that accepts the predictor at 0 iterations has made
-    only its first complex call, and the next node is built afresh.  A
-    one-iteration step makes m complex residual calls and one real one.
+    real residual calls build their tables as deep as the node table,
+    ``len(node_table[0]) - 1``.  The table returned is the one the last
+    residual evaluation built, returned only when Newton returned that very
+    list: it is then the next node's table.  Newton's complex-step points
+    are lists of their own, so a complex table is never handed on: a solve
+    that accepts the predictor at 0 iterations has made only its first
+    complex call, and the next node is built afresh.  A one-iteration step
+    makes m complex residual calls and one real one.
     """
     h = _horner(order)
     predictor = [h(col, dt) for col in node_table]
@@ -269,7 +258,7 @@ def _step(problem, t_i, node_table, theta, order, dt):
     # The known side is fixed for the whole step.
     known_value = [h(col, (1.0 - theta) * dt) for col in node_table]
     residual, last = _residual_function(problem, t_i + dt, known_value, theta,
-                                        order, dt)
+                                        order, dt, len(node_table[0]) - 1)
     state, iters = newton_solve(residual, predictor)
     return state, iters, last[1] if state is last[0] else None
 
@@ -344,10 +333,11 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     through the index of the leading error term, theoretical_order + 1: the
     one coefficient the error estimate and the controller read.  After
     an implicit step the Newton solve has already built the accepted state's
-    table through ``order`` (the trial table of its last residual
-    evaluation), so that table is extended to that depth and reused; a node
-    gets a fresh build only at t = 0, after an explicit step and after a
-    solve that accepted the predictor at 0 iterations.  A failed trace says
+    table through that index (the table of its last real residual
+    evaluation), so that table is the node table, tested for finiteness
+    through that index here; a node gets a fresh build only at t = 0, after
+    an explicit step and after a solve that accepted the predictor at 0
+    iterations.  A failed trace says
     where and why in ``SolutionTrace.failure``; a non-finite state fails as
     ``non-finite-state`` at the node that holds it, the last node included.
 
@@ -376,10 +366,11 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         try:
             while t < t_final - eps_end:
                 dt = None
-                table = (build_coeff_table(problem, t, state, power)
-                         if trial is None
-                         else _run_recurrence(problem, t, trial, power))
-                table = table[:problem.dim]  # what every reader sees
+                if trial is None:
+                    table = build_coeff_table(problem, t, state, power)
+                else:
+                    table = trial
+                    _check_finite(table, t, power)
                 # The controller and the estimate read the same coefficient,
                 # X(power): its norm is taken once per node.
                 peak = max(abs(col[power]) for col in table)

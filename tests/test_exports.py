@@ -1,7 +1,7 @@
 """The package imports, MODULES lists exactly its modules with an __all__,
 and every name in a module's __all__ exists, so a deleted module or function
-cannot stay listed; the settable solver values are pinned, and every problem
-option of the CLI names a factory parameter."""
+cannot stay listed; the settable solver values and the problem fields are
+pinned, and every problem option of the CLI names a factory parameter."""
 
 import dataclasses
 import importlib
@@ -11,7 +11,7 @@ import pkgutil
 import click
 
 from ieldtm.cli import _problem_options
-from ieldtm.problems import _FACTORIES
+from ieldtm.problems import _FACTORIES, ProblemDefinition
 from ieldtm.stepper import AdaptiveStep, FixedStep, SchemeConfig
 
 MODULES = ("problems", "nonlinear", "stepper", "stability", "bench")
@@ -42,6 +42,13 @@ def test_config_fields_pinned():
         "FixedStep": ["dt"],
         "AdaptiveStep": ["tol", "dt_min", "safety"],
     }
+
+
+def test_problem_fields_pinned():
+    # A table is the dim state series, so a problem declares no other list.
+    assert [f.name for f in dataclasses.fields(ProblemDefinition)] == [
+        "name", "dim", "recurrence", "default_initial", "exact_solution",
+        "conserved_sum", "discontinuities"]
 
 
 def test_problem_options_name_factory_parameters():

@@ -608,7 +608,7 @@ def step_residual(problem, state, theta, order, dt):
     table = build_coeff_table(problem, 0.4, state.tolist(), order)
     known = horner(table[:problem.dim], (1.0 - theta) * dt, order)
     return stepper._residual_function(problem, 0.4 + dt, known, theta, order,
-                                      dt)[0]
+                                      dt, order)[0]
 
 
 def vdp_jacobian(y, eps=10.0):
@@ -701,8 +701,10 @@ class TestBatchedJacobian:
                 node = (np.array(state) * spread).tolist()
                 table = build_coeff_table(problem, t, node, order)[:problem.dim]
                 known = horner(table, (1.0 - theta) * dt, order)
+                # Real calls build through X(K+2), as the step's do at
+                # the central scheme with odd K.
                 residual, _ = stepper._residual_function(
-                    problem, t + dt, known, theta, order, dt)
+                    problem, t + dt, known, theta, order, dt, order + 2)
                 for y in (horner(table, dt, order), node):
                     r = residual(y)
                     for j in range(len(y)):

@@ -296,7 +296,7 @@ def triple_product(a, b, c, k: int):
     the transform of a*b*c, with the prefix a*b recomputed on every call.
 
     The Van der Pol and Duffing recurrences used this before they kept the
-    prefix as an auxiliary series; their tables must still equal it bit for
+    prefix as a product series; their tables must still equal it bit for
     bit, so it stays here as the oracle."""
     if len(a) <= k or len(b) <= k or len(c) <= k:
         raise IndexError(f"sequences must be defined up to index {k}")
@@ -332,8 +332,8 @@ class TestTripleProduct:
 
 
 def _old_vdp(eps):
-    """The Van der Pol recurrence as written before U^2 became an auxiliary
-    series."""
+    """The Van der Pol recurrence as written before U^2 became a product
+    series of its own."""
     def recurrence(t, coeffs, k):
         u, v = coeffs
         return [v[k] / (k + 1),
@@ -377,18 +377,12 @@ def _bits(table):
     return [np.array(col).tobytes() for col in table]
 
 
-# Rows an extension appends beyond the scheme order: the most the stepper
-# builds, for the leading error term of the central scheme with odd K.
-_EXTRA = 2
-
-
 class TestAuxiliarySeries:
-    """Keeping the prefix product as an auxiliary series changes no bit of a
-    table: the oracle triple_product recomputes it on every call.  Nor do
-    products over whole lists: the oracles take prefix slices, so a list
-    appended before a product that reads it shows here.  The builder
-    returns the auxiliary lists after the state lists, and every problem's
-    recurrence extends a table from its current length."""
+    """Keeping the prefix product as a series in a local list of the
+    recurrence changes no bit of a table: the oracle triple_product
+    recomputes it on every call.  Nor do products over whole lists: the
+    oracles take prefix slices, so a list appended before a product that
+    reads it shows here.  A table holds the state lists only."""
 
     CASES = [
         (van_der_pol(10.0), _old_vdp(10.0), [1.7, -0.4]),
@@ -411,11 +405,10 @@ class TestAuxiliarySeries:
     @pytest.mark.parametrize("problem,old,y", CASES,
                              ids=["vdp10", "vdp1000", "duffing", "duffing-other"])
     def test_table_equals_old_formula(self, problem, old, y, depth):
-        assert problem.aux == 1
         for state in self.states(y):
             table = build_coeff_table(problem, 0.0, state, depth)
-            assert len(table) == problem.dim + problem.aux
-            assert _bits(table[:problem.dim]) == _bits(_old_table(old, state, depth))
+            assert len(table) == problem.dim
+            assert _bits(table) == _bits(_old_table(old, state, depth))
 
     @pytest.mark.parametrize("depth", [5, 7, 11])
     @pytest.mark.parametrize("t,y", [(0.0, [1.0, 0.0, 0.0]),
@@ -428,36 +421,40 @@ class TestAuxiliarySeries:
             assert _bits(table) == _bits(
                 _old_table(_old_robertson(), state, depth, t))
 
-    # (problem, expansion time, state) for every built-in problem.  The
-    # depths the extension reaches are those test_table_equals_old_formula
-    # checks against the oracles.
+    # (problem, expansion time, state, dt) for every built-in problem, dt
+    # chosen so that each step below takes at least one Newton iteration.
+    # The depths the node tables reach are those
+    # test_table_equals_old_formula checks against the oracles.
     EXTEND_CASES = [
-        (van_der_pol(10.0), 0.0, [1.7, -0.4]),
-        (van_der_pol(1000.0), 0.0, [-2.0, 0.3]),
-        (duffing(), 0.0, [0.5, 0.25]),
-        (duffing(1.0, -0.5, 3.0), 0.0, [-0.9, 1.3]),
-        (dahlquist(-2.0), 0.0, [1.3]),
-        (linear_system([[-2.0, 1.0], [0.5, -3.0]]), 0.0, [0.8, -1.1]),
+        (van_der_pol(10.0), 0.0, [1.7, -0.4], 2.0 ** -4),
+        (van_der_pol(1000.0), 0.0, [-2.0, 0.3], 2.0 ** -10),
+        (duffing(), 0.0, [0.5, 0.25], 0.5),
+        (duffing(1.0, -0.5, 3.0), 0.0, [-0.9, 1.3], 0.5),
+        (dahlquist(-2.0), 0.0, [1.3], 0.5),
+        (linear_system([[-2.0, 1.0], [0.5, -3.0]]), 0.0, [0.8, -1.1], 0.5),
         (linear_system([[-2.0, 1.0], [0.5, -3.0]], forcing=_exp_decay_forcing),
-         0.7, [0.8, -1.1]),
+         0.7, [0.8, -1.1], 0.5),
         (seir(eta=8.0), 70.0,
-         [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4]),
-        (robertson_modified(), 1.2, [0.3, 2e-5, 0.7]),
+         [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4], 0.5),
+        (robertson_modified(), 1.2, [0.3, 2e-5, 0.7], 2.0 ** -12),
     ]
 
     @pytest.mark.parametrize("order", [3, 5, 9])
-    @pytest.mark.parametrize("problem,t,y", EXTEND_CASES,
+    @pytest.mark.parametrize("problem,t,y,dt", EXTEND_CASES,
                              ids=["vdp10", "vdp1000", "duffing", "duffing-other",
                                   "dahlquist", "linear", "linear-forced",
                                   "seir-after-tc", "robertson"])
-    def test_extended_table_equals_fresh_build(self, problem, t, y, order):
-        for state in self.states(y):
-            extended = stepper._run_recurrence(
-                problem, t, build_coeff_table(problem, t, state, order),
-                order + _EXTRA)
-            fresh = build_coeff_table(problem, t, state, order + _EXTRA)
-            assert len(extended[0]) == order + _EXTRA + 1
-            assert _bits(extended) == _bits(fresh)
+    def test_extended_table_equals_fresh_build(self, problem, t, y, dt, order):
+        # The table a central step of odd K hands on runs past K, through
+        # the error term X(K+2), and equals a fresh build bit for bit.
+        power = stepper.theoretical_order(0.5, order) + 1
+        node = build_coeff_table(problem, t, y, power)
+        state, iters, handed_on = stepper._step(problem, t, node, 0.5, order,
+                                                dt)
+        assert iters >= 1 and handed_on is not None
+        assert len(handed_on[0]) == order + 3
+        fresh = build_coeff_table(problem, t + dt, state, power)
+        assert _bits(handed_on) == _bits(fresh)
 
 
 class TestRegistry:
@@ -596,8 +593,7 @@ class TestCauchyProducts:
 
 
 class TestProblemDefinition:
-    @pytest.mark.parametrize("field,value", [("dim", 1.0), ("aux", 1.5),
-                                             ("dim", True), ("aux", True)])
+    @pytest.mark.parametrize("field,value", [("dim", 1.0), ("dim", True)])
     def test_non_integral_sizes_refused(self, field, value):
         args = {"name": "x", "dim": 1, "recurrence": lambda t, table, depth: None,
                 "default_initial": [1.0], field: value}

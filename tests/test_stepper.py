@@ -51,7 +51,7 @@ def step_residual(problem, state, trial, theta, order, dt):
     table = build_coeff_table(problem, 0.0, state, order)
     known = horner(table[:problem.dim], (1.0 - theta) * dt, order)
     residual, _ = stepper._residual_function(problem, dt, known, theta, order,
-                                             dt)
+                                             dt, order)
     return residual(trial)
 
 
@@ -66,7 +66,7 @@ def quadratic_blowup():
     which has no real root."""
     def recurrence(t, table, depth):
         x, = table
-        for k in range(len(x) - 1, depth):
+        for k in range(depth):
             x.append(sum(map(mul, x, reversed(x))) / (k + 1))
 
     return ProblemDefinition(name="quadratic", dim=1, recurrence=recurrence,
@@ -214,7 +214,7 @@ class TestResidualFunctionBits:
         table = build_coeff_table(problem, t, state, order)[:problem.dim]
         known = horner_loop(table, (1.0 - theta) * dt, order)
         residual, last = stepper._residual_function(problem, t + dt, known,
-                                                    theta, order, dt)
+                                                    theta, order, dt, order)
         predictor = horner_loop(table, dt, order)
         points = [predictor, state]
         for j in range(problem.dim):
@@ -338,6 +338,8 @@ def _local_error_estimate(table: list, theta: float, order: int,
 
 
 def oracle_integrate(problem, config, t_final):
+    """integrate with the two controllers and the separate estimate, and
+    every node table a fresh build."""
     mode, theta, order = config.step_mode, config.theta, config.order
     adaptive = isinstance(mode, AdaptiveStep)
     if adaptive:
@@ -348,16 +350,12 @@ def oracle_integrate(problem, config, t_final):
     times, states, dts, iterations, estimates = [0.0], [state], [0.0], [0], [0.0]
     t, status, failure = 0.0, "completed", ""
     depth = stepper.theoretical_order(theta, order) + 1
-    trial = None
     eps_end = 1e-12 * max(1.0, t_final)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             while t < t_final - eps_end:
                 dt = None
-                table = (build_coeff_table(problem, t, state, depth)
-                         if trial is None
-                         else stepper._run_recurrence(problem, t, trial, depth))
-                table = table[:problem.dim]
+                table = build_coeff_table(problem, t, state, depth)
                 peak = _peak(table, depth)
                 if adaptive:
                     dt = controller(table, order, mode.tol, mode.safety,
@@ -372,8 +370,8 @@ def oracle_integrate(problem, config, t_final):
                 dt, t_next = stepper._clip_to_events(t, dt, t_final,
                                                      problem.discontinuities)
                 est = _local_error_estimate(table, theta, order, dt, peak=peak)
-                state, iters, trial = stepper._step(problem, t, table, theta,
-                                                    order, dt)
+                state, iters, _ = stepper._step(problem, t, table, theta,
+                                                order, dt)
                 t = t_next
                 times.append(t)
                 states.append(state)
@@ -814,13 +812,14 @@ class TestFailureContext:
 
 
 class TestNodeTableReuse:
-    """After an implicit step the accepted state's trial table, extended
-    through the leading error term, is the next node table."""
+    """After an implicit step the accepted state's trial table, built
+    through the leading error term by its real residual call, is the next
+    node table."""
 
     @staticmethod
     def counted_recurrence(problem, on_call):
         """The problem with its recurrence wrapped: on_call(table, depth)
-        sees each call's table before the recurrence extends it."""
+        sees each call's table before the recurrence appends to it."""
         recurrence = problem.recurrence
 
         def wrapper(t, table, depth):
@@ -829,24 +828,37 @@ class TestNodeTableReuse:
 
         return dataclasses.replace(problem, recurrence=wrapper)
 
-    def test_one_build_per_residual_after_the_first_node(self):
-        # A build starts from one-entry state lists; a residual's build runs
-        # to depth K, a node's to the leading error term K + 2 = 7.
-        counts = {"build": 0, "residual": 0}
-        order = 5
+    def test_one_build_per_residual_after_the_first_node(self, monkeypatch):
+        # Every call builds a table from one-entry state lists.  A complex
+        # residual call runs to depth K = 5; a real one, like the node
+        # build, to the leading error term K + 2 = 7.  Outside the steps
+        # only the first node is built.
+        order, power = 5, 7
+        calls = []  # (inside a step, complex, depth) per recurrence call
+        inside, step_fn = [False], stepper._step
+
+        def step(*args):
+            inside[0] = True
+            try:
+                return step_fn(*args)
+            finally:
+                inside[0] = False
 
         def on_call(table, depth):
-            if len(table[0]) == 1:
-                counts["build"] += 1
-                counts["residual"] += depth == order
+            assert all(len(col) == 1 for col in table)
+            calls.append((inside[0], isinstance(table[0][0], complex), depth))
 
+        monkeypatch.setattr(stepper, "_step", step)
         cfg = SchemeConfig(0.5, order, AdaptiveStep(1e-10))
         prob = self.counted_recurrence(van_der_pol(10.0), on_call)
         trace = integrate(prob, cfg, 5.0)
         assert trace.status == "completed"
         assert min(trace.newton_iters[1:]) >= 1
-        assert counts["residual"] >= 2 * trace.steps
-        assert counts["build"] == 1 + counts["residual"]
+        assert [c for c in calls if not c[0]] == [(False, False, power)]
+        residuals = calls[1:]
+        assert len(residuals) >= 3 * trace.steps
+        assert {(c, d) for _, c, d in residuals} == {(True, order),
+                                                     (False, power)}
 
     def test_m_plus_one_residuals_per_one_iteration_step(self, monkeypatch):
         # Newton's first residual is the real part of its first complex
@@ -896,20 +908,17 @@ class TestNodeTableReuse:
         node = build_coeff_table(prob, 0.0, prob.default_initial.tolist(), 4)
         known = horner(node[:prob.dim], 0.05, 4)
         trial = [0.51, 0.24]
+        # K = 4 at theta = 0.5: the real call runs to the error term X(5).
         residual, last = stepper._residual_function(prob, 0.1, known, 0.5, 4,
-                                                    0.1)
+                                                    0.1, 5)
         residual(trial)
-        full_table = last[1]
-        fresh = build_coeff_table(prob, 0.1, trial, 4)
-        assert coeff_array(full_table[:prob.dim]).tobytes() == \
-            coeff_array(fresh[:prob.dim]).tobytes()
-        assert coeff_array(full_table[prob.dim:]).tobytes() == \
-            coeff_array(fresh[prob.dim:]).tobytes()
+        fresh = build_coeff_table(prob, 0.1, trial, 5)
+        assert coeff_array(last[1]).tobytes() == coeff_array(fresh).tobytes()
 
 
 class TestAuxiliarySeriesHidden:
-    """Van der Pol keeps U^2 after its two state lists; no state reader may
-    see it."""
+    """Van der Pol keeps U^2 in a local list of its recurrence; no state
+    reader may see it."""
 
     @pytest.mark.parametrize("theta, order", [(0.5, 5), (1.0, 4)])
     def test_readers_see_the_state_lists(self, monkeypatch, theta, order):
