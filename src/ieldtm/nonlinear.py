@@ -15,9 +15,9 @@ the arithmetic it does.
 (``_lu_kernel``): the general elimination written out with a local name
 per entry, so no row copy, index or loop is left, only the float
 operations, comparisons and errors of the elimination, in its order.  Per
-call on the Newton systems of real runs (2-vCPU Xeon VM, CPython 3.11,
-fastest of 15 interleaved rounds), it takes 1.0-1.7 us at n = 2 (Van der
-Pol), 6.1-6.3 us at n = 3 (Robertson) and 13-18 us at n = 6 (SEIR).
+call on random well-conditioned systems (2-vCPU Xeon VM, CPython 3.11,
+best of 7 in each of two runs), it takes 1.7-1.9 us at n = 2, 2.2-3.2 us
+at n = 3 and 8.6-10.7 us at n = 6.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from operator import add
-
-import numpy as np
 
 from .errors import NewtonFailureError, SingularMatrixError
 
@@ -74,8 +72,9 @@ def _lu_kernel(n: int):
     are never -0.0.  Column c's
     pivot is the first largest |a_ic| in row order, whose row trades its
     remaining entries, b entry and row scale with row c's before the pivot
-    test.  Back-substitution keeps np.dot for rows longer than one product:
-    a BLAS dot may fuse its multiply-adds, which Python would not.
+    test.  Back-substitution subtracts from b_i the sum of its row's
+    products a_ij x_j, j > i, added from the left with ``+``: no BLAS dot,
+    whose kernel may fuse multiply-adds depending on the CPU.
     """
     kernel = _lu_kernels.get(n)
     if kernel is None:
@@ -113,10 +112,8 @@ def _lu_kernel(n: int):
                 lines += [f"    a{i}_{j} -= f * a{c}_{j}" for j in range(c + 1, n)]
                 lines.append(f"    b{i} -= f * b{c}")
         for i in reversed(N):
-            x = [f"x{j}" for j in range(i + 1, n)]
-            s = (f"b{i}" if not x else
-                 f"(b{i} - {a[i][-1]} * {x[0]})" if len(x) == 1 else
-                 f"(b{i} - float(np.dot([{join(a[i][i + 1:])}], [{join(x)}])))")
+            products = " + ".join(f"a{i}_{j} * x{j}" for j in range(i + 1, n))
+            s = f"(b{i} - ({products}))" if products else f"b{i}"
             lines.append(f"    x{i} = {s} / a{i}_{i}")
         lines.append(f"    return [{join(f'x{i}' for i in N)}]")
         namespace = {}
