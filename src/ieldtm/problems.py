@@ -163,12 +163,18 @@ def dahlquist(lam: float = -1.0, x0: float = 1.0) -> ProblemDefinition:
         for k in range(depth):
             x.append(lam * x[k] / (k + 1))
 
+    def exact(t):
+        try:
+            return np.array([x0 * math.exp(lam * t)])
+        except OverflowError:  # e^(lam t) past the float range; 0 stays 0
+            return np.array([x0 * math.inf if x0 else x0])
+
     return ProblemDefinition(
         name="dahlquist",
         dim=1,
         recurrence=recurrence,
         default_initial=np.array([x0]),
-        exact_solution=lambda t: np.array([x0 * math.exp(lam * t)]),
+        exact_solution=exact,
     )
 
 

@@ -29,6 +29,18 @@ class TestSolve:
         assert summary["max_error"] <= 1e-6
         assert summary["problem"] == "dahlquist"
 
+    def test_overflowing_closed_form_reads_infinity(self, runner):
+        # e^(1000 t) leaves the float range at t = 0.71; the backward run
+        # completes and its error against the closed form is infinite.
+        result = runner.invoke(main, [
+            "solve", "--problem", "dahlquist", "--lambda", "1000",
+            "--theta", "1", "--K", "3", "--dt", "0.01", "--tf", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.output)
+        assert summary["status"] == "completed"
+        assert summary["max_error"] == math.inf
+
     def test_adaptive_duffing_summary(self, runner):
         result = runner.invoke(main, [
             "solve", "--problem", "duffing", "--theta", "0.5", "--K", "5",

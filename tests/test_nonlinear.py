@@ -1,5 +1,6 @@
 """Newton root-finder and partial-pivot LU solver."""
 
+import cmath
 import math
 from functools import reduce
 from itertools import combinations
@@ -525,6 +526,20 @@ class TestNewtonSolve:
         # The first update lands on y = 0, where the Jacobian 2y vanishes.
         with pytest.raises(NewtonFailureError, match="singular Jacobian at iteration 2"):
             newton_solve(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
+
+    def test_stalled_residual_accepted_at_abs_tol(self):
+        # A root at 1 with a 1e-13 ripple of period 6e-13: once the residual
+        # is below _ABS_TOL = 1e-12 and no longer falls fourfold per
+        # iteration, the iterate is accepted, after 3 iterations.  Without
+        # that rule, or at _ABS_TOL = 1e-13, the solve takes 6.
+        def residual(y):
+            x, = y
+            sin = cmath.sin if type(x) is complex else math.sin
+            return [(x - 1.0) + 1e-13 * sin(1e13 * x)]
+
+        root, iters = newton_solve(residual, [0.999999999995])
+        assert iters == 3
+        assert abs(residual(root)[0]) <= nonlinear._ABS_TOL
 
     def test_last_iteration_residual_tested(self, monkeypatch):
         # The one allowed iteration reaches _ABS_TOL with a large update.

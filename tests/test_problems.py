@@ -57,6 +57,13 @@ class TestDahlquist:
         c = coeffs_from(dahlquist(-2.0), 0.0, [1.0], 2)
         assert c[2, 0] == pytest.approx(2.0)  # (-2)^2 / 2!
 
+    @pytest.mark.parametrize("x0,expected", [(2.0, math.inf),
+                                             (-2.0, -math.inf), (0.0, 0.0)])
+    def test_closed_form_past_the_float_range(self, x0, expected):
+        # e^(1000 t) overflows at t = 1; x0 = 0 stays 0 there.
+        assert dahlquist(1000.0, x0).exact_solution(1.0).tolist() == [expected]
+        assert dahlquist(-1000.0, x0).exact_solution(1.0).tolist() == [0.0]
+
 
 class TestLinearSystem:
     def test_diagonal(self):
