@@ -337,8 +337,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     evaluation), so that table is the node table, tested for finiteness
     through that index here; a node gets a fresh build only at t = 0, after
     an explicit step and after a solve that accepted the predictor at 0
-    iterations.  A failed trace says
-    where and why in ``SolutionTrace.failure``; a non-finite state fails as
+    iterations.  A failed trace says where and why in
+    ``SolutionTrace.failure``; a non-finite state fails as
     ``non-finite-state`` at the node that holds it, the last node included.
 
     Each accepted node appends its t, state (a list of floats), dt,

@@ -624,7 +624,7 @@ def horner(table, offset, order):
 def step_residual(problem, state, theta, order, dt):
     """The implicit-step residual newton_solve sees for one step from state."""
     table = build_coeff_table(problem, 0.4, state.tolist(), order)
-    known = horner(table[:problem.dim], (1.0 - theta) * dt, order)
+    known = horner(table, (1.0 - theta) * dt, order)
     return stepper._residual_function(problem, 0.4 + dt, known, theta, order,
                                       dt, order)[0]
 
@@ -717,7 +717,7 @@ class TestBatchedJacobian:
                 # trial states are the predictor and the node state.
                 spread = 1.0 + 0.1 * rng.normal(size=len(state)) * (draw > 0)
                 node = (np.array(state) * spread).tolist()
-                table = build_coeff_table(problem, t, node, order)[:problem.dim]
+                table = build_coeff_table(problem, t, node, order)
                 known = horner(table, (1.0 - theta) * dt, order)
                 # Real calls build through X(K+2), as the step's do at
                 # the central scheme with odd K.

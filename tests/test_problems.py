@@ -38,10 +38,9 @@ from ieldtm.stepper import FixedStep, SchemeConfig, build_coeff_table, integrate
 
 
 def coeffs_from(problem, t, state, depth):
-    """The state lists of the coefficient table as a (depth+1, dim) array:
-    row k is X(k)."""
+    """The coefficient table as a (depth+1, dim) array: row k is X(k)."""
     table = build_coeff_table(problem, t, np.asarray(state).tolist(), depth)
-    return np.array(table[:problem.dim]).T
+    return np.array(table).T
 
 
 class TestDahlquist:
