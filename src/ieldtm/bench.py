@@ -19,6 +19,7 @@ from . import __version__
 from .problems import ProblemDefinition, make_problem, seir
 from .stability import is_A_stable, is_L_stable, sample_region
 from .stepper import (
+    SAFETY,
     AdaptiveStep,
     FixedStep,
     SchemeConfig,
@@ -81,7 +82,9 @@ def reference_oracle(problem: ProblemDefinition, config: SchemeConfig,
 
     Returns (description, self_error, error_fn); self_error is None for the
     closed form, and error_fn(trace) -> max error or None.  The refined
-    reference is compared at t_final only (no dense output).
+    reference is compared at t_final only (no dense output).  A reference
+    run that does not complete measures nothing: the description then names
+    it (tol, status, t), self_error is None and error_fn returns None.
     """
     if problem.exact_solution is not None:
         return (f"closed-form solution of {problem.name}", None,
@@ -92,14 +95,18 @@ def reference_oracle(problem: ProblemDefinition, config: SchemeConfig,
         ref_tol = config.step_mode.tol / 1e4
     else:
         ref_tol = 1e-10
+    description = (f"central IELDTM self-reference, K={ref_order}, "
+                   f"tol={ref_tol:g}, compared at t_final only")
     traces = []
     for tol in (ref_tol, ref_tol / 2.0):
         cfg = SchemeConfig(0.5, ref_order, AdaptiveStep(tol))
         traces.append(integrate(problem, cfg, t_final))
+        if traces[-1].status != "completed":
+            return (f"{description}; the reference run at tol={tol:g} ended "
+                    f"{traces[-1].status} at t = {traces[-1].node_times[-1]!r}",
+                    None, lambda trace: None)
     fine = traces[1]
     self_err = float(np.abs(traces[0].final_state - fine.final_state).max())
-    description = (f"central IELDTM self-reference, K={ref_order}, "
-                   f"tol={ref_tol:g}, compared at t_final only")
 
     def error_fn(trace):
         if trace.status != "completed":
@@ -133,7 +140,7 @@ def run_solve(problem: ProblemDefinition, config: SchemeConfig,
         "status": trace.status,
         "failure": trace.failure,
     }
-    if self_err is not None:
+    if with_oracle and problem.exact_solution is None:
         summary["oracle_self_error"] = self_err
     return trace, summary
 
@@ -145,17 +152,22 @@ def order_sweep_rows(thetas=(0.0, 0.5, 1.0), orders=range(1, 7),
     status ``failed: <trace status>``; an exact run leaves no order to read,
     so ``observed`` is None where either error is 0.  ValueError unless
     dt/2 < t_final: otherwise both runs take the same single step, clipped
-    to t_final, and measure no order."""
+    to t_final, and measure no order.
+
+    Returns (spec, rows), as every paper table does: the spec names the
+    runs' settings, and each row is keyed in CSV column order."""
     if not dt / 2.0 < t_final:
         raise ValueError(f"dt / 2 = {dt / 2.0!r} must be below t_final = "
                          f"{t_final!r}, or both runs take the same single step")
     problem = make_problem("duffing")
+    spec = {"command": "order-sweep", "problem": problem.name, "dt": dt,
+            "tf": t_final, "oracle": "closed-form logistic solution"}
     rows = []
     for theta in thetas:
         for order in orders:
-            row = {"theta": theta, "K": order, "dt": dt,
-                   "theory": theoretical_order(theta, order), "err_dt": None,
-                   "err_half": None, "observed": None, "status": "ok"}
+            row = {"theta": theta, "K": order, "dt": dt, "err_dt": None,
+                   "err_half": None, "observed": None,
+                   "theory": theoretical_order(theta, order), "status": "ok"}
             errs = []
             for step in (dt, dt / 2.0):
                 trace = integrate(problem, SchemeConfig(theta, order, FixedStep(step)),
@@ -169,85 +181,97 @@ def order_sweep_rows(thetas=(0.0, 0.5, 1.0), orders=range(1, 7),
                 if errs[0] and errs[1]:
                     row["observed"] = float(np.log2(errs[0] / errs[1]))
             rows.append(row)
-    return rows
+    return spec, rows
 
 
-def table3_rows(t_finals=(1.0, 2.0, 4.0), orders=(3, 5), tol: float = 1e-10,
-                safety: float = 0.9):
+def table3_rows(t_finals=(1.0, 2.0, 4.0), orders=(3, 5), tol: float = 1e-10):
     """Adaptive central runs on the cubic oscillator with the exact logistic
-    solution: step counts and max errors."""
-    problem = make_problem("duffing")
+    solution: step counts and max errors, as (spec, rows)."""
+    problem, theta = make_problem("duffing"), 0.5
+    spec = {"command": "table3", "problem": problem.name, "theta": theta,
+            "tol": tol, "safety": SAFETY,
+            "oracle": "closed-form logistic solution"}
     rows = []
     for t_final in t_finals:
         for order in orders:
-            cfg = SchemeConfig(0.5, order, AdaptiveStep(tol, safety=safety))
+            cfg = SchemeConfig(theta, order, AdaptiveStep(tol))
             trace = integrate(problem, cfg, t_final)
             err = (trace.max_error(problem.exact_solution)
                    if trace.status == "completed" else None)
             rows.append({"t_final": t_final, "K": order, "tol": tol,
                          "steps": trace.steps, "max_error": err,
                          "status": trace.status})
-    return rows
+    return spec, rows
 
 
 def table4_rows(orders=(3, 4, 5), dt_exponents=(5, 6, 7, 8)):
-    """Fixed-step central runs on the Robertson system: max errors at t = 4."""
-    problem = make_problem("robertson")
+    """Fixed-step central runs on the Robertson system: max errors at t = 4,
+    as (spec, rows)."""
+    problem, theta, t_final = make_problem("robertson"), 0.5, 4.0
+    spec = {"command": "table4", "problem": problem.name, "theta": theta,
+            "tf": t_final, "oracle": "closed-form exponential solution"}
     rows = []
     for order in orders:
         for expo in dt_exponents:
             dt = 2.0 ** -expo
-            cfg = SchemeConfig(0.5, order, FixedStep(dt))
-            trace = integrate(problem, cfg, 4.0)
+            cfg = SchemeConfig(theta, order, FixedStep(dt))
+            trace = integrate(problem, cfg, t_final)
             err = (trace.max_error(problem.exact_solution)
                    if trace.status == "completed" else None)
             rows.append({"K": order, "dt_exponent": expo, "dt": dt,
                          "max_error": err, "status": trace.status})
-    return rows
+    return spec, rows
 
 
 def table5_rows(cases=((0.1, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, 1000.0)),
-                orders=(3, 5, 7, 9), tol: float = 1e-10, safety: float = 0.9):
+                orders=(3, 5, 7, 9), tol: float = 1e-10, quick: bool = False):
     """Adaptive central step counts for the Van der Pol oscillator across
-    stiffness values."""
+    stiffness values (epsilon, t_final), as (spec, rows).  ``quick`` drops
+    the last case, by default epsilon = 100 to T = 1000, which runs for
+    minutes."""
+    theta = 0.5
+    spec = {"command": "table5", "problem": "vanderpol", "theta": theta,
+            "tol": tol, "safety": SAFETY, "oracle": "none (step counts only)"}
     rows = []
-    for eps, t_final in cases:
-        problem = make_problem("vanderpol", epsilon=eps)
+    for eps, t_final in cases[:-1] if quick else cases:
+        problem = make_problem(spec["problem"], epsilon=eps)
         for order in orders:
-            cfg = SchemeConfig(0.5, order, AdaptiveStep(tol, safety=safety))
+            cfg = SchemeConfig(theta, order, AdaptiveStep(tol))
             trace = integrate(problem, cfg, t_final)
             rows.append({"epsilon": eps, "t_final": t_final, "K": order,
                          "tol": tol, "steps": trace.steps,
                          "status": trace.status})
-    return rows
+    return spec, rows
 
 
 def seir_sweep_rows(etas=tuple(range(1, 13)), orders=(6, 8), tol: float = 1e-5,
-                    t_c: float | None = None, t_final: float = 300.0,
-                    safety: float = 0.9):
+                    t_c: float = inspect.signature(seir).parameters["t_c"].default,
+                    t_final: float = 300.0):
     """Step counts of the central adaptive scheme on the epidemic system as
-    the stiffness scaling eta grows.
+    the stiffness scaling eta grows, as (spec, rows).
 
-    ``t_c`` goes to the ``seir`` factory only when given; otherwise the rows
-    report the factory's default.  The horizon must cover the whole epidemic
-    wave for every eta; truncating mid-wave under-counts the slow (eta = 1)
-    case and inflates the spread of the step counts.
+    ``t_c`` defaults to the ``seir`` factory's.  The population drift of a
+    run is measured against its initial total.  The horizon must cover the
+    whole epidemic wave for every eta; truncating mid-wave under-counts the
+    slow (eta = 1) case and inflates the spread of the step counts.
     """
-    given = {} if t_c is None else {"t_c": t_c}
-    t_c = given.get("t_c", inspect.signature(seir).parameters["t_c"].default)
+    theta = 0.5
+    spec = {"command": "seir-sweep", "problem": "seir", "theta": theta,
+            "tol": tol, "t_c": t_c, "tf": t_final, "safety": SAFETY,
+            "oracle": "population conservation only"}
     rows = []
     for order in orders:
         for eta in etas:
-            problem = make_problem("seir", eta=float(eta), **given)
-            cfg = SchemeConfig(0.5, order, AdaptiveStep(tol, safety=safety))
+            problem = make_problem(spec["problem"], eta=float(eta), t_c=t_c)
+            cfg = SchemeConfig(theta, order, AdaptiveStep(tol))
             trace = integrate(problem, cfg, t_final)
             drift = float(np.abs(trace.states.sum(axis=1)
-                                 - problem.conserved_sum).max())
+                                 - problem.default_initial.sum()).max())
             rows.append({"K": order, "eta": float(eta), "tol": tol,
                          "t_c": t_c, "t_final": t_final,
                          "steps": trace.steps, "population_drift": drift,
                          "status": trace.status})
-    return rows
+    return spec, rows
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +356,6 @@ def check_seir_sweep(rows, max_ratio: float = 1.5, checked_orders=(8,)):
     for order, counts in by_order.items():
         if order not in checked_orders:
             continue
-        if not min(counts):
-            violations.append(f"seir-sweep K={order}: a run took no step, so "
-                              f"the step-count ratio across eta is undefined")
-            continue
         ratio = max(counts) / min(counts)
         if ratio > max_ratio:
             violations.append(
@@ -364,9 +384,11 @@ def write_csv(stream, meta: dict, header, rows):
         writer.writerow(["" if v is None else v for v in row])
 
 
-def rows_to_csv(meta: dict, header, dict_rows) -> str:
+def rows_to_csv(meta: dict, dict_rows) -> str:
+    """A paper table's CSV: its rows' keys are the header, in order."""
     buf = io.StringIO()
-    write_csv(buf, meta, header, ([row.get(h) for h in header] for row in dict_rows))
+    write_csv(buf, meta, list(dict_rows[0]) if dict_rows else [],
+              (row.values() for row in dict_rows))
     return buf.getvalue()
 
 

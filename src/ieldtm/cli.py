@@ -31,7 +31,7 @@ from .bench import (
 from .errors import IeldtmError
 from .problems import PROBLEM_NAMES, make_problem
 from .stability import MAX_ORDER
-from .stepper import AdaptiveStep, FixedStep, SchemeConfig
+from .stepper import SAFETY, AdaptiveStep, FixedStep, SchemeConfig
 
 
 class _FloatRange(click.FloatRange):
@@ -50,7 +50,6 @@ class _FloatRange(click.FloatRange):
 _POSITIVE = _FloatRange(0.0, math.inf, min_open=True, max_open=True)
 _FINITE = _FloatRange(-math.inf, math.inf, min_open=True, max_open=True)
 _THETA = _FloatRange(0.0, 1.0)
-_SAFETY = _FloatRange(0.0, 1.0, min_open=True)
 _ORDER = click.IntRange(min=1)
 
 
@@ -63,8 +62,6 @@ def _scheme_options(func):
                         help="Fixed step size (mutually exclusive with --tol).")(func)
     func = click.option("--tol", type=_POSITIVE, default=None,
                         help="Adaptive tolerance (mutually exclusive with --dt).")(func)
-    func = click.option("--safety", type=_SAFETY, default=0.9, show_default=True,
-                        help="Adaptive controller safety factor in (0, 1].")(func)
     return func
 
 
@@ -93,27 +90,36 @@ def _problem_options(func):
     return func
 
 
-def _build_config(theta, order, dt, tol, safety):
+def _build_config(theta, order, dt, tol):
     if (dt is None) == (tol is None):
         raise click.UsageError("exactly one of --dt or --tol is required")
-    mode = FixedStep(dt) if dt is not None else AdaptiveStep(tol, safety=safety)
+    mode = FixedStep(dt) if dt is not None else AdaptiveStep(tol)
     return SchemeConfig(theta, order, mode)
 
 
-def _emit_rows(rows, header, meta, out, fmt):
+def _given(**options):
+    """The options given on the command line, by parameter name; the
+    function they go to fills in the rest from its own defaults."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _emit_rows(table, out, fmt, check=None):
+    """Print a paper table's (spec, rows) as CSV or JSON, then, given its
+    check function, report the check and exit 1 on a violation."""
+    spec, rows = table
     if fmt == "json":
-        text = json.dumps({"spec": dict(meta, version=__version__),
+        text = json.dumps({"spec": dict(spec, version=__version__),
                            "rows": rows}, indent=2)
     else:
-        text = rows_to_csv(meta, header, rows)
+        text = rows_to_csv(spec, rows)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
-
-
-def _finish_check(violations):
+    if check is None:
+        return
+    violations = check(rows)
     for line in violations:
         click.echo(f"CHECK FAIL: {line}", err=True)
     if violations:
@@ -138,18 +144,15 @@ def main():
               default="csv", show_default=True)
 @click.option("--no-oracle", is_flag=True,
               help="Skip the reference-solution error estimate.")
-def solve(problem, theta, order, dt, tol, safety, tf, out, fmt, no_oracle,
-          **params):
+def solve(problem, theta, order, dt, tol, tf, out, fmt, no_oracle, **params):
     """Integrate one problem and report a JSON summary.
 
     The problem options given pass to the chosen problem's factory, whose
     defaults fill the rest; an option that problem does not take is a usage
     error."""
     try:
-        given = {name: value for name, value in params.items()
-                 if value is not None}
-        prob = make_problem(problem, **given)
-        config = _build_config(theta, order, dt, tol, safety)
+        prob = make_problem(problem, **_given(**params))
+        config = _build_config(theta, order, dt, tol)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     try:
@@ -159,7 +162,7 @@ def solve(problem, theta, order, dt, tol, safety, tf, out, fmt, no_oracle,
     meta = {"command": "solve", "problem": prob.name, "theta": theta,
             "K": order, "mode": summary["mode"],
             "dt" if dt is not None else "tol": dt if dt is not None else tol,
-            "safety": safety, "tf": tf, "oracle": summary["oracle"]}
+            "safety": SAFETY, "tf": tf, "oracle": summary["oracle"]}
     if out:
         with open(out, "w") as fh:
             if fmt == "json":
@@ -171,25 +174,22 @@ def solve(problem, theta, order, dt, tol, safety, tf, out, fmt, no_oracle,
         sys.exit(1)
 
 
+# The paper commands pass on only the options given: each row function in
+# bench.py holds its table's defaults and builds the table's spec.
 @main.command(name="order-sweep")
-@click.option("--dt", type=_POSITIVE, default=0.05, show_default=True)
-@click.option("--tf", type=_POSITIVE, default=1.0, show_default=True)
+@click.option("--dt", type=_POSITIVE, default=None, show_default="the table's")
+@click.option("--tf", type=_POSITIVE, default=None, show_default="the table's")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 def order_sweep(dt, tf, out, fmt):
     """Observed vs theoretical convergence orders on the cubic oscillator."""
     try:
-        rows = order_sweep_rows(dt=dt, t_final=tf)
+        table = order_sweep_rows(**_given(dt=dt, t_final=tf))
     except ValueError as exc:  # dt / 2 not below tf
         raise click.UsageError(str(exc))
-    header = ["theta", "K", "dt", "err_dt", "err_half", "observed", "theory",
-              "status"]
-    meta = {"command": "order-sweep", "problem": "duffing", "dt": dt, "tf": tf,
-            "oracle": "closed-form logistic solution"}
-    _emit_rows(rows, header, meta, out, fmt)
-    failed = [r for r in rows if r["status"] != "ok"]
-    if failed:
+    _emit_rows(table, out, fmt)
+    if any(row["status"] != "ok" for row in table[1]):
         sys.exit(1)
 
 
@@ -197,22 +197,15 @@ main.add_command(order_sweep, name="table2")
 
 
 @main.command(name="table3")
-@click.option("--tol", type=_POSITIVE, default=1e-10, show_default=True)
-@click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
+@click.option("--tol", type=_POSITIVE, default=None, show_default="the table's")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--check", is_flag=True)
-def table3(tol, safety, out, fmt, check):
+def table3(tol, out, fmt, check):
     """Adaptive central runs on the cubic oscillator: steps and max errors."""
-    rows = table3_rows(tol=tol, safety=safety)
-    header = ["t_final", "K", "tol", "steps", "max_error", "status"]
-    meta = {"command": "table3", "problem": "duffing", "theta": 0.5,
-            "tol": tol, "safety": safety,
-            "oracle": "closed-form logistic solution"}
-    _emit_rows(rows, header, meta, out, fmt)
-    if check:
-        _finish_check(check_table3(rows))
+    _emit_rows(table3_rows(**_given(tol=tol)), out, fmt,
+               check_table3 if check else None)
 
 
 @main.command(name="table4")
@@ -222,63 +215,40 @@ def table3(tol, safety, out, fmt, check):
 @click.option("--check", is_flag=True)
 def table4(out, fmt, check):
     """Fixed-step central runs on the Robertson system: max errors at t=4."""
-    rows = table4_rows()
-    header = ["K", "dt_exponent", "dt", "max_error", "status"]
-    meta = {"command": "table4", "problem": "robertson", "theta": 0.5,
-            "tf": 4.0, "oracle": "closed-form exponential solution"}
-    _emit_rows(rows, header, meta, out, fmt)
-    if check:
-        _finish_check(check_table4(rows))
+    _emit_rows(table4_rows(), out, fmt, check_table4 if check else None)
 
 
 @main.command(name="table5")
-@click.option("--tol", type=_POSITIVE, default=1e-10, show_default=True)
-@click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
+@click.option("--tol", type=_POSITIVE, default=None, show_default="the table's")
 @click.option("--quick", is_flag=True,
               help="Skip the epsilon=100, T=1000 case (runs for minutes).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--check", is_flag=True)
-def table5(tol, safety, quick, out, fmt, check):
+def table5(tol, quick, out, fmt, check):
     """Adaptive central step counts for the Van der Pol oscillator."""
-    cases = ((0.1, 1.0), (1.0, 10.0), (10.0, 100.0))
-    if not quick:
-        cases = cases + ((100.0, 1000.0),)
-    rows = table5_rows(cases=cases, tol=tol, safety=safety)
-    header = ["epsilon", "t_final", "K", "tol", "steps", "status"]
-    meta = {"command": "table5", "problem": "vanderpol", "theta": 0.5,
-            "tol": tol, "safety": safety, "oracle": "none (step counts only)"}
-    _emit_rows(rows, header, meta, out, fmt)
-    if check:
-        _finish_check(check_table5(rows))
+    _emit_rows(table5_rows(quick=quick, **_given(tol=tol)), out, fmt,
+               check_table5 if check else None)
 
 
 main.add_command(table5, name="step-count")
 
 
 @main.command(name="seir-sweep")
-@click.option("--tol", type=_POSITIVE, default=1e-5, show_default=True)
+@click.option("--tol", type=_POSITIVE, default=None, show_default="the table's")
 @click.option("--tc", type=_FINITE, default=None,
               show_default="the seir problem's")
-@click.option("--tf", type=_POSITIVE, default=300.0, show_default=True)
-@click.option("--safety", type=_SAFETY, default=0.9, show_default=True)
+@click.option("--tf", type=_POSITIVE, default=None, show_default="the table's")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--check", is_flag=True)
-def seir_sweep(tol, tc, tf, safety, out, fmt, check):
+def seir_sweep(tol, tc, tf, out, fmt, check):
     """Step counts of the adaptive central scheme on the epidemic system as
     stiffness grows."""
-    rows = seir_sweep_rows(tol=tol, t_c=tc, t_final=tf, safety=safety)
-    header = ["K", "eta", "tol", "t_c", "t_final", "steps",
-              "population_drift", "status"]
-    meta = {"command": "seir-sweep", "problem": "seir", "theta": 0.5,
-            "tol": tol, "t_c": rows[0]["t_c"], "tf": tf, "safety": safety,
-            "oracle": "population conservation only"}
-    _emit_rows(rows, header, meta, out, fmt)
-    if check:
-        _finish_check(check_seir_sweep(rows))
+    _emit_rows(seir_sweep_rows(**_given(tol=tol, t_c=tc, t_final=tf)), out,
+               fmt, check_seir_sweep if check else None)
 
 
 @main.command(name="stability-grid")

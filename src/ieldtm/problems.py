@@ -72,7 +72,6 @@ class ProblemDefinition:
     recurrence: Recurrence
     default_initial: np.ndarray
     exact_solution: Optional[Callable[[float], np.ndarray]] = None
-    conserved_sum: Optional[float] = None
     discontinuities: tuple = ()
 
     def __post_init__(self):
@@ -267,7 +266,6 @@ def seir(*, beta: float = 1.12, mu: float = 0.55, alpha: float = 0.14,
         dim=6,
         recurrence=recurrence,
         default_initial=initial,
-        conserved_sum=N,
         discontinuities=disc,
     )
 

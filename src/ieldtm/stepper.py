@@ -27,12 +27,17 @@ __all__ = [
     "AdaptiveStep",
     "SchemeConfig",
     "SolutionTrace",
+    "SAFETY",
     "build_coeff_table",
     "integrate",
     "theoretical_order",
 ]
 
 _ADAPTIVE_THETAS = (0.0, 0.5, 1.0)
+
+# The adaptive controller's safety factor: each proposal is SAFETY times the
+# step that would meet tol exactly.  Fixed, as scipy's solve_ivp fixes it.
+SAFETY = 0.9
 
 # Step failures the driver reports as a trace status instead of raising.
 _FAILURE_STATUS = {
@@ -55,15 +60,12 @@ class FixedStep:
 class AdaptiveStep:
     tol: float
     dt_min: float = 1e-12
-    safety: float = 0.9
 
     def __post_init__(self):
         if not self.tol > 0:  # also refuses nan
             raise ValueError("tol must be positive")
         if not self.dt_min > 0:  # also refuses nan
             raise ValueError("dt_min must be positive")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
 
 
 def check_theta_order(theta: float, order: int) -> None:
@@ -278,7 +280,7 @@ def _error_rule(theta: float, order: int):
     with power = theoretical_order + 1 and weight
     |(1-theta)^(K+1) - (-theta)^(K+1)|; the central scheme with odd K
     cancels that term and gains an order, weight (1/2)^(K+1) (K+1).  The
-    controller proposes safety (tol / lead)^(1/(power-1)) from the lead
+    controller proposes SAFETY (tol / lead)^(1/(power-1)) from the lead
     controller_weight ||X(power)||_inf.  Case 2, the central scheme with odd
     K, steers by the estimate's weight; case 1, every other scheme, by 1.
     At theta in {0, 1} that is the estimate's weight too, but at theta = 0.5
@@ -296,13 +298,14 @@ def _clip_to_events(t: float, dt: float, t_final: float, discontinuities):
     """The step from t as (dt, t_next): dt shortened so the mesh lands on
     t_final and on each declared discontinuity t_d, where the expansion
     must restart.  A step that would pass t_d, or end short of it by at
-    most 1e-12 max(1, t_d) (rounding drift of the accumulated t), is made
-    to end exactly on t_d, so no step starts a hair before t_d and runs
-    past it at the pre-switch rate."""
+    most 1e-12 |t_d| (rounding drift of the accumulated t), is made to end
+    exactly on t_d, so no step starts a hair before t_d and runs past it at
+    the pre-switch rate.  The window is relative, so it holds on any time
+    scale: an absolute floor would swallow a t_d near 1e-12."""
     dt = min(dt, t_final - t)
     t_next = t + dt
     for t_d in discontinuities:
-        eps = 1e-12 * max(1.0, t_d)
+        eps = 1e-12 * abs(t_d)
         # A step already ending on t_d keeps its dt: t_d - t may differ
         # from it in the last bit.
         if t < t_d - eps and t_next > t_d - eps and t_next != t_d:
@@ -359,7 +362,8 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     times, states, dts, iterations, estimates = [0.0], [state], [0.0], [0], [0.0]
     t, status, failure = 0.0, "completed", ""
     trial = None  # the accepted state's table from the last Newton solve
-    eps_end = 1e-12 * max(1.0, t_final)
+    # Relative, like the event window: a run to t_final <= 1e-12 steps too.
+    eps_end = 1e-12 * t_final
     # Overflow surfaces as NonFiniteStateError from the coefficient table,
     # so numpy's warnings about it would only repeat the status.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -377,7 +381,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
                 if adaptive:
                     lead = ctrl_weight * peak
                     dt = (math.inf if lead == 0.0 else
-                          mode.safety * (mode.tol / lead) ** (1 / (power - 1)))
+                          SAFETY * (mode.tol / lead) ** (1 / (power - 1)))
                     if dt < mode.dt_min:
                         status = "min-step-underflow"
                         failure = _failure_context(

@@ -38,8 +38,8 @@ def test_criterion_1_convergence_orders(paper_rows):
     # Two step sizes per regime: dt = 0.05 keeps low orders asymptotic while
     # dt = 0.1 keeps the order-6 errors above the round-off floor.  The
     # dt = 0.05 rows are the order-sweep command's, read at K <= 4.
-    rows = ([r for r in paper_rows(order_sweep_rows, dt=0.05) if r["K"] <= 4]
-            + order_sweep_rows(dt=0.1, orders=range(5, 7)))
+    rows = ([r for r in paper_rows(order_sweep_rows, dt=0.05)[1] if r["K"] <= 4]
+            + order_sweep_rows(dt=0.1, orders=range(5, 7))[1])
     worst = 0.0
     for row in rows:
         assert row["status"] == "ok", f"theta={row['theta']} K={row['K']}: {row['status']}"
@@ -53,7 +53,7 @@ def test_criterion_1_convergence_orders(paper_rows):
 
 def test_criterion_2_robertson_accuracy(paper_rows):
     """Fixed-step central errors on the Robertson system at t = 4."""
-    rows = {(r["K"], r["dt_exponent"]): r for r in paper_rows(table4_rows)}
+    rows = {(r["K"], r["dt_exponent"]): r for r in paper_rows(table4_rows)[1]}
     coarse = rows[(3, 5)]
     fine = rows[(5, 7)]
     assert coarse["status"] == "completed" and fine["status"] == "completed"
@@ -84,9 +84,8 @@ def test_criterion_4_van_der_pol_step_counts(paper_rows):
     """Adaptive central step counts: bounded at (eps=10, T=100, K=5) and
     non-increasing in K for every (eps, T) pair."""
     # The cases of ``table5 --quick``, then the one it skips.
-    quick = ((0.1, 1.0), (1.0, 10.0), (10.0, 100.0))
-    rows = (paper_rows(table5_rows, cases=quick)
-            + table5_rows(cases=((100.0, 1000.0),)))
+    rows = (paper_rows(table5_rows, quick=True)[1]
+            + table5_rows(cases=((100.0, 1000.0),))[1])
     by_case = {}
     for row in rows:
         assert row["status"] == "completed", row
@@ -155,7 +154,7 @@ def test_criterion_7_seir_structure(paper_rows):
         table = np.array(build_coeff_table(prob, rng.uniform(0.0, 100.0),
                                            state.tolist(), 10)).T
         assert np.abs(table[1:].sum(axis=1)).max() <= 1e-9 * 3e6
-    rows = [r for r in paper_rows(seir_sweep_rows) if r["K"] == 8]
+    rows = [r for r in paper_rows(seir_sweep_rows)[1] if r["K"] == 8]
     assert all(r["status"] == "completed" for r in rows)
     counts = [r["steps"] for r in rows]
     ratio = max(counts) / min(counts)

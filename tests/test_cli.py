@@ -1,6 +1,7 @@
 """Command-line interface: flags, output formats, determinism, exit codes."""
 
 import cmath
+import csv
 import json
 import math
 
@@ -69,6 +70,26 @@ class TestSolve:
                                      "local_err_est"]
         assert len([l for l in lines if not l.startswith("#")]) == 6  # header + 5 records
 
+    @pytest.mark.parametrize("args, failed", [
+        (["--eta", "8", "--K", "9"],
+         "the reference run at tol=5e-08 ended newton-failure at t = 60.17"),
+        (["--eta", "12", "--K", "7"],
+         "the reference run at tol=1e-07 ended min-step-underflow at t = 69.04"),
+    ], ids=["newton-failure", "min-step-underflow"])
+    def test_failed_self_reference_measures_nothing(self, runner, args, failed):
+        # The run completes, but a reference run does not: no error is read
+        # against it, and the oracle names the run that failed.
+        result = runner.invoke(main, [
+            "solve", "--problem", "seir", *args, "--theta", "0.5",
+            "--tol", "1e-3", "--tf", "150",
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.output)
+        assert summary["status"] == "completed"
+        assert summary["max_error"] is None
+        assert summary["oracle_self_error"] is None
+        assert failed in summary["oracle"]
+
     def test_seir_population_conserved(self, runner):
         result = runner.invoke(main, [
             "solve", "--problem", "seir", "--eta", "8", "--tc", "66",
@@ -132,10 +153,9 @@ class TestSolve:
     @pytest.mark.parametrize("args", [
         ["--dt", "-1"],
         ["--tol", "0"],
-        ["--tol", "1e-8", "--safety", "1.5"],
         ["--dt", "0.1", "--tf", "-1"],
         ["--problem", "seir", "--d1", "0", "--dt", "0.1"],
-    ], ids=["dt", "tol", "safety", "tf", "seir-d1"])
+    ], ids=["dt", "tol", "tf", "seir-d1"])
     def test_out_of_range_input_rejected(self, runner, args):
         result = runner.invoke(main, ["solve", *args, "--no-oracle"])
         assert result.exit_code == 2, result.output
@@ -161,7 +181,6 @@ class TestSolve:
     ["order-sweep", "--dt", "-1"],
     ["table3", "--tol", "0"],
     ["table3", "--tol", "nan"],
-    ["table5", "--quick", "--safety", "2"],
     ["seir-sweep", "--tf", "-1"],
     ["stability-grid", "--res", "1"],
     ["stability-grid", "--K", "0"],
@@ -169,7 +188,7 @@ class TestSolve:
     ["stability-grid", "--K", "92"],
     ["stability-grid", "--K", "171"],
 ], ids=["solve-tf-inf", "solve-dt-nan", "order-sweep-dt", "table3-tol",
-        "table3-tol-nan", "table5-safety", "seir-sweep-tf", "stability-grid-res",
+        "table3-tol-nan", "seir-sweep-tf", "stability-grid-res",
         "stability-grid-K", "stability-grid-theta", "stability-grid-K-92",
         "stability-grid-K-171"])
 def test_paper_command_option_out_of_range(runner, args):
@@ -215,10 +234,37 @@ class TestOrderSweep:
         assert runner.invoke(main, ["table2"]).exit_code == 0
 
 
+@pytest.mark.parametrize("args, given, columns", [
+    (["seir-sweep", "--tol", "1e-3", "--tc", "70", "--tf", "100"],
+     {"tol": 1e-3, "t_c": 70.0, "tf": 100.0},
+     {"tol": "tol", "t_c": "t_c", "tf": "t_final"}),
+    (["order-sweep", "--dt", "0.1", "--tf", "0.5"],
+     {"dt": 0.1, "tf": 0.5}, {"dt": "dt"}),
+], ids=["seir-sweep", "order-sweep"])
+def test_spec_and_rows_agree(runner, args, given, columns):
+    # The # lines and the JSON spec name the settings the rows were run
+    # with, and the CSV header is the JSON rows' key order.
+    as_csv = runner.invoke(main, args)
+    as_json = runner.invoke(main, [*args, "--format", "json"])
+    assert as_csv.exit_code == as_json.exit_code == 0, as_csv.output
+    lines = as_csv.output.splitlines()
+    meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# ")
+                and "=" in l)
+    body = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+    spec, rows = json.loads(as_json.output).values()
+    assert len(body) == len(rows) > 0
+    assert [list(row) for row in rows] == [list(row) for row in body]
+    for key, value in given.items():
+        assert float(meta[key]) == spec[key] == value, key
+    for key, column in columns.items():
+        assert {float(row[column]) for row in body} == \
+            {row[column] for row in rows} == {given[key]}, column
+
+
 class TestOrderSweepRows:
     def test_failing_cell_keeps_its_row(self, runner):
-        rows = bench.order_sweep_rows(thetas=(0.5, 1.0), orders=(1, 2),
-                                      dt=0.5, t_final=4.0)
+        _, rows = bench.order_sweep_rows(thetas=(0.5, 1.0), orders=(1, 2),
+                                         dt=0.5, t_final=4.0)
         failed = rows[0]
         assert failed["status"] == "failed: newton-failure"
         assert failed["err_dt"] is failed["err_half"] is failed["observed"] \
@@ -260,7 +306,7 @@ class TestOrderSweepRows:
             return trace
 
         monkeypatch.setattr(bench, "integrate", exact_at_half)
-        row, = bench.order_sweep_rows(thetas=(0.5,), orders=(3,))
+        _, (row,) = bench.order_sweep_rows(thetas=(0.5,), orders=(3,))
         assert row["status"] == "ok"
         assert row["err_dt"] > 0.0 and row["err_half"] == 0.0
         assert row["observed"] is None
@@ -367,11 +413,3 @@ class TestSeirSweep:
         # A later switch changes the step counts.
         assert ([row[5] for row in self.rows(result.output)]
                 != [row[5] for row in self.rows(default)])
-
-    def test_check_with_no_step_fails_by_name(self, runner):
-        # Every run ends at t = 1e-13 before its first step: the check
-        # names the order instead of dividing by a zero step count.
-        result = runner.invoke(main, ["seir-sweep", "--tf", "1e-13", "--check"])
-        assert result.exit_code == 1, result.output
-        assert "CHECK FAIL: seir-sweep K=8: a run took no step" in result.output
-        assert isinstance(result.exception, SystemExit)

@@ -34,13 +34,14 @@ def test_all_names_resolve():
 
 
 def test_config_fields_pinned():
-    # Seven settable values; a new knob must edit this list.
+    # Six settable values; a new knob must edit this list.  The controller's
+    # safety factor is the constant stepper.SAFETY, not a field.
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
               for cls in (SchemeConfig, FixedStep, AdaptiveStep)}
     assert fields == {
         "SchemeConfig": ["theta", "order", "step_mode"],
         "FixedStep": ["dt"],
-        "AdaptiveStep": ["tol", "dt_min", "safety"],
+        "AdaptiveStep": ["tol", "dt_min"],
     }
 
 
@@ -48,7 +49,7 @@ def test_problem_fields_pinned():
     # A table is the dim state series, so a problem declares no other list.
     assert [f.name for f in dataclasses.fields(ProblemDefinition)] == [
         "name", "dim", "recurrence", "default_initial", "exact_solution",
-        "conserved_sum", "discontinuities"]
+        "discontinuities"]
 
 
 def test_problem_options_name_factory_parameters():

@@ -350,7 +350,7 @@ def oracle_integrate(problem, config, t_final):
     times, states, dts, iterations, estimates = [0.0], [state], [0.0], [0], [0.0]
     t, status, failure = 0.0, "completed", ""
     depth = stepper.theoretical_order(theta, order) + 1
-    eps_end = 1e-12 * max(1.0, t_final)
+    eps_end = 1e-12 * t_final
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             while t < t_final - eps_end:
@@ -358,7 +358,7 @@ def oracle_integrate(problem, config, t_final):
                 table = build_coeff_table(problem, t, state, depth)
                 peak = _peak(table, depth)
                 if adaptive:
-                    dt = controller(table, order, mode.tol, mode.safety,
+                    dt = controller(table, order, mode.tol, stepper.SAFETY,
                                     peak=peak)
                     if dt < mode.dt_min:
                         status = "min-step-underflow"
@@ -451,8 +451,8 @@ class TestAdaptiveFormulas:
     and the step proposals integrate makes from it."""
 
     @staticmethod
-    def first_dt(prob, theta, order, tol, safety=1.0):
-        cfg = SchemeConfig(theta, order, AdaptiveStep(tol, safety=safety))
+    def first_dt(prob, theta, order, tol):
+        cfg = SchemeConfig(theta, order, AdaptiveStep(tol))
         return first_node(prob, cfg)[0]
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 9])
@@ -469,9 +469,9 @@ class TestAdaptiveFormulas:
             order + 1, abs(0.7 ** (order + 1) - (-0.3) ** (order + 1)), 1.0)
 
     def test_case1_direct_value(self):
-        # x' = x from 1: X(4) = 1/24, dt = (tol / (1/24))^(1/3).
+        # x' = x from 1: X(4) = 1/24, dt = SAFETY (tol / (1/24))^(1/3).
         dt = self.first_dt(dahlquist(1.0), 1.0, 3, 1e-6 / 24)
-        assert dt == pytest.approx(0.01)
+        assert dt == pytest.approx(stepper.SAFETY * 0.01)
 
     def test_case1_zero_coefficient_gives_inf(self):
         # A zero lead proposes an unbounded step, shortened to land on
@@ -486,15 +486,15 @@ class TestAdaptiveFormulas:
     def test_case1_tolerance_scaling(self):
         prob = van_der_pol(10.0)
         for theta in (0.0, 0.5, 1.0):
-            base = self.first_dt(prob, theta, 4, 1e-7, 0.9)
-            doubled = self.first_dt(prob, theta, 4, 2e-7, 0.9)
+            base = self.first_dt(prob, theta, 4, 1e-7)
+            doubled = self.first_dt(prob, theta, 4, 2e-7)
             assert doubled == pytest.approx(base * 2 ** 0.25)
 
     def test_case2_direct_value(self):
         # x' = x from 1: the lead is (1/2)^4 * 4 * X(5) = 1/480, so
-        # dt = (tol * 480)^(1/4).
+        # dt = SAFETY (tol * 480)^(1/4).
         dt = self.first_dt(dahlquist(1.0), 0.5, 3, 1e-8)
-        assert dt == pytest.approx((1e-8 * 480) ** 0.25)
+        assert dt == pytest.approx(stepper.SAFETY * (1e-8 * 480) ** 0.25)
 
     def test_case2_rejects_even_order(self):
         # The central scheme with even K has no order gain; it steers by
@@ -505,8 +505,8 @@ class TestAdaptiveFormulas:
 
     def test_case2_tolerance_scaling(self):
         prob = van_der_pol(10.0)
-        base = self.first_dt(prob, 0.5, 5, 1e-9, 0.9)
-        halved = self.first_dt(prob, 0.5, 5, 5e-10, 0.9)
+        base = self.first_dt(prob, 0.5, 5, 1e-9)
+        halved = self.first_dt(prob, 0.5, 5, 5e-10)
         assert halved == pytest.approx(base * 0.5 ** (1.0 / 6.0))
 
     @pytest.mark.parametrize("order", [4, 6])
@@ -575,6 +575,23 @@ class TestIntegrateFixed:
         i = coarse.node_times.index(66.0)
         assert coarse.dts_used[i] == 66.0 - coarse.node_times[i - 1]
         assert np.abs(coarse.final_state - fine.final_state).max() <= 1e-3
+
+    def test_horizon_below_1e_minus_12_is_marched(self):
+        # The end window is 1e-12 t_final, not 1e-12: a 1e-13 horizon takes
+        # its four steps instead of none.
+        prob = dahlquist(-1e13)
+        trace = integrate(prob, SchemeConfig(1.0, 3, FixedStep(2.5e-14)), 1e-13)
+        assert trace.status == "completed"
+        assert trace.steps == 4 and trace.node_times[-1] == 1e-13
+        assert trace.max_error(prob.exact_solution) <= 1e-3
+
+    def test_discontinuity_below_1e_minus_12_placed(self):
+        # The event window is 1e-12 |t_d|: the step over t_c = 5e-13 ends on
+        # it, and the run reaches its 2e-12 horizon.
+        prob = seir(eta=8.0, t_c=5e-13)
+        trace = integrate(prob, SchemeConfig(1.0, 3, FixedStep(1e-12)), 2e-12)
+        assert trace.status == "completed"
+        assert trace.node_times == [0.0, 5e-13, 1.5e-12, 2e-12]
 
     @pytest.mark.parametrize("order,dt,steps", [
         (5, 2 ** -4, 64), (6, 2 ** -5, 128), (7, 2 ** -6, 256)])
@@ -665,7 +682,7 @@ class TestSchemeConfigValidation:
         with pytest.raises(ValueError):
             FixedStep(0.0)
         with pytest.raises(ValueError):
-            AdaptiveStep(1e-8, safety=1.5)
+            AdaptiveStep(0.0)
 
     @pytest.mark.parametrize("build", [
         lambda: FixedStep(math.nan),
