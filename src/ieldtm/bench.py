@@ -151,14 +151,18 @@ def order_sweep_rows(thetas=(0.0, 0.5, 1.0), orders=range(1, 7),
     fixed-step runs at dt, dt/2.  A cell whose run fails keeps its row with
     status ``failed: <trace status>``; an exact run leaves no order to read,
     so ``observed`` is None where either error is 0.  ValueError unless
-    dt/2 < t_final: otherwise both runs take the same single step, clipped
-    to t_final, and measure no order.
+    t_final is a whole number n >= 1 of steps dt, within integrate's end
+    window 1e-12 t_final: otherwise the last step of each run is clipped to
+    t_final, the dt/2 run does not halve every step of the dt run, and the
+    ratio of their errors is no order.
 
     Returns (spec, rows), as every paper table does: the spec names the
     runs' settings, and each row is keyed in CSV column order."""
-    if not dt / 2.0 < t_final:
-        raise ValueError(f"dt / 2 = {dt / 2.0!r} must be below t_final = "
-                         f"{t_final!r}, or both runs take the same single step")
+    steps = round(t_final / dt, 0)  # a float: inf for a subnormal dt
+    if not (steps >= 1 and abs(steps * dt - t_final) <= 1e-12 * t_final):
+        raise ValueError(f"t_final = {t_final!r} must be a whole number of "
+                         f"steps dt = {dt!r}, or the last step is clipped and "
+                         "the dt/2 run does not halve every step")
     problem = make_problem("duffing")
     spec = {"command": "order-sweep", "problem": problem.name, "dt": dt,
             "tf": t_final, "oracle": "closed-form logistic solution"}

@@ -159,10 +159,11 @@ def solve(problem, theta, order, dt, tol, tf, out, fmt, no_oracle, **params):
         trace, summary = run_solve(prob, config, tf, with_oracle=not no_oracle)
     except IeldtmError as exc:
         raise click.ClickException(str(exc))
+    # A fixed-step run reads dt; an adaptive one reads tol and SAFETY.
+    step = {"dt": dt} if dt is not None else {"tol": tol, "safety": SAFETY}
     meta = {"command": "solve", "problem": prob.name, "theta": theta,
-            "K": order, "mode": summary["mode"],
-            "dt" if dt is not None else "tol": dt if dt is not None else tol,
-            "safety": SAFETY, "tf": tf, "oracle": summary["oracle"]}
+            "K": order, "mode": summary["mode"], **step, "tf": tf,
+            "oracle": summary["oracle"]}
     if out:
         with open(out, "w") as fh:
             if fmt == "json":
@@ -186,7 +187,7 @@ def order_sweep(dt, tf, out, fmt):
     """Observed vs theoretical convergence orders on the cubic oscillator."""
     try:
         table = order_sweep_rows(**_given(dt=dt, t_final=tf))
-    except ValueError as exc:  # dt / 2 not below tf
+    except ValueError as exc:  # tf not a whole number of steps dt
         raise click.UsageError(str(exc))
     _emit_rows(table, out, fmt)
     if any(row["status"] != "ok" for row in table[1]):

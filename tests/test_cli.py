@@ -70,6 +70,25 @@ class TestSolve:
                                      "local_err_est"]
         assert len([l for l in lines if not l.startswith("#")]) == 6  # header + 5 records
 
+    @pytest.mark.parametrize("step, written, absent", [
+        (["--dt", "0.01"], ["# mode=fixed", "# dt=0.01"], ["# tol=", "# safety="]),
+        (["--tol", "1e-6"], ["# mode=adaptive", "# tol=1e-06", "# safety=0.9"],
+         ["# dt="]),
+    ], ids=["fixed", "adaptive"])
+    def test_trace_csv_names_the_settings_the_run_reads(self, runner, tmp_path,
+                                                        step, written, absent):
+        # A fixed-step run never reads the controller's safety factor.
+        out = tmp_path / "trace.csv"
+        result = runner.invoke(main, [
+            "solve", "--problem", "vanderpol", "--theta", "1", "--K", "3",
+            *step, "--tf", "0.05", "--no-oracle", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        meta = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        for line in written:
+            assert line in meta
+        for start in absent:
+            assert not any(l.startswith(start) for l in meta)
+
     @pytest.mark.parametrize("args, failed", [
         (["--eta", "8", "--K", "9"],
          "the reference run at tol=5e-08 ended newton-failure at t = 60.17"),
@@ -277,15 +296,42 @@ class TestOrderSweepRows:
     @pytest.mark.parametrize("dt, t_final", [(2.0, 1.0), (0.2, 0.1)])
     def test_step_not_below_twice_t_final_refused(self, dt, t_final):
         # Both runs would take one step clipped to t_final: no order.
-        with pytest.raises(ValueError, match=r"dt / 2 = .* must be below "
-                                             r"t_final = "):
+        with pytest.raises(ValueError, match=r"t_final = .* must be a whole "
+                                             r"number of steps dt = "):
             bench.order_sweep_rows(dt=dt, t_final=t_final)
 
     def test_cli_step_not_below_twice_t_final_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["order-sweep", "--dt", "2", "--tf", "1"])
         assert result.exit_code == 2
-        assert ("dt / 2 = 1.0 must be below t_final = 1.0, or both runs take "
-                "the same single step") in result.output
+        assert ("t_final = 1.0 must be a whole number of steps dt = 2.0, or "
+                "the last step is clipped and the dt/2 run does not halve "
+                "every step") in result.output
+
+    @pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (1.5, 1.0),
+                                             (5e-324, 1.0)])
+    def test_step_not_dividing_t_final_refused(self, monkeypatch, dt, t_final):
+        # The last step of each run is clipped to t_final, so the dt/2 run
+        # does not halve every step: at dt = 0.3 the theta = 0, K = 1 cell
+        # read an order of 0.45 against 1.  Refused before any run: at
+        # dt = 5e-324 the run would take 2e323 steps.
+        def no_run(*args):
+            raise AssertionError("a refused sweep integrates nothing")
+
+        monkeypatch.setattr(bench, "integrate", no_run)
+        with pytest.raises(ValueError, match=r"must be a whole number"):
+            bench.order_sweep_rows(dt=dt, t_final=t_final)
+
+    def test_cli_step_not_dividing_t_final_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["order-sweep", "--dt", "0.3", "--tf", "1"])
+        assert result.exit_code == 2
+        assert "must be a whole number of steps dt = 0.3" in result.output
+
+    def test_whole_steps_within_the_end_window_accepted(self):
+        # 3 * 0.1 is 0.30000000000000004, within 1e-12 t_final of 0.3, as
+        # integrate's end window takes it.
+        _, (row,) = bench.order_sweep_rows(thetas=(0.5,), orders=(2,), dt=0.1,
+                                           t_final=0.3)
+        assert row["status"] == "ok" and row["observed"] is not None
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args):

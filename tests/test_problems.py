@@ -9,7 +9,8 @@ import subprocess
 import sys
 import threading
 import time
-from operator import is_, mul
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import mpmath
@@ -24,7 +25,6 @@ from ieldtm.problems import (
     PROBLEM_NAMES,
     ProblemDefinition,
     _UNROLL_LIMIT,
-    _cauchy_products,
     dahlquist,
     duffing,
     linear_system,
@@ -482,6 +482,128 @@ class TestRegistry:
         assert c[1, 0] == -3.0
 
 
+# The recurrences of the five built-in problems as written by hand before
+# they were compiled from declarations, kept verbatim with the product tuple
+# they read, as the oracles of the compiled kernels' bits.
+
+_HAND_UNROLL_LIMIT = 96
+_hand_products = ()
+
+
+def _hand_sum_product(a, b):
+    return reduce(add, map(mul, a, reversed(b)), 0.0)
+
+
+def _hand_unrolled_product(k: int):
+    terms = " + ".join(f"a[{j}] * b[{k - j}]" for j in range(k + 1))
+    namespace = {}
+    exec(f"def product(a, b):\n    return 0.0 + {terms}\n", namespace)
+    return namespace["product"]
+
+
+def _cauchy_products(depth: int) -> tuple:
+    """A tuple whose entry k maps two lists of k+1 entries to their Cauchy
+    product at index k, added to 0.0 from the left."""
+    global _hand_products
+    products = _hand_products
+    if len(products) <= depth:
+        start = len(products)
+        products = products + tuple(
+            _hand_unrolled_product(k) if k < _HAND_UNROLL_LIMIT
+            else _hand_sum_product
+            for k in range(start, depth + 1))
+        _hand_products = products
+    return products
+
+
+def _hand_dahlquist(lam):
+    def recurrence(t, table, depth):
+        x, = table
+        for k in range(depth):
+            x.append(lam * x[k] / (k + 1))
+    return recurrence
+
+
+def _hand_seir(*, beta=1.12, mu=0.55, alpha=0.14, d1=3.69, d2=3.47, d3=3.47,
+               p=1.92, N=3e6, eta=1.0, t_c=66.0):
+    r_e, r_p, r_a, r_d = 1.0 / d1, 1.0 / d2, 1.0 / d3, 1.0 / p
+    e_to_p, e_to_a = alpha / d1, (1.0 - alpha) / d1
+    inv_N = 1.0 / N
+
+    def recurrence(t, table, depth):
+        s, e, p, a, d, r = table
+        rate = (beta * eta if t >= t_c else beta) * inv_N
+        w = []
+        conv = _cauchy_products(depth)
+        for k in range(depth):
+            ek, pk, ak, dk = e[k], p[k], a[k], d[k]
+            w.append(pk + dk + mu * ak)
+            lam = rate * conv[k](s, w)
+            n = k + 1
+            s.append(-lam / n)
+            e.append((-r_e * ek + lam) / n)
+            p.append((e_to_p * ek - r_p * pk) / n)
+            a.append((e_to_a * ek - r_a * ak) / n)
+            d.append((r_p * pk - r_d * dk) / n)
+            r.append((r_a * ak + r_d * dk) / n)
+    return recurrence
+
+
+def _hand_duffing(alpha, beta, gamma):
+    def recurrence(t, table, depth):
+        x1, x2 = table
+        sq = []  # the series of x1^2
+        conv = _cauchy_products(depth)
+        for k in range(depth):
+            product = conv[k]
+            sq.append(product(x1, x1))
+            cubic = product(sq, x1)
+            x1.append(x2[k] / (k + 1))
+            x2.append((-beta * x1[k] - alpha * x2[k] - gamma * cubic) / (k + 1))
+    return recurrence
+
+
+def _hand_robertson():
+    def recurrence(t, table, depth):
+        x1, x2, x3 = table
+        decay = math.exp(-t)
+        conv = _cauchy_products(depth)
+        for k in range(depth):
+            product = conv[k]
+            q23 = product(x2, x3)
+            q22 = product(x2, x2)
+            sign = -1.0 if k % 2 else 1.0
+            if k <= 170:
+                f = decay * sign / math.factorial(k)
+            else:  # 171! exceeds the float range: take k! in log space
+                f = sign * math.exp(-t - math.lgamma(k + 1))
+            a1, a23, a22 = 0.04 * x1[k], 1e4 * q23, 3e7 * q22
+            n = k + 1
+            x1.append((a23 - a1 - 0.96 * f) / n)
+            x2.append((a1 - a23 - a22 - 0.04 * f) / n)
+            x3.append((a22 + f) / n)
+    return recurrence
+
+
+def _hand_van_der_pol(eps):
+    def recurrence(t, table, depth):
+        u, v = table
+        uu = []  # the series of U^2
+        conv = _cauchy_products(depth)
+        for k in range(depth):
+            product = conv[k]
+            uu.append(product(u, u))
+            u.append(v[k] / (k + 1))
+            v.append((-u[k] + eps * v[k] - eps * product(uu, v)) / (k + 1))
+    return recurrence
+
+
+def _hand_table(recurrence, t, state, depth):
+    table = [[x] for x in state]
+    recurrence(t, table, depth)
+    return table
+
+
 def _left_to_right(a, b):
     """sum_j a(j) b(k-j) for lists of k+1 entries, added to 0.0 one term
     at a time from j = 0."""
@@ -514,23 +636,95 @@ def _draw(rng, kind):
     return complex(part(), part()) if kind == "complex" else part()
 
 
+class TestCompiledKernelsKeepBits:
+    """Each compiled problem's table equals, by repr, the table of its
+    hand-written recurrence: through the written-out kernels, across
+    _UNROLL_LIMIT into the loop and, for Robertson, past k = 170 where k!
+    leaves the float range; from real, complex-step and special states;
+    and for SEIR on both sides of t_c."""
+
+    # (compiled problem, hand-written recurrence, expansion times, state)
+    CASES = [
+        (dahlquist(-2.0), _hand_dahlquist(-2.0), [0.0], [1.3]),
+        (duffing(), _hand_duffing(-3.0, 2.0, -2.0), [0.3], [0.5, 0.25]),
+        (duffing(1.0, -0.5, 3.0), _hand_duffing(1.0, -0.5, 3.0), [0.0],
+         [-0.9, 1.3]),
+        (robertson_modified(), _hand_robertson(), [0.0, 1.2],
+         [0.3, 2e-5, 0.7]),
+        (van_der_pol(10.0), _hand_van_der_pol(10.0), [0.0], [1.7, -0.4]),
+        (van_der_pol(1000.0), _hand_van_der_pol(1000.0), [0.0], [-2.0, 0.3]),
+        (seir(), _hand_seir(), [10.0],
+         [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4]),
+        (seir(eta=8.0), _hand_seir(eta=8.0), [65.9, 66.0, 70.0],
+         [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4]),
+    ]
+    DEPTHS = [*range(1, 13), _UNROLL_LIMIT - 1, _UNROLL_LIMIT,
+              _UNROLL_LIMIT + 1, 171, 175]
+
+    @staticmethod
+    def states(y, seed):
+        """y, its complex-step points y + ih e_j, and float and complex
+        states drawn with special entries."""
+        points = [list(y)]
+        for j in range(len(y)):
+            point = list(map(complex, y))
+            point[j] += 1e-30j
+            points.append(point)
+        rng = random.Random(seed)
+        for kind in ("float", "float", "complex", "complex"):
+            points.append([_draw(rng, kind) for _ in y])
+        points.append([rng.choice(_SPECIALS) for _ in y])
+        return points
+
+    @pytest.mark.parametrize("case", range(len(CASES)),
+                             ids=["dahlquist", "duffing", "duffing-other",
+                                  "robertson", "vdp10", "vdp1000", "seir",
+                                  "seir-eta8"])
+    def test_table_equals_hand_written(self, case):
+        problem, hand, times, y = self.CASES[case]
+        for depth in self.DEPTHS:
+            for state in self.states(y, depth):
+                for t in times:
+                    table = [[x] for x in state]
+                    problem.recurrence(t, table, depth)
+                    expected = _hand_table(hand, t, state, depth)
+                    assert repr(table) == repr(expected), (depth, t, state)
+
+
 _INDICES = [0, 1, _UNROLL_LIMIT - 1, _UNROLL_LIMIT, _UNROLL_LIMIT + 1, 3000]
 
 
+def _kernel_product(k):
+    """The Cauchy product at index k of two lists a and b of k+1 entries as
+    a compiled kernel takes it: the written-out expression below
+    _UNROLL_LIMIT, the loop's call from it on."""
+    term = problems._Product(problems._Series("a"), problems._Series("b"))
+    code = compile(term.code(k if k < _UNROLL_LIMIT else None), "<product>",
+                   "eval")
+
+    def product(a, b):
+        names = {"a": a, "b": b, "_sum_product": problems._sum_product}
+        names.update((f"a_{j}", x) for j, x in enumerate(a))
+        names.update((f"b_{j}", x) for j, x in enumerate(b))
+        return eval(code, names)
+    return product
+
+
 class TestCauchyProducts:
-    """conv[k] from _cauchy_products makes exactly the additions of a
-    left-to-right loop from 0.0 at every k, on any interpreter (so does
-    sum(map(mul, a, reversed(b))) on CPython 3.11, but not from 3.12 on);
-    entries are generated only when first asked for."""
+    """A compiled kernel takes each Cauchy product with exactly the
+    additions of a left-to-right loop from 0.0 at every k, on any
+    interpreter (so does sum(map(mul, a, reversed(b))) on CPython 3.11, but
+    not from 3.12 on); kernels are generated only when first asked for, and
+    kept."""
 
     @pytest.fixture()
     def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(problems, "_products", ())
+        monkeypatch.setattr(problems, "_kernels", {})
 
     @pytest.mark.parametrize("kind", ["float", "complex"])
     @pytest.mark.parametrize("k", _INDICES)
     def test_entry_matches_left_to_right_loop(self, k, kind):
-        product = _cauchy_products(k)[k]
+        product = _kernel_product(k)
         rng = random.Random(k)
         # Products that are all -0.0 first: they add up to 0.0 from 0.0.
         pairs = [([-0.0] * (k + 1), [1.0] * (k + 1))]
@@ -541,29 +735,46 @@ class TestCauchyProducts:
             assert _key(product(a, b)) == _key(_left_to_right(a, b))
 
     def test_depth_3000_is_cheap(self, empty_cache):
-        start = time.perf_counter()
-        conv = _cauchy_products(3000)
-        assert time.perf_counter() - start < 0.5
-        assert len(conv) == 3001
-        assert len(set(conv[_UNROLL_LIMIT:])) == 1
+        # Straight-line source grows as depth^2, so from _UNROLL_LIMIT on a
+        # kernel loops, and every depth past it shares that one kernel.
+        # CPU time: a shared machine's other load does not count.
+        for name in PROBLEM_NAMES:
+            problem = make_problem(name)
+            table = [[x] for x in problem.default_initial.tolist()]
+            start = time.process_time()
+            problem.recurrence(0.5, table, 3000)
+            assert time.process_time() - start < 2.0, name
+            assert [len(col) for col in table] == [3001] * problem.dim
+        assert ([depth for _, depth in problems._kernels]
+                == [_UNROLL_LIMIT + 1] * len(PROBLEM_NAMES))
 
     def test_extension_keeps_earlier_entries(self, empty_cache):
-        short = _cauchy_products(5)
-        longer = _cauchy_products(20)
-        assert len(short) == 6 and len(longer) == 21
-        assert all(map(is_, short, longer))
-        assert _cauchy_products(3) is longer
+        # A kernel, once generated, serves every later call at its depth
+        # for any parameter value; deeper kernels are added beside it.
+        van_der_pol(10.0).recurrence(0.0, [[2.0], [0.0]], 5)
+        shallow = dict(problems._kernels)
+        for depth in (20, 200, 300, 5):
+            van_der_pol(3.0).recurrence(0.0, [[2.0], [0.0]], depth)
+        assert all(problems._kernels[key] is kernel
+                   for key, kernel in shallow.items())
+        assert sorted(depth for _, depth in problems._kernels) == [
+            5, 20, _UNROLL_LIMIT + 1]
 
     def test_concurrent_extension(self, empty_cache):
-        # Threads extending the cache at once each get entry k right at
-        # index k, whichever tuple ends up stored.
-        returned = []  # (depth, tuple returned for it), checked below
+        # Threads generating the same kernels at once each get the
+        # hand-written recurrence's table at every depth, whichever kernel
+        # ends up stored; half of them make a new problem per call.
+        shared, y = van_der_pol(10.0), [1.7, -0.4]
+        returned = []  # (depth, table), checked below
 
         def work(seed):
-            depths = list(range(130))
+            depths = list(range(0, 130, 5))
             random.Random(seed).shuffle(depths)
             for depth in depths:
-                returned.append((depth, _cauchy_products(depth)))
+                problem = van_der_pol(10.0) if seed % 2 else shared
+                table = [[x] for x in y]
+                problem.recurrence(0.0, table, depth)
+                returned.append((depth, table))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -577,13 +788,10 @@ class TestCauchyProducts:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(returned) == 6 * 130
-        a = [1.0 + j / 7 for j in range(130)]
-        b = [2.0 - j / 11 for j in range(130)]
-        for depth, conv in returned:
-            assert len(conv) > depth
-            assert (conv[depth](a[:depth + 1], b[:depth + 1])
-                    == _left_to_right(a[:depth + 1], b[:depth + 1]))
+        assert len(returned) == 6 * len(range(0, 130, 5))
+        hand = _hand_van_der_pol(10.0)
+        for depth, table in returned:
+            assert repr(table) == repr(_hand_table(hand, 0.0, y, depth))
 
     def test_import_and_factories_generate_nothing(self):
         src = Path(ieldtm.__file__).resolve().parents[1]
@@ -591,7 +799,7 @@ class TestCauchyProducts:
                 "import numpy as np; from ieldtm import nonlinear, problems, stepper; "
                 "[problems.make_problem(name) for name in problems.PROBLEM_NAMES]; "
                 "problems.linear_system(np.eye(2)); "
-                "print(len(problems._products), len(stepper._kernels), "
+                "print(len(problems._kernels), len(stepper._kernels), "
                 "len(nonlinear._lu_kernels))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True, timeout=60)
