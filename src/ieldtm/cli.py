@@ -65,6 +65,20 @@ def _scheme_options(func):
     return func
 
 
+def _table_options(check: bool = True):
+    """The output options of a paper command: --out and --format, and
+    --check unless ``check`` is False."""
+    def decorate(func):
+        if check:
+            func = click.option("--check", is_flag=True)(func)
+        func = click.option("--format", "fmt",
+                            type=click.Choice(["csv", "json"]), default="csv",
+                            show_default=True)(func)
+        return click.option("--out", type=click.Path(dir_okay=False),
+                            default=None)(func)
+    return decorate
+
+
 def _problem_options(func):
     func = click.option("--problem", type=click.Choice(PROBLEM_NAMES),
                         default="duffing", show_default=True)(func)
@@ -180,9 +194,7 @@ def solve(problem, theta, order, dt, tol, tf, out, fmt, no_oracle, **params):
 @main.command(name="order-sweep")
 @click.option("--dt", type=_POSITIVE, default=None, show_default="the table's")
 @click.option("--tf", type=_POSITIVE, default=None, show_default="the table's")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@_table_options(check=False)
 def order_sweep(dt, tf, out, fmt):
     """Observed vs theoretical convergence orders on the cubic oscillator."""
     try:
@@ -199,10 +211,7 @@ main.add_command(order_sweep, name="table2")
 
 @main.command(name="table3")
 @click.option("--tol", type=_POSITIVE, default=None, show_default="the table's")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--check", is_flag=True)
+@_table_options()
 def table3(tol, out, fmt, check):
     """Adaptive central runs on the cubic oscillator: steps and max errors."""
     _emit_rows(table3_rows(**_given(tol=tol)), out, fmt,
@@ -210,10 +219,7 @@ def table3(tol, out, fmt, check):
 
 
 @main.command(name="table4")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--check", is_flag=True)
+@_table_options()
 def table4(out, fmt, check):
     """Fixed-step central runs on the Robertson system: max errors at t=4."""
     _emit_rows(table4_rows(), out, fmt, check_table4 if check else None)
@@ -223,10 +229,7 @@ def table4(out, fmt, check):
 @click.option("--tol", type=_POSITIVE, default=None, show_default="the table's")
 @click.option("--quick", is_flag=True,
               help="Skip the epsilon=100, T=1000 case (runs for minutes).")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--check", is_flag=True)
+@_table_options()
 def table5(tol, quick, out, fmt, check):
     """Adaptive central step counts for the Van der Pol oscillator."""
     _emit_rows(table5_rows(quick=quick, **_given(tol=tol)), out, fmt,
@@ -241,10 +244,7 @@ main.add_command(table5, name="step-count")
 @click.option("--tc", type=_FINITE, default=None,
               show_default="the seir problem's")
 @click.option("--tf", type=_POSITIVE, default=None, show_default="the table's")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--check", is_flag=True)
+@_table_options()
 def seir_sweep(tol, tc, tf, out, fmt, check):
     """Step counts of the adaptive central scheme on the epidemic system as
     stiffness grows."""

@@ -12,10 +12,10 @@ numpy call per residual, column, pivot, swap or row update costs more than
 the arithmetic it does.
 
 ``lu_solve`` runs one straight-line kernel per n, generated on first use
-(``_lu_kernel``): the general elimination written out with a local name
-per entry, so no row copy, index or loop is left, only the float
-operations, comparisons and errors of the elimination, in its order.  Per
-call on random well-conditioned systems (2-vCPU Xeon VM, CPython 3.11,
+and cached (``_lu_kernel``): the general elimination written out with a
+local name per entry, so no row copy, index or loop is left, only the
+float operations, comparisons and errors of the elimination, in its order.
+Per call on random well-conditioned systems (2-vCPU Xeon VM, CPython 3.11,
 best of 7 in each of two runs), it takes 1.7-1.9 us at n = 2, 2.2-3.2 us
 at n = 3 and 8.6-10.7 us at n = 6.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cache
 from operator import add
 
 from .errors import NewtonFailureError, SingularMatrixError
@@ -53,15 +54,11 @@ def lu_solve(A, b) -> list:
     return _lu_kernel(len(b))(A, b)
 
 
-# The LU kernel of every n generated so far, by n; see _lu_kernel.
-_lu_kernels = {}
-
-
+@cache
 def _lu_kernel(n: int):
     """The elimination of ``lu_solve`` on n x n systems as one straight-line
-    function lu(A, b), a local name per entry, generated on first use and
-    cached (replacing an entry concurrently stores an equal kernel).  Its
-    source grows as n^3; the systems here have n <= 6.
+    function lu(A, b), a local name per entry.  Its source grows as n^3;
+    the systems here have n <= 6.
 
     lu unpacks A's n rows of n entries and b's n entries, any other shape
     raising the shape ValueError, and converts each with float(), b first.
@@ -76,50 +73,47 @@ def _lu_kernel(n: int):
     products a_ij x_j, j > i, added from the left with ``+``: no BLAS dot,
     whose kernel may fuse multiply-adds depending on the CPU.
     """
-    kernel = _lu_kernels.get(n)
-    if kernel is None:
-        N, join = range(n), ", ".join
-        a = [[f"a{i}_{j}" for j in N] for i in N]
-        e = [[f"e{i}_{j}" for j in N] for i in N]
-        lines = ["def lu(A, b):", "    try:",
-                 f"        [{join(f'[{join(row)}]' for row in a)}] = A",
-                 f"        [{join(f'b{i}' for i in N)}] = b",
-                 "    except (TypeError, ValueError):",
-                 "        raise ValueError(_SHAPE_MESSAGE) from None"]
-        lines += [f"    b{i} = float(b{i})" for i in N]
-        lines += [f"    {v} = float({v})" for row in a for v in row]
-        lines += [f"    {e[i][j]} = abs({a[i][j]})" for i in N for j in N]
-        for j in N:
-            lines.append(f"    c{j} = {e[0][j]}")
-            lines += [f"    if {e[i][j]} > c{j}: c{j} = {e[i][j]}" for i in N[1:]]
-            lines.append(f"    c{j} = c{j} or 1.0")
-        for i in N:
-            terms = [f"{e[i][j]} / c{j}" for j in N]
-            lines.append(f"    s{i} = {' + '.join(terms)}")
-        for c in N:
-            lines += [f"    q = abs(a{c}_{c})", f"    p = {c}"]
-            for i in range(c + 1, n):
-                lines += [f"    m = abs(a{i}_{c})", f"    if m > q: q, p = m, {i}"]
-            for i in range(c + 1, n):
-                row_c, row_i = (a[k][c:] + [f"b{k}", f"s{k}"] for k in (c, i))
-                lines += [f"    if p == {i}:",
-                          f"        {join(row_c + row_i)} = {join(row_i + row_c)}"]
-            lines += [f"    if q <= _PIVOT_REL_TOL * s{c} * c{c}:",
-                      "        raise SingularMatrixError("
-                      f"'pivot underflow in column {c}')"]
-            for i in range(c + 1, n):
-                lines.append(f"    f = a{i}_{c} / a{c}_{c}")
-                lines += [f"    a{i}_{j} -= f * a{c}_{j}" for j in range(c + 1, n)]
-                lines.append(f"    b{i} -= f * b{c}")
-        for i in reversed(N):
-            products = " + ".join(f"a{i}_{j} * x{j}" for j in range(i + 1, n))
-            s = f"(b{i} - ({products}))" if products else f"b{i}"
-            lines.append(f"    x{i} = {s} / a{i}_{i}")
-        lines.append(f"    return [{join(f'x{i}' for i in N)}]")
-        namespace = {}
-        exec("\n".join(lines) + "\n", globals(), namespace)
-        kernel = _lu_kernels[n] = namespace["lu"]
-    return kernel
+    N, join = range(n), ", ".join
+    a = [[f"a{i}_{j}" for j in N] for i in N]
+    e = [[f"e{i}_{j}" for j in N] for i in N]
+    lines = ["def lu(A, b):", "    try:",
+             f"        [{join(f'[{join(row)}]' for row in a)}] = A",
+             f"        [{join(f'b{i}' for i in N)}] = b",
+             "    except (TypeError, ValueError):",
+             "        raise ValueError(_SHAPE_MESSAGE) from None"]
+    lines += [f"    b{i} = float(b{i})" for i in N]
+    lines += [f"    {v} = float({v})" for row in a for v in row]
+    lines += [f"    {e[i][j]} = abs({a[i][j]})" for i in N for j in N]
+    for j in N:
+        lines.append(f"    c{j} = {e[0][j]}")
+        lines += [f"    if {e[i][j]} > c{j}: c{j} = {e[i][j]}" for i in N[1:]]
+        lines.append(f"    c{j} = c{j} or 1.0")
+    for i in N:
+        terms = [f"{e[i][j]} / c{j}" for j in N]
+        lines.append(f"    s{i} = {' + '.join(terms)}")
+    for c in N:
+        lines += [f"    q = abs(a{c}_{c})", f"    p = {c}"]
+        for i in range(c + 1, n):
+            lines += [f"    m = abs(a{i}_{c})", f"    if m > q: q, p = m, {i}"]
+        for i in range(c + 1, n):
+            row_c, row_i = (a[k][c:] + [f"b{k}", f"s{k}"] for k in (c, i))
+            lines += [f"    if p == {i}:",
+                      f"        {join(row_c + row_i)} = {join(row_i + row_c)}"]
+        lines += [f"    if q <= _PIVOT_REL_TOL * s{c} * c{c}:",
+                  "        raise SingularMatrixError("
+                  f"'pivot underflow in column {c}')"]
+        for i in range(c + 1, n):
+            lines.append(f"    f = a{i}_{c} / a{c}_{c}")
+            lines += [f"    a{i}_{j} -= f * a{c}_{j}" for j in range(c + 1, n)]
+            lines.append(f"    b{i} -= f * b{c}")
+    for i in reversed(N):
+        products = " + ".join(f"a{i}_{j} * x{j}" for j in range(i + 1, n))
+        s = f"(b{i} - ({products}))" if products else f"b{i}"
+        lines.append(f"    x{i} = {s} / a{i}_{i}")
+    lines.append(f"    return [{join(f'x{i}' for i in N)}]")
+    namespace = {}
+    exec("\n".join(lines) + "\n", globals(), namespace)
+    return namespace["lu"]
 
 
 def _perturbed(residual, y: list, j: int) -> list:

@@ -1,9 +1,10 @@
 """Built-in ODE systems expressed as Taylor-coefficient recurrences.
 
 A coefficient table is the ``dim`` state series of one state expanded about
-``t_i`` (its layout is in ``stepper.build_coeff_table``).  Each problem
-supplies a ``recurrence(t_i, table, depth)`` that is handed ``dim`` lists,
-each holding X(0), appends X(1), ..., X(depth) to each, and returns nothing.
+``t_i`` (its layout is in ``stepper.build_coeff_table``), ``dim`` being the
+length of the problem's initial state.  Each problem supplies a
+``recurrence(t_i, table, depth)`` that is handed ``dim`` lists, each
+holding X(0), appends X(1), ..., X(depth) to each, and returns nothing.
 This is the one public contract: any user ODE can be added by writing such a
 recurrence, and the stepper calls built-in and user recurrences alike.  At
 index k each state list holds exactly k+1 entries until the recurrence
@@ -21,16 +22,17 @@ term), a constant or parameter, a t-dependent scalar computed once per call
 differences, negations and products of these.  A product of two series is
 their Cauchy product, sum_j a(j) b(k-j), and both must be state or named
 series.  ``_compiled(rhs, **params)`` turns the declaration into the
-problem's recurrence.  The first call at each depth generates, and caches,
-one straight-line kernel for that depth, with one local name per
-coefficient: X(k+1) = (x'(k)) / (k+1) written out index by index.  Nothing
-is generated at import or when a factory is called.  A kernel's source
-grows as depth^2, so from index ``_UNROLL_LIMIT`` on a kernel runs a loop
-over lists whose products are ``_sum_product``; every depth past the limit
-shares that one kernel, and a table's cost then grows as depth^2 like the
+problem's recurrence.  The first call at each depth generates one
+straight-line kernel for that depth, with one local name per coefficient:
+X(k+1) = (x'(k)) / (k+1) written out index by index.  Nothing is generated
+at import or when a factory is called.  A kernel's source grows as
+depth^2, so from index ``_UNROLL_LIMIT`` on a kernel runs a loop over lists
+whose products are ``_sum_product``; every depth past the limit shares
+that one kernel, and a table's cost then grows as depth^2 like the
 products themselves.  Generating a kernel takes 0.4-2 ms at depths up to
-12 and 20-40 ms at depth 96 (CPython 3.11, 2-vCPU Xeon VM); it is done
-once per declaration and depth, and shared by every parameter value.
+12 and 20-40 ms at depth 96 (CPython 3.11, 2-vCPU Xeon VM); ``_generate``
+is cached (``functools.cache``), so it is done once per declaration and
+depth and shared by every parameter value.
 
 The kernels keep the operation order of the recurrences once written by
 hand, so a table keeps its bits.  A Cauchy product adds a(0) b(k), ...,
@@ -52,8 +54,8 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from functools import reduce
-from numbers import Integral, Real
+from functools import cache, reduce
+from numbers import Real
 from operator import add, mul
 from typing import Callable, Optional
 
@@ -83,17 +85,17 @@ class ProblemDefinition:
     """
 
     name: str
-    dim: int
     recurrence: Recurrence
     default_initial: np.ndarray
     exact_solution: Optional[Callable[[float], np.ndarray]] = None
     discontinuities: tuple = ()
 
+    @property
+    def dim(self) -> int:
+        """The number of state components, the initial state's length."""
+        return len(self.default_initial)
+
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, Integral):
-            raise ValueError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
         # A nan would never clip a step: every comparison with it is false.
         for t_d in self.discontinuities:
             if (isinstance(t_d, bool) or not isinstance(t_d, Real)
@@ -101,8 +103,8 @@ class ProblemDefinition:
                 raise ValueError(
                     f"discontinuities must be finite real numbers, got {t_d!r}")
         init = np.asarray(self.default_initial, dtype=float)
-        if init.shape != (self.dim,):
-            raise ValueError("default_initial must have length dim")
+        if init.ndim != 1 or init.size == 0:
+            raise ValueError("default_initial must be a non-empty 1-D sequence")
         object.__setattr__(self, "default_initial", init)
 
 
@@ -114,10 +116,6 @@ class ProblemDefinition:
 # twice sum()'s time (9.5 against 4.9 us on float products at k = 120), a
 # cost only orders above 95 pay.  The straight-line source grows as k^2.
 _UNROLL_LIMIT = 96
-# The kernel factory of each (declaration, depth) generated so far; every
-# depth past _UNROLL_LIMIT shares the key _UNROLL_LIMIT + 1.  Replacing an
-# entry concurrently stores an equal factory.
-_kernels = {}
 
 
 def _sum_product(a, b):
@@ -253,12 +251,14 @@ def _collect(term: _Term, named: list, preludes: list) -> None:
         named.append(term)
 
 
+@cache
 def _generate(rhs, depth: int):
     """The kernel factory of the declaration ``rhs`` at ``depth``:
     ``bind(**params)`` returns ``kernel(t, table, depth)``, which appends
     X(1), ..., X(depth) to the table's lists.  Through index
     min(depth, _UNROLL_LIMIT) it is straight-line; a deeper kernel then
-    loops to its ``depth`` argument over lists."""
+    loops to its ``depth`` argument over lists, so every depth past the
+    limit is asked for as _UNROLL_LIMIT + 1."""
     parameters = inspect.signature(rhs).parameters.values()
     states = [_Series(p.name) for p in parameters
               if p.kind is p.POSITIONAL_OR_KEYWORD]
@@ -302,20 +302,15 @@ def _generate(rhs, depth: int):
 
 def _compiled(rhs, **params) -> Recurrence:
     """The recurrence of the declared right-hand side ``rhs`` with its
-    parameters bound to ``params``.  Its first call at each depth takes the
-    kernel of (rhs, depth) from the cache, generating it if no problem has
-    used it yet, and binds it to ``params``."""
-    bound = {}  # depth -> kernel
+    parameters bound to ``params``.  Its first call at each depth binds the
+    kernel factory of (rhs, depth) to ``params``, once."""
+
+    @cache
+    def kernel(depth):
+        return _generate(rhs, min(depth, _UNROLL_LIMIT + 1))(**params)
 
     def recurrence(t, table, depth):
-        kernel = bound.get(depth)
-        if kernel is None:
-            key = (rhs, min(depth, _UNROLL_LIMIT + 1))
-            bind = _kernels.get(key)
-            if bind is None:
-                bind = _kernels[key] = _generate(rhs, depth)
-            kernel = bound[depth] = bind(**params)
-        kernel(t, table, depth)
+        kernel(depth)(t, table, depth)
 
     return recurrence
 
@@ -351,7 +346,6 @@ def dahlquist(lam: float = -1.0, x0: float = 1.0) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="dahlquist",
-        dim=1,
         recurrence=_compiled(_dahlquist_rhs, lam=lam),
         default_initial=np.array([x0]),
         exact_solution=exact,
@@ -370,8 +364,11 @@ def linear_system(A, forcing=None, name: str = "linear",
     if not np.isfinite(A).all():
         raise ValueError("A must be finite")
     m = A.shape[0]
-    if default_initial is None:
-        default_initial = np.ones(m)
+    default_initial = (np.ones(m) if default_initial is None
+                       else np.asarray(default_initial, dtype=float))
+    if default_initial.shape != (m,):
+        raise ValueError(f"default_initial must have {m} entries, one per "
+                         "row of A")
     rows = A.tolist()
     if forcing is None:
         zeros = [0.0] * m
@@ -388,9 +385,8 @@ def linear_system(A, forcing=None, name: str = "linear",
 
     return ProblemDefinition(
         name=name,
-        dim=m,
         recurrence=recurrence,
-        default_initial=np.asarray(default_initial, dtype=float),
+        default_initial=default_initial,
         exact_solution=exact_solution,
     )
 
@@ -436,7 +432,6 @@ def seir(*, beta: float = 1.12, mu: float = 0.55, alpha: float = 0.14,
     initial = np.array([N - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     return ProblemDefinition(
         name="seir",
-        dim=6,
         recurrence=recurrence,
         default_initial=initial,
         discontinuities=disc,
@@ -468,7 +463,6 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
 
     return ProblemDefinition(
         name="duffing",
-        dim=2,
         recurrence=recurrence,
         default_initial=np.array([0.5, 0.25]),
         exact_solution=exact,
@@ -477,15 +471,14 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
 
 def _decay(k) -> str:
     """The source of e^(-t)'s coefficient at index k about t,
-    e^(-t) (-1)^k / k!, with decay = e^(-t); past k = 170, k! exceeds the
-    float range and is taken in log space."""
+    e^(-t) (-1)^k / k!, with decay = e^(-t).  Past k = 170, k! exceeds the
+    float range and the loop (k None) takes it in log space; written-out
+    indices stop below _UNROLL_LIMIT."""
     if k is None:
         return ("(decay * (-1.0 if k % 2 else 1.0) / factorial(k) if k <= 170"
                 " else (-1.0 if k % 2 else 1.0) * exp(-t - lgamma(k + 1)))")
     sign = "-1.0" if k % 2 else "1.0"
-    if k <= 170:
-        return f"decay * {sign} / {math.factorial(k)}"
-    return f"{sign} * exp(-t - {math.lgamma(k + 1)!r})"
+    return f"decay * {sign} / {math.factorial(k)}"
 
 
 def _robertson_rhs(x1, x2, x3):
@@ -510,7 +503,6 @@ def robertson_modified() -> ProblemDefinition:
 
     return ProblemDefinition(
         name="robertson",
-        dim=3,
         recurrence=_compiled(_robertson_rhs),
         default_initial=np.array([1.0, 0.0, 0.0]),
         exact_solution=exact,
@@ -528,7 +520,6 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     eps, = _finite(epsilon=epsilon)
     return ProblemDefinition(
         name="vanderpol",
-        dim=2,
         recurrence=_compiled(_van_der_pol_rhs, eps=eps),
         default_initial=np.array([2.0, 0.0]),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from numbers import Integral
 from typing import List, Union
@@ -102,11 +103,10 @@ class SolutionTrace:
 
     ``times``, ``states`` and ``final_state`` are built from the columns on
     each access, as fresh arrays: a trace shares no array with its problem
-    or its caller.
+    or its caller.  It keeps no copy of its inputs: the caller holds the
+    problem and the configuration it ran.
     """
 
-    problem_name: str
-    config: SchemeConfig
     node_times: List[float]
     node_states: List[list]  # lists of floats
     dts_used: List[float]
@@ -179,29 +179,21 @@ def _check_finite(table, t_i, depth: int) -> None:
             f"non-finite Taylor coefficient at t = {t_i!r}")
 
 
-# The Horner kernel of every order generated so far, by order; see _horner.
-_kernels = {}
-
-
+@cache
 def _horner(order: int):
     """The Horner kernel of ``order``: h(col, s) takes a = col[order], then
     a = a * s + col[k] for k = order-1, ..., 0, and returns a, the series
     through ``order`` at s in the type of its inputs.
 
     The kernel is written out one statement per k (a nested expression
-    would pass CPython's limit of 200 nested parentheses at order 200).  It
-    is generated on first use and cached; replacing an entry concurrently
-    stores an equal kernel.
+    would pass CPython's limit of 200 nested parentheses at order 200).
     """
-    kernel = _kernels.get(order)
-    if kernel is None:
-        lines = [f"    a = col[{order}]\n"]
-        lines += [f"    a = a * s + col[{k}]\n" for k in range(order - 1, -1, -1)]
-        namespace = {}
-        exec("def horner(col, s):\n" + "".join(lines) + "    return a\n",
-             namespace)
-        kernel = _kernels[order] = namespace["horner"]
-    return kernel
+    lines = [f"    a = col[{order}]\n"]
+    lines += [f"    a = a * s + col[{k}]\n" for k in range(order - 1, -1, -1)]
+    namespace = {}
+    exec("def horner(col, s):\n" + "".join(lines) + "    return a\n",
+         namespace)
+    return namespace["horner"]
 
 
 def _residual_function(problem, t_next, known_value, theta, order, dt,
@@ -411,5 +403,5 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
         except tuple(_FAILURE_STATUS) as exc:
             status = _FAILURE_STATUS[type(exc)]
             failure = _failure_context(t, dt, exc)
-    return SolutionTrace(problem.name, config, times, states, dts, iterations,
-                         estimates, status, failure)
+    return SolutionTrace(times, states, dts, iterations, estimates, status,
+                         failure)

@@ -1,6 +1,8 @@
 """Fixtures shared across test modules."""
 
 import inspect
+import sys
+import threading
 
 import pytest
 
@@ -29,3 +31,25 @@ class RowCache:
 @pytest.fixture(scope="session")
 def paper_rows():
     return RowCache()
+
+
+@pytest.fixture()
+def run_threads():
+    """``run_threads(work)`` calls ``work(seed)`` for seeds 0-5, each in its
+    own thread, all at once and switching every microsecond, so that their
+    first calls of a cached kernel generator overlap; every thread must end
+    within 60 s."""
+    def run(work):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    return run

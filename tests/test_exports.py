@@ -1,7 +1,8 @@
 """The package imports, MODULES lists exactly its modules with an __all__,
 and every name in a module's __all__ exists, so a deleted module or function
-cannot stay listed; the settable solver values and the problem fields are
-pinned, and every problem option of the CLI names a factory parameter."""
+cannot stay listed; the settable solver values and the problem and trace
+fields are pinned, and every problem option of the CLI names a factory
+parameter."""
 
 import dataclasses
 import importlib
@@ -12,7 +13,7 @@ import click
 
 from ieldtm.cli import _problem_options
 from ieldtm.problems import _FACTORIES, ProblemDefinition
-from ieldtm.stepper import AdaptiveStep, FixedStep, SchemeConfig
+from ieldtm.stepper import AdaptiveStep, FixedStep, SchemeConfig, SolutionTrace
 
 MODULES = ("problems", "nonlinear", "stepper", "stability", "bench")
 
@@ -46,10 +47,19 @@ def test_config_fields_pinned():
 
 
 def test_problem_fields_pinned():
-    # A table is the dim state series, so a problem declares no other list.
+    # A table is the dim state series, so a problem declares no other list;
+    # dim is the initial state's length, not a field to keep in step.
     assert [f.name for f in dataclasses.fields(ProblemDefinition)] == [
-        "name", "dim", "recurrence", "default_initial", "exact_solution",
+        "name", "recurrence", "default_initial", "exact_solution",
         "discontinuities"]
+
+
+def test_trace_fields_pinned():
+    # A trace holds the run's output only: the caller keeps the problem and
+    # the configuration it passed to integrate.
+    assert [f.name for f in dataclasses.fields(SolutionTrace)] == [
+        "node_times", "node_states", "dts_used", "newton_iters",
+        "error_estimates", "status", "failure"]
 
 
 def test_problem_options_name_factory_parameters():

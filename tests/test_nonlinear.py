@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from functools import reduce
 from itertools import combinations
 from operator import add
@@ -486,10 +487,33 @@ class TestLuKernel:
     def test_one_kernel_per_n(self):
         # Generated once per n and cached: a later system of that size
         # runs the same function.
+        nonlinear._lu_kernel.cache_clear()
         lu_solve(np.eye(4), np.ones(4))
-        kernel = nonlinear._lu_kernels[4]
+        kernel = nonlinear._lu_kernel(4)
         lu_solve(np.diag([2.0, 3.0, 4.0, 5.0]), np.ones(4))
         assert nonlinear._lu_kernel(4) is kernel
+        assert nonlinear._lu_kernel.cache_info().misses == 1
+
+    def test_concurrent_first_calls(self, run_threads):
+        # Threads asking for the same kernels at once each solve their
+        # systems with the loop's bits, whichever equal kernel is stored.
+        nonlinear._lu_kernel.cache_clear()
+        rng = np.random.default_rng(3)
+        systems = [(rng.normal(size=(n, n)).tolist(), rng.normal(size=n).tolist())
+                   for n in range(1, 7)]
+        returned = []  # (system index, outcome), checked below
+
+        def work(seed):
+            order = list(range(len(systems)))
+            random.Random(seed).shuffle(order)
+            for i in order:
+                returned.append((i, outcome(lu_solve, *systems[i])))
+
+        run_threads(work)
+        assert len(returned) == 6 * len(systems)
+        for i, result in returned:
+            assert result == general(*systems[i])
+        assert nonlinear._lu_kernel.cache_info().currsize == len(systems)
 
 
 class TestNewtonSolve:

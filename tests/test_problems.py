@@ -7,7 +7,6 @@ import random
 import struct
 import subprocess
 import sys
-import threading
 import time
 from functools import reduce
 from operator import add, mul
@@ -718,8 +717,8 @@ class TestCauchyProducts:
     kept."""
 
     @pytest.fixture()
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(problems, "_kernels", {})
+    def empty_cache(self):
+        problems._generate.cache_clear()
 
     @pytest.mark.parametrize("kind", ["float", "complex"])
     @pytest.mark.parametrize("k", _INDICES)
@@ -745,22 +744,22 @@ class TestCauchyProducts:
             problem.recurrence(0.5, table, 3000)
             assert time.process_time() - start < 2.0, name
             assert [len(col) for col in table] == [3001] * problem.dim
-        assert ([depth for _, depth in problems._kernels]
-                == [_UNROLL_LIMIT + 1] * len(PROBLEM_NAMES))
+        assert problems._generate.cache_info().currsize == len(PROBLEM_NAMES)
 
     def test_extension_keeps_earlier_entries(self, empty_cache):
         # A kernel, once generated, serves every later call at its depth
         # for any parameter value; deeper kernels are added beside it.
         van_der_pol(10.0).recurrence(0.0, [[2.0], [0.0]], 5)
-        shallow = dict(problems._kernels)
+        shallow = problems._generate(problems._van_der_pol_rhs, 5)
         for depth in (20, 200, 300, 5):
             van_der_pol(3.0).recurrence(0.0, [[2.0], [0.0]], depth)
-        assert all(problems._kernels[key] is kernel
-                   for key, kernel in shallow.items())
-        assert sorted(depth for _, depth in problems._kernels) == [
-            5, 20, _UNROLL_LIMIT + 1]
+        assert problems._generate(problems._van_der_pol_rhs, 5) is shallow
+        # Generated: depths 5, 20 and the one kernel past the limit, which
+        # depths 200 and 300 share.
+        problems._generate(problems._van_der_pol_rhs, _UNROLL_LIMIT + 1)
+        assert problems._generate.cache_info().misses == 3
 
-    def test_concurrent_extension(self, empty_cache):
+    def test_concurrent_extension(self, empty_cache, run_threads):
         # Threads generating the same kernels at once each get the
         # hand-written recurrence's table at every depth, whichever kernel
         # ends up stored; half of them make a new problem per call.
@@ -776,18 +775,7 @@ class TestCauchyProducts:
                 problem.recurrence(0.0, table, depth)
                 returned.append((depth, table))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(seed,))
-                       for seed in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_threads(work)
         assert len(returned) == 6 * len(range(0, 130, 5))
         hand = _hand_van_der_pol(10.0)
         for depth, table in returned:
@@ -799,20 +787,36 @@ class TestCauchyProducts:
                 "import numpy as np; from ieldtm import nonlinear, problems, stepper; "
                 "[problems.make_problem(name) for name in problems.PROBLEM_NAMES]; "
                 "problems.linear_system(np.eye(2)); "
-                "print(len(problems._kernels), len(stepper._kernels), "
-                "len(nonlinear._lu_kernels))")
+                "print(*(f.cache_info().currsize for f in (problems._generate, "
+                "stepper._horner, nonlinear._lu_kernel)))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip() == "0 0 0"
 
 
 class TestProblemDefinition:
-    @pytest.mark.parametrize("field,value", [("dim", 1.0), ("dim", True)])
-    def test_non_integral_sizes_refused(self, field, value):
-        args = {"name": "x", "dim": 1, "recurrence": lambda t, table, depth: None,
-                "default_initial": [1.0], field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            ProblemDefinition(**args)
+    def test_size_is_the_initial_state_length(self):
+        prob = ProblemDefinition(name="x", recurrence=lambda t, table, depth: None,
+                                 default_initial=[1.0, 2.0, 3.0])
+        assert prob.dim == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.dim = 2
+
+    @pytest.mark.parametrize("initial", [[], [[1.0]], 1.0],
+                             ids=["empty", "2-D", "scalar"])
+    def test_initial_state_not_a_nonempty_sequence_refused(self, initial):
+        with pytest.raises(ValueError, match="default_initial must be a "
+                                             "non-empty 1-D sequence"):
+            ProblemDefinition(name="x", recurrence=lambda t, table, depth: None,
+                              default_initial=initial)
+
+    @pytest.mark.parametrize("initial", [[1, 2, 3], [1.0]],
+                             ids=["longer", "shorter"])
+    def test_linear_system_refuses_another_initial_length(self, initial):
+        # zip would silently drop the extra component, or the missing row.
+        with pytest.raises(ValueError, match="default_initial must have 2 "
+                                             "entries, one per row of A"):
+            linear_system(np.eye(2), default_initial=initial)
 
     @pytest.mark.parametrize("t_d", [math.nan, math.inf, -math.inf, "x", 1j,
                                      True, None],

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import random
 from collections import namedtuple
 from operator import mul
 
@@ -69,7 +70,7 @@ def quadratic_blowup():
         for k in range(depth):
             x.append(sum(map(mul, x, reversed(x))) / (k + 1))
 
-    return ProblemDefinition(name="quadratic", dim=1, recurrence=recurrence,
+    return ProblemDefinition(name="quadratic", recurrence=recurrence,
                              default_initial=np.array([1.0]))
 
 
@@ -192,8 +193,35 @@ class TestHornerKernelBits:
             assert repr([kernel(col, offset) for col in table]) == expected
 
     def test_kernel_generated_once_per_order(self):
+        stepper._horner.cache_clear()
         assert stepper._horner(7) is stepper._horner(7)
         assert stepper._horner(7) is not stepper._horner(8)
+        info = stepper._horner.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_concurrent_first_calls(self, run_threads):
+        # Threads asking for the same kernels at once each get a kernel
+        # with the loop's bits, whichever of the equal kernels is stored.
+        stepper._horner.cache_clear()
+        rng = np.random.default_rng(5)
+        columns = {order: kernel_columns(order, rng)[0] for order in range(13)}
+        returned = []  # (order, offset, value), checked below
+
+        def work(seed):
+            orders = list(range(13))
+            random.Random(seed).shuffle(orders)
+            for order in orders:
+                for offset in (0.7, -1.3):
+                    kernel = stepper._horner(order)
+                    returned.append((order, offset,
+                                     kernel(columns[order], offset)))
+
+        run_threads(work)
+        assert len(returned) == 6 * 13 * 2
+        for order, offset, value in returned:
+            expected = horner_loop([columns[order]], offset, order)[0]
+            assert repr(value) == repr(expected)
+        assert stepper._horner.cache_info().currsize == 13
 
 
 class TestResidualFunctionBits:
@@ -381,8 +409,8 @@ def oracle_integrate(problem, config, t_final):
         except tuple(stepper._FAILURE_STATUS) as exc:
             status = stepper._FAILURE_STATUS[type(exc)]
             failure = stepper._failure_context(t, dt, exc)
-    return stepper.SolutionTrace(problem.name, config, times, states, dts,
-                                 iterations, estimates, status, failure)
+    return stepper.SolutionTrace(times, states, dts, iterations, estimates,
+                                 status, failure)
 
 
 # tol = 10^-(K+2), at most 1e-8, keeps every run within 1 200 steps.
