@@ -32,7 +32,7 @@ from .errors import NewtonFailureError, SingularMatrixError
 __all__ = ["newton_solve", "lu_solve"]
 
 _PIVOT_REL_TOL = 1e-14
-_COMPLEX_STEP = 1e-30  # nothing is subtracted, so it can be far below 1
+_COMPLEX_STEP = 2.0 ** -100  # a power of two: scaling by it is exact
 _MAX_HALVINGS = 8  # of the Newton update while the residual grows
 _ABS_TOL = 1e-12  # residual inf-norm threshold
 _STEP_TOL = 1e-13  # update inf-norm threshold, relative to the state scale
