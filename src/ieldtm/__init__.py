@@ -11,7 +11,6 @@ from .errors import (
     PoleError,
     SingularMatrixError,
 )
-from .nonlinear import lu_solve, newton_solve
 from .problems import (
     ProblemDefinition,
     dahlquist,

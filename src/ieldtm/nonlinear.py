@@ -1,15 +1,16 @@
-"""Dense Newton solver with complex-step Jacobian and partial-pivot LU.
+"""Dense Newton solver with partial-pivot LU.
 
 Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
-and factored densely.  It is the complex-step derivative, exact to rounding:
-column j comes from one residual call at the iterate perturbed by ih along
-e_j, so each iteration's Jacobian costs m complex residual calls and the
-residual must be complex-analytic.  The real part of such a call is the
-residual at the iterate itself, so the first residual comes from the first
-iteration's column 0: no real call precedes the first update.  Points,
-residuals, the Jacobian and the LU are Python lists of floats: at m <= 6 a
-numpy call per residual, column, pivot, swap or row update costs more than
-the arithmetic it does.
+and factored densely.  The caller hands Newton a ``linearize(y)`` that
+returns the residual and its exact Jacobian in one call: for a declared
+problem it is the problem's generated tangent kernel
+(``problems._generate_tangent``).  Without one, Newton takes the complex
+step of the residual (``_complex_step``): column j comes from one residual
+call at the iterate perturbed by ih along e_j, so each Jacobian costs m
+complex residual calls, and the residual must then be complex-analytic.
+Points, residuals, the Jacobian and the LU are Python lists of floats: at
+m <= 6 a numpy call per residual, column, pivot, swap or row update costs
+more than the arithmetic it does.
 
 ``lu_solve`` runs one straight-line kernel per n, generated on first use
 and cached (``_lu_kernel``): the general elimination written out with a
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache
+from functools import cache, partial
 from operator import add
 
 from .errors import NewtonFailureError, SingularMatrixError
@@ -116,22 +117,22 @@ def _lu_kernel(n: int):
     return namespace["lu"]
 
 
-def _perturbed(residual, y: list, j: int) -> list:
-    """residual(y + ih e_j) at the real point y, as complex values."""
-    point = list(map(complex, y))
-    point[j] += 1j * _COMPLEX_STEP
-    return residual(point)
-
-
-def _jacobian(residual, y: list, first=None) -> list:
-    """The exact Jacobian of residual at the real point y, as a list of
-    rows: column j is Im residual(y + ih e_j) / h, to rounding (Squire &
-    Trapp, SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003).
-    ``first``, when given, is residual(y + ih e_0), already evaluated."""
-    values = [first if first is not None else _perturbed(residual, y, 0)]
-    values += [_perturbed(residual, y, j) for j in range(1, len(y))]
-    return [[col[i].imag / _COMPLEX_STEP for col in values]
-            for i in range(len(y))]
+def _complex_step(residual, y: list):
+    """(r, J) of residual at the real point y by the complex step: column j
+    of J is Im residual(y + ih e_j) / h, exact to rounding (Squire & Trapp,
+    SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003), and r is the
+    real part of column 0's call, which equals residual(y) bit for bit: an
+    imaginary-by-imaginary product term is about h^2 = 2^-200 relative to
+    its real-by-real term, far below half an ulp.  m complex calls, and
+    residual must be complex-analytic."""
+    columns = []
+    for j in range(len(y)):
+        point = list(map(complex, y))
+        point[j] += 1j * _COMPLEX_STEP
+        columns.append(residual(point))
+    return ([v.real for v in columns[0]],
+            [[col[i].imag / _COMPLEX_STEP for col in columns]
+             for i in range(len(y))])
 
 
 def _inf_norm(v: list) -> float:
@@ -142,17 +143,16 @@ def _inf_norm(v: list) -> float:
     return max(map(abs, v))
 
 
-def newton_solve(residual, guess):
+def newton_solve(residual, guess, linearize=None):
     """Root-find residual(y) = 0 starting from guess.
 
-    ``residual`` maps a list of n floats to the list of its n residuals, and
-    a list of complex numbers (a Jacobian column's point) to complex values.
-
-    The first residual is the real part of residual(guess + ih e_0), which
-    equals residual(guess) bit for bit: an imaginary-by-imaginary product
-    term is about h^2 = 1e-60 relative to its real-by-real term, far below
-    half an ulp.  That call's imaginary part is column 0 of the first
-    Jacobian, so no real call precedes the first LU solve.
+    ``residual`` maps a list of n floats to the list of its n residuals.
+    ``linearize(y)`` returns (residual(y), its Jacobian as a list of rows)
+    in one call; by default it is the complex step of residual
+    (``_complex_step``), for which residual must also map a list of complex
+    numbers to complex values.  Each iteration's Jacobian is taken at the
+    iterate by one linearize call, the first one's residual included; the
+    residual after each update comes from a real residual call.
 
     Returns (root as a list, iterations).  Converges when the residual
     inf-norm drops below _ABS_TOL or the update inf-norm drops below
@@ -161,9 +161,10 @@ def newton_solve(residual, guess):
     An infinite iterate raises NewtonFailureError, as does a singular
     Jacobian after the first iteration, where it raises SingularMatrixError.
     """
+    if linearize is None:
+        linearize = partial(_complex_step, residual)
     y = list(map(float, guess))
-    first = _perturbed(residual, y, 0)
-    r = [v.real for v in first]
+    r, J = linearize(y)
     # Accept at _ABS_TOL only once quadratic progress has stalled: while the
     # residual is still collapsing by orders of magnitude per step, one more
     # (cheap) iteration buys the round-off floor instead of an O(_ABS_TOL)
@@ -177,14 +178,15 @@ def newton_solve(residual, guess):
         if r_norm <= _ABS_TOL and r_norm > 0.25 * prev_norm:
             return y, it - 1
         prev_norm = r_norm
+        if J is None:  # the iterate has moved since the last linearize call
+            J = linearize(y)[1]
         try:
-            delta = lu_solve(_jacobian(residual, y, first), [-v for v in r])
+            delta = lu_solve(J, [-v for v in r])
         except SingularMatrixError as exc:
             if it == 1:
                 raise
             raise NewtonFailureError(
                 f"singular Jacobian at iteration {it} ({exc})") from exc
-        first = None
         alpha = 1.0
         y_new = list(map(add, y, delta))
         r_new = residual(y_new)
@@ -198,7 +200,7 @@ def newton_solve(residual, guess):
             y_new = [a + alpha * d for a, d in zip(y, delta)]
             r_new = residual(y_new)
             new_norm = _inf_norm(r_new)
-        y, r, r_norm = y_new, r_new, new_norm
+        y, r, r_norm, J = y_new, r_new, new_norm, None
         scale = max(1.0, max(map(abs, y)))
         if scale == math.inf:  # else inf <= inf would accept it as a root
             raise NewtonFailureError(f"non-finite iterate at iteration {it}")

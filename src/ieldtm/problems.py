@@ -34,6 +34,17 @@ products themselves.  Generating a kernel takes 0.4-2 ms at depths up to
 is cached (``functools.cache``), so it is done once per declaration and
 depth and shared by every parameter value.
 
+The recurrence also carries ``tangent(order)``, the declaration's tangent
+kernel at that order (``_generate_tangent``): one straight-line call
+``kernel(t, offset, known, y)`` that expands the state y through X(order)
+together with its tangents dX(k)/dy_j (the variational equations in Taylor
+form, as in Jorba & Zou's ``taylor`` and in TIDES) and returns the implicit
+step's residual and its exact Jacobian, the series at offset minus known
+and their derivatives.  Newton takes both from it, so a declared problem
+builds no complex table.  Its tangent rules are the imaginary parts of the
+complex step's operations, in their order: a Cauchy product's is
+a(i) db(k-i) + da(i) b(k-i), added to 0.0 from i = 0.
+
 The kernels keep the operation order of the recurrences once written by
 hand, so a table keeps its bits.  A Cauchy product adds a(0) b(k), ...,
 a(k) b(0) to 0.0 in that order, one plain addition at a time; a term's
@@ -42,11 +53,12 @@ divided by the int k+1.  So the tables do not depend on the interpreter:
 ``sum()`` compensates float sums from Python 3.12 on, and no kernel calls
 it.
 
-Recurrences must be complex-analytic: the Newton solver builds tables whose
-coefficients are complex numbers (its complex-step Jacobian), and these must
-give the complex X(k+1) of the same formula.  So no ``abs``, ``max``,
-comparisons or ``float()`` on coefficients; sums, products and Cauchy
-products of coefficient lists keep the type.
+A hand-written recurrence has no tangent kernel, so the Newton solver takes
+its Jacobian by the complex step and builds tables whose coefficients are
+complex numbers.  Such a recurrence must be complex-analytic: complex
+coefficients must give the complex X(k+1) of the same formula.  So no
+``abs``, ``max``, comparisons or ``float()`` on coefficients; sums, products
+and Cauchy products of coefficient lists keep the type.
 """
 
 from __future__ import annotations
@@ -55,11 +67,14 @@ import inspect
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import chain
 from numbers import Real
 from operator import add, mul
 from typing import Callable, Optional
 
 import numpy as np
+
+from .errors import NonFiniteStateError
 
 __all__ = [
     "ProblemDefinition",
@@ -109,13 +124,24 @@ class ProblemDefinition:
 
 
 # Index from which a kernel's products are the shared _sum_product in a loop
-# instead of written-out expressions.  Timed on CPython 3.11 (2-vCPU Xeon
-# VM), an expression takes 0.68-0.78 of sum()'s time on float products at
-# k = 32-64 and 0.89 at k = 128, but 0.98-1.02 on complex products (the
-# complex-step tables) from k = 80 to 128; _sum_product's reduce takes about
-# twice sum()'s time (9.5 against 4.9 us on float products at k = 120), a
-# cost only orders above 95 pay.  The straight-line source grows as k^2.
+# instead of written-out expressions.  Declared problems build no complex
+# tables (Newton takes their Jacobian from the tangent kernel), so the float
+# timings bind.  Timed on CPython 3.11 (2-vCPU Xeon VM), an expression takes
+# 0.68-0.78 of sum()'s time on float products at k = 32-64 and 0.89 at
+# k = 128; _sum_product's reduce takes about twice sum()'s time (9.5
+# against 4.9 us on float products at k = 120), a cost only orders above 95
+# pay.  The straight-line source grows as k^2.
 _UNROLL_LIMIT = 96
+
+# The same split for the tangent kernels, whose source also grows as m k^2
+# for m states.  Generating one straight-line through 32 takes 29-54 ms,
+# what a value kernel through 96 takes (23-35 ms), and through 96 it takes
+# 280-400 ms (Van der Pol, Robertson, SEIR; CPython 3.11, 2-vCPU Xeon VM).
+# Past 32 the loop costs a call 2-3 times the straight-line's time (Van der
+# Pol 772 against 260 us at K = 48, 3 339 against 1 156 at 96; SEIR 1 014
+# against 498 and 5 249 against 1 937), so 0.3 s of generation pays back
+# after 100-150 calls at such an order; no command runs K above 9.
+_TANGENT_UNROLL_LIMIT = 32
 
 
 def _sum_product(a, b):
@@ -150,6 +176,14 @@ class _Term:
     def __neg__(self):
         return _Neg(self)
 
+    def tangent(self, k, j, d):
+        """The source of the coefficient at index k of the term's tangent
+        along state j, or None where it is zero by structure.  ``d(series,
+        k, j)`` is the tangent of a kept series: an entry's source (None
+        when zero) at an int k, a list's name in the loop.  A constant,
+        parameter or t-dependent leaf has none."""
+        return None
+
 
 class _Series(_Term):
     """A series the kernel keeps, one local per coefficient (a list in the
@@ -162,6 +196,9 @@ class _Series(_Term):
 
     def code(self, k):
         return f"{self.name}[k]" if k is None else f"{self.name}_{k}"
+
+    def tangent(self, k, j, d):
+        return f"{d(self, k, j)}[k]" if k is None else d(self, k, j)
 
 
 class _Leaf(_Term):
@@ -200,6 +237,19 @@ class _Op(_Term):
         a, b = self.children
         return f"({a.code(k)}{self.op}{b.code(k)})"
 
+    def tangent(self, k, j, d):
+        a, b = self.children
+        da, db = a.tangent(k, j, d), b.tangent(k, j, d)
+        if self.op == " * ":  # one side is a scalar, which has no tangent
+            if da is not None:
+                return f"({_times(da, b.code(k))})"
+            return None if db is None else f"({_times(a.code(k), db)})"
+        if db is None:
+            return da
+        if da is None:
+            return db if self.op == " + " else f"(-{db})"
+        return f"({da}{self.op}{db})"
+
 
 class _Neg(_Term):
     """-a: a sign flip, not a product with -1.0, which can differ on a nan."""
@@ -209,6 +259,10 @@ class _Neg(_Term):
 
     def code(self, k):
         return f"(-{self.children[0].code(k)})"
+
+    def tangent(self, k, j, d):
+        da = self.children[0].tangent(k, j, d)
+        return None if da is None else f"(-{da})"
 
 
 class _Product(_Term):
@@ -226,6 +280,41 @@ class _Product(_Term):
         terms = " + ".join(f"{a.code(j)} * {b.code(k - j)}"
                            for j in range(k + 1))
         return f"(0.0 + {terms})"
+
+    def tangent(self, k, j, d):
+        """a(i) db(k-i) + da(i) b(k-i), the imaginary part of a complex
+        product, for i = 0, ..., k, added to 0.0 from the left."""
+        a, b = self.children
+        if k is None:
+            return (f"_sum_tangent({a.name}, {d(b, None, j)}, "
+                    f"{d(a, None, j)}, {b.name})")
+        terms = []
+        for i in range(k + 1):
+            da, db = d(a, i, j), d(b, k - i, j)
+            parts = ([] if db is None else [_times(a.code(i), db)]) + (
+                [] if da is None else [_times(da, b.code(k - i))])
+            if parts:
+                terms.append(parts[0] if len(parts) == 1
+                             else f"({parts[0]} + {parts[1]})")
+        return f"(0.0 + {' + '.join(terms)})" if terms else None
+
+
+def _sum_tangent(a, db, da, b):
+    """The tangent of _sum_product(a, b): a(i) db(n-1-i) + da(i) b(n-1-i)
+    for i = 0, ..., n - 1, added to 0.0 from the left, as the imaginary
+    parts of the complex products are."""
+    return reduce(add, map(add, map(mul, a, reversed(db)),
+                           map(mul, da, reversed(b))), 0.0)
+
+
+def _times(a: str, b: str) -> str:
+    """The source of a * b; a product with the seed tangent 1.0 is exact,
+    so it is left out."""
+    return b if a == _ONE else a if b == _ONE else f"{a} * {b}"
+
+
+# The source of a state's tangent along itself at index 0.
+_ONE = "1.0"
 
 
 def _product(a, b) -> _Term:
@@ -251,14 +340,10 @@ def _collect(term: _Term, named: list, preludes: list) -> None:
         named.append(term)
 
 
-@cache
-def _generate(rhs, depth: int):
-    """The kernel factory of the declaration ``rhs`` at ``depth``:
-    ``bind(**params)`` returns ``kernel(t, table, depth)``, which appends
-    X(1), ..., X(depth) to the table's lists.  Through index
-    min(depth, _UNROLL_LIMIT) it is straight-line; a deeper kernel then
-    loops to its ``depth`` argument over lists, so every depth past the
-    limit is asked for as _UNROLL_LIMIT + 1."""
+def _declaration(rhs):
+    """(states, params, derivatives, named, preludes) of the declaration
+    ``rhs``: its state series, parameter names and one term per state, the
+    named series in the order they are computed, and the preludes."""
     parameters = inspect.signature(rhs).parameters.values()
     states = [_Series(p.name) for p in parameters
               if p.kind is p.POSITIONAL_OR_KEYWORD]
@@ -268,6 +353,34 @@ def _generate(rhs, depth: int):
     named, preludes = [], []
     for term in derivatives:
         _collect(term, named, preludes)
+    return states, params, derivatives, named, preludes
+
+
+def _bind(params: list, args: str, body: list):
+    """The factory ``bind(*params)`` of the generated ``kernel(args)``
+    whose body is the lines ``body``."""
+    source = (f"def bind({', '.join(params)}):\n"
+              f"    def kernel({args}):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + "    return kernel\n")
+    namespace = {"exp": math.exp, "factorial": math.factorial,
+                 "lgamma": math.lgamma, "isfinite": math.isfinite,
+                 "_sum_product": _sum_product, "_sum_tangent": _sum_tangent,
+                 "_horner_list": _horner_list, "chain": chain,
+                 "NonFiniteStateError": NonFiniteStateError}
+    exec(source, namespace)
+    return namespace["bind"]
+
+
+@cache
+def _generate(rhs, depth: int):
+    """The kernel factory of the declaration ``rhs`` at ``depth``:
+    ``bind(**params)`` returns ``kernel(t, table, depth)``, which appends
+    X(1), ..., X(depth) to the table's lists.  Through index
+    min(depth, _UNROLL_LIMIT) it is straight-line; a deeper kernel then
+    loops to its ``depth`` argument over lists, so every depth past the
+    limit is asked for as _UNROLL_LIMIT + 1."""
+    states, params, derivatives, named, preludes = _declaration(rhs)
     straight = min(depth, _UNROLL_LIMIT)
     body = [", ".join(x.name for x in states) + ", = table"]
     body += [f"{x.name}_0 = {x.name}[0]" for x in states]
@@ -290,20 +403,149 @@ def _generate(rhs, depth: int):
         body += [f"    {x.name}_next = {term.code(None)} / (k + 1)"
                  for x, term in zip(states, derivatives)]
         body += [f"    {x.name}.append({x.name}_next)" for x in states]
-    source = (f"def bind({', '.join(params)}):\n"
-              "    def kernel(t, table, depth):\n"
-              + "".join(f"        {line}\n" for line in body)
-              + "    return kernel\n")
-    namespace = {"exp": math.exp, "factorial": math.factorial,
-                 "lgamma": math.lgamma, "_sum_product": _sum_product}
-    exec(source, namespace)
-    return namespace["bind"]
+    return _bind(params, "t, table, depth", body)
+
+
+def _horner_code(coeffs: list) -> str:
+    """The source of the series with coefficient sources ``coeffs`` (None
+    where zero) at offset: a = coeffs[-1], then a = a * offset + coeffs[k]
+    for k down to 0, as ``_horner_list`` and the stepper's kernels take it;
+    a zero coefficient is not added."""
+    code = None
+    for c in reversed(coeffs):
+        if code is None:
+            code = c
+        elif c is None:
+            code = f"{code} * offset"
+        else:
+            code = f"({code} * offset + {c})"
+    return "0.0" if code is None else code
+
+
+def _horner_list(col: list, offset: float) -> float:
+    """The series col at offset by Horner from its last entry."""
+    a = col[-1]
+    for c in col[-2::-1]:
+        a = a * offset + c
+    return a
+
+
+@cache
+def _generate_tangent(rhs, order: int):
+    """The tangent kernel factory of the declaration ``rhs`` at ``order``:
+    ``bind(depth, **params)`` returns ``kernel(t, offset, known, y)``, which
+    expands the state y about t through X(depth) with the tangents
+    dX_i(k)/dy_j, and returns (r, J): r_i the state series i at offset
+    minus known[i], J_ij its derivative along y_j.
+
+    A tangent is the imaginary part, over h, of the complex step's
+    coefficient at y + ih e_j, in the same operations and order, so at a
+    power-of-two h the two agree bit for bit (up to the sign of a zero).
+    Tangents zero by structure are left out of the straight-line part:
+    only those that can be non-zero at an index get a local.  Through
+    index min(order, _TANGENT_UNROLL_LIMIT) the kernel is straight-line;
+    a deeper one then loops to ``depth`` over lists, as ``_generate``'s
+    does, with a list per series and state whose zeros are 0.0, as the
+    complex step's imaginary parts are."""
+    states, params, derivatives, named, preludes = _declaration(rhs)
+    m = range(len(states))
+    straight = min(order, _TANGENT_UNROLL_LIMIT)
+    # (series name, index) -> {state j: source of a non-zero tangent}
+    tangents = {(x.name, 0): {i: _ONE} for i, x in enumerate(states)}
+
+    def d(series, k, j):
+        if k is None:
+            return f"{series.name}_d{j}"
+        return tangents[series.name, k].get(j)
+
+    def keep(name, k, term, at, divisor=""):
+        """Give each non-zero tangent of ``term`` at index ``at``, over
+        ``divisor``, a local as series ``name``'s at index k."""
+        kept = tangents[name, k] = {}
+        for j in m:
+            source = term.tangent(at, j, d)
+            if source == _ONE and not divisor:
+                kept[j] = _ONE
+            elif source is not None:
+                kept[j] = f"{name}_{k}_d{j}"
+                body.append(f"{kept[j]} = {source}{divisor}")
+
+    body = ["".join(f"{x.name}_0, " for x in states) + "= y",
+            "".join(f"known_{i}, " for i in m) + "= known"]
+    body += preludes
+    for k in range(straight):
+        for s in named:
+            body.append(f"{s.name}_{k} = {s.children[0].code(k)}")
+            keep(s.name, k, s.children[0], k)
+        for x, term in zip(states, derivatives):
+            body.append(f"{x.name}_{k + 1} = {term.code(k)} / {k + 1}")
+            keep(x.name, k + 1, term, k, f" / {k + 1}")
+    if order > straight:
+        for series in named + states:
+            size = straight + (series in states)
+            body.append(f"{series.name} = ["
+                        + ", ".join(f"{series.name}_{k}" for k in range(size))
+                        + "]")
+            body += [f"{series.name}_d{j} = ["
+                     + ", ".join(tangents[series.name, k].get(j, "0.0")
+                                 for k in range(size)) + "]" for j in m]
+        body.append(f"for k in range({straight}, depth):")
+        for s in named:
+            body.append(f"    {s.name}.append({s.children[0].code(None)})")
+            body += [f"    {s.name}_d{j}.append("
+                     f"{s.children[0].tangent(None, j, d) or '0.0'})"
+                     for j in m]
+        for x, term in zip(states, derivatives):
+            body.append(f"    {x.name}_next = {term.code(None)} / (k + 1)")
+            body += [f"    {x.name}_next_d{j} = "
+                     f"{term.tangent(None, j, d) or '0.0'} / (k + 1)"
+                     for j in m]
+        # Every next coefficient first: a product reads whole state lists.
+        for x in states:
+            body.append(f"    {x.name}.append({x.name}_next)")
+            body += [f"    {x.name}_d{j}.append({x.name}_next_d{j})"
+                     for j in m]
+        body += [f"_r{i} = _horner_list({x.name}, offset) - known_{i}"
+                 for i, x in enumerate(states)]
+        body += [f"_J{i}_{j} = _horner_list({x.name}_d{j}, offset)"
+                 for i, x in enumerate(states) for j in m]
+        coefficients = "chain(" + ", ".join(
+            f"{x.name}{suffix}" for x in states
+            for suffix in ["", *(f"_d{j}" for j in m)]) + ")"
+    else:
+        body += [f"_r{i} = "
+                 + _horner_code([f"{x.name}_{k}" for k in range(order + 1)])
+                 + f" - known_{i}" for i, x in enumerate(states)]
+        body += [f"_J{i}_{j} = " + _horner_code(
+                     [tangents[x.name, k].get(j) for k in range(order + 1)])
+                 for i, x in enumerate(states) for j in m]
+        coefficients = "(" + "".join(
+            f"{x.name}_{k}, " for x in states for k in range(order + 1)) + (
+            "".join(f"{source}, " for x in states for k in range(order + 1)
+                    for source in tangents[x.name, k].values())) + ")"
+    # A non-finite coefficient makes its Horner sum non-finite: inf times
+    # a finite offset is inf or nan, and adding a finite term keeps it so.
+    # So a finite sum of r and J clears every coefficient; only when the
+    # sum is not finite (an entry is not, or the entries overflow it) is
+    # each coefficient tested.
+    body += ["if not isfinite(" + " + ".join(
+                 [f"_r{i}" for i in m] + [f"_J{i}_{j}" for i in m for j in m])
+             + "):",
+             f"    if not all(map(isfinite, {coefficients})):",
+             "        raise NonFiniteStateError(",
+             "            f'non-finite Taylor coefficient at t = {t!r}')",
+             "return [" + ", ".join(f"_r{i}" for i in m) + "], ["
+             + ", ".join("[" + ", ".join(f"_J{i}_{j}" for j in m) + "]"
+                         for i in m) + "]"]
+    return _bind(["depth"] + params, "t, offset, known, y", body)
 
 
 def _compiled(rhs, **params) -> Recurrence:
     """The recurrence of the declared right-hand side ``rhs`` with its
     parameters bound to ``params``.  Its first call at each depth binds the
-    kernel factory of (rhs, depth) to ``params``, once."""
+    kernel factory of (rhs, depth) to ``params``, once.  Its attribute
+    ``tangent(order)`` is the tangent kernel of (rhs, order) bound the same
+    way, which the stepper's Newton solve calls."""
 
     @cache
     def kernel(depth):
@@ -312,6 +554,12 @@ def _compiled(rhs, **params) -> Recurrence:
     def recurrence(t, table, depth):
         kernel(depth)(t, table, depth)
 
+    @cache
+    def tangent(order):
+        return _generate_tangent(
+            rhs, min(order, _TANGENT_UNROLL_LIMIT + 1))(order, **params)
+
+    recurrence.tangent = tangent
     return recurrence
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from numbers import Integral
 from typing import List, Union
@@ -150,8 +150,8 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
     The table is the ``dim`` state series, ``table[j][k]`` = X_j(k) =
     x_j^(k)(t_i)/k!, always built whole by one recurrence call from one-entry
     lists.  It does not store t_i.  Entries are Python floats, or complex
-    numbers for the complex-step Jacobian: at m <= 6 and K <= 11 a numpy call
-    costs more than its arithmetic.
+    numbers for the complex-step Jacobian of a hand-written recurrence: at
+    m <= 6 and K <= 11 a numpy call costs more than its arithmetic.
     """
     if len(state) != problem.dim:
         raise ValueError(f"state must have {problem.dim} entries")
@@ -238,11 +238,16 @@ def _step(problem, t_i, node_table, theta, order, dt):
     real residual calls build their tables as deep as the node table,
     ``len(node_table[0]) - 1``.  The table returned is the one the last
     residual evaluation built, returned only when Newton returned that very
-    list: it is then the next node's table.  Newton's complex-step points
-    are lists of their own, so a complex table is never handed on: a solve
-    that accepts the predictor at 0 iterations has made only its first
-    complex call, and the next node is built afresh.  A one-iteration step
-    makes m complex residual calls and one real one.
+    list: it is then the next node's table.
+
+    Newton's Jacobian, with the residual at the same point, comes from the
+    tangent kernel of a declared problem (``recurrence.tangent(order)``,
+    the recurrence ``problems._compiled`` returns), which builds no table;
+    a hand-written recurrence has none, and Newton takes the complex step
+    of the residual, whose complex tables are never handed on.  So a solve
+    that accepts the predictor at 0 iterations makes no real residual call,
+    and the next node is built afresh.  A one-iteration step on a declared
+    problem makes one kernel call and one real recurrence call.
     """
     h = _horner(order)
     predictor = [h(col, dt) for col in node_table]
@@ -253,7 +258,10 @@ def _step(problem, t_i, node_table, theta, order, dt):
     known_value = [h(col, (1.0 - theta) * dt) for col in node_table]
     residual, last = _residual_function(problem, t_i + dt, known_value, theta,
                                         order, dt, len(node_table[0]) - 1)
-    state, iters = newton_solve(residual, predictor)
+    tangent = getattr(problem.recurrence, "tangent", None)
+    linearize = (None if tangent is None else
+                 partial(tangent(order), t_i + dt, -theta * dt, known_value))
+    state, iters = newton_solve(residual, predictor, linearize)
     return state, iters, last[1] if state is last[0] else None
 
 

@@ -12,7 +12,12 @@ import pytest
 
 from ieldtm import nonlinear, stepper
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
-from ieldtm.nonlinear import _PIVOT_REL_TOL, _jacobian, lu_solve, newton_solve
+from ieldtm.nonlinear import (
+    _PIVOT_REL_TOL,
+    _complex_step,
+    lu_solve,
+    newton_solve,
+)
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table
@@ -679,7 +684,7 @@ class TestBatchedJacobian:
         # Jacobian is I - dt f_y, here derived by hand column by column.
         residual = step_residual(problem, state, 1.0, 1, dt)
         y = (state * 1.01).tolist()
-        J = np.array(_jacobian(residual, y))
+        J = np.array(_complex_step(residual, y)[1])
         for j in range(len(y)):
             # The real part of each complex-step residual is r(y).
             point = list(map(complex, y))
@@ -701,7 +706,7 @@ class TestBatchedJacobian:
         W = -theta * dt * A
         exact = sum(np.linalg.matrix_power(W, k) / math.factorial(k)
                     for k in range(order + 1))
-        J = np.array(_jacobian(residual, [0.9, -1.1, 0.4]))
+        J = np.array(_complex_step(residual, [0.9, -1.1, 0.4])[1])
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
 
     # (problem, node time, node state, dt): every built-in problem, with
@@ -756,9 +761,10 @@ class TestBatchedJacobian:
                         assert [v.real.hex() for v in c] == [v.hex() for v in r]
 
     def test_m_complex_calls_per_iteration(self, monkeypatch):
-        # The first call is column 0's complex one, and its real part is
-        # r(y): each iteration's Jacobian takes m single-state complex calls
-        # and the first LU solve comes before any real call.
+        # Without a linearize, Newton takes the complex step: the first
+        # call is column 0's complex one, whose real part is r(y), each
+        # iteration's Jacobian takes m single-state complex calls, and the
+        # first LU solve comes before any real call.
         calls = []
 
         def residual(y):

@@ -1,6 +1,7 @@
 """Built-in ODE systems: recurrence correctness against independent oracles."""
 
 import dataclasses
+import functools
 import inspect
 import math
 import random
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ieldtm
-from ieldtm import problems
+from ieldtm import nonlinear, problems
+from ieldtm.errors import NonFiniteStateError
 from ieldtm.problems import (
     PROBLEM_NAMES,
     ProblemDefinition,
@@ -788,10 +790,109 @@ class TestCauchyProducts:
                 "[problems.make_problem(name) for name in problems.PROBLEM_NAMES]; "
                 "problems.linear_system(np.eye(2)); "
                 "print(*(f.cache_info().currsize for f in (problems._generate, "
-                "stepper._horner, nonlinear._lu_kernel)))")
+                "problems._generate_tangent, stepper._horner, "
+                "nonlinear._lu_kernel)))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "0 0 0"
+        assert out.stdout.strip() == "0 0 0 0"
+
+
+def _outcome(linearize, y):
+    """(r, J) of linearize(y) as the bytes of each entry, or the error it
+    raised."""
+    try:
+        r, J = linearize(y)
+    except NonFiniteStateError as exc:
+        return repr(exc)
+    return [struct.pack("<d", v) for v in r + [v for row in J for v in row]]
+
+
+class TestTangentKernel:
+    """A declared problem's tangent kernel (``recurrence.tangent(order)``)
+    returns the implicit step's residual and Jacobian as the complex step
+    of its residual function does, bit for bit, at h = 2^-100: a tangent
+    is the imaginary part over h of the same operations in the same order,
+    and scaling by a power of two is exact."""
+
+    # (expansion time, state) about which the points are drawn.
+    POINTS = {
+        "dahlquist": (0.3, [1.3]),
+        "duffing": (0.2, [0.5, 0.25]),
+        "robertson": (0.01, [0.99, 3e-6, 0.01]),
+        "vanderpol": (0.0, [2.0, -0.5]),
+        "seir": (66.0, [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4]),
+    }
+    ORDERS = [1, 5, 9, problems._TANGENT_UNROLL_LIMIT,
+              problems._TANGENT_UNROLL_LIMIT + 1, _UNROLL_LIMIT,
+              _UNROLL_LIMIT + 1, 171]
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_equals_complex_step(self, name, theta):
+        # SEIR with a rate jump at t_c = 66, drawn on both sides of it.
+        problem = make_problem(name, **({"eta": 8.0} if name == "seir" else {}))
+        t, state = self.POINTS[name]
+        rng = random.Random(f"{name}-{theta}")
+        finite = 0
+        for order in self.ORDERS:
+            for _ in range(5):
+                y, known = ([v * (1.0 + 0.1 * rng.gauss(0.0, 1.0))
+                             for v in state] for _ in range(2))
+                t_next = t + rng.uniform(-0.5, 0.5) * (name == "seir")
+                dt = rng.choice([2.0 ** -5, 0.01, 0.1])
+                residual, _ = stepper._residual_function(
+                    problem, t_next, known, theta, order, dt, order)
+                kernel = problem.recurrence.tangent(order)
+                expected = _outcome(
+                    functools.partial(nonlinear._complex_step, residual), y)
+                assert _outcome(functools.partial(
+                    kernel, t_next, -theta * dt, known), y) == expected
+                finite += not isinstance(expected, str)
+        # Robertson's coefficients grow about a hundredfold per index and
+        # leave the float range near X(150), so at K = 171 both sides
+        # raise the same error at most points.
+        assert finite >= 5 * (len(self.ORDERS) - (name == "robertson"))
+
+    def test_non_finite_coefficient_raises(self):
+        # Van der Pol at eps = 1000 from a large state overflows its
+        # coefficients; the kernel says where, as the tables do.
+        kernel = van_der_pol(1000.0).recurrence.tangent(5)
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite Taylor coefficient at t = 1\.5$"):
+            kernel(1.5, -0.25, [0.0, 0.0], [1e80, -1e80])
+
+    def test_one_kernel_call_and_one_real_recurrence_call(self, monkeypatch):
+        # A one-iteration implicit step on a declared problem: Newton takes
+        # r and J from one kernel call, then one real recurrence call
+        # gives the next node's table; no complex table is built.
+        problem = van_der_pol(10.0)
+        recurrence, calls = problem.recurrence, []
+
+        @functools.wraps(recurrence)
+        def spy(t, table, depth):
+            calls.append(("recurrence", type(table[0][0])))
+            recurrence(t, table, depth)
+
+        def tangent(order):
+            kernel = recurrence.tangent(order)
+
+            def counted(*args):
+                calls.append("kernel")
+                return kernel(*args)
+            return counted
+
+        def complex_step(residual, y):
+            raise AssertionError("complex step taken")
+
+        spy.tangent = tangent
+        monkeypatch.setattr(nonlinear, "_complex_step", complex_step)
+        table = build_coeff_table(problem, 0.0, [2.0, 0.0], 7)
+        state, iters, trial = stepper._step(
+            dataclasses.replace(problem, recurrence=spy), 0.0, table, 0.5, 5,
+            0.01)
+        assert iters == 1
+        assert calls == ["kernel", ("recurrence", float)]
+        assert trial is not None and [col[0] for col in trial] == state
 
 
 class TestProblemDefinition:

@@ -5,6 +5,7 @@ import io
 import math
 import random
 from collections import namedtuple
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -495,6 +496,34 @@ class TestAdaptiveFormulas:
             assert central == (order + 1, 0.5 ** order, 1.0)
         assert stepper._error_rule(0.3, order) == (
             order + 1, abs(0.7 ** (order + 1) - (-0.3) ** (order + 1)), 1.0)
+
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(1, 4),
+                                       Fraction(1, 3), Fraction(1, 2),
+                                       Fraction(2, 3), Fraction(1)],
+                             ids=["0", "1/4", "1/3", "1/2", "2/3", "1"])
+    def test_rule_from_the_defect_series(self, theta):
+        # On x' = lambda x one step leaves the defect, in z = lambda dt,
+        # D(z) = T_K((1-theta) z) - e^z T_K(-theta z), T_K the exponential
+        # truncated after z^K.  Its first non-zero coefficient c_p, taken
+        # exactly, gives the rule's power p and its estimate weight
+        # |c_p| p!: the float weight is exact at a dyadic theta and
+        # rounded where theta = 1/3 or 2/3 is not a float.
+        f = math.factorial
+        for order in range(1, 21):
+            def c(n):
+                head = (1 - theta) ** n / f(n) if n <= order else 0
+                return head - sum((-theta) ** j / (f(j) * f(n - j))
+                                  for j in range(min(n, order) + 1))
+
+            p = next(n for n in range(order + 3) if c(n) != 0)
+            power, weight, _ = stepper._error_rule(float(theta), order)
+            assert p == stepper.theoretical_order(float(theta), order) + 1
+            assert p == power
+            exact = abs(c(p)) * f(p)
+            if theta.denominator & (theta.denominator - 1) == 0:
+                assert weight == float(exact) == exact
+            else:
+                assert weight == pytest.approx(float(exact), rel=1e-14)
 
     def test_case1_direct_value(self):
         # x' = x from 1: X(4) = 1/24, dt = SAFETY (tol / (1/24))^(1/3).
