@@ -13,7 +13,9 @@ from .errors import (
 )
 from .problems import (
     ProblemDefinition,
+    Series,
     dahlquist,
+    declare,
     duffing,
     linear_system,
     make_problem,

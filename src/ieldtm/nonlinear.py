@@ -2,15 +2,11 @@
 
 Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
 and factored densely.  The caller hands Newton a ``linearize(y)`` that
-returns the residual and its exact Jacobian in one call: for a declared
-problem it is the problem's generated tangent kernel
-(``problems._generate_tangent``).  Without one, Newton takes the complex
-step of the residual (``_complex_step``): column j comes from one residual
-call at the iterate perturbed by ih along e_j, so each Jacobian costs m
-complex residual calls, and the residual must then be complex-analytic.
-Points, residuals, the Jacobian and the LU are Python lists of floats: at
-m <= 6 a numpy call per residual, column, pivot, swap or row update costs
-more than the arithmetic it does.
+returns the residual and its exact Jacobian in one call: for an implicit
+step it is the problem's generated tangent kernel
+(``problems._generate_tangent``).  Points, residuals, the Jacobian and the
+LU are Python lists of floats: at m <= 6 a numpy call per residual,
+column, pivot, swap or row update costs more than the arithmetic it does.
 
 ``lu_solve`` runs one straight-line kernel per n, generated on first use
 and cached (``_lu_kernel``): the general elimination written out with a
@@ -25,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache, partial
+from functools import cache
 from operator import add
 
 from .errors import NewtonFailureError, SingularMatrixError
@@ -33,7 +29,6 @@ from .errors import NewtonFailureError, SingularMatrixError
 __all__ = ["newton_solve", "lu_solve"]
 
 _PIVOT_REL_TOL = 1e-14
-_COMPLEX_STEP = 2.0 ** -100  # a power of two: scaling by it is exact
 _MAX_HALVINGS = 8  # of the Newton update while the residual grows
 _ABS_TOL = 1e-12  # residual inf-norm threshold
 _STEP_TOL = 1e-13  # update inf-norm threshold, relative to the state scale
@@ -117,24 +112,6 @@ def _lu_kernel(n: int):
     return namespace["lu"]
 
 
-def _complex_step(residual, y: list):
-    """(r, J) of residual at the real point y by the complex step: column j
-    of J is Im residual(y + ih e_j) / h, exact to rounding (Squire & Trapp,
-    SIAM Rev. 1998; Martins, Sturdza & Alonso, ACM TOMS 2003), and r is the
-    real part of column 0's call, which equals residual(y) bit for bit: an
-    imaginary-by-imaginary product term is about h^2 = 2^-200 relative to
-    its real-by-real term, far below half an ulp.  m complex calls, and
-    residual must be complex-analytic."""
-    columns = []
-    for j in range(len(y)):
-        point = list(map(complex, y))
-        point[j] += 1j * _COMPLEX_STEP
-        columns.append(residual(point))
-    return ([v.real for v in columns[0]],
-            [[col[i].imag / _COMPLEX_STEP for col in columns]
-             for i in range(len(y))])
-
-
 def _inf_norm(v: list) -> float:
     """max_i |v_i|, and nan when any entry is nan, as numpy's max: the
     builtin max keeps a nan only in first place."""
@@ -143,16 +120,14 @@ def _inf_norm(v: list) -> float:
     return max(map(abs, v))
 
 
-def newton_solve(residual, guess, linearize=None):
+def newton_solve(residual, guess, linearize):
     """Root-find residual(y) = 0 starting from guess.
 
     ``residual`` maps a list of n floats to the list of its n residuals.
     ``linearize(y)`` returns (residual(y), its Jacobian as a list of rows)
-    in one call; by default it is the complex step of residual
-    (``_complex_step``), for which residual must also map a list of complex
-    numbers to complex values.  Each iteration's Jacobian is taken at the
-    iterate by one linearize call, the first one's residual included; the
-    residual after each update comes from a real residual call.
+    in one call.  Each iteration's Jacobian is taken at the iterate by one
+    linearize call, the first one's residual included; the residual after
+    each update comes from a residual call.
 
     Returns (root as a list, iterations).  Converges when the residual
     inf-norm drops below _ABS_TOL or the update inf-norm drops below
@@ -161,8 +136,6 @@ def newton_solve(residual, guess, linearize=None):
     An infinite iterate raises NewtonFailureError, as does a singular
     Jacobian after the first iteration, where it raises SingularMatrixError.
     """
-    if linearize is None:
-        linearize = partial(_complex_step, residual)
     y = list(map(float, guess))
     r, J = linearize(y)
     # Accept at _ABS_TOL only once quadratic progress has stalled: while the

@@ -1,34 +1,34 @@
-"""Built-in ODE systems expressed as Taylor-coefficient recurrences.
+"""Initial value problems, each stated once as a declaration and compiled to
+Taylor-coefficient kernels.
 
 A coefficient table is the ``dim`` state series of one state expanded about
 ``t_i`` (its layout is in ``stepper.build_coeff_table``), ``dim`` being the
-length of the problem's initial state.  Each problem supplies a
-``recurrence(t_i, table, depth)`` that is handed ``dim`` lists, each
-holding X(0), appends X(1), ..., X(depth) to each, and returns nothing.
-This is the one public contract: any user ODE can be added by writing such a
-recurrence, and the stepper calls built-in and user recurrences alike.  At
-index k each state list holds exactly k+1 entries until the recurrence
-appends to it, so a Cauchy product sum_j a(j) b(k-j) taken before either
-list is appended at k reads whole lists; README.md has a user recurrence.
+length of the problem's initial state.  A problem's ``recurrence(t_i, table,
+depth)`` is handed ``dim`` lists, each holding X(0), appends X(1), ...,
+X(depth) to each, and returns nothing.  At index k each state list holds
+exactly k+1 entries until the recurrence appends to it, so a Cauchy product
+sum_j a(j) b(k-j) taken before either list is appended at k reads whole
+lists.
 
-A built-in problem states its right-hand side once, as a function of
-symbolic series (``_van_der_pol_rhs`` and its neighbours): the positional
-arguments are the state series, the keyword-only ones the problem's
-parameters, and it returns one term per state, x_j'.  A term is a state
-series, a named intermediate series computed once per index (``_Series``:
-Van der Pol's U^2, Duffing's x1^2, SEIR's P + D + mu A and its infection
-term), a constant or parameter, a t-dependent scalar computed once per call
-(SEIR's rate), a t-dependent series (Robertson's forcing), and sums,
-differences, negations and products of these.  A product of two series is
-their Cauchy product, sum_j a(j) b(k-j), and both must be state or named
-series.  ``_compiled(rhs, **params)`` turns the declaration into the
-problem's recurrence.  The first call at each depth generates one
-straight-line kernel for that depth, with one local name per coefficient:
-X(k+1) = (x'(k)) / (k+1) written out index by index.  Nothing is generated
-at import or when a factory is called.  A kernel's source grows as
-depth^2, so from index ``_UNROLL_LIMIT`` on a kernel runs a loop over lists
-whose products are ``_sum_product``; every depth past the limit shares
-that one kernel, and a table's cost then grows as depth^2 like the
+Every problem, built-in or a user's, states its right-hand side once, as a
+function of symbolic series (``_van_der_pol_rhs`` and its neighbours; README.md
+has a user's): the positional arguments are the state series, the
+keyword-only ones the problem's parameters, and it returns one term per
+state, x_j'.  A term is a state series, a named intermediate series computed
+once per index (``Series``: Van der Pol's U^2, Duffing's x1^2, SEIR's P + D +
+mu A and its infection term), a constant or parameter, a t-dependent scalar
+computed once per call (SEIR's rate), a t-dependent series (Robertson's and
+``linear_system``'s forcing), and sums, differences, negations and products
+of these.  A product of two series is their Cauchy product, sum_j a(j)
+b(k-j), and both must be state or named series.  ``declare(rhs, **params)``
+checks the declaration and turns it into the problem's recurrence, the one
+kind ``ProblemDefinition`` takes.  The first call at each depth generates
+one straight-line kernel for that depth, with one local name per
+coefficient: X(k+1) = (x'(k)) / (k+1) written out index by index.  Nothing
+is generated at import or when a factory is called.  A kernel's source
+grows as depth^2, so from index ``_UNROLL_LIMIT`` on a kernel runs a loop
+over lists whose products are ``_sum_product``; every depth past the limit
+shares that one kernel, and a table's cost then grows as depth^2 like the
 products themselves.  Generating a kernel takes 0.4-2 ms at depths up to
 12 and 20-40 ms at depth 96 (CPython 3.11, 2-vCPU Xeon VM); ``_generate``
 is cached (``functools.cache``), so it is done once per declaration and
@@ -40,10 +40,10 @@ kernel at that order (``_generate_tangent``): one straight-line call
 together with its tangents dX(k)/dy_j (the variational equations in Taylor
 form, as in Jorba & Zou's ``taylor`` and in TIDES) and returns the implicit
 step's residual and its exact Jacobian, the series at offset minus known
-and their derivatives.  Newton takes both from it, so a declared problem
-builds no complex table.  Its tangent rules are the imaginary parts of the
-complex step's operations, in their order: a Cauchy product's is
-a(i) db(k-i) + da(i) b(k-i), added to 0.0 from i = 0.
+and their derivatives.  Newton takes both from it.  Its tangent rules are
+the imaginary parts of the complex step's operations, in their order, so
+the two agree bit for bit: a Cauchy product's is a(i) db(k-i) + da(i)
+b(k-i), added to 0.0 from i = 0.
 
 The kernels keep the operation order of the recurrences once written by
 hand, so a table keeps its bits.  A Cauchy product adds a(0) b(k), ...,
@@ -52,19 +52,14 @@ operations group as its declaration's Python expression does; and X(k+1) is
 divided by the int k+1.  So the tables do not depend on the interpreter:
 ``sum()`` compensates float sums from Python 3.12 on, and no kernel calls
 it.
-
-A hand-written recurrence has no tangent kernel, so the Newton solver takes
-its Jacobian by the complex step and builds tables whose coefficients are
-complex numbers.  Such a recurrence must be complex-analytic: complex
-coefficients must give the complex X(k+1) of the same formula.  So no
-``abs``, ``max``, comparisons or ``float()`` on coefficients; sums, products
-and Cauchy products of coefficient lists keep the type.
 """
 
 from __future__ import annotations
 
 import inspect
+import keyword
 import math
+import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain
@@ -78,6 +73,8 @@ from .errors import NonFiniteStateError
 
 __all__ = [
     "ProblemDefinition",
+    "Series",
+    "declare",
     "dahlquist",
     "linear_system",
     "seir",
@@ -100,7 +97,7 @@ class ProblemDefinition:
     """
 
     name: str
-    recurrence: Recurrence
+    recurrence: Recurrence  # from declare(), which attaches its tangent
     default_initial: np.ndarray
     exact_solution: Optional[Callable[[float], np.ndarray]] = None
     discontinuities: tuple = ()
@@ -111,6 +108,11 @@ class ProblemDefinition:
         return len(self.default_initial)
 
     def __post_init__(self):
+        # The stepper's Newton solve takes the Jacobian from the tangent
+        # kernel, so only a compiled declaration will do.
+        if not hasattr(self.recurrence, "tangent"):
+            raise TypeError("recurrence must be the recurrence declare() "
+                            "returns, which carries its tangent kernel")
         # A nan would never clip a step: every comparison with it is false.
         for t_d in self.discontinuities:
             if (isinstance(t_d, bool) or not isinstance(t_d, Real)
@@ -120,17 +122,21 @@ class ProblemDefinition:
         init = np.asarray(self.default_initial, dtype=float)
         if init.ndim != 1 or init.size == 0:
             raise ValueError("default_initial must be a non-empty 1-D sequence")
+        if init.size != self.recurrence.dim:
+            raise ValueError(f"default_initial has {init.size} entries for "
+                             f"the {self.recurrence.dim} states of the "
+                             "recurrence")
         object.__setattr__(self, "default_initial", init)
 
 
 # Index from which a kernel's products are the shared _sum_product in a loop
-# instead of written-out expressions.  Declared problems build no complex
-# tables (Newton takes their Jacobian from the tangent kernel), so the float
-# timings bind.  Timed on CPython 3.11 (2-vCPU Xeon VM), an expression takes
-# 0.68-0.78 of sum()'s time on float products at k = 32-64 and 0.89 at
-# k = 128; _sum_product's reduce takes about twice sum()'s time (9.5
-# against 4.9 us on float products at k = 120), a cost only orders above 95
-# pay.  The straight-line source grows as k^2.
+# instead of written-out expressions.  Tables hold floats only (Newton takes
+# the Jacobian from the tangent kernel), so the float timings bind.  Timed
+# on CPython 3.11 (2-vCPU Xeon VM), an expression takes 0.68-0.78 of sum()'s
+# time on float products at k = 32-64 and 0.89 at k = 128; _sum_product's
+# reduce takes about twice sum()'s time (9.5 against 4.9 us on float products
+# at k = 120), a cost only orders above 95 pay.  The straight-line source
+# grows as k^2.
 _UNROLL_LIMIT = 96
 
 # The same split for the tangent kernels, whose source also grows as m k^2
@@ -185,12 +191,15 @@ class _Term:
         return None
 
 
-class _Series(_Term):
+class Series(_Term):
     """A series the kernel keeps, one local per coefficient (a list in the
     loop): a state series, or the named intermediate series of ``term``,
-    computed once per index before the terms that read it."""
+    computed once per index before the terms that read it.  ``name`` is the
+    stem of its locals in the generated source."""
 
     def __init__(self, name: str, term: Optional[_Term] = None):
+        if term is not None and not (isinstance(term, _Term) and term.series):
+            raise TypeError(f"series {name!r} is given a scalar, not a series")
         self.name = name
         self.children = () if term is None else (term,)
 
@@ -206,7 +215,7 @@ class _Leaf(_Term):
     is callable.  ``prelude`` is a statement run once per call, before any
     coefficient, that may read t.  Parameters and constants are scalar
     leaves, SEIR's rate a scalar leaf with a prelude, and Robertson's
-    forcing a series leaf with one."""
+    and ``linear_system``'s forcings series leaves with one."""
 
     def __init__(self, source, prelude=None, series=True):
         self.source, self.prelude, self.series = source, prelude, series
@@ -216,10 +225,10 @@ class _Leaf(_Term):
 
 
 def _scalar(value) -> _Term:
-    """A term as it is, or a float constant as a term."""
+    """A term as it is, or a finite float constant as a term."""
     if isinstance(value, _Term):
         return value
-    return _Leaf(f"({float(value)!r})", series=False)
+    return _Leaf(f"({_finite(constant=value)[0]!r})", series=False)
 
 
 class _Op(_Term):
@@ -270,7 +279,7 @@ class _Product(_Term):
     added to 0.0 from the left.  The leading 0.0 is _sum_product's start,
     so a sum of -0.0 terms is 0.0 as there."""
 
-    def __init__(self, a: _Series, b: _Series):
+    def __init__(self, a: Series, b: Series):
         self.children = (a, b)
 
     def code(self, k):
@@ -322,54 +331,83 @@ def _product(a, b) -> _Term:
     a, b = _scalar(a), _scalar(b)
     if not (a.series and b.series):
         return _Op(a, " * ", b)
-    if not (isinstance(a, _Series) and isinstance(b, _Series)):
+    if not (isinstance(a, Series) and isinstance(b, Series)):
         raise TypeError("a product of series reads state or named series")
     return _Product(a, b)
 
 
 def _collect(term: _Term, named: list, preludes: list) -> None:
     """Append the named series and the preludes ``term`` reads, each after
-    those it reads in turn."""
+    those it reads in turn, to ``named``, which starts with the states, and
+    ``preludes``; a series that is neither raises ValueError."""
     if term in named:
         return
     for child in term.children:
         _collect(child, named, preludes)
     if term.prelude is not None and term.prelude not in preludes:
         preludes.append(term.prelude)
-    if isinstance(term, _Series) and term.children:
+    if isinstance(term, Series):
+        if not term.children:
+            raise ValueError(f"series {term.name!r} is neither a state nor "
+                             "given a term")
         named.append(term)
 
 
+@cache
 def _declaration(rhs):
     """(states, params, derivatives, named, preludes) of the declaration
     ``rhs``: its state series, parameter names and one term per state, the
-    named series in the order they are computed, and the preludes."""
+    named series in the order they are computed, and the preludes.  Cached,
+    so each declaration is traced and checked once: ValueError or TypeError
+    names a state whose derivative is not a series, a series with no term,
+    or a name the generated source cannot hold (``_check_names``)."""
     parameters = inspect.signature(rhs).parameters.values()
-    states = [_Series(p.name) for p in parameters
+    states = [Series(p.name) for p in parameters
               if p.kind is p.POSITIONAL_OR_KEYWORD]
     params = [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
-    derivatives = rhs(*states, **{name: _Leaf(name, series=False)
-                                  for name in params})
-    named, preludes = [], []
-    for term in derivatives:
+    derivatives = tuple(rhs(*states, **{name: _Leaf(name, series=False)
+                                        for name in params}))
+    if len(derivatives) != len(states):
+        raise ValueError(f"the declaration returns {len(derivatives)} terms "
+                         f"for its states {', '.join(x.name for x in states)}")
+    named, preludes = list(states), []
+    for x, term in zip(states, derivatives):
+        if not (isinstance(term, _Term) and term.series):
+            raise TypeError(f"the derivative of {x.name} is not a series")
         _collect(term, named, preludes)
+    named = named[len(states):]
+    _check_names([x.name for x in states] + params + [s.name for s in named],
+                 [x.name for x in states + named])
     return states, params, derivatives, named, preludes
+
+
+def _check_names(names: list, stems: list) -> None:
+    """Refuse a state, parameter or series name that is not an identifier,
+    is given twice, is _RESERVED or has a leading underscore, or has the
+    form of a local of one of the series ``stems``."""
+    for i, name in enumerate(names):
+        if (not isinstance(name, str) or not name.isidentifier()
+                or keyword.iskeyword(name) or name.startswith("_")
+                or name in _RESERVED or name in names[:i]
+                or any(name.startswith(f"{stem}_")
+                       and _LOCALS.fullmatch(name, len(stem) + 1)
+                       for stem in stems)):
+            raise ValueError(
+                f"{name!r} cannot name a state, parameter or series: it is "
+                "not an identifier, is reserved or given twice, or has the "
+                "form of a generated local")
 
 
 def _bind(params: list, args: str, body: list):
     """The factory ``bind(*params)`` of the generated ``kernel(args)``
     whose body is the lines ``body``."""
-    source = (f"def bind({', '.join(params)}):\n"
-              f"    def kernel({args}):\n"
+    source = (f"def _bind({', '.join(params)}):\n"
+              f"    def _kernel({args}):\n"
               + "".join(f"        {line}\n" for line in body)
-              + "    return kernel\n")
-    namespace = {"exp": math.exp, "factorial": math.factorial,
-                 "lgamma": math.lgamma, "isfinite": math.isfinite,
-                 "_sum_product": _sum_product, "_sum_tangent": _sum_tangent,
-                 "_horner_list": _horner_list, "chain": chain,
-                 "NonFiniteStateError": NonFiniteStateError}
+              + "    return _kernel\n")
+    namespace = dict(_NAMESPACE)
     exec(source, namespace)
-    return namespace["bind"]
+    return namespace["_bind"]
 
 
 @cache
@@ -382,7 +420,7 @@ def _generate(rhs, depth: int):
     limit is asked for as _UNROLL_LIMIT + 1."""
     states, params, derivatives, named, preludes = _declaration(rhs)
     straight = min(depth, _UNROLL_LIMIT)
-    body = [", ".join(x.name for x in states) + ", = table"]
+    body = [", ".join(x.name for x in states) + ", = _table"]
     body += [f"{x.name}_0 = {x.name}[0]" for x in states]
     body += preludes
     for k in range(straight):
@@ -403,7 +441,7 @@ def _generate(rhs, depth: int):
         body += [f"    {x.name}_next = {term.code(None)} / (k + 1)"
                  for x, term in zip(states, derivatives)]
         body += [f"    {x.name}.append({x.name}_next)" for x in states]
-    return _bind(params, "t, table, depth", body)
+    return _bind(params, "t, _table, depth", body)
 
 
 def _horner_code(coeffs: list) -> str:
@@ -416,9 +454,9 @@ def _horner_code(coeffs: list) -> str:
         if code is None:
             code = c
         elif c is None:
-            code = f"{code} * offset"
+            code = f"{code} * _offset"
         else:
-            code = f"({code} * offset + {c})"
+            code = f"({code} * _offset + {c})"
     return "0.0" if code is None else code
 
 
@@ -428,6 +466,21 @@ def _horner_list(col: list, offset: float) -> float:
     for c in col[-2::-1]:
         a = a * offset + c
     return a
+
+
+# The globals of the generated kernels.
+_NAMESPACE = {"exp": math.exp, "factorial": math.factorial,
+              "lgamma": math.lgamma, "isfinite": math.isfinite,
+              "_sum_product": _sum_product, "_sum_tangent": _sum_tangent,
+              "_horner_list": _horner_list, "chain": chain,
+              "NonFiniteStateError": NonFiniteStateError}
+# The names a kernel reads besides a declaration's and its own, which all
+# start with an underscore: the time t, the depth, the loop index k, its
+# globals and the builtins it calls.
+_RESERVED = {"t", "depth", "k", "all", "map", "range", "float", *_NAMESPACE}
+# The locals of a kept series x after "x_": x_3, x_d1, x_3_d1, x_next and
+# x_next_d1.
+_LOCALS = re.compile(r"\d+|d\d+|\d+_d\d+|next|next_d\d+")
 
 
 @cache
@@ -470,8 +523,8 @@ def _generate_tangent(rhs, order: int):
                 kept[j] = f"{name}_{k}_d{j}"
                 body.append(f"{kept[j]} = {source}{divisor}")
 
-    body = ["".join(f"{x.name}_0, " for x in states) + "= y",
-            "".join(f"known_{i}, " for i in m) + "= known"]
+    body = ["".join(f"{x.name}_0, " for x in states) + "= _y",
+            "".join(f"_known_{i}, " for i in m) + "= _known"]
     body += preludes
     for k in range(straight):
         for s in named:
@@ -505,9 +558,9 @@ def _generate_tangent(rhs, order: int):
             body.append(f"    {x.name}.append({x.name}_next)")
             body += [f"    {x.name}_d{j}.append({x.name}_next_d{j})"
                      for j in m]
-        body += [f"_r{i} = _horner_list({x.name}, offset) - known_{i}"
+        body += [f"_r{i} = _horner_list({x.name}, _offset) - _known_{i}"
                  for i, x in enumerate(states)]
-        body += [f"_J{i}_{j} = _horner_list({x.name}_d{j}, offset)"
+        body += [f"_J{i}_{j} = _horner_list({x.name}_d{j}, _offset)"
                  for i, x in enumerate(states) for j in m]
         coefficients = "chain(" + ", ".join(
             f"{x.name}{suffix}" for x in states
@@ -515,7 +568,7 @@ def _generate_tangent(rhs, order: int):
     else:
         body += [f"_r{i} = "
                  + _horner_code([f"{x.name}_{k}" for k in range(order + 1)])
-                 + f" - known_{i}" for i, x in enumerate(states)]
+                 + f" - _known_{i}" for i, x in enumerate(states)]
         body += [f"_J{i}_{j} = " + _horner_code(
                      [tangents[x.name, k].get(j) for k in range(order + 1)])
                  for i, x in enumerate(states) for j in m]
@@ -537,15 +590,29 @@ def _generate_tangent(rhs, order: int):
              "return [" + ", ".join(f"_r{i}" for i in m) + "], ["
              + ", ".join("[" + ", ".join(f"_J{i}_{j}" for j in m) + "]"
                          for i in m) + "]"]
-    return _bind(["depth"] + params, "t, offset, known, y", body)
+    return _bind(["depth"] + params, "t, _offset, _known, _y", body)
+
+
+def declare(rhs, **params) -> Recurrence:
+    """The recurrence of the right-hand side declared by ``rhs`` (the module
+    docstring states the form), with its keyword-only parameters bound to
+    ``params``, each taken as a finite float.  A malformed declaration, or
+    parameters other than the declared ones, raise ValueError or TypeError
+    here; the kernels are generated on first use."""
+    declared = _declaration(rhs)[1]
+    if sorted(params) != sorted(declared):
+        raise TypeError(f"the declaration takes the parameters "
+                        f"({', '.join(declared)}), got ({', '.join(params)})")
+    return _compiled(rhs, **dict(zip(params, _finite(**params))))
 
 
 def _compiled(rhs, **params) -> Recurrence:
-    """The recurrence of the declared right-hand side ``rhs`` with its
-    parameters bound to ``params``.  Its first call at each depth binds the
+    """The recurrence of the checked declaration ``rhs`` with its parameters
+    bound to ``params`` as given.  Its first call at each depth binds the
     kernel factory of (rhs, depth) to ``params``, once.  Its attribute
     ``tangent(order)`` is the tangent kernel of (rhs, order) bound the same
-    way, which the stepper's Newton solve calls."""
+    way, which the stepper's Newton solve calls, and ``dim`` is its number
+    of states."""
 
     @cache
     def kernel(depth):
@@ -560,6 +627,7 @@ def _compiled(rhs, **params) -> Recurrence:
             rhs, min(order, _TANGENT_UNROLL_LIMIT + 1))(order, **params)
 
     recurrence.tangent = tangent
+    recurrence.dim = len(_declaration(rhs)[0])
     return recurrence
 
 
@@ -594,7 +662,7 @@ def dahlquist(lam: float = -1.0, x0: float = 1.0) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="dahlquist",
-        recurrence=_compiled(_dahlquist_rhs, lam=lam),
+        recurrence=declare(_dahlquist_rhs, lam=lam),
         default_initial=np.array([x0]),
         exact_solution=exact,
     )
@@ -602,7 +670,8 @@ def dahlquist(lam: float = -1.0, x0: float = 1.0) -> ProblemDefinition:
 
 def linear_system(A, forcing=None, name: str = "linear",
                   default_initial=None, exact_solution=None) -> ProblemDefinition:
-    """x' = A x + B(t) with ``forcing(t_i, k)`` the transform of B about t_i.
+    """x' = A x + B(t) with ``forcing(t_i, k)`` the transform of B about t_i,
+    a sequence of one value per component.
 
     For zero forcing the coefficients are X(k) = A^k X(0) / k!.
     """
@@ -617,37 +686,53 @@ def linear_system(A, forcing=None, name: str = "linear",
     if default_initial.shape != (m,):
         raise ValueError(f"default_initial must have {m} entries, one per "
                          "row of A")
-    rows = A.tolist()
     if forcing is None:
-        zeros = [0.0] * m
-        forcing = lambda t, k: zeros
+        forcing = lambda t, k: (0.0,) * m
     elif len(list(forcing(0.0, 0))) != m:
         raise ValueError(f"forcing must give {m} values, one per component")
-
-    def recurrence(t, table, depth):
-        for k in range(depth):
-            x = [col[k] for col in table]
-            for col, row, f in zip(table, rows, forcing(t, k)):
-                col.append((reduce(add, map(mul, row, x), 0.0) + float(f))
-                           / (k + 1))
-
     return ProblemDefinition(
         name=name,
-        recurrence=recurrence,
+        recurrence=_compiled(_linear_rhs(m), forcing=forcing, **{
+            f"a{i}_{j}": a for i, row in enumerate(A.tolist())
+            for j, a in enumerate(row)}),
         default_initial=default_initial,
         exact_solution=exact_solution,
     )
+
+
+@cache
+def _linear_rhs(m: int):
+    """The declaration of x' = A x + B(t) for m states, shared by every A
+    and forcing, so its kernels are too.  A's entries are the parameters
+    a{i}_{j}; B's are the values of the parameter ``forcing``, called once
+    per index by a prelude.  Row i adds 0.0 + a_i0 x_0 + ... from the left,
+    then float(B_i), as the loop this replaced did; with no forcing given,
+    B_i is 0.0, which leaves every bit of that sum as it is."""
+    def rhs(*x, **a):
+        return [reduce(add, (a[f"a{i}_{j}"] * x[j] for j in range(m)),
+                       _Leaf("0.0"))
+                + _Leaf(lambda k, i=i: "float(_b[%s][%d])" % (
+                            "k" if k is None else k, i),
+                        "_b = [forcing(t, k) for k in range(depth)]")
+                for i in range(m)]
+
+    P = inspect.Parameter
+    rhs.__signature__ = inspect.Signature(
+        [P(f"x{i}", P.POSITIONAL_OR_KEYWORD) for i in range(m)]
+        + [P(f"a{i}_{j}", P.KEYWORD_ONLY) for i in range(m) for j in range(m)]
+        + [P("forcing", P.KEYWORD_ONLY)])
+    return rhs
 
 
 def _seir_rhs(s, e, p, a, d, r, *, beta, eta, t_c, inv_N, mu, r_e, r_p, r_a,
               r_d, e_to_p, e_to_a):
     # Steps launched at t >= t_c integrate over (t, t+dt] where the scaled
     # rate applies, so the right limit is the faithful choice.
-    rate = _Leaf("rate", "rate = (beta * eta if t >= t_c else beta) * inv_N",
+    rate = _Leaf("_rate", "_rate = (beta * eta if t >= t_c else beta) * inv_N",
                  series=False)
     # The series of P + D + mu A, so the infection term is one product.
-    w = _Series("w", p + d + mu * a)
-    lam = _Series("lam", rate * (s * w))
+    w = Series("w", p + d + mu * a)
+    lam = Series("lam", rate * (s * w))
     return (-lam, -r_e * e + lam, e_to_p * e - r_p * p, e_to_a * e - r_a * a,
             r_p * p - r_d * d, r_a * a + r_d * d)
 
@@ -672,7 +757,7 @@ def seir(*, beta: float = 1.12, mu: float = 0.55, alpha: float = 0.14,
     # Rates of the linear compartment flows, state order (S, E, P, A, D, R):
     # whatever leaves one compartment enters another, so the population is
     # conserved at the coefficient level.
-    recurrence = _compiled(
+    recurrence = declare(
         _seir_rhs, beta=beta, eta=eta, t_c=t_c, inv_N=1.0 / N, mu=mu,
         r_e=1.0 / d1, r_p=1.0 / d2, r_a=1.0 / d3, r_d=1.0 / p,
         e_to_p=alpha / d1, e_to_a=(1.0 - alpha) / d1)
@@ -690,7 +775,7 @@ _LOGISTIC_PARAMS = (-3.0, 2.0, -2.0)
 
 
 def _duffing_rhs(x1, x2, *, alpha, beta, gamma):
-    sq = _Series("sq", x1 * x1)
+    sq = Series("sq", x1 * x1)
     return (x2, -beta * x1 - alpha * x2 - gamma * (sq * x1))
 
 
@@ -701,8 +786,7 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
     For (alpha, beta, gamma) = (-3, 2, -2) the logistic function
     1/(1 + e^(-t)) is an exact solution from (0.5, 0.25).
     """
-    alpha, beta, gamma = _finite(alpha=alpha, beta=beta, gamma=gamma)
-    recurrence = _compiled(_duffing_rhs, alpha=alpha, beta=beta, gamma=gamma)
+    recurrence = declare(_duffing_rhs, alpha=alpha, beta=beta, gamma=gamma)
     exact = None
     if (alpha, beta, gamma) == _LOGISTIC_PARAMS:
         def exact(t):
@@ -719,21 +803,21 @@ def duffing(alpha: float = -3.0, beta: float = 2.0, gamma: float = -2.0) -> Prob
 
 def _decay(k) -> str:
     """The source of e^(-t)'s coefficient at index k about t,
-    e^(-t) (-1)^k / k!, with decay = e^(-t).  Past k = 170, k! exceeds the
+    e^(-t) (-1)^k / k!, with _exp_t = e^(-t).  Past k = 170, k! exceeds the
     float range and the loop (k None) takes it in log space; written-out
     indices stop below _UNROLL_LIMIT."""
     if k is None:
-        return ("(decay * (-1.0 if k % 2 else 1.0) / factorial(k) if k <= 170"
+        return ("(_exp_t * (-1.0 if k % 2 else 1.0) / factorial(k) if k <= 170"
                 " else (-1.0 if k % 2 else 1.0) * exp(-t - lgamma(k + 1)))")
     sign = "-1.0" if k % 2 else "1.0"
-    return f"decay * {sign} / {math.factorial(k)}"
+    return f"_exp_t * {sign} / {math.factorial(k)}"
 
 
 def _robertson_rhs(x1, x2, x3):
-    f = _Series("f", _Leaf(_decay, "decay = exp(-t)"))
-    a1 = _Series("a1", 0.04 * x1)
-    a23 = _Series("a23", 1e4 * (x2 * x3))
-    a22 = _Series("a22", 3e7 * (x2 * x2))
+    f = Series("f", _Leaf(_decay, "_exp_t = exp(-t)"))
+    a1 = Series("a1", 0.04 * x1)
+    a23 = Series("a23", 1e4 * (x2 * x3))
+    a22 = Series("a22", 3e7 * (x2 * x2))
     return (a23 - a1 - 0.96 * f, a1 - a23 - a22 - 0.04 * f, a22 + f)
 
 
@@ -751,14 +835,14 @@ def robertson_modified() -> ProblemDefinition:
 
     return ProblemDefinition(
         name="robertson",
-        recurrence=_compiled(_robertson_rhs),
+        recurrence=declare(_robertson_rhs),
         default_initial=np.array([1.0, 0.0, 0.0]),
         exact_solution=exact,
     )
 
 
 def _van_der_pol_rhs(u, v, *, eps):
-    uu = _Series("uu", u * u)
+    uu = Series("uu", u * u)
     return (v, -u + eps * v - eps * (uu * v))
 
 
@@ -768,7 +852,7 @@ def van_der_pol(epsilon: float = 10.0) -> ProblemDefinition:
     eps, = _finite(epsilon=epsilon)
     return ProblemDefinition(
         name="vanderpol",
-        recurrence=_compiled(_van_der_pol_rhs, eps=eps),
+        recurrence=declare(_van_der_pol_rhs, eps=eps),
         default_initial=np.array([2.0, 0.0]),
     )
 

@@ -9,7 +9,6 @@ predictor of the implicit one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, partial
@@ -149,9 +148,8 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
 
     The table is the ``dim`` state series, ``table[j][k]`` = X_j(k) =
     x_j^(k)(t_i)/k!, always built whole by one recurrence call from one-entry
-    lists.  It does not store t_i.  Entries are Python floats, or complex
-    numbers for the complex-step Jacobian of a hand-written recurrence: at
-    m <= 6 and K <= 11 a numpy call costs more than its arithmetic.
+    lists.  It does not store t_i.  Entries are Python floats: at m <= 6 and
+    K <= 11 a numpy call costs more than its arithmetic.
     """
     if len(state) != problem.dim:
         raise ValueError(f"state must have {problem.dim} entries")
@@ -167,13 +165,13 @@ def _check_finite(table, t_i, depth: int) -> None:
     """Raise NonFiniteStateError unless every entry X(0), ..., X(depth) of
     the table about t_i is finite; entries past depth may be anything."""
     # One sum first: a nan or infinite entry makes the running sum nan or
-    # infinite, per component for complex entries, and adding anything to
-    # it leaves it so.  Python >= 3.12 compensates float sums, but adds the
-    # compensation to that plain running sum at the end, so this still
-    # holds.  A finite table can overflow the sum, and an entry past depth
-    # can be non-finite; only then is each entry through depth tested.
-    if (not cmath.isfinite(sum(chain.from_iterable(table)))
-            and not all(map(cmath.isfinite, chain.from_iterable(
+    # infinite, and adding anything to it leaves it so.  Python >= 3.12
+    # compensates float sums, but adds the compensation to that plain
+    # running sum at the end, so this still holds.  A finite table can
+    # overflow the sum, and an entry past depth can be non-finite; only then
+    # is each entry through depth tested.
+    if (not math.isfinite(sum(chain.from_iterable(table)))
+            and not all(map(math.isfinite, chain.from_iterable(
                 col[:depth + 1] for col in table)))):
         raise NonFiniteStateError(
             f"non-finite Taylor coefficient at t = {t_i!r}")
@@ -201,13 +199,12 @@ def _residual_function(problem, t_next, known_value, theta, order, dt,
     """The continuity defect of one implicit step as a function of the
     trial state, and the [trial state, trial table] pair of its last call.
 
-    ``residual(y)`` expands the list y of ``dim`` numbers about t_next, tests
+    ``residual(y)`` expands the list y of ``dim`` floats about t_next, tests
     the table's finiteness through ``order`` and returns h(col, -theta dt) -
     known for each column and each entry of ``known_value``, h =
-    ``_horner(order)``.  A real y is a candidate next node, so its table runs
-    through ``depth``, the index the node's readers need; a complex-step
-    point's table stops at ``order``, all that Horner reads.  Everything
-    fixed for the step is bound here once; y is not validated.
+    ``_horner(order)``.  Each y is a candidate next node, so its table runs
+    through ``depth``, the index the node's readers need.  Everything fixed
+    for the step is bound here once; y is not validated.
     """
     recurrence = problem.recurrence
     offset = -theta * dt
@@ -216,7 +213,7 @@ def _residual_function(problem, t_next, known_value, theta, order, dt,
 
     def residual(y):
         table = [[x] for x in y]
-        recurrence(t_next, table, order if type(y[0]) is complex else depth)
+        recurrence(t_next, table, depth)
         _check_finite(table, t_next, order)
         r = [h(col, offset) - k for col, k in zip(table, known_value)]
         last[0], last[1] = y, table
@@ -235,33 +232,28 @@ def _step(problem, t_i, node_table, theta, order, dt):
     defect between the trial state's expansion about t_i + dt and the
     node's, both at the matching point t_i + (1 - theta) dt.  Both of the
     node's series values are read by the kernel ``_horner(order)``.  The
-    real residual calls build their tables as deep as the node table,
+    residual calls build their tables as deep as the node table,
     ``len(node_table[0]) - 1``.  The table returned is the one the last
     residual evaluation built, returned only when Newton returned that very
     list: it is then the next node's table.
 
     Newton's Jacobian, with the residual at the same point, comes from the
-    tangent kernel of a declared problem (``recurrence.tangent(order)``,
-    the recurrence ``problems._compiled`` returns), which builds no table;
-    a hand-written recurrence has none, and Newton takes the complex step
-    of the residual, whose complex tables are never handed on.  So a solve
-    that accepts the predictor at 0 iterations makes no real residual call,
-    and the next node is built afresh.  A one-iteration step on a declared
-    problem makes one kernel call and one real recurrence call.
+    problem's tangent kernel (``recurrence.tangent(order)``, which
+    ``problems.declare`` attaches), which builds no table.  So a solve that
+    accepts the predictor at 0 iterations makes no residual call, and the
+    next node is built afresh.  A one-iteration step makes one kernel call
+    and one recurrence call.
     """
     h = _horner(order)
     predictor = [h(col, dt) for col in node_table]
     if theta == 0.0:
-        # Plain floats, also from a recurrence that appends numpy scalars.
-        return list(map(float, predictor)), 0, None
+        return predictor, 0, None
     # The known side is fixed for the whole step.
     known_value = [h(col, (1.0 - theta) * dt) for col in node_table]
     residual, last = _residual_function(problem, t_i + dt, known_value, theta,
                                         order, dt, len(node_table[0]) - 1)
-    tangent = getattr(problem.recurrence, "tangent", None)
-    linearize = (None if tangent is None else
-                 partial(tangent(order), t_i + dt, -theta * dt, known_value))
-    state, iters = newton_solve(residual, predictor, linearize)
+    state, iters = newton_solve(residual, predictor, partial(
+        problem.recurrence.tangent(order), t_i + dt, -theta * dt, known_value))
     return state, iters, last[1] if state is last[0] else None
 
 
@@ -336,7 +328,7 @@ def integrate(problem: ProblemDefinition, config: SchemeConfig,
     through the index of the leading error term, theoretical_order + 1: the
     one coefficient the error estimate and the controller read.  After
     an implicit step the Newton solve has already built the accepted state's
-    table through that index (the table of its last real residual
+    table through that index (the table of its last residual
     evaluation), so that table is the node table, tested for finiteness
     through that index here; a node gets a fresh build only at t = 0, after
     an explicit step and after a solve that accepted the predictor at 0

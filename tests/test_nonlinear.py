@@ -3,7 +3,7 @@
 import cmath
 import math
 import random
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from operator import add
 
@@ -12,15 +12,11 @@ import pytest
 
 from ieldtm import nonlinear, stepper
 from ieldtm.errors import NewtonFailureError, SingularMatrixError
-from ieldtm.nonlinear import (
-    _PIVOT_REL_TOL,
-    _complex_step,
-    lu_solve,
-    newton_solve,
-)
+from ieldtm.nonlinear import _PIVOT_REL_TOL, lu_solve, newton_solve
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table
+from oracles import complex_residual, complex_step
 
 
 class TestLuSolve:
@@ -521,20 +517,25 @@ class TestLuKernel:
         assert nonlinear._lu_kernel.cache_info().currsize == len(systems)
 
 
+def newton(residual, guess):
+    """newton_solve with the complex step of residual as its linearize."""
+    return newton_solve(residual, guess, partial(complex_step, residual))
+
+
 class TestNewtonSolve:
     def test_affine(self):
-        root, iters = newton_solve(lambda y: [v - 1.0 for v in y], [0.0])
+        root, iters = newton(lambda y: [v - 1.0 for v in y], [0.0])
         assert root[0] == pytest.approx(1.0)
         # One correction plus one polish pass that confirms the floor.
         assert iters <= 2
 
     def test_quadratic(self):
-        root, iters = newton_solve(lambda y: [v ** 2 - 4.0 for v in y], [3.0])
+        root, iters = newton(lambda y: [v ** 2 - 4.0 for v in y], [3.0])
         assert root[0] == pytest.approx(2.0, abs=1e-10)
         assert iters <= 6
 
     def test_already_converged_guess(self):
-        root, iters = newton_solve(lambda y: [v - 1.0 for v in y], [1.0])
+        root, iters = newton(lambda y: [v - 1.0 for v in y], [1.0])
         assert root[0] == 1.0
         assert iters == 0
 
@@ -542,19 +543,19 @@ class TestNewtonSolve:
         def residual(y):
             return [y[0] ** 2 + y[1] ** 2 - 2.0, y[0] - y[1]]
 
-        root, _ = newton_solve(residual, [2.0, 0.5])
+        root, _ = newton(residual, [2.0, 0.5])
         np.testing.assert_allclose(root, [1.0, 1.0], atol=1e-10)
 
     def test_failure_reported(self, monkeypatch):
         # No real root: residual cannot reach zero.
         monkeypatch.setattr(nonlinear, "_MAX_ITERS", 5)
         with pytest.raises(NewtonFailureError):
-            newton_solve(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
+            newton(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
 
     def test_singular_jacobian_after_first_iteration(self):
         # The first update lands on y = 0, where the Jacobian 2y vanishes.
         with pytest.raises(NewtonFailureError, match="singular Jacobian at iteration 2"):
-            newton_solve(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
+            newton(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
 
     def test_stalled_residual_accepted_at_abs_tol(self):
         # A root at 1 with a 1e-13 ripple of period 6e-13: once the residual
@@ -566,7 +567,7 @@ class TestNewtonSolve:
             sin = cmath.sin if type(x) is complex else math.sin
             return [(x - 1.0) + 1e-13 * sin(1e13 * x)]
 
-        root, iters = newton_solve(residual, [0.999999999995])
+        root, iters = newton(residual, [0.999999999995])
         assert iters == 3
         assert abs(residual(root)[0]) <= nonlinear._ABS_TOL
 
@@ -574,7 +575,7 @@ class TestNewtonSolve:
         # The one allowed iteration reaches _ABS_TOL with a large update.
         monkeypatch.setattr(nonlinear, "_ABS_TOL", 1e-9)
         monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
-        root, iters = newton_solve(lambda y: [v - 1.0 for v in y], [0.0])
+        root, iters = newton(lambda y: [v - 1.0 for v in y], [0.0])
         assert abs(root[0] - 1.0) <= 1e-9
         assert iters == 1
 
@@ -583,7 +584,7 @@ class TestNewtonSolve:
         def residual(y):
             return [np.arctan(v) * 10.0 for v in y]
 
-        root, _ = newton_solve(residual, [20.0])
+        root, _ = newton(residual, [20.0])
         assert abs(root[0]) <= 1e-10
 
     @pytest.mark.parametrize("residual,guess,iters", [
@@ -596,7 +597,7 @@ class TestNewtonSolve:
     def test_iteration_counts(self, residual, guess, iters):
         # The counts of the cases above: the norm of each residual is taken
         # once and carried into the next iteration's tests.
-        assert newton_solve(residual, guess)[1] == iters
+        assert newton(residual, guess)[1] == iters
 
     def test_inf_residual_takes_every_halving(self):
         # The residual is inf at the start and after every update: an inf
@@ -610,7 +611,7 @@ class TestNewtonSolve:
             return [math.inf for _ in y]
 
         with pytest.raises(NewtonFailureError):
-            newton_solve(residual, [2.0])
+            newton(residual, [2.0])
         assert len(real_calls) >= 1 + nonlinear._MAX_HALVINGS
         assert real_calls[:1 + nonlinear._MAX_HALVINGS] == \
             [[-math.inf]] * (1 + nonlinear._MAX_HALVINGS)
@@ -621,7 +622,7 @@ class TestNewtonSolve:
         # convergence.
         with pytest.raises(NewtonFailureError,
                            match=r"^non-finite iterate at iteration 1$"):
-            newton_solve(lambda y: [1e-250 * v - 1e60 for v in y], [0.0])
+            newton(lambda y: [1e-250 * v - 1e60 for v in y], [0.0])
 
     @pytest.mark.parametrize("where", [0, 1])
     def test_nan_residual_counts_as_growth(self, where):
@@ -638,7 +639,7 @@ class TestNewtonSolve:
                     r[where] = math.nan
             return r
 
-        root, iters = newton_solve(residual, [0.0, 0.0])
+        root, iters = newton(residual, [0.0, 0.0])
         assert real_calls[:3] == [[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]]
         assert root == [1.0, 1.0] and iters == 2
 
@@ -650,12 +651,15 @@ def horner(table, offset, order):
     return [h(col, offset) for col in table]
 
 
-def step_residual(problem, state, theta, order, dt):
-    """The implicit-step residual newton_solve sees for one step from state."""
+def step_linearize(problem, state, theta, order, dt):
+    """(residual, linearize) newton_solve gets for one step from state at
+    t = 0.4: the residual function and the tangent kernel."""
     table = build_coeff_table(problem, 0.4, state.tolist(), order)
     known = horner(table, (1.0 - theta) * dt, order)
-    return stepper._residual_function(problem, 0.4 + dt, known, theta, order,
-                                      dt, order)[0]
+    residual = stepper._residual_function(problem, 0.4 + dt, known, theta,
+                                          order, dt, order)[0]
+    return residual, partial(problem.recurrence.tangent(order), 0.4 + dt,
+                             -theta * dt, known)
 
 
 def vdp_jacobian(y, eps=10.0):
@@ -671,8 +675,10 @@ def robertson_jacobian(y):
 
 
 class TestBatchedJacobian:
-    """The complex-step Jacobian: one single-state complex residual call per
-    column, m per Newton iteration."""
+    """The Jacobian of the tangent kernel against hand-derived ones, and the
+    complex-step oracle the tests compare that kernel with: its residual is
+    the stepper's bit for bit, and Newton makes m complex calls per
+    iteration with it."""
 
     @pytest.mark.parametrize("problem,f_y,state,dt", [
         (van_der_pol(10.0), vdp_jacobian, np.array([2.0, -0.5]), 0.05),
@@ -682,15 +688,11 @@ class TestBatchedJacobian:
     def test_matches_column_by_column(self, problem, f_y, state, dt):
         # At K = 1, theta = 1 the residual is y - dt f(y) - state, so its
         # Jacobian is I - dt f_y, here derived by hand column by column.
-        residual = step_residual(problem, state, 1.0, 1, dt)
+        residual, linearize = step_linearize(problem, state, 1.0, 1, dt)
         y = (state * 1.01).tolist()
-        J = np.array(_complex_step(residual, y)[1])
-        for j in range(len(y)):
-            # The real part of each complex-step residual is r(y).
-            point = list(map(complex, y))
-            point[j] += 1e-30j
-            r = np.array(residual(point)).real
-            np.testing.assert_allclose(r, residual(y), rtol=1e-14, atol=1e-16)
+        r, J = linearize(y)
+        assert r == residual(y)
+        J = np.array(J)
         ref = np.eye(len(y)) - dt * f_y(y)
         for j in range(len(y)):
             np.testing.assert_allclose(J[:, j], ref[:, j], rtol=1e-13, atol=0)
@@ -701,12 +703,12 @@ class TestBatchedJacobian:
         # Jacobian is the denominator of matrix_R.
         A = np.array([[-2.0, 1.0, 0.0], [0.5, -3.0, 0.2], [0.0, 4.0, -50.0]])
         dt = 0.1
-        residual = step_residual(linear_system(A), np.array([1.0, -1.0, 0.5]),
-                                 theta, order, dt)
+        _, linearize = step_linearize(
+            linear_system(A), np.array([1.0, -1.0, 0.5]), theta, order, dt)
         W = -theta * dt * A
         exact = sum(np.linalg.matrix_power(W, k) / math.factorial(k)
                     for k in range(order + 1))
-        J = np.array(_complex_step(residual, [0.9, -1.1, 0.4])[1])
+        J = np.array(linearize([0.9, -1.1, 0.4])[1])
         np.testing.assert_allclose(J, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
 
     # (problem, node time, node state, dt): every built-in problem, with
@@ -731,13 +733,13 @@ class TestBatchedJacobian:
                                   "seir-after-tc", "seir-start", "linear"])
     def test_complex_step_real_part_is_the_residual(self, problem, t, state,
                                                     dt, theta):
-        """Re r(y + ih e_j) equals r(y) bit for bit, r the step's residual
-        function, so Newton takes its first residual from the first Jacobian
-        column.  The imaginary parts are h = 1e-30 times the real ones, so an
-        imaginary-by-imaginary product term is about 1e-60 relative to its
-        real-by-real term, far below half an ulp: it never changes the
-        rounded real part.  Sums and real scalings act on the two parts
-        separately."""
+        """Re r(y + ih e_j) of the oracle's complex residual equals r(y) bit
+        for bit, r the step's residual function, so the complex step's first
+        residual is the stepper's.  The imaginary parts are h = 1e-30 times
+        the real ones, so an imaginary-by-imaginary product term is about
+        1e-60 relative to its real-by-real term, far below half an ulp: it
+        never changes the rounded real part.  Sums and real scalings act on
+        the two parts separately."""
         assert {p.name for p, *_ in self.REAL_PART_CASES} >= set(PROBLEM_NAMES)
         rng = np.random.default_rng(len(state) + int(10 * theta))
         for order in range(1, 10):
@@ -752,19 +754,21 @@ class TestBatchedJacobian:
                 # the central scheme with odd K.
                 residual, _ = stepper._residual_function(
                     problem, t + dt, known, theta, order, dt, order + 2)
+                oracle = complex_residual(problem, t + dt, known, theta,
+                                          order, dt)
                 for y in (horner(table, dt, order), node):
                     r = residual(y)
                     for j in range(len(y)):
                         point = list(map(complex, y))
                         point[j] += 1e-30j
-                        c = residual(point)
+                        c = oracle(point)
                         assert [v.real.hex() for v in c] == [v.hex() for v in r]
 
     def test_m_complex_calls_per_iteration(self, monkeypatch):
-        # Without a linearize, Newton takes the complex step: the first
-        # call is column 0's complex one, whose real part is r(y), each
-        # iteration's Jacobian takes m single-state complex calls, and the
-        # first LU solve comes before any real call.
+        # With the complex step as its linearize, Newton's first call is
+        # column 0's complex one, whose real part is r(y), each iteration's
+        # Jacobian takes m single-state complex calls, and the first LU
+        # solve comes before any real call.
         calls = []
 
         def residual(y):
@@ -776,7 +780,7 @@ class TestBatchedJacobian:
             return lu_solve(A, b)
 
         monkeypatch.setattr(nonlinear, "lu_solve", solve)
-        _, iters = newton_solve(residual, [3.0, 1.0])
+        _, iters = newton(residual, [3.0, 1.0])
         assert iters >= 2
         assert calls[0] == ((2,), True)
         assert calls[:calls.index("lu")] == [((2,), True)] * 2

@@ -5,6 +5,7 @@ import functools
 import inspect
 import math
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -20,13 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ieldtm
-from ieldtm import nonlinear, problems
+from ieldtm import problems
 from ieldtm.errors import NonFiniteStateError
 from ieldtm.problems import (
     PROBLEM_NAMES,
     ProblemDefinition,
+    Series,
     _UNROLL_LIMIT,
     dahlquist,
+    declare,
     duffing,
     linear_system,
     make_problem,
@@ -36,6 +39,7 @@ from ieldtm.problems import (
 )
 from ieldtm import stepper
 from ieldtm.stepper import FixedStep, SchemeConfig, build_coeff_table, integrate
+from oracles import complex_residual, complex_step
 
 
 def coeffs_from(problem, t, state, depth):
@@ -250,8 +254,8 @@ def _exp_decay_forcing(t, k):
 
 
 class TestComplexStepRealPart:
-    """The real part of the complex-step table built from y + ih e_j, one of
-    the Newton Jacobian's points, equals the real table of y."""
+    """The real part of the value kernel's table from y + ih e_j, a point of
+    the complex-step oracle, equals the real table of y."""
 
     CASES = [
         (dahlquist(-2.0), 0.0),
@@ -273,7 +277,8 @@ class TestComplexStepRealPart:
         for j in range(problem.dim):
             point = y.astype(complex)
             point[j] += 1e-30j
-            column = coeffs_from(problem, t, point, 7)
+            column = np.array(_hand_table(problem.recurrence, t,
+                                          point.tolist(), 7)).T
             assert column.shape == (8, problem.dim)
             np.testing.assert_allclose(column.real, single, rtol=1e-13,
                                        atol=1e-13 * np.abs(single).max())
@@ -398,35 +403,21 @@ class TestAuxiliarySeries:
         (duffing(1.0, -0.5, 3.0), _old_duffing(1.0, -0.5, 3.0), [-0.9, 1.3]),
     ]
 
-    @staticmethod
-    def states(y):
-        """y and its complex-step points y + ih e_j."""
-        points = [list(y)]
-        for j in range(len(y)):
-            point = list(map(complex, y))
-            point[j] += 1e-30j
-            points.append(point)
-        return points
-
     @pytest.mark.parametrize("depth", [5, 7, 11])
     @pytest.mark.parametrize("problem,old,y", CASES,
                              ids=["vdp10", "vdp1000", "duffing", "duffing-other"])
     def test_table_equals_old_formula(self, problem, old, y, depth):
-        for state in self.states(y):
-            table = build_coeff_table(problem, 0.0, state, depth)
-            assert len(table) == problem.dim
-            assert _bits(table) == _bits(_old_table(old, state, depth))
+        table = build_coeff_table(problem, 0.0, y, depth)
+        assert len(table) == problem.dim
+        assert _bits(table) == _bits(_old_table(old, y, depth))
 
     @pytest.mark.parametrize("depth", [5, 7, 11])
     @pytest.mark.parametrize("t,y", [(0.0, [1.0, 0.0, 0.0]),
                                      (1.2, [0.3, 2e-5, 0.7])],
                              ids=["initial", "later"])
     def test_robertson_equals_slice_form(self, t, y, depth):
-        problem = robertson_modified()
-        for state in self.states(y):
-            table = build_coeff_table(problem, t, state, depth)
-            assert _bits(table) == _bits(
-                _old_table(_old_robertson(), state, depth, t))
+        table = build_coeff_table(robertson_modified(), t, y, depth)
+        assert _bits(table) == _bits(_old_table(_old_robertson(), y, depth, t))
 
     # (problem, expansion time, state, dt) for every built-in problem, dt
     # chosen so that each step below takes at least one Newton iteration.
@@ -699,7 +690,7 @@ def _kernel_product(k):
     """The Cauchy product at index k of two lists a and b of k+1 entries as
     a compiled kernel takes it: the written-out expression below
     _UNROLL_LIMIT, the loop's call from it on."""
-    term = problems._Product(problems._Series("a"), problems._Series("b"))
+    term = problems._Product(Series("a"), Series("b"))
     code = compile(term.code(k if k < _UNROLL_LIMIT else None), "<product>",
                    "eval")
 
@@ -808,11 +799,12 @@ def _outcome(linearize, y):
 
 
 class TestTangentKernel:
-    """A declared problem's tangent kernel (``recurrence.tangent(order)``)
-    returns the implicit step's residual and Jacobian as the complex step
-    of its residual function does, bit for bit, at h = 2^-100: a tangent
-    is the imaginary part over h of the same operations in the same order,
-    and scaling by a power of two is exact."""
+    """A problem's tangent kernel (``recurrence.tangent(order)``) returns
+    the implicit step's residual and Jacobian as the complex step of its
+    residual function (the oracle ``complex_step``) does, bit for bit, at
+    h = 2^-100: a tangent is the imaginary part over h of the same
+    operations in the same order, and scaling by a power of two is
+    exact."""
 
     # (expansion time, state) about which the points are drawn.
     POINTS = {
@@ -840,11 +832,11 @@ class TestTangentKernel:
                              for v in state] for _ in range(2))
                 t_next = t + rng.uniform(-0.5, 0.5) * (name == "seir")
                 dt = rng.choice([2.0 ** -5, 0.01, 0.1])
-                residual, _ = stepper._residual_function(
-                    problem, t_next, known, theta, order, dt, order)
+                residual = complex_residual(problem, t_next, known, theta,
+                                            order, dt)
                 kernel = problem.recurrence.tangent(order)
                 expected = _outcome(
-                    functools.partial(nonlinear._complex_step, residual), y)
+                    functools.partial(complex_step, residual), y)
                 assert _outcome(functools.partial(
                     kernel, t_next, -theta * dt, known), y) == expected
                 finite += not isinstance(expected, str)
@@ -861,10 +853,10 @@ class TestTangentKernel:
                            match=r"^non-finite Taylor coefficient at t = 1\.5$"):
             kernel(1.5, -0.25, [0.0, 0.0], [1e80, -1e80])
 
-    def test_one_kernel_call_and_one_real_recurrence_call(self, monkeypatch):
-        # A one-iteration implicit step on a declared problem: Newton takes
-        # r and J from one kernel call, then one real recurrence call
-        # gives the next node's table; no complex table is built.
+    def test_one_kernel_call_and_one_real_recurrence_call(self):
+        # A one-iteration implicit step: Newton takes r and J from one
+        # kernel call, then one recurrence call gives the next node's
+        # table.
         problem = van_der_pol(10.0)
         recurrence, calls = problem.recurrence, []
 
@@ -881,11 +873,7 @@ class TestTangentKernel:
                 return kernel(*args)
             return counted
 
-        def complex_step(residual, y):
-            raise AssertionError("complex step taken")
-
         spy.tangent = tangent
-        monkeypatch.setattr(nonlinear, "_complex_step", complex_step)
         table = build_coeff_table(problem, 0.0, [2.0, 0.0], 7)
         state, iters, trial = stepper._step(
             dataclasses.replace(problem, recurrence=spy), 0.0, table, 0.5, 5,
@@ -895,9 +883,13 @@ class TestTangentKernel:
         assert trial is not None and [col[0] for col in trial] == state
 
 
+def _rotation(x, y, z):
+    return (y, z, x)
+
+
 class TestProblemDefinition:
     def test_size_is_the_initial_state_length(self):
-        prob = ProblemDefinition(name="x", recurrence=lambda t, table, depth: None,
+        prob = ProblemDefinition(name="x", recurrence=declare(_rotation),
                                  default_initial=[1.0, 2.0, 3.0])
         assert prob.dim == 3
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -908,8 +900,44 @@ class TestProblemDefinition:
     def test_initial_state_not_a_nonempty_sequence_refused(self, initial):
         with pytest.raises(ValueError, match="default_initial must be a "
                                              "non-empty 1-D sequence"):
-            ProblemDefinition(name="x", recurrence=lambda t, table, depth: None,
+            ProblemDefinition(name="x", recurrence=declare(_rotation),
                               default_initial=initial)
+
+    @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0, 4.0]],
+                             ids=["shorter", "longer"])
+    def test_initial_state_not_the_declared_size_refused(self, initial):
+        # The kernels unpack one list per declared state.
+        with pytest.raises(ValueError, match="default_initial has "
+                                             f"{len(initial)} entries for "
+                                             "the 3 states"):
+            ProblemDefinition(name="x", recurrence=declare(_rotation),
+                              default_initial=initial)
+
+    def test_plain_callable_recurrence_refused(self):
+        # Newton's Jacobian comes from the tangent kernel a declaration
+        # carries, so a hand-written recurrence has no way in.
+        def recurrence(t, table, depth):
+            for k in range(depth):
+                table[0].append(-table[0][k] / (k + 1))
+
+        with pytest.raises(TypeError, match=r"declare\(\)"):
+            ProblemDefinition(name="x", recurrence=recurrence,
+                              default_initial=[1.0])
+
+    def test_wrapped_recurrence_accepted(self):
+        # As perfbench's tracer wraps it: functools.wraps carries the
+        # tangent kernel across.
+        problem = van_der_pol(10.0)
+
+        @functools.wraps(problem.recurrence)
+        def wrapper(t, table, depth):
+            return problem.recurrence(t, table, depth)
+
+        wrapped = dataclasses.replace(problem, recurrence=wrapper)
+        assert wrapped.recurrence.tangent is problem.recurrence.tangent
+        trace = integrate(wrapped, SchemeConfig(0.5, 5, FixedStep(0.1)), 1.0)
+        assert trace.node_states == integrate(
+            problem, SchemeConfig(0.5, 5, FixedStep(0.1)), 1.0).node_states
 
     @pytest.mark.parametrize("initial", [[1, 2, 3], [1.0]],
                              ids=["longer", "shorter"])
@@ -934,3 +962,77 @@ class TestProblemDefinition:
         trace = integrate(prob, SchemeConfig(0.5, 3, FixedStep(0.2)), 1.0)
         assert trace.status == "completed"
         assert {0.5, 0.75} <= set(trace.node_times)
+
+
+def _scalar_derivative(x, *, c):
+    return (c,)
+
+
+def _series_named_like_a_state(x):
+    return (-(Series("x", x * x) * x),)
+
+
+def _parameter_named_t(x, *, t):
+    return (t * x,)
+
+
+def _too_few_terms(x, y):
+    return (y,)
+
+
+def _series_name_not_an_identifier(x):
+    return (-(Series("not valid", x * x) * x),)
+
+
+def _series_name_repeated(x, y):
+    return (Series("w", x * x) * y, Series("w", y * y) * x)
+
+
+def _parameter_named_like_a_local(x, *, x_1):
+    return (x_1 * x,)
+
+
+def _scalar_series(x, *, c):
+    return (Series("w", c) * x,)
+
+
+def _infinite_constant(x):
+    return (math.inf * x,)
+
+
+def _series_without_a_term(x):
+    return (Series("q") * x,)
+
+
+class TestDeclare:
+    """declare() refuses a declaration whose kernels would be wrong or would
+    not compile, and says which state or name is at fault."""
+
+    @pytest.mark.parametrize("rhs, params, error, name", [
+        (_scalar_derivative, {"c": 2.0}, TypeError, "derivative of x"),
+        (_series_named_like_a_state, {}, ValueError, "'x'"),
+        (_parameter_named_t, {"t": 3.0}, ValueError, "'t'"),
+        (_too_few_terms, {}, ValueError, "states x, y"),
+        (_series_name_not_an_identifier, {}, ValueError, "'not valid'"),
+        (_series_name_repeated, {}, ValueError, "'w'"),
+        (_parameter_named_like_a_local, {"x_1": 1.0}, ValueError, "'x_1'"),
+        (_scalar_series, {"c": 2.0}, TypeError, "'w'"),
+        (_infinite_constant, {}, ValueError, "constant must be finite"),
+        (_series_without_a_term, {}, ValueError, "'q'"),
+        (problems._dahlquist_rhs, {}, TypeError, "(lam)"),
+        (problems._dahlquist_rhs, {"lam": math.nan}, ValueError,
+         "lam must be finite"),
+    ], ids=["scalar-derivative", "series-named-like-a-state",
+            "parameter-named-t", "too-few-terms", "not-an-identifier",
+            "repeated-name", "local-collision", "scalar-series",
+            "infinite-constant", "series-without-a-term", "missing-parameter",
+            "nan-parameter"])
+    def test_refused(self, rhs, params, error, name):
+        with pytest.raises(error, match=re.escape(name)):
+            declare(rhs, **params)
+
+    def test_built_in_declarations_accepted(self):
+        for rhs in (problems._dahlquist_rhs, problems._duffing_rhs,
+                    problems._robertson_rhs, problems._van_der_pol_rhs,
+                    problems._seir_rhs, problems._linear_rhs(3)):
+            problems._declaration(rhs)
