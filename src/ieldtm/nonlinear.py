@@ -3,8 +3,8 @@
 Systems here are tiny (m <= 6), so the Jacobian is rebuilt every iteration
 and factored densely.  The caller hands Newton a ``linearize(y)`` that
 returns the residual and its exact Jacobian in one call: for an implicit
-step it is the problem's generated tangent kernel
-(``problems._generate_tangent``).  Points, residuals, the Jacobian and the
+step it is the problem's tangent kernel (``recurrence.tangent``, which
+``problems._generate`` writes).  Points, residuals, the Jacobian and the
 LU are Python lists of floats: at m <= 6 a numpy call per residual,
 column, pivot, swap or row update costs more than the arithmetic it does.
 

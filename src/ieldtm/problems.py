@@ -3,12 +3,9 @@ Taylor-coefficient kernels.
 
 A coefficient table is the ``dim`` state series of one state expanded about
 ``t_i`` (its layout is in ``stepper.build_coeff_table``), ``dim`` being the
-length of the problem's initial state.  A problem's ``recurrence(t_i, table,
-depth)`` is handed ``dim`` lists, each holding X(0), appends X(1), ...,
-X(depth) to each, and returns nothing.  At index k each state list holds
-exactly k+1 entries until the recurrence appends to it, so a Cauchy product
-sum_j a(j) b(k-j) taken before either list is appended at k reads whole
-lists.
+length of the problem's initial state.  A problem's ``recurrence(t_i,
+state, depth)`` maps the ``dim`` numbers ``state`` to their table: it
+returns ``dim`` fresh lists, each holding X(0), ..., X(depth).
 
 Every problem, built-in or a user's, states its right-hand side once, as a
 function of symbolic series (``_van_der_pol_rhs`` and its neighbours; README.md
@@ -22,28 +19,32 @@ computed once per call (SEIR's rate), a t-dependent series (Robertson's and
 of these.  A product of two series is their Cauchy product, sum_j a(j)
 b(k-j), and both must be state or named series.  ``declare(rhs, **params)``
 checks the declaration and turns it into the problem's recurrence, the one
-kind ``ProblemDefinition`` takes.  The first call at each depth generates
-one straight-line kernel for that depth, with one local name per
-coefficient: X(k+1) = (x'(k)) / (k+1) written out index by index.  Nothing
-is generated at import or when a factory is called.  A kernel's source
-grows as depth^2, so from index ``_UNROLL_LIMIT`` on a kernel runs a loop
-over lists whose products are ``_sum_product``; every depth past the limit
-shares that one kernel, and a table's cost then grows as depth^2 like the
-products themselves.  Generating a kernel takes 0.4-2 ms at depths up to
-12 and 20-40 ms at depth 96 (CPython 3.11, 2-vCPU Xeon VM); ``_generate``
-is cached (``functools.cache``), so it is done once per declaration and
+kind ``ProblemDefinition`` takes.
+
+One generator, ``_generate``, walks a declaration and writes its kernels,
+of two kinds.  The table kernel behind ``recurrence`` returns the table.
+The tangent kernel ``recurrence.tangent(order)`` expands the state y
+through X(order) together with its tangents dX(k)/dy_j (the variational
+equations in Taylor form, as in Jorba & Zou's ``taylor`` and in TIDES) and
+returns the implicit step's residual and its exact Jacobian, the series at
+offset minus known and their derivatives; Newton takes both from it.  Both
+kinds compute the values with the same lines, so the residual of one is
+the series of the other's table.  The first call at each depth generates
+one straight-line kernel for that declaration, kind and depth, with one
+local name per coefficient: X(k+1) = (x'(k)) / (k+1) written out index by
+index.  Nothing is generated at import or when a factory is called.  A
+kernel's source grows as depth^2, so from index ``_UNROLL_LIMIT`` on
+(``_TANGENT_UNROLL_LIMIT`` with tangents) a kernel runs a loop over lists
+whose products are ``_sum_product``; every depth past the limit shares that
+one kernel, and a table's cost then grows as depth^2 like the products
+themselves.  Generating a table kernel takes 0.4-2 ms at depths up to 12
+and 20-40 ms at depth 96 (CPython 3.11, 2-vCPU Xeon VM); ``_generate`` is
+cached (``functools.cache``), so it is done once per declaration, kind and
 depth and shared by every parameter value.
 
-The recurrence also carries ``tangent(order)``, the declaration's tangent
-kernel at that order (``_generate_tangent``): one straight-line call
-``kernel(t, offset, known, y)`` that expands the state y through X(order)
-together with its tangents dX(k)/dy_j (the variational equations in Taylor
-form, as in Jorba & Zou's ``taylor`` and in TIDES) and returns the implicit
-step's residual and its exact Jacobian, the series at offset minus known
-and their derivatives.  Newton takes both from it.  Its tangent rules are
-the imaginary parts of the complex step's operations, in their order, so
-the two agree bit for bit: a Cauchy product's is a(i) db(k-i) + da(i)
-b(k-i), added to 0.0 from i = 0.
+The tangent rules are the imaginary parts of the complex step's
+operations, in their order, so the two agree bit for bit: a Cauchy
+product's is a(i) db(k-i) + da(i) b(k-i), added to 0.0 from i = 0.
 
 The kernels keep the operation order of the recurrences once written by
 hand, so a table keeps its bits.  A Cauchy product adds a(0) b(k), ...,
@@ -85,7 +86,7 @@ __all__ = [
     "PROBLEM_NAMES",
 ]
 
-Recurrence = Callable[[float, list, int], None]
+Recurrence = Callable[[float, list, int], list]
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ _UNROLL_LIMIT = 96
 
 # The same split for the tangent kernels, whose source also grows as m k^2
 # for m states.  Generating one straight-line through 32 takes 29-54 ms,
-# what a value kernel through 96 takes (23-35 ms), and through 96 it takes
+# what a table kernel through 96 takes (23-35 ms), and through 96 it takes
 # 280-400 ms (Van der Pol, Robertson, SEIR; CPython 3.11, 2-vCPU Xeon VM).
 # Past 32 the loop costs a call 2-3 times the straight-line's time (Van der
 # Pol 772 against 260 us at K = 48, 3 339 against 1 156 at 96; SEIR 1 014
@@ -152,16 +153,15 @@ _TANGENT_UNROLL_LIMIT = 32
 
 def _sum_product(a, b):
     """The Cauchy product at index n - 1 of two lists of n entries, added
-    to 0.0 from the left: every product a kernel takes from index
-    _UNROLL_LIMIT on."""
+    to 0.0 from the left: every product a kernel's loop takes."""
     return reduce(add, map(mul, a, reversed(b)), 0.0)
 
 
 class _Term:
     """A node of a declared right-hand side.  ``code(k)`` is the source of
     its coefficient at index k: an int in the straight-line part of a
-    kernel, or None in the loop past _UNROLL_LIMIT, whose index is the
-    local k.  ``series`` is False for a value the same at every index."""
+    kernel, or None in the loop past it, whose index is the local k.
+    ``series`` is False for a value the same at every index."""
 
     series = True
     children = ()
@@ -399,9 +399,9 @@ def _check_names(names: list, stems: list) -> None:
 
 
 def _bind(params: list, args: str, body: list):
-    """The factory ``bind(*params)`` of the generated ``kernel(args)``
-    whose body is the lines ``body``."""
-    source = (f"def _bind({', '.join(params)}):\n"
+    """The factory ``bind(depth, *params)`` of the generated
+    ``kernel(args)`` whose body is the lines ``body``."""
+    source = (f"def _bind({', '.join(['depth', *params])}):\n"
               f"    def _kernel({args}):\n"
               + "".join(f"        {line}\n" for line in body)
               + "    return _kernel\n")
@@ -411,44 +411,149 @@ def _bind(params: list, args: str, body: list):
 
 
 @cache
-def _generate(rhs, depth: int):
+def _generate(rhs, depth: int, tangent: bool):
     """The kernel factory of the declaration ``rhs`` at ``depth``:
-    ``bind(**params)`` returns ``kernel(t, table, depth)``, which appends
-    X(1), ..., X(depth) to the table's lists.  Through index
-    min(depth, _UNROLL_LIMIT) it is straight-line; a deeper kernel then
-    loops to its ``depth`` argument over lists, so every depth past the
-    limit is asked for as _UNROLL_LIMIT + 1."""
+    ``bind(depth, **params)`` returns a kernel that expands the state y
+    about t through X(depth).  The table kernel ``kernel(t, y)`` returns
+    the table, one list X(0), ..., X(depth) per state.  With ``tangent``
+    the kernel is ``kernel(t, offset, known, y)``, which also expands the
+    tangents dX_i(k)/dy_j and returns (r, J): r_i the state series i at
+    offset minus known[i], J_ij its derivative along y_j.
+
+    Through index min(depth, limit), the limit being _UNROLL_LIMIT or with
+    tangents _TANGENT_UNROLL_LIMIT, the kernel is straight-line; a deeper
+    one then loops to its bound depth over lists, so every depth past the
+    limit is asked for as the limit + 1.
+
+    A tangent is the imaginary part, over h, of the complex step's
+    coefficient at y + ih e_j, in the same operations and order, so at a
+    power-of-two h the two agree bit for bit (up to the sign of a zero).
+    Tangents zero by structure are left out of the straight-line part:
+    only those that can be non-zero at an index get a local.  The loop
+    keeps a list per series and state whose zeros are 0.0, as the complex
+    step's imaginary parts are."""
     states, params, derivatives, named, preludes = _declaration(rhs)
-    straight = min(depth, _UNROLL_LIMIT)
-    body = [", ".join(x.name for x in states) + ", = _table"]
-    body += [f"{x.name}_0 = {x.name}[0]" for x in states]
-    body += preludes
+    # The states the tangents are taken along: none for a table.
+    along = range(len(states) if tangent else 0)
+    straight = min(depth, _TANGENT_UNROLL_LIMIT if tangent else _UNROLL_LIMIT)
+    # (series name, index) -> {state j: source of a non-zero tangent}
+    tangents = {(x.name, 0): {i: _ONE} for i, x in enumerate(states)}
+
+    def d(series, k, j):
+        if k is None:
+            return f"{series.name}_d{j}"
+        return tangents[series.name, k].get(j)
+
+    def keep(name, k, term, at, divisor=""):
+        """The value of ``term`` at index ``at``, over ``divisor``, as
+        series ``name``'s local at index k, and each non-zero tangent."""
+        body.append(f"{name}_{k} = {term.code(at)}{divisor}")
+        kept = tangents[name, k] = {}
+        for j in along:
+            source = term.tangent(at, j, d)
+            if source == _ONE and not divisor:
+                kept[j] = _ONE
+            elif source is not None:
+                kept[j] = f"{name}_{k}_d{j}"
+                body.append(f"{kept[j]} = {source}{divisor}")
+
+    body = ["".join(f"{x.name}_0, " for x in states) + "= _y", *preludes]
     for k in range(straight):
-        body += [f"{s.name}_{k} = {s.children[0].code(k)}" for s in named]
-        body += [f"{x.name}_{k + 1} = {term.code(k)} / {k + 1}"
-                 for x, term in zip(states, derivatives)]
-    body += [f"{x.name}.extend(("
-             + "".join(f"{x.name}_{k}, " for k in range(1, straight + 1))
-             + "))" for x in states]
-    if depth > _UNROLL_LIMIT:
-        body += [f"{s.name} = ["
-                 + ", ".join(f"{s.name}_{k}" for k in range(straight)) + "]"
-                 for s in named]
-        body.append(f"for k in range({_UNROLL_LIMIT}, depth):")
-        body += [f"    {s.name}.append({s.children[0].code(None)})"
-                 for s in named]
+        for s in named:
+            keep(s.name, k, s.children[0], k)
+        for x, term in zip(states, derivatives):
+            keep(x.name, k + 1, term, k, f" / {k + 1}")
+    if depth > straight:
+        for series in named + states:
+            size = straight + (series in states)
+            body.append(f"{series.name} = ["
+                        + ", ".join(f"{series.name}_{k}" for k in range(size))
+                        + "]")
+            body += [f"{series.name}_d{j} = ["
+                     + ", ".join(tangents[series.name, k].get(j, "0.0")
+                                 for k in range(size)) + "]" for j in along]
+        body.append(f"for k in range({straight}, depth):")
+        for s in named:
+            body.append(f"    {s.name}.append({s.children[0].code(None)})")
+            body += [f"    {s.name}_d{j}.append("
+                     f"{s.children[0].tangent(None, j, d) or '0.0'})"
+                     for j in along]
+        for x, term in zip(states, derivatives):
+            body.append(f"    {x.name}_next = {term.code(None)} / (k + 1)")
+            body += [f"    {x.name}_next_d{j} = "
+                     f"{term.tangent(None, j, d) or '0.0'} / (k + 1)"
+                     for j in along]
         # Every next coefficient first: a product reads whole state lists.
-        body += [f"    {x.name}_next = {term.code(None)} / (k + 1)"
-                 for x, term in zip(states, derivatives)]
-        body += [f"    {x.name}.append({x.name}_next)" for x in states]
-    return _bind(params, "t, _table, depth", body)
+        for x in states:
+            body.append(f"    {x.name}.append({x.name}_next)")
+            body += [f"    {x.name}_d{j}.append({x.name}_next_d{j})"
+                     for j in along]
+    if not tangent:
+        body.append("return [" + ", ".join(
+            x.name if depth > straight else
+            "[" + ", ".join(f"{x.name}_{k}" for k in range(depth + 1)) + "]"
+            for x in states) + "]")
+        return _bind(params, "t, _y", body)
+    body.append("".join(f"_known_{i}, " for i in along) + "= _known")
+    if depth > straight:
+        body.append("_h = _horner(depth)")
+        body += [f"_r{i} = _h({x.name}, _offset) - _known_{i}"
+                 for i, x in enumerate(states)]
+        body += [f"_J{i}_{j} = _h({x.name}_d{j}, _offset)"
+                 for i, x in enumerate(states) for j in along]
+        coefficients = "chain(" + ", ".join(
+            f"{x.name}{suffix}" for x in states
+            for suffix in ["", *(f"_d{j}" for j in along)]) + ")"
+    else:
+        body += [f"_r{i} = "
+                 + _horner_code([f"{x.name}_{k}" for k in range(depth + 1)])
+                 + f" - _known_{i}" for i, x in enumerate(states)]
+        body += [f"_J{i}_{j} = " + _horner_code(
+                     [tangents[x.name, k].get(j) for k in range(depth + 1)])
+                 for i, x in enumerate(states) for j in along]
+        coefficients = "(" + "".join(
+            f"{x.name}_{k}, " for x in states for k in range(depth + 1)) + (
+            "".join(f"{source}, " for x in states for k in range(depth + 1)
+                    for source in tangents[x.name, k].values())) + ")"
+    # A non-finite coefficient makes its Horner sum non-finite: inf times
+    # a finite offset is inf or nan, and adding a finite term keeps it so.
+    # So a finite sum of r and J clears every coefficient; only when the
+    # sum is not finite (an entry is not, or the entries overflow it) is
+    # each coefficient tested.
+    body += ["if not isfinite(" + " + ".join(
+                 [f"_r{i}" for i in along]
+                 + [f"_J{i}_{j}" for i in along for j in along]) + "):",
+             f"    if not all(map(isfinite, {coefficients})):",
+             "        raise NonFiniteStateError(",
+             "            f'non-finite Taylor coefficient at t = {t!r}')",
+             "return [" + ", ".join(f"_r{i}" for i in along) + "], ["
+             + ", ".join("[" + ", ".join(f"_J{i}_{j}" for j in along) + "]"
+                         for i in along) + "]"]
+    return _bind(params, "t, _offset, _known, _y", body)
+
+
+@cache
+def _horner(order: int):
+    """The Horner kernel of ``order``: h(col, s) takes a = col[order], then
+    a = a * s + col[k] for k = order-1, ..., 0, and returns a, the series
+    through ``order`` at s in the type of its inputs.
+
+    The kernel is written out one statement per k (a nested expression
+    would pass CPython's limit of 200 nested parentheses at order 200).
+    """
+    lines = [f"    a = col[{order}]\n"]
+    lines += [f"    a = a * s + col[{k}]\n" for k in range(order - 1, -1, -1)]
+    namespace = {}
+    exec("def horner(col, s):\n" + "".join(lines) + "    return a\n",
+         namespace)
+    return namespace["horner"]
 
 
 def _horner_code(coeffs: list) -> str:
     """The source of the series with coefficient sources ``coeffs`` (None
     where zero) at offset: a = coeffs[-1], then a = a * offset + coeffs[k]
-    for k down to 0, as ``_horner_list`` and the stepper's kernels take it;
-    a zero coefficient is not added."""
+    for k down to 0, as the kernels of ``_horner`` take it; a zero
+    coefficient is not added."""
     code = None
     for c in reversed(coeffs):
         if code is None:
@@ -460,19 +565,11 @@ def _horner_code(coeffs: list) -> str:
     return "0.0" if code is None else code
 
 
-def _horner_list(col: list, offset: float) -> float:
-    """The series col at offset by Horner from its last entry."""
-    a = col[-1]
-    for c in col[-2::-1]:
-        a = a * offset + c
-    return a
-
-
 # The globals of the generated kernels.
 _NAMESPACE = {"exp": math.exp, "factorial": math.factorial,
               "lgamma": math.lgamma, "isfinite": math.isfinite,
               "_sum_product": _sum_product, "_sum_tangent": _sum_tangent,
-              "_horner_list": _horner_list, "chain": chain,
+              "_horner": _horner, "chain": chain,
               "NonFiniteStateError": NonFiniteStateError}
 # The names a kernel reads besides a declaration's and its own, which all
 # start with an underscore: the time t, the depth, the loop index k, its
@@ -481,116 +578,6 @@ _RESERVED = {"t", "depth", "k", "all", "map", "range", "float", *_NAMESPACE}
 # The locals of a kept series x after "x_": x_3, x_d1, x_3_d1, x_next and
 # x_next_d1.
 _LOCALS = re.compile(r"\d+|d\d+|\d+_d\d+|next|next_d\d+")
-
-
-@cache
-def _generate_tangent(rhs, order: int):
-    """The tangent kernel factory of the declaration ``rhs`` at ``order``:
-    ``bind(depth, **params)`` returns ``kernel(t, offset, known, y)``, which
-    expands the state y about t through X(depth) with the tangents
-    dX_i(k)/dy_j, and returns (r, J): r_i the state series i at offset
-    minus known[i], J_ij its derivative along y_j.
-
-    A tangent is the imaginary part, over h, of the complex step's
-    coefficient at y + ih e_j, in the same operations and order, so at a
-    power-of-two h the two agree bit for bit (up to the sign of a zero).
-    Tangents zero by structure are left out of the straight-line part:
-    only those that can be non-zero at an index get a local.  Through
-    index min(order, _TANGENT_UNROLL_LIMIT) the kernel is straight-line;
-    a deeper one then loops to ``depth`` over lists, as ``_generate``'s
-    does, with a list per series and state whose zeros are 0.0, as the
-    complex step's imaginary parts are."""
-    states, params, derivatives, named, preludes = _declaration(rhs)
-    m = range(len(states))
-    straight = min(order, _TANGENT_UNROLL_LIMIT)
-    # (series name, index) -> {state j: source of a non-zero tangent}
-    tangents = {(x.name, 0): {i: _ONE} for i, x in enumerate(states)}
-
-    def d(series, k, j):
-        if k is None:
-            return f"{series.name}_d{j}"
-        return tangents[series.name, k].get(j)
-
-    def keep(name, k, term, at, divisor=""):
-        """Give each non-zero tangent of ``term`` at index ``at``, over
-        ``divisor``, a local as series ``name``'s at index k."""
-        kept = tangents[name, k] = {}
-        for j in m:
-            source = term.tangent(at, j, d)
-            if source == _ONE and not divisor:
-                kept[j] = _ONE
-            elif source is not None:
-                kept[j] = f"{name}_{k}_d{j}"
-                body.append(f"{kept[j]} = {source}{divisor}")
-
-    body = ["".join(f"{x.name}_0, " for x in states) + "= _y",
-            "".join(f"_known_{i}, " for i in m) + "= _known"]
-    body += preludes
-    for k in range(straight):
-        for s in named:
-            body.append(f"{s.name}_{k} = {s.children[0].code(k)}")
-            keep(s.name, k, s.children[0], k)
-        for x, term in zip(states, derivatives):
-            body.append(f"{x.name}_{k + 1} = {term.code(k)} / {k + 1}")
-            keep(x.name, k + 1, term, k, f" / {k + 1}")
-    if order > straight:
-        for series in named + states:
-            size = straight + (series in states)
-            body.append(f"{series.name} = ["
-                        + ", ".join(f"{series.name}_{k}" for k in range(size))
-                        + "]")
-            body += [f"{series.name}_d{j} = ["
-                     + ", ".join(tangents[series.name, k].get(j, "0.0")
-                                 for k in range(size)) + "]" for j in m]
-        body.append(f"for k in range({straight}, depth):")
-        for s in named:
-            body.append(f"    {s.name}.append({s.children[0].code(None)})")
-            body += [f"    {s.name}_d{j}.append("
-                     f"{s.children[0].tangent(None, j, d) or '0.0'})"
-                     for j in m]
-        for x, term in zip(states, derivatives):
-            body.append(f"    {x.name}_next = {term.code(None)} / (k + 1)")
-            body += [f"    {x.name}_next_d{j} = "
-                     f"{term.tangent(None, j, d) or '0.0'} / (k + 1)"
-                     for j in m]
-        # Every next coefficient first: a product reads whole state lists.
-        for x in states:
-            body.append(f"    {x.name}.append({x.name}_next)")
-            body += [f"    {x.name}_d{j}.append({x.name}_next_d{j})"
-                     for j in m]
-        body += [f"_r{i} = _horner_list({x.name}, _offset) - _known_{i}"
-                 for i, x in enumerate(states)]
-        body += [f"_J{i}_{j} = _horner_list({x.name}_d{j}, _offset)"
-                 for i, x in enumerate(states) for j in m]
-        coefficients = "chain(" + ", ".join(
-            f"{x.name}{suffix}" for x in states
-            for suffix in ["", *(f"_d{j}" for j in m)]) + ")"
-    else:
-        body += [f"_r{i} = "
-                 + _horner_code([f"{x.name}_{k}" for k in range(order + 1)])
-                 + f" - _known_{i}" for i, x in enumerate(states)]
-        body += [f"_J{i}_{j} = " + _horner_code(
-                     [tangents[x.name, k].get(j) for k in range(order + 1)])
-                 for i, x in enumerate(states) for j in m]
-        coefficients = "(" + "".join(
-            f"{x.name}_{k}, " for x in states for k in range(order + 1)) + (
-            "".join(f"{source}, " for x in states for k in range(order + 1)
-                    for source in tangents[x.name, k].values())) + ")"
-    # A non-finite coefficient makes its Horner sum non-finite: inf times
-    # a finite offset is inf or nan, and adding a finite term keeps it so.
-    # So a finite sum of r and J clears every coefficient; only when the
-    # sum is not finite (an entry is not, or the entries overflow it) is
-    # each coefficient tested.
-    body += ["if not isfinite(" + " + ".join(
-                 [f"_r{i}" for i in m] + [f"_J{i}_{j}" for i in m for j in m])
-             + "):",
-             f"    if not all(map(isfinite, {coefficients})):",
-             "        raise NonFiniteStateError(",
-             "            f'non-finite Taylor coefficient at t = {t!r}')",
-             "return [" + ", ".join(f"_r{i}" for i in m) + "], ["
-             + ", ".join("[" + ", ".join(f"_J{i}_{j}" for j in m) + "]"
-                         for i in m) + "]"]
-    return _bind(["depth"] + params, "t, _offset, _known, _y", body)
 
 
 def declare(rhs, **params) -> Recurrence:
@@ -609,24 +596,24 @@ def declare(rhs, **params) -> Recurrence:
 def _compiled(rhs, **params) -> Recurrence:
     """The recurrence of the checked declaration ``rhs`` with its parameters
     bound to ``params`` as given.  Its first call at each depth binds the
-    kernel factory of (rhs, depth) to ``params``, once.  Its attribute
-    ``tangent(order)`` is the tangent kernel of (rhs, order) bound the same
-    way, which the stepper's Newton solve calls, and ``dim`` is its number
-    of states."""
+    table kernel factory of (rhs, depth) to that depth and ``params``,
+    once.  Its attribute ``tangent(order)`` is the tangent kernel of (rhs,
+    order) bound the same way, which the stepper's Newton solve calls, and
+    ``dim`` is its number of states."""
 
-    @cache
-    def kernel(depth):
-        return _generate(rhs, min(depth, _UNROLL_LIMIT + 1))(**params)
+    def kernels(tangent, limit):
+        @cache
+        def kernel(depth):
+            return _generate(rhs, min(depth, limit + 1), tangent)(depth,
+                                                                  **params)
+        return kernel
 
-    def recurrence(t, table, depth):
-        kernel(depth)(t, table, depth)
+    table = kernels(False, _UNROLL_LIMIT)
 
-    @cache
-    def tangent(order):
-        return _generate_tangent(
-            rhs, min(order, _TANGENT_UNROLL_LIMIT + 1))(order, **params)
+    def recurrence(t, state, depth):
+        return table(depth)(t, state)
 
-    recurrence.tangent = tangent
+    recurrence.tangent = kernels(True, _TANGENT_UNROLL_LIMIT)
     recurrence.dim = len(_declaration(rhs)[0])
     return recurrence
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 from numbers import Integral
 from typing import List, Union
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NewtonFailureError, NonFiniteStateError, SingularMatrixError
 from .nonlinear import newton_solve
-from .problems import ProblemDefinition
+from .problems import ProblemDefinition, _horner
 
 __all__ = [
     "FixedStep",
@@ -147,16 +147,15 @@ def build_coeff_table(problem: ProblemDefinition, t_i: float, state: list,
     t_i through ``depth``.
 
     The table is the ``dim`` state series, ``table[j][k]`` = X_j(k) =
-    x_j^(k)(t_i)/k!, always built whole by one recurrence call from one-entry
-    lists.  It does not store t_i.  Entries are Python floats: at m <= 6 and
-    K <= 11 a numpy call costs more than its arithmetic.
+    x_j^(k)(t_i)/k!, always built whole by one recurrence call.  It does
+    not store t_i.  Entries are Python floats: at m <= 6 and K <= 11 a
+    numpy call costs more than its arithmetic.
     """
     if len(state) != problem.dim:
         raise ValueError(f"state must have {problem.dim} entries")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    table = [[x] for x in state]
-    problem.recurrence(t_i, table, depth)
+    table = problem.recurrence(t_i, state, depth)
     _check_finite(table, t_i, depth)
     return table
 
@@ -177,23 +176,6 @@ def _check_finite(table, t_i, depth: int) -> None:
             f"non-finite Taylor coefficient at t = {t_i!r}")
 
 
-@cache
-def _horner(order: int):
-    """The Horner kernel of ``order``: h(col, s) takes a = col[order], then
-    a = a * s + col[k] for k = order-1, ..., 0, and returns a, the series
-    through ``order`` at s in the type of its inputs.
-
-    The kernel is written out one statement per k (a nested expression
-    would pass CPython's limit of 200 nested parentheses at order 200).
-    """
-    lines = [f"    a = col[{order}]\n"]
-    lines += [f"    a = a * s + col[{k}]\n" for k in range(order - 1, -1, -1)]
-    namespace = {}
-    exec("def horner(col, s):\n" + "".join(lines) + "    return a\n",
-         namespace)
-    return namespace["horner"]
-
-
 def _residual_function(problem, t_next, known_value, theta, order, dt,
                        depth):
     """The continuity defect of one implicit step as a function of the
@@ -212,8 +194,7 @@ def _residual_function(problem, t_next, known_value, theta, order, dt,
     last = [None, None]
 
     def residual(y):
-        table = [[x] for x in y]
-        recurrence(t_next, table, depth)
+        table = recurrence(t_next, y, depth)
         _check_finite(table, t_next, order)
         r = [h(col, offset) - k for col, k in zip(table, known_value)]
         last[0], last[1] = y, table

@@ -1,7 +1,7 @@
 """The complex-step Jacobian, kept as the tests' oracle for the tangent
 kernels and Newton's iteration counts.  The library takes every Jacobian
 from a tangent kernel and builds no complex table; these build theirs by
-calling a problem's value kernel on complex entries, which it evaluates
+calling a problem's table kernel on complex entries, which it evaluates
 with the float operations written out."""
 
 import cmath
@@ -39,8 +39,7 @@ def complex_residual(problem, t_next, known, theta, order, dt):
     h, offset = stepper._horner(order), -theta * dt
 
     def residual(y):
-        table = [[x] for x in y]
-        problem.recurrence(t_next, table, order)
+        table = problem.recurrence(t_next, y, order)
         if not all(map(cmath.isfinite, chain.from_iterable(
                 col[:order + 1] for col in table))):
             raise NonFiniteStateError(

@@ -130,6 +130,19 @@ class TestSolve:
         assert summary["failure"] == ("step at t = 1.0, dt = 0.5: "
                                       "non-finite Taylor coefficient at t = 1.5")
 
+    def test_failed_run_measures_no_error(self, runner):
+        # The run stops at t = 0 after 0 steps: its one node, the initial
+        # state, matches the closed form, but the run measured nothing.
+        result = runner.invoke(main, [
+            "solve", "--problem", "robertson", "--theta", "0.5", "--K", "5",
+            "--tol", "1e-5", "--tf", "4",
+        ])
+        assert result.exit_code == 1
+        summary = json.loads(result.output)
+        assert (summary["status"], summary["steps"]) == ("newton-failure", 0)
+        assert summary["oracle"] == "closed-form solution of robertson"
+        assert summary["max_error"] is None
+
     def test_non_finite_last_state_fails(self, runner):
         # The one step overflows the state at t_final: not a completed run.
         result = runner.invoke(main, [

@@ -254,7 +254,7 @@ def _exp_decay_forcing(t, k):
 
 
 class TestComplexStepRealPart:
-    """The real part of the value kernel's table from y + ih e_j, a point of
+    """The real part of the table kernel's table from y + ih e_j, a point of
     the complex-step oracle, equals the real table of y."""
 
     CASES = [
@@ -277,8 +277,7 @@ class TestComplexStepRealPart:
         for j in range(problem.dim):
             point = y.astype(complex)
             point[j] += 1e-30j
-            column = np.array(_hand_table(problem.recurrence, t,
-                                          point.tolist(), 7)).T
+            column = np.array(problem.recurrence(t, point.tolist(), 7)).T
             assert column.shape == (8, problem.dim)
             np.testing.assert_allclose(column.real, single, rtol=1e-13,
                                        atol=1e-13 * np.abs(single).max())
@@ -677,8 +676,7 @@ class TestCompiledKernelsKeepBits:
         for depth in self.DEPTHS:
             for state in self.states(y, depth):
                 for t in times:
-                    table = [[x] for x in state]
-                    problem.recurrence(t, table, depth)
+                    table = problem.recurrence(t, state, depth)
                     expected = _hand_table(hand, t, state, depth)
                     assert repr(table) == repr(expected), (depth, t, state)
 
@@ -732,9 +730,9 @@ class TestCauchyProducts:
         # CPU time: a shared machine's other load does not count.
         for name in PROBLEM_NAMES:
             problem = make_problem(name)
-            table = [[x] for x in problem.default_initial.tolist()]
             start = time.process_time()
-            problem.recurrence(0.5, table, 3000)
+            table = problem.recurrence(0.5, problem.default_initial.tolist(),
+                                       3000)
             assert time.process_time() - start < 2.0, name
             assert [len(col) for col in table] == [3001] * problem.dim
         assert problems._generate.cache_info().currsize == len(PROBLEM_NAMES)
@@ -742,14 +740,16 @@ class TestCauchyProducts:
     def test_extension_keeps_earlier_entries(self, empty_cache):
         # A kernel, once generated, serves every later call at its depth
         # for any parameter value; deeper kernels are added beside it.
-        van_der_pol(10.0).recurrence(0.0, [[2.0], [0.0]], 5)
-        shallow = problems._generate(problems._van_der_pol_rhs, 5)
+        van_der_pol(10.0).recurrence(0.0, [2.0, 0.0], 5)
+        shallow = problems._generate(problems._van_der_pol_rhs, 5, False)
         for depth in (20, 200, 300, 5):
-            van_der_pol(3.0).recurrence(0.0, [[2.0], [0.0]], depth)
-        assert problems._generate(problems._van_der_pol_rhs, 5) is shallow
+            van_der_pol(3.0).recurrence(0.0, [2.0, 0.0], depth)
+        assert problems._generate(problems._van_der_pol_rhs, 5,
+                                  False) is shallow
         # Generated: depths 5, 20 and the one kernel past the limit, which
         # depths 200 and 300 share.
-        problems._generate(problems._van_der_pol_rhs, _UNROLL_LIMIT + 1)
+        problems._generate(problems._van_der_pol_rhs, _UNROLL_LIMIT + 1,
+                           False)
         assert problems._generate.cache_info().misses == 3
 
     def test_concurrent_extension(self, empty_cache, run_threads):
@@ -764,8 +764,7 @@ class TestCauchyProducts:
             random.Random(seed).shuffle(depths)
             for depth in depths:
                 problem = van_der_pol(10.0) if seed % 2 else shared
-                table = [[x] for x in y]
-                problem.recurrence(0.0, table, depth)
+                table = problem.recurrence(0.0, y, depth)
                 returned.append((depth, table))
 
         run_threads(work)
@@ -781,11 +780,10 @@ class TestCauchyProducts:
                 "[problems.make_problem(name) for name in problems.PROBLEM_NAMES]; "
                 "problems.linear_system(np.eye(2)); "
                 "print(*(f.cache_info().currsize for f in (problems._generate, "
-                "problems._generate_tangent, stepper._horner, "
-                "nonlinear._lu_kernel)))")
+                "stepper._horner, nonlinear._lu_kernel)))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "0 0 0 0"
+        assert out.stdout.strip() == "0 0 0"
 
 
 def _outcome(linearize, y):
@@ -804,7 +802,8 @@ class TestTangentKernel:
     residual function (the oracle ``complex_step``) does, bit for bit, at
     h = 2^-100: a tangent is the imaginary part over h of the same
     operations in the same order, and scaling by a power of two is
-    exact."""
+    exact.  Its residual is the stepper's, built from the table kernel,
+    bit for bit: one generator writes the value lines of both."""
 
     # (expansion time, state) about which the points are drawn.
     POINTS = {
@@ -837,8 +836,13 @@ class TestTangentKernel:
                 kernel = problem.recurrence.tangent(order)
                 expected = _outcome(
                     functools.partial(complex_step, residual), y)
-                assert _outcome(functools.partial(
-                    kernel, t_next, -theta * dt, known), y) == expected
+                got = _outcome(functools.partial(
+                    kernel, t_next, -theta * dt, known), y)
+                assert got == expected
+                if not isinstance(got, str):
+                    real = stepper._residual_function(
+                        problem, t_next, known, theta, order, dt, order)[0]
+                    assert _outcome(lambda y: (real(y), []), y) == got[:len(y)]
                 finite += not isinstance(expected, str)
         # Robertson's coefficients grow about a hundredfold per index and
         # leave the float range near X(150), so at K = 171 both sides
@@ -861,9 +865,9 @@ class TestTangentKernel:
         recurrence, calls = problem.recurrence, []
 
         @functools.wraps(recurrence)
-        def spy(t, table, depth):
-            calls.append(("recurrence", type(table[0][0])))
-            recurrence(t, table, depth)
+        def spy(t, state, depth):
+            calls.append(("recurrence", type(state[0])))
+            return recurrence(t, state, depth)
 
         def tangent(order):
             kernel = recurrence.tangent(order)
@@ -916,9 +920,11 @@ class TestProblemDefinition:
     def test_plain_callable_recurrence_refused(self):
         # Newton's Jacobian comes from the tangent kernel a declaration
         # carries, so a hand-written recurrence has no way in.
-        def recurrence(t, table, depth):
+        def recurrence(t, state, depth):
+            x = list(state)
             for k in range(depth):
-                table[0].append(-table[0][k] / (k + 1))
+                x.append(-x[k] / (k + 1))
+            return [x]
 
         with pytest.raises(TypeError, match=r"declare\(\)"):
             ProblemDefinition(name="x", recurrence=recurrence,
@@ -930,8 +936,8 @@ class TestProblemDefinition:
         problem = van_der_pol(10.0)
 
         @functools.wraps(problem.recurrence)
-        def wrapper(t, table, depth):
-            return problem.recurrence(t, table, depth)
+        def wrapper(t, state, depth):
+            return problem.recurrence(t, state, depth)
 
         wrapped = dataclasses.replace(problem, recurrence=wrapper)
         assert wrapped.recurrence.tangent is problem.recurrence.tangent

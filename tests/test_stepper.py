@@ -884,22 +884,23 @@ class TestNodeTableReuse:
     @staticmethod
     def counted_recurrence(problem, on_call):
         """The problem with its recurrence wrapped, tangent kernel kept:
-        on_call(table, depth) sees each call's table before the recurrence
-        appends to it."""
+        on_call(state, depth, table) sees each call's arguments and the
+        table it returns."""
         recurrence = problem.recurrence
 
         @functools.wraps(recurrence)
-        def wrapper(t, table, depth):
-            on_call(table, depth)
-            return recurrence(t, table, depth)
+        def wrapper(t, state, depth):
+            table = recurrence(t, state, depth)
+            on_call(state, depth, table)
+            return table
 
         return dataclasses.replace(problem, recurrence=wrapper)
 
     def test_one_build_per_residual_after_the_first_node(self, monkeypatch):
-        # Every call builds a table from one-entry state lists.  A residual
-        # call, like the node build, runs to the leading error term
-        # K + 2 = 7; the tangent kernel builds no table.  Outside the steps
-        # only the first node is built.
+        # Every call maps a state to its whole table.  A residual call,
+        # like the node build, runs to the leading error term K + 2 = 7;
+        # the tangent kernel builds no table.  Outside the steps only the
+        # first node is built.
         order, power = 5, 7
         calls = []  # (inside a step, depth) per recurrence call
         inside, step_fn = [False], stepper._step
@@ -911,8 +912,9 @@ class TestNodeTableReuse:
             finally:
                 inside[0] = False
 
-        def on_call(table, depth):
-            assert all(len(col) == 1 for col in table)
+        def on_call(state, depth, table):
+            assert [col[0] for col in table] == list(state)
+            assert [len(col) for col in table] == [depth + 1] * len(state)
             calls.append((inside[0], depth))
 
         monkeypatch.setattr(stepper, "_step", step)
@@ -942,7 +944,7 @@ class TestNodeTableReuse:
         monkeypatch.setattr(stepper, "_step", step)
         prob = self.counted_recurrence(
             van_der_pol(10.0),
-            lambda table, depth: calls.append(depth))
+            lambda state, depth, table: calls.append(depth))
         trace = integrate(prob, SchemeConfig(0.5, 5, AdaptiveStep(1e-10)), 5.0)
         assert trace.status == "completed"
         assert len(per_step) == trace.steps
