@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from itertools import chain
 from numbers import Integral
 from typing import List, Union
@@ -19,7 +19,7 @@ from typing import List, Union
 import numpy as np
 
 from .errors import NewtonFailureError, NonFiniteStateError, SingularMatrixError
-from .nonlinear import newton_solve
+from .nonlinear import _lu_lines, _newton_function
 from .problems import ProblemDefinition, _horner
 
 __all__ = [
@@ -176,66 +176,111 @@ def _check_finite(table, t_i, depth: int) -> None:
             f"non-finite Taylor coefficient at t = {t_i!r}")
 
 
-def _residual_function(problem, t_next, known_value, theta, order, dt,
-                       depth):
-    """The continuity defect of one implicit step as a function of the
-    trial state, and the [trial state, trial table] pair of its last call.
-
-    ``residual(y)`` expands the list y of ``dim`` floats about t_next, tests
-    the table's finiteness through ``order`` and returns h(col, -theta dt) -
-    known for each column and each entry of ``known_value``, h =
-    ``_horner(order)``.  Each y is a candidate next node, so its table runs
-    through ``depth``, the index the node's readers need.  Everything fixed
-    for the step is bound here once; y is not validated.
-    """
-    recurrence = problem.recurrence
-    offset = -theta * dt
-    h = _horner(order)
-    last = [None, None]
-
-    def residual(y):
-        table = recurrence(t_next, y, depth)
-        _check_finite(table, t_next, order)
-        r = [h(col, offset) - k for col, k in zip(table, known_value)]
-        last[0], last[1] = y, table
-        return r
-
-    return residual, last
-
-
 def _step(problem, t_i, node_table, theta, order, dt):
     """One step of dt from the node table about t_i.  Returns (state as a
     list of floats, iterations, table of the state or None).
 
     The explicit step (theta = 0) is the predictor, the local series at
-    t_i + dt.  An implicit step is the Newton solve started from it, on the
-    one residual function ``_residual_function`` builds for the step: the
-    defect between the trial state's expansion about t_i + dt and the
-    node's, both at the matching point t_i + (1 - theta) dt.  Both of the
-    node's series values are read by the kernel ``_horner(order)``.  The
-    residual calls build their tables as deep as the node table,
-    ``len(node_table[0]) - 1``.  The table returned is the one the last
-    residual evaluation built, returned only when Newton returned that very
-    list: it is then the next node's table.
-
-    Newton's Jacobian, with the residual at the same point, comes from the
-    problem's tangent kernel (``recurrence.tangent(order)``, which
-    ``problems.declare`` attaches), which builds no table.  So a solve that
-    accepts the predictor at 0 iterations makes no residual call, and the
-    next node is built afresh.  A one-iteration step makes one kernel call
-    and one recurrence call.
+    t_i + dt, read by the kernel ``_horner(order)``.  An implicit step is
+    the generated kernel ``_implicit_step(m, order)``: the Newton solve,
+    started from the predictor, of the defect between the trial state's
+    expansion about t_i + dt and the node's, both at the matching point
+    t_i + (1 - theta) dt.
     """
-    h = _horner(order)
-    predictor = [h(col, dt) for col in node_table]
     if theta == 0.0:
-        return predictor, 0, None
-    # The known side is fixed for the whole step.
-    known_value = [h(col, (1.0 - theta) * dt) for col in node_table]
-    residual, last = _residual_function(problem, t_i + dt, known_value, theta,
-                                        order, dt, len(node_table[0]) - 1)
-    state, iters = newton_solve(residual, predictor, partial(
-        problem.recurrence.tangent(order), t_i + dt, -theta * dt, known_value))
-    return state, iters, last[1] if state is last[0] else None
+        h = _horner(order)
+        return [h(col, dt) for col in node_table], 0, None
+    return _implicit_step(len(node_table), order)(problem.recurrence, t_i,
+                                                  node_table, theta, dt)
+
+
+@cache
+def _implicit_step(m: int, order: int):
+    """The implicit step of an m-state problem at order K = ``order`` as
+    one function step(recurrence, t_i, node_table, theta, dt), generated on
+    first use from Newton's template (``nonlinear._NEWTON``) with one local
+    per entry: the Horner sums of the predictor, of the known side and of
+    each residual, the residual's finiteness test, the inf-norms and the LU
+    elimination (``nonlinear._lu_lines``) are written out, in the order of
+    ``nonlinear.newton_solve`` on the step's residual, so every bit is the
+    same.  It returns what ``_step`` does.
+
+    It calls the problem in two ways only.  The tangent kernel
+    ``recurrence.tangent(order)`` gives the residual and its exact Jacobian
+    at the predictor and each iteration's Jacobian, and builds no table.
+    After each update ``recurrence(t_i + dt, y, depth)`` expands the trial
+    state y as deep as the node table, ``depth = len(node_table[0]) - 1``,
+    the index the next node's readers need; a residual is the table's state
+    series through K by Horner at -theta dt minus the known side, and a
+    table with a non-finite entry through K raises ``_check_finite``'s
+    error.  The table of the last such call is returned when the solve took
+    at least one iteration: its state is then the returned one, and the
+    table is the next node's.  A solve that accepts the predictor at 0
+    iterations makes no recurrence call, and the next node is built
+    afresh; a one-iteration step makes one kernel call and one recurrence
+    call.
+    """
+    M, join = range(m), ", ".join
+
+    def names(form):
+        return [form.format(i) for i in M]
+
+    def horner(target, col, s, minus=""):
+        """``target`` = the series ``col`` at s, as ``_horner(order)`` takes
+        it, one statement per index; minus ``minus`` when given."""
+        return ([f"{target} = {col}[{order}]"]
+                + [f"{target} = {target} * {s} + {col}[{k}]"
+                   for k in range(order - 1, 0, -1)]
+                + [f"{target} = {target} * {s} + {col}[0]{minus}"])
+
+    def largest(v):  # max(map(abs, v))
+        return (f"max({join(f'abs({x})' for x in v)})" if m > 1
+                else f"abs({v[0]})")
+
+    def norm(v):  # nonlinear._inf_norm(v): nan when an entry is nan
+        return (f"math.nan if {' or '.join(f'{x} != {x}' for x in v)} "
+                f"else {largest(v)}")
+
+    y, r, x, node, known, col = (names(f) for f in (
+        "y{}", "r{}", "x{}", "_n{}", "_k{}", "_c{}"))
+    y_new, r_new = names("y{}_new"), names("r{}_new")
+    start = [f"{join(node)}, = node_table"]
+    for i in M:  # the predictor, as newton_solve takes its guess
+        start += horner(y[i], node[i], "dt")
+        start.append(f"{y[i]} = float({y[i]})")
+    start.append("_s = (1.0 - theta) * dt")
+    for i in M:
+        start += horner(known[i], node[i], "_s")
+    start += [f"_known = [{join(known)}]", "_t_next = t_i + dt",
+              "_offset = -theta * dt", "_depth = len(_n0) - 1",
+              f"_tangent = recurrence.tangent({order})", "_table = None",
+              f"[{join(r)}], J = _tangent(_t_next, _offset, _known, "
+              f"[{join(y)}])", f"r_norm = {norm(r)}"]
+    rows = (f"[{join(f'a{i}_{j}' for j in M)}]" for i in M)
+    solve = [f"[{join(rows)}] = J"]
+    solve += [f"b{i} = -{r[i]}" for i in M] + _lu_lines(m)
+    residual = [f"_table = recurrence(_t_next, [{join(y_new)}], _depth)",
+                f"{join(col)}, = _table"]
+    for i in M:
+        residual += horner(r_new[i], col[i], "_offset", f" - {known[i]}")
+    # A non-finite coefficient through K makes its Horner sum, and so the
+    # sum of the residuals, non-finite: a finite sum clears the table, and
+    # only otherwise are its coefficients tested.
+    residual += [f"if not isfinite({' + '.join(r_new)}):",
+                 f"    _check_finite(_table, _t_next, {order})",
+                 f"new_norm = {norm(r_new)}"]
+    return _newton_function(
+        "step", "recurrence, t_i, node_table, theta, dt",
+        {"_check_finite": _check_finite},
+        start=start,
+        scale=f"max(1.0, {largest(y)})",
+        jacobian=[f"J = _tangent(_t_next, _offset, _known, [{join(y)}])[1]"],
+        solve=solve,
+        trial=[f"{y_new[i]} = {y[i]} + alpha * {x[i]}" for i in M],
+        residual=residual,
+        accept=[f"{join(y + r)} = {join(y_new + r_new)}"],
+        step=largest(x),
+        finish=[f"return [{join(y)}], iters, _table"])
 
 
 def theoretical_order(theta: float, order: int) -> int:

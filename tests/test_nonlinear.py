@@ -16,7 +16,7 @@ from ieldtm.nonlinear import _PIVOT_REL_TOL, lu_solve, newton_solve
 from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
                              robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table
-from oracles import complex_residual, complex_step
+from oracles import complex_residual, complex_step, residual_function
 
 
 class TestLuSolve:
@@ -652,12 +652,14 @@ def horner(table, offset, order):
 
 
 def step_linearize(problem, state, theta, order, dt):
-    """(residual, linearize) newton_solve gets for one step from state at
-    t = 0.4: the residual function and the tangent kernel."""
+    """(residual, linearize) of one step from state at t = 0.4: the step's
+    residual function as it was composed (``oracles.residual_function``,
+    which the generated step equals bit for bit) and the tangent
+    kernel."""
     table = build_coeff_table(problem, 0.4, state.tolist(), order)
     known = horner(table, (1.0 - theta) * dt, order)
-    residual = stepper._residual_function(problem, 0.4 + dt, known, theta,
-                                          order, dt, order)[0]
+    residual = residual_function(problem, 0.4 + dt, known, theta, order, dt,
+                                 order)[0]
     return residual, partial(problem.recurrence.tangent(order), 0.4 + dt,
                              -theta * dt, known)
 
@@ -677,8 +679,8 @@ def robertson_jacobian(y):
 class TestBatchedJacobian:
     """The Jacobian of the tangent kernel against hand-derived ones, and the
     complex-step oracle the tests compare that kernel with: its residual is
-    the stepper's bit for bit, and Newton makes m complex calls per
-    iteration with it."""
+    the step's (``oracles.residual_function``) bit for bit, and Newton
+    makes m complex calls per iteration with it."""
 
     @pytest.mark.parametrize("problem,f_y,state,dt", [
         (van_der_pol(10.0), vdp_jacobian, np.array([2.0, -0.5]), 0.05),
@@ -735,7 +737,7 @@ class TestBatchedJacobian:
                                                     dt, theta):
         """Re r(y + ih e_j) of the oracle's complex residual equals r(y) bit
         for bit, r the step's residual function, so the complex step's first
-        residual is the stepper's.  The imaginary parts are h = 1e-30 times
+        residual is the step's.  The imaginary parts are h = 1e-30 times
         the real ones, so an imaginary-by-imaginary product term is about
         1e-60 relative to its real-by-real term, far below half an ulp: it
         never changes the rounded real part.  Sums and real scalings act on
@@ -752,7 +754,7 @@ class TestBatchedJacobian:
                 known = horner(table, (1.0 - theta) * dt, order)
                 # Real calls build through X(K+2), as the step's do at
                 # the central scheme with odd K.
-                residual, _ = stepper._residual_function(
+                residual, _ = residual_function(
                     problem, t + dt, known, theta, order, dt, order + 2)
                 oracle = complex_residual(problem, t + dt, known, theta,
                                           order, dt)

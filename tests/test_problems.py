@@ -39,7 +39,7 @@ from ieldtm.problems import (
 )
 from ieldtm import stepper
 from ieldtm.stepper import FixedStep, SchemeConfig, build_coeff_table, integrate
-from oracles import complex_residual, complex_step
+from oracles import complex_residual, complex_step, residual_function
 
 
 def coeffs_from(problem, t, state, depth):
@@ -780,10 +780,11 @@ class TestCauchyProducts:
                 "[problems.make_problem(name) for name in problems.PROBLEM_NAMES]; "
                 "problems.linear_system(np.eye(2)); "
                 "print(*(f.cache_info().currsize for f in (problems._generate, "
-                "stepper._horner, nonlinear._lu_kernel)))")
+                "stepper._horner, nonlinear._lu_kernel, nonlinear._newton, "
+                "stepper._implicit_step)))")
         out = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "0 0 0"
+        assert out.stdout.strip() == "0 0 0 0 0"
 
 
 def _outcome(linearize, y):
@@ -802,8 +803,9 @@ class TestTangentKernel:
     residual function (the oracle ``complex_step``) does, bit for bit, at
     h = 2^-100: a tangent is the imaginary part over h of the same
     operations in the same order, and scaling by a power of two is
-    exact.  Its residual is the stepper's, built from the table kernel,
-    bit for bit: one generator writes the value lines of both."""
+    exact.  Its residual is the step's (``oracles.residual_function``),
+    built from the table kernel, bit for bit: one generator writes the
+    value lines of both."""
 
     # (expansion time, state) about which the points are drawn.
     POINTS = {
@@ -840,7 +842,7 @@ class TestTangentKernel:
                     kernel, t_next, -theta * dt, known), y)
                 assert got == expected
                 if not isinstance(got, str):
-                    real = stepper._residual_function(
+                    real = residual_function(
                         problem, t_next, known, theta, order, dt, order)[0]
                     assert _outcome(lambda y: (real(y), []), y) == got[:len(y)]
                 finite += not isinstance(expected, str)

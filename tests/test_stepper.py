@@ -5,6 +5,7 @@ import functools
 import io
 import math
 import random
+import struct
 from collections import namedtuple
 from fractions import Fraction
 
@@ -15,13 +16,19 @@ from hypothesis import strategies as st
 
 from ieldtm import nonlinear, stepper
 from ieldtm.bench import write_csv, write_trace_csv
-from ieldtm.errors import NonFiniteStateError, SingularMatrixError
+from ieldtm.errors import (
+    NewtonFailureError,
+    NonFiniteStateError,
+    SingularMatrixError,
+)
 from ieldtm.problems import (
+    PROBLEM_NAMES,
     ProblemDefinition,
     dahlquist,
     declare,
     duffing,
     linear_system,
+    make_problem,
     robertson_modified,
     seir,
     van_der_pol,
@@ -34,6 +41,7 @@ from ieldtm.stepper import (
     build_coeff_table,
     integrate,
 )
+import oracles
 
 
 def coeff_array(table):
@@ -50,18 +58,28 @@ def horner(table, offset, order):
 
 def step_residual(problem, state, trial, theta, order, dt):
     """The implicit-step defect of a trial state for one step of dt from
-    state at t = 0."""
+    state at t = 0, as the step's kernel takes it at its first point: from
+    the tangent kernel."""
     table = build_coeff_table(problem, 0.0, state, order)
     known = horner(table, (1.0 - theta) * dt, order)
-    residual, _ = stepper._residual_function(problem, dt, known, theta, order,
-                                             dt, order)
-    return residual(trial)
+    return problem.recurrence.tangent(order)(dt, -theta * dt, known, trial)[0]
 
 
 def one_step(problem, state, theta, order, dt):
     """The state after one fixed step of dt from state at t = 0."""
     cfg = SchemeConfig(theta, order, FixedStep(dt))
     return integrate(problem, cfg, dt, state).final_state
+
+
+def step_outcome(step, problem, t, table, theta, order, dt):
+    """A step's result as (the state's bytes, iterations, the handed-on
+    table's repr), or the type and message of the step failure it
+    raised."""
+    try:
+        state, iters, handed_on = step(problem, t, table, theta, order, dt)
+    except tuple(stepper._FAILURE_STATUS) as exc:
+        return type(exc), str(exc)
+    return struct.pack(f"<{len(state)}d", *state), iters, repr(handed_on)
 
 
 def _square(x):
@@ -224,8 +242,9 @@ class TestHornerKernelBits:
 
 
 class TestResidualFunctionBits:
-    """The residual function an implicit step builds and the defect written
-    out from ``build_coeff_table`` and the Horner loop agree bit for bit."""
+    """The residual an implicit step solves is the defect written out from
+    ``build_coeff_table`` and the Horner loop, bit for bit, and the table it
+    hands on is the accepted state's fresh build."""
 
     CASES = [
         (van_der_pol(10.0), 0.3, [1.8, -0.7], 5, 0.05),
@@ -237,17 +256,33 @@ class TestResidualFunctionBits:
     @pytest.mark.parametrize("problem, t, state, order, dt", CASES,
                              ids=["vanderpol", "robertson", "seir"])
     def test_defect_and_table_bits(self, problem, t, state, order, dt, theta):
+        # The step and Newton's hand-written loop on the written-out defect
+        # return the same state bits and iterations, or raise the same
+        # error: from the second iteration on, each residual is the
+        # right-hand side of the next update.
         table = build_coeff_table(problem, t, state, order)
         known = horner_loop(table, (1.0 - theta) * dt, order)
-        residual, last = stepper._residual_function(problem, t + dt, known,
-                                                    theta, order, dt, order)
-        for y in [horner_loop(table, dt, order), state]:
+
+        def defect(y):
             trial = build_coeff_table(problem, t + dt, y, order)
-            oracle = [a - b for a, b in zip(
+            return [a - b for a, b in zip(
                 horner_loop(trial, -theta * dt, order), known)]
-            r = residual(y)
-            assert last[0] is y and repr(last[1]) == repr(trial)
-            assert repr(r) == repr(oracle)
+
+        def oracle(*_):
+            root, iters = oracles.newton_solve(
+                defect, horner_loop(table, dt, order), functools.partial(
+                    problem.recurrence.tangent(order), t + dt, -theta * dt,
+                    known))
+            return root, iters, None
+
+        expected = step_outcome(oracle, problem, t, table, theta, order, dt)
+        assert step_outcome(stepper._step, problem, t, table, theta, order,
+                            dt)[:2] == expected[:2]
+        if isinstance(expected[1], int) and expected[1] >= 1:
+            state, _, handed_on = stepper._step(problem, t, table, theta,
+                                                order, dt)
+            fresh = build_coeff_table(problem, t + dt, state, order)
+            assert repr(handed_on) == repr(fresh)
 
 
 class TestExplicitStep:
@@ -304,6 +339,177 @@ class TestImplicitStep:
         prob = duffing()
         y = one_step(prob, prob.default_initial, 0.5, 3, 0.05)
         assert np.abs(y - prob.exact_solution(0.05)).max() <= 1e-9
+
+
+def counted(problem):
+    """The problem with its recurrence wrapped, tangent kernel kept, and the
+    list of the states the wrapper is called with."""
+    recurrence, states = problem.recurrence, []
+
+    @functools.wraps(recurrence)
+    def wrapper(t, state, depth):
+        states.append(list(state))
+        return recurrence(t, state, depth)
+
+    return dataclasses.replace(problem, recurrence=wrapper), states
+
+
+class TestImplicitStepKernel:
+    """The generated implicit step (``stepper._implicit_step``, through
+    ``_step``) against the step as it was composed before it (the oracle
+    ``oracles.implicit_step``: the step's residual function and Newton's
+    hand-written loop), byte for byte: the state, the iterations, the
+    handed-on table and any step failure's type and message.  The same
+    composition with ``nonlinear.newton_solve``, the Newton template's
+    other instance, is held to the same bytes."""
+
+    THETAS = [0.3, 0.5, 1.0]
+    ORDERS = [1, 2, 5, 9, 33, 171]
+    # (node time, node state, step sizes) about which the built-ins'
+    # points are drawn; SEIR's straddle its rate jump at t_c = 66.
+    POINTS = {
+        "dahlquist": (0.3, [1.3], [0.01, 0.1, 0.5]),
+        "duffing": (0.2, [0.5, 0.25], [0.01, 0.1, 0.5]),
+        "robertson": (0.01, [0.99, 3e-6, 0.01], [2.0 ** -12, 2.0 ** -9]),
+        "vanderpol": (0.0, [2.0, -0.5], [2.0 ** -5, 0.01, 0.1]),
+        "seir": (66.0, [2.9e6, 4.1e4, 9.5e3, 2.2e4, 5.3e3, 2.2e4],
+                 [0.1, 0.5, 2.0]),
+    }
+
+    @staticmethod
+    def check(problem, t, state, theta, order, dt):
+        """The outcome of one step from the state's table at t, after
+        checking that all three sides agree on it.  The table is the
+        recurrence's, unchecked, as deep as integrate builds it."""
+        table = problem.recurrence(
+            t, state, stepper.theoretical_order(theta, order) + 1)
+        args = (problem, t, table, theta, order, dt)
+        expected = step_outcome(oracles.implicit_step, *args)
+        assert step_outcome(stepper._step, *args) == expected
+        assert step_outcome(functools.partial(
+            oracles.implicit_step, newton=nonlinear.newton_solve),
+            *args) == expected
+        return expected
+
+    def check_points(self, problem, t, state, dts, theta, rng, spread=0.1):
+        """Three drawn points per order; the iteration counts of the steps
+        that return."""
+        iterations = []
+        for order in self.ORDERS:
+            for _ in range(3):
+                y = [v * (1.0 + spread * rng.gauss(0.0, 1.0)) for v in state]
+                dt = rng.choice(dts)
+                shift = rng.uniform(-0.5, 0.5) * (problem.name == "seir")
+                outcome = self.check(problem, t + shift, y, theta, order, dt)
+                if isinstance(outcome[1], int):
+                    iterations.append(outcome[1])
+        return iterations
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_built_ins(self, name, theta):
+        problem = make_problem(name, **({"eta": 8.0} if name == "seir" else {}))
+        iterations = self.check_points(problem, *self.POINTS[name], theta,
+                                       random.Random(f"{name}-{theta}"))
+        # Robertson's coefficients leave the float range near X(150), so
+        # its K = 171 steps fail; every other order returns at most points,
+        # and a nonlinear problem's steps take more than one iteration.
+        assert len(iterations) >= 2 * (len(self.ORDERS) - 1)
+        assert max(iterations) >= 1 + (name != "dahlquist")
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_linear_systems(self, m, theta):
+        rng = random.Random(f"linear-{m}-{theta}")
+        A = [[rng.gauss(0.0, 1.0) - 2.0 * (i == j) for j in range(m)]
+             for i in range(m)]
+        state = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        iterations = self.check_points(linear_system(A), 0.0, state,
+                                       [0.01, 0.1, 0.5], theta, rng,
+                                       spread=1.0)
+        assert len(iterations) >= 3 * len(self.ORDERS) - 2
+
+    # (problem, parameters, t, state, theta, K, dt, error type, message
+    # start) of steps that take Newton's rarer paths.
+    PATHS = [
+        pytest.param("vanderpol", {}, 0.0, [0.8110801522680295, 0.0], 1.0, 2,
+                     2.4161410676478856, None, None, id="halvings"),
+        pytest.param("dahlquist", {"lam": 1.0}, 0.0, [1.0], 1.0, 1, 1.0,
+                     SingularMatrixError, "pivot underflow in column 0",
+                     id="singular-first-iteration"),
+        pytest.param("robertson", {}, 0.0, [1.0, 0.0, 0.0], 0.5, 7,
+                     1.6306345345730255, NewtonFailureError,
+                     "singular Jacobian at iteration 2 ",
+                     id="singular-later-iteration"),
+        pytest.param("robertson", {}, 0.5,
+                     [0.6065306597126335, 1.119821795799511e-21,
+                      0.3934693402873666], 0.5, 7, 0.0625, NewtonFailureError,
+                     "no convergence in 25 iterations", id="max-iters"),
+        # J = 1 - dt is 2^-52, so the first update overflows the iterate.
+        pytest.param("dahlquist", {"lam": 1.0}, 0.0, [1e300], 1.0, 1,
+                     1.0 - 2.0 ** -52, NonFiniteStateError,
+                     "non-finite Taylor coefficient", id="non-finite-iterate"),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, params, t, state, theta, order, dt, error, message", PATHS)
+    def test_rare_paths(self, name, params, t, state, theta, order, dt, error,
+                        message):
+        problem, states = counted(make_problem(name, **params))
+        outcome = self.check(problem, t, state, theta, order, dt)
+        if error is None:
+            # Past the node's table, more residuals than iterations on each
+            # side: some update was halved.
+            assert isinstance(outcome[1], int)
+            assert len(states) - 1 > 3 * outcome[1]
+        else:
+            assert outcome[0] is error and outcome[1].startswith(message)
+        if name == "dahlquist" and error is NonFiniteStateError:
+            assert math.inf in states[-1]
+
+    def test_concurrent_first_calls(self, run_threads):
+        # Threads generating the same kernels at once each step with a
+        # kernel of the oracle's bytes, whichever equal kernel is stored.
+        stepper._implicit_step.cache_clear()
+        problem, state = van_der_pol(10.0), [2.0, -0.5]
+        tables = {order: build_coeff_table(problem, 0.0, state, order + 2)
+                  for order in range(1, 9)}
+        returned = []  # (order, outcome), checked below
+
+        def work(seed):
+            orders = list(tables)
+            random.Random(seed).shuffle(orders)
+            for order in orders:
+                returned.append((order, step_outcome(
+                    stepper._step, problem, 0.0, tables[order], 0.5, order,
+                    0.05)))
+
+        run_threads(work)
+        assert len(returned) == 6 * len(tables)
+        for order, outcome in returned:
+            assert outcome == step_outcome(oracles.implicit_step, problem,
+                                           0.0, tables[order], 0.5, order,
+                                           0.05)
+        assert stepper._implicit_step.cache_info().currsize == len(tables)
+
+    def test_reads_newton_constants_when_it_runs(self, monkeypatch):
+        # The kernels are generated before the constants change.
+        robertson, vanderpol = make_problem("robertson"), van_der_pol(10.0)
+        late = (robertson, 0.5, [0.6065306597126335, 1.119821795799511e-21,
+                                 0.3934693402873666], 0.5, 7, 0.0625)
+        halved = (vanderpol, 0.0, [0.8110801522680295, 0.0], 1.0, 2,
+                  2.4161410676478856)
+        self.check(*late)
+        self.check(*halved)
+        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 3)
+        error, message = self.check(*late)
+        assert error is NewtonFailureError
+        assert message.startswith("no convergence in 3 iterations")
+        monkeypatch.undo()
+        monkeypatch.setattr(nonlinear, "_MAX_HALVINGS", 0)
+        problem, states = counted(vanderpol)
+        outcome = self.check(problem, *halved[1:])
+        assert len(states) - 1 == 3 * outcome[1]
 
 
 # The two step controllers and the error estimate as integrate called them
@@ -971,17 +1177,14 @@ class TestNodeTableReuse:
         assert reused.states.tobytes() == fresh.states.tobytes()
 
     def test_residual_of_prebuilt_trial_table(self):
-        # The trial table handed back with the defect is a fresh build.
+        # The trial table handed back with the state is a fresh build.
         prob = duffing()
-        node = build_coeff_table(prob, 0.0, prob.default_initial.tolist(), 4)
-        known = horner(node, 0.05, 4)
-        trial = [0.51, 0.24]
         # K = 4 at theta = 0.5: the real call runs to the error term X(5).
-        residual, last = stepper._residual_function(prob, 0.1, known, 0.5, 4,
-                                                    0.1, 5)
-        residual(trial)
-        fresh = build_coeff_table(prob, 0.1, trial, 5)
-        assert coeff_array(last[1]).tobytes() == coeff_array(fresh).tobytes()
+        node = build_coeff_table(prob, 0.0, prob.default_initial.tolist(), 5)
+        state, iters, trial = stepper._step(prob, 0.0, node, 0.5, 4, 0.1)
+        assert iters >= 1
+        fresh = build_coeff_table(prob, 0.1, state, 5)
+        assert coeff_array(trial).tobytes() == coeff_array(fresh).tobytes()
 
 
 class TestAuxiliarySeriesHidden:
