@@ -541,12 +541,19 @@ def _horner(order: int):
     The kernel is written out one statement per k (a nested expression
     would pass CPython's limit of 200 nested parentheses at order 200).
     """
-    lines = [f"    a = col[{order}]\n"]
-    lines += [f"    a = a * s + col[{k}]\n" for k in range(order - 1, -1, -1)]
+    lines = _horner_lines("a", "col", "s", order)
     namespace = {}
-    exec("def horner(col, s):\n" + "".join(lines) + "    return a\n",
-         namespace)
+    exec("def horner(col, s):\n" + "".join(f"    {line}\n" for line in lines)
+         + "    return a\n", namespace)
     return namespace["horner"]
+
+
+def _horner_lines(target: str, col: str, s: str, order: int) -> list:
+    """The statements of ``_horner(order)``, one per index: ``target`` is
+    the series ``col`` through ``order`` at ``s``."""
+    return ([f"{target} = {col}[{order}]"]
+            + [f"{target} = {target} * {s} + {col}[{k}]"
+               for k in range(order - 1, -1, -1)])
 
 
 def _horner_code(coeffs: list) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NewtonFailureError, NonFiniteStateError, SingularMatrixError
 from .nonlinear import _lu_lines, _newton_function
-from .problems import ProblemDefinition, _horner
+from .problems import ProblemDefinition, _horner, _horner_lines
 
 __all__ = [
     "FixedStep",
@@ -200,7 +200,8 @@ def _implicit_step(m: int, order: int):
     one function step(recurrence, t_i, node_table, theta, dt), generated on
     first use from Newton's template (``nonlinear._NEWTON``) with one local
     per entry: the Horner sums of the predictor, of the known side and of
-    each residual, the residual's finiteness test, the inf-norms and the LU
+    each residual (``problems._horner_lines``, the statements of
+    ``_horner``), the residual's finiteness test, the inf-norms and the LU
     elimination (``nonlinear._lu_lines``) are written out, in the order of
     ``nonlinear.newton_solve`` on the step's residual, so every bit is the
     same.  It returns what ``_step`` does.
@@ -225,14 +226,6 @@ def _implicit_step(m: int, order: int):
     def names(form):
         return [form.format(i) for i in M]
 
-    def horner(target, col, s, minus=""):
-        """``target`` = the series ``col`` at s, as ``_horner(order)`` takes
-        it, one statement per index; minus ``minus`` when given."""
-        return ([f"{target} = {col}[{order}]"]
-                + [f"{target} = {target} * {s} + {col}[{k}]"
-                   for k in range(order - 1, 0, -1)]
-                + [f"{target} = {target} * {s} + {col}[0]{minus}"])
-
     def largest(v):  # max(map(abs, v))
         return (f"max({join(f'abs({x})' for x in v)})" if m > 1
                 else f"abs({v[0]})")
@@ -246,11 +239,11 @@ def _implicit_step(m: int, order: int):
     y_new, r_new = names("y{}_new"), names("r{}_new")
     start = [f"{join(node)}, = node_table"]
     for i in M:  # the predictor, as newton_solve takes its guess
-        start += horner(y[i], node[i], "dt")
+        start += _horner_lines(y[i], node[i], "dt", order)
         start.append(f"{y[i]} = float({y[i]})")
     start.append("_s = (1.0 - theta) * dt")
     for i in M:
-        start += horner(known[i], node[i], "_s")
+        start += _horner_lines(known[i], node[i], "_s", order)
     start += [f"_known = [{join(known)}]", "_t_next = t_i + dt",
               "_offset = -theta * dt", "_depth = len(_n0) - 1",
               f"_tangent = recurrence.tangent({order})", "_table = None",
@@ -262,7 +255,8 @@ def _implicit_step(m: int, order: int):
     residual = [f"_table = recurrence(_t_next, [{join(y_new)}], _depth)",
                 f"{join(col)}, = _table"]
     for i in M:
-        residual += horner(r_new[i], col[i], "_offset", f" - {known[i]}")
+        residual += _horner_lines(r_new[i], col[i], "_offset", order)
+        residual.append(f"{r_new[i]} = {r_new[i]} - {known[i]}")
     # A non-finite coefficient through K makes its Horner sum, and so the
     # sum of the residuals, non-finite: a finite sum clears the table, and
     # only otherwise are its coefficients tested.
