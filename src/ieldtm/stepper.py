@@ -5,21 +5,38 @@ local Taylor expansions: theta = 0 is the explicit forward scheme, theta = 1
 the implicit backward scheme and theta = 0.5 the implicit central scheme
 (order K+1 for odd K, order K otherwise).  The explicit step is the
 predictor of the implicit one.
+
+An implicit step is a dense Newton solve of the matching defect.  Systems
+here are tiny (m <= 6), so the Jacobian is rebuilt every iteration and
+factored densely by partial-pivot LU.  Newton takes the residual and its
+exact Jacobian from one call of the problem's tangent kernel
+(``recurrence.tangent``, which ``problems._generate`` writes).  Newton's
+iteration is written once, as the source template ``_NEWTON``: the
+round-off floor, the acceptance at _ABS_TOL once progress stalls, the
+_MAX_HALVINGS halvings of a growing update, the _STEP_TOL and _MAX_ITERS
+limits and every error message.  ``_implicit_step(m, K)`` fills its slots
+and writes one step per (m, K) out straight-line, with one local per entry
+(the predictor, the residual's Horner sums, its finiteness test, the
+inf-norms and the LU elimination of ``_lu_lines``): at m <= 6 a numpy call
+per residual, column, pivot, swap or row update costs more than the
+arithmetic it does.  The step reads Newton's constants from this module's
+globals when it runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
+from math import inf, isfinite  # read by the generated step kernels
 from numbers import Integral
 from typing import List, Union
 
 import numpy as np
 
 from .errors import NewtonFailureError, NonFiniteStateError, SingularMatrixError
-from .nonlinear import _lu_lines, _newton_function
 from .problems import ProblemDefinition, _horner, _horner_lines
 
 __all__ = [
@@ -194,17 +211,146 @@ def _step(problem, t_i, node_table, theta, order, dt):
                                                   node_table, theta, dt)
 
 
+_PIVOT_REL_TOL = 1e-14
+_MAX_HALVINGS = 8  # of the Newton update while the residual grows
+_ABS_TOL = 1e-12  # residual inf-norm threshold
+_STEP_TOL = 1e-13  # update inf-norm threshold, relative to the state scale
+_MAX_ITERS = 25
+_EPSILON = sys.float_info.epsilon
+
+
+# Newton's iteration, the one copy of its rules, which _implicit_step
+# turns into the step function.  It fills each slot alone on its line with
+# a block of lines and $scale and $step with an expression, all with one
+# local per entry: $start binds the predictor y0, y1, ..., its residual r0,
+# r1, ..., their inf-norm r_norm and the Jacobian J (the rows of a list);
+# $jacobian rebinds J at the iterate; $solve leaves the solution delta of
+# J delta = -r in x0, x1, ...; $trial makes the trial y + alpha delta in
+# y0_new, ...; $residual binds its residual r0_new, ... and their inf-norm
+# new_norm (nan when an entry is nan); $accept makes the trial the iterate;
+# $finish returns.  $scale is max(1, |y|_inf) and $step |delta|_inf.
+_NEWTON = """\
+def step(recurrence, t_i, node_table, theta, dt):
+    $start
+    # Accept at _ABS_TOL only once quadratic progress has stalled: while the
+    # residual is still collapsing by orders of magnitude per step, one more
+    # (cheap) iteration buys the round-off floor instead of an O(_ABS_TOL)
+    # defect frozen into the returned state.
+    floor = 100.0 * _EPSILON * $scale
+    prev_norm = inf
+    for it in range(1, _MAX_ITERS + 1):
+        if r_norm <= floor or (r_norm <= _ABS_TOL
+                               and r_norm > 0.25 * prev_norm):
+            iters = it - 1
+            break
+        prev_norm = r_norm
+        if J is None:  # the iterate has moved since the last tangent call
+            $jacobian
+        try:
+            $solve
+        except SingularMatrixError as exc:
+            if it == 1:
+                raise
+            raise NewtonFailureError(
+                f"singular Jacobian at iteration {it} ({exc})") from exc
+        # The full update first (alpha * delta is then delta exactly), then
+        # up to _MAX_HALVINGS halvings of it while the residual grows.
+        alpha = 1.0
+        for halving in range(_MAX_HALVINGS + 1):
+            if halving:
+                alpha *= 0.5
+            $trial
+            $residual
+            # An inf or nan entry makes the norm inf or nan, so a non-finite
+            # residual counts as growth, also against an inf r_norm.
+            if isfinite(new_norm) and new_norm <= r_norm:
+                break
+        $accept
+        r_norm, J = new_norm, None
+        # The iterate is finite: an infinite trial is X(0) of its own table,
+        # so its residual is not finite and its finiteness test raises.
+        scale = $scale
+        if alpha * $step <= _STEP_TOL * scale:
+            iters = it
+            break
+    else:
+        # After the last iteration a residual at or below _ABS_TOL is
+        # accepted.
+        if not r_norm <= _ABS_TOL:
+            raise NewtonFailureError(
+                f"no convergence in {_MAX_ITERS} iterations "
+                f"(last residual inf-norm {r_norm:.3e})")
+        iters = _MAX_ITERS
+    $finish
+"""
+
+
+def _lu_lines(n: int) -> list:
+    """The source lines of the elimination, written out with a local name
+    per entry, so no row copy, index or loop is left, only the float
+    operations, comparisons and errors of the elimination, in its order.
+    It reads A's entries from the locals a{i}_{j} and b's from b{i}, leaves
+    the solution in x0, ..., x{n-1} and binds e{i}_{j}, c{j}, s{i}, q, p, m
+    and f on the way.  Its source grows as n^3; the systems here have
+    n <= 6.
+
+    It converts each entry with float(), b first.  Column maxima keep the
+    first of equal |a_ij| and a leading nan, each ``or 1.0``.  A row scale
+    adds its terms |a_ij| / c_j from the left with ``+``, so it does not
+    depend on the interpreter (``sum()`` compensates from Python 3.12 on);
+    on 3.11 it equals ``sum()`` of the terms, which are never -0.0.  Column
+    c's pivot is the first largest |a_ic| in row order, whose row trades its
+    remaining entries, b entry and row scale with row c's before the pivot
+    test.  Back-substitution subtracts from b_i the sum of its row's
+    products a_ij x_j, j > i, added from the left with ``+``: no BLAS dot,
+    whose kernel may fuse multiply-adds depending on the CPU.
+    """
+    N, join = range(n), ", ".join
+    a = [[f"a{i}_{j}" for j in N] for i in N]
+    e = [[f"e{i}_{j}" for j in N] for i in N]
+    lines = [f"b{i} = float(b{i})" for i in N]
+    lines += [f"{v} = float({v})" for row in a for v in row]
+    lines += [f"{e[i][j]} = abs({a[i][j]})" for i in N for j in N]
+    for j in N:
+        lines.append(f"c{j} = {e[0][j]}")
+        lines += [f"if {e[i][j]} > c{j}: c{j} = {e[i][j]}" for i in N[1:]]
+        lines.append(f"c{j} = c{j} or 1.0")
+    for i in N:
+        terms = [f"{e[i][j]} / c{j}" for j in N]
+        lines.append(f"s{i} = {' + '.join(terms)}")
+    for c in N:
+        lines += [f"q = abs(a{c}_{c})", f"p = {c}"]
+        for i in range(c + 1, n):
+            lines += [f"m = abs(a{i}_{c})", f"if m > q: q, p = m, {i}"]
+        for i in range(c + 1, n):
+            row_c, row_i = (a[k][c:] + [f"b{k}", f"s{k}"] for k in (c, i))
+            lines += [f"if p == {i}:",
+                      f"    {join(row_c + row_i)} = {join(row_i + row_c)}"]
+        lines += [f"if q <= _PIVOT_REL_TOL * s{c} * c{c}:",
+                  "    raise SingularMatrixError("
+                  f"'pivot underflow in column {c}')"]
+        for i in range(c + 1, n):
+            lines.append(f"f = a{i}_{c} / a{c}_{c}")
+            lines += [f"a{i}_{j} -= f * a{c}_{j}" for j in range(c + 1, n)]
+            lines.append(f"b{i} -= f * b{c}")
+    for i in reversed(N):
+        products = " + ".join(f"a{i}_{j} * x{j}" for j in range(i + 1, n))
+        s = f"(b{i} - ({products}))" if products else f"b{i}"
+        lines.append(f"x{i} = {s} / a{i}_{i}")
+    return lines
+
+
 @cache
 def _implicit_step(m: int, order: int):
     """The implicit step of an m-state problem at order K = ``order`` as
     one function step(recurrence, t_i, node_table, theta, dt), generated on
-    first use from Newton's template (``nonlinear._NEWTON``) with one local
-    per entry: the Horner sums of the predictor, of the known side and of
-    each residual (``problems._horner_lines``, the statements of
-    ``_horner``), the residual's finiteness test, the inf-norms and the LU
-    elimination (``nonlinear._lu_lines``) are written out, in the order of
-    ``nonlinear.newton_solve`` on the step's residual, so every bit is the
-    same.  It returns what ``_step`` does.
+    first use from Newton's template ``_NEWTON`` with one local per entry:
+    the Horner sums of the predictor, of the known side and of each
+    residual (``problems._horner_lines``, the statements of ``_horner``),
+    the residual's finiteness test, the inf-norms and the LU elimination
+    (``_lu_lines``) are written out, in the order of Newton's loop on lists
+    of floats applied to the step's residual function, so every bit is that
+    composition's.  It returns what ``_step`` does.
 
     It calls the problem in two ways only.  The tangent kernel
     ``recurrence.tangent(order)`` gives the residual and its exact Jacobian
@@ -230,7 +376,7 @@ def _implicit_step(m: int, order: int):
         return (f"max({join(f'abs({x})' for x in v)})" if m > 1
                 else f"abs({v[0]})")
 
-    def norm(v):  # nonlinear._inf_norm(v): nan when an entry is nan
+    def norm(v):  # max(map(abs, v)), but nan when any entry is nan
         return (f"math.nan if {' or '.join(f'{x} != {x}' for x in v)} "
                 f"else {largest(v)}")
 
@@ -238,7 +384,7 @@ def _implicit_step(m: int, order: int):
         "y{}", "r{}", "x{}", "_n{}", "_k{}", "_c{}"))
     y_new, r_new = names("y{}_new"), names("r{}_new")
     start = [f"{join(node)}, = node_table"]
-    for i in M:  # the predictor, as newton_solve takes its guess
+    for i in M:  # the predictor, Newton's guess
         start += _horner_lines(y[i], node[i], "dt", order)
         start.append(f"{y[i]} = float({y[i]})")
     start.append("_s = (1.0 - theta) * dt")
@@ -263,18 +409,22 @@ def _implicit_step(m: int, order: int):
     residual += [f"if not isfinite({' + '.join(r_new)}):",
                  f"    _check_finite(_table, _t_next, {order})",
                  f"new_norm = {norm(r_new)}"]
-    return _newton_function(
-        "step", "recurrence, t_i, node_table, theta, dt",
-        {"_check_finite": _check_finite},
-        start=start,
-        scale=f"max(1.0, {largest(y)})",
-        jacobian=[f"J = _tangent(_t_next, _offset, _known, [{join(y)}])[1]"],
-        solve=solve,
-        trial=[f"{y_new[i]} = {y[i]} + alpha * {x[i]}" for i in M],
-        residual=residual,
-        accept=[f"{join(y + r)} = {join(y_new + r_new)}"],
-        step=largest(x),
-        finish=[f"return [{join(y)}], iters, _table"])
+    blocks = {
+        "start": start,
+        "jacobian": [f"J = _tangent(_t_next, _offset, _known, [{join(y)}])[1]"],
+        "solve": solve,
+        "trial": [f"{y_new[i]} = {y[i]} + alpha * {x[i]}" for i in M],
+        "residual": residual,
+        "accept": [f"{join(y + r)} = {join(y_new + r_new)}"],
+        "finish": [f"return [{join(y)}], iters, _table"]}
+    lines = []
+    for line in (_NEWTON.replace("$scale", f"max(1.0, {largest(y)})")
+                 .replace("$step", largest(x)).splitlines()):
+        indentation, _, slot = line.partition("$")
+        lines += [indentation + b for b in blocks[slot]] if slot else [line]
+    namespace = {}
+    exec("\n".join(lines) + "\n", globals(), namespace)
+    return namespace["step"]
 
 
 def theoretical_order(theta: float, order: int) -> int:

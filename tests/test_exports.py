@@ -15,7 +15,7 @@ from ieldtm.cli import _problem_options
 from ieldtm.problems import _FACTORIES, ProblemDefinition
 from ieldtm.stepper import AdaptiveStep, FixedStep, SchemeConfig, SolutionTrace
 
-MODULES = ("problems", "nonlinear", "stepper", "stability", "bench")
+MODULES = ("problems", "stepper", "stability", "bench")
 
 
 def test_modules_match_package():

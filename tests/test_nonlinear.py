@@ -1,22 +1,50 @@
-"""Newton root-finder and partial-pivot LU solver."""
+"""Newton's rules and the partial-pivot LU elimination of the implicit step.
 
-import cmath
+The LU cases compile the step kernel's elimination lines,
+``stepper._lu_lines(n)``, into a function (``lu_solve`` below) and compare
+it with the general elimination loop ``oracles.lu_solve_n`` bit for bit,
+results and errors alike.  The Newton cases step declared problems through
+``stepper._step``, each taking one of Newton's paths; the two rules that no
+declaration reaches drive the step kernel with a scripted recurrence."""
+
+import dataclasses
 import math
-import random
-from functools import partial, reduce
+from functools import cache, partial, reduce, wraps
 from itertools import combinations
 from operator import add
 
 import numpy as np
 import pytest
 
-from ieldtm import nonlinear, stepper
-from ieldtm.errors import NewtonFailureError, SingularMatrixError
-from ieldtm.nonlinear import _PIVOT_REL_TOL, lu_solve, newton_solve
-from ieldtm.problems import (PROBLEM_NAMES, linear_system, make_problem,
+import oracles
+from ieldtm import stepper
+from ieldtm.errors import (NewtonFailureError, NonFiniteStateError,
+                           SingularMatrixError)
+from ieldtm.problems import (PROBLEM_NAMES, ProblemDefinition, dahlquist,
+                             declare, linear_system, make_problem,
                              robertson_modified, van_der_pol)
 from ieldtm.stepper import build_coeff_table
 from oracles import complex_residual, complex_step, residual_function
+
+
+@cache
+def _elimination(n: int):
+    N, join = range(n), ", ".join
+    rows = join(f"[{join(f'a{i}_{j}' for j in N)}]" for i in N)
+    lines = [f"[{rows}] = A", f"[{join(f'b{i}' for i in N)}] = b",
+             *stepper._lu_lines(n), f"return [{join(f'x{i}' for i in N)}]"]
+    namespace = {}
+    exec("def lu(A, b):\n" + "".join(f"    {line}\n" for line in lines),
+         vars(stepper), namespace)
+    return namespace["lu"]
+
+
+def lu_solve(A, b) -> list:
+    """Solve A x = b by the step kernel's elimination at n = len(b): the
+    lines ``stepper._lu_lines(n)``, compiled with the stepper's globals
+    between an unpacking of A's n rows and b's n entries and the return of
+    x0, ..., x{n-1}."""
+    return _elimination(len(b))(A, b)
 
 
 class TestLuSolve:
@@ -37,10 +65,6 @@ class TestLuSolve:
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
             lu_solve(A, np.array([1.0, 1.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            lu_solve(np.eye(3), np.ones(2))
 
     def test_random_well_conditioned_systems(self):
         rng = np.random.default_rng(5)
@@ -87,7 +111,7 @@ class TestLuSolve:
                 f = A[col + 1:, col] / A[col, col]
                 A[col + 1:, col + 1:] -= np.outer(f, A[col, col + 1:])
                 b[col + 1:] -= f * b[col]
-            # Each row's products added from the left, as lu_solve does:
+            # Each row's products added from the left, as the kernel does:
             # np.dot's BLAS kernel may fuse its multiply-adds.
             x = np.empty(n)
             for i in range(n - 1, -1, -1):
@@ -126,47 +150,6 @@ class TestLuSolve:
             lu_solve(A, np.array([1.0, 2.0]))
 
 
-def _lu_solve_n(a: list, b: list) -> list:
-    """The elimination of lu_solve on n rows of n floats and n floats, both
-    lists it may overwrite."""
-    n = len(b)
-    col_max = [max(map(abs, col)) or 1.0 for col in zip(*a)]
-    row_scale = []
-    for row in a:
-        scale = 0.0
-        for x, c in zip(row, col_max):
-            scale = scale + abs(x) / c
-        row_scale.append(scale)
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda i: abs(a[i][col]))
-        pivot = a[pivot_row][col]
-        if abs(pivot) <= _PIVOT_REL_TOL * row_scale[pivot_row] * col_max[col]:
-            raise SingularMatrixError(f"pivot underflow in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
-        upper = a[col]
-        for i in range(col + 1, n):
-            row = a[i]
-            f = row[col] / pivot
-            for j in range(col + 1, n):
-                row[j] -= f * upper[j]
-            b[i] -= f * b[col]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        # The row's products added from the left, one plain addition at a
-        # time, and subtracted from b[i] at once; the last row is b[i] alone.
-        if i == n - 1:
-            x[i] = b[i] / a[i][i]
-            continue
-        s = a[i][i + 1] * x[i + 1]
-        for j in range(i + 2, n):
-            s = s + a[i][j] * x[j]
-        x[i] = (b[i] - s) / a[i][i]
-    return x
-
-
 def outcome(solve, *args):
     """A solve's result as hex strings, or its exception's type and text."""
     try:
@@ -177,7 +160,7 @@ def outcome(solve, *args):
 
 def general(A, b):
     """The general elimination loop, the oracle, on a system of any size."""
-    return outcome(_lu_solve_n, [list(map(float, row)) for row in A],
+    return outcome(oracles.lu_solve_n, [list(map(float, row)) for row in A],
                    list(map(float, b)))
 
 
@@ -192,16 +175,14 @@ BASE_B = [1.0, -3.0, 2.0, 0.5, -1.5, 4.0]
 
 
 class _LuChecks:
-    """The checks of lu_solve's generated kernel against the general
+    """The checks of the step kernel's elimination against the general
     elimination loop, bit for bit, results and errors alike, on n x n
     systems.  Most systems below are top-left n x n blocks of 6 x 6 ones."""
 
     n: int
 
     def assert_same(self, A, b):
-        expected = general(A, b)
-        assert outcome(nonlinear._lu_kernel(self.n), A, b) == expected
-        assert outcome(lu_solve, A, b) == expected
+        assert outcome(lu_solve, A, b) == general(A, b)
 
     def test_random_systems(self):
         rng = np.random.default_rng(21)
@@ -335,21 +316,15 @@ class _LuChecks:
                 row[c] = sum(row[:c])
             self.check_singular_message(A, c)
 
-    def test_one_dimensional_or_scalar_A(self):
-        n = self.n
-        for A in [np.ones(n), [1.0] * n, np.float64(1.0), 1.0, 3]:
-            with pytest.raises(ValueError, match="A must be n x n and b length n"):
-                lu_solve(A, np.ones(n))
-
 
 class TestLuSolve1x1(_LuChecks):
-    """lu_solve's n = 1 kernel against the general loop."""
+    """The n = 1 elimination against the general loop."""
 
     n = 1
 
 
 class TestLuSolve2x2(_LuChecks):
-    """lu_solve's n = 2 kernel against the general loop."""
+    """The n = 2 elimination against the general loop."""
 
     n = 2
 
@@ -377,25 +352,9 @@ class TestLuSolve2x2(_LuChecks):
     def test_singular_messages(self, A, column):
         self.check_singular_message(A, column)
 
-    @pytest.mark.parametrize("A,b", [
-        (np.ones((2, 3)), np.ones(2)),
-        ([[1.0, 2.0], [3.0, 4.0, 5.0]], [1.0, 2.0]),
-        ([[1.0, 2.0, 0.0], [3.0, 4.0]], [1.0, 2.0]),
-        ([[1.0], [3.0]], [1.0, 2.0]),
-        (np.ones((3, 2)), np.ones(2)),
-        (np.eye(2), np.ones(3)),
-        (np.ones(2), np.ones(2)),
-        ([1.0, 2.0], [1.0, 2.0]),
-        (np.float64(1.0), np.ones(2)),
-        (1.0, [1.0, 2.0]),
-    ])
-    def test_shape_mismatch(self, A, b):
-        with pytest.raises(ValueError, match="A must be n x n and b length n"):
-            lu_solve(A, b)
-
 
 class TestLuSolve3x3(_LuChecks):
-    """lu_solve's n = 3 kernel against the general loop."""
+    """The n = 3 elimination against the general loop."""
 
     n = 3
 
@@ -438,210 +397,243 @@ class TestLuSolve3x3(_LuChecks):
     def test_singular_messages(self, A, column):
         self.check_singular_message(A, column)
 
-    @pytest.mark.parametrize("A,b", [
-        (np.ones((3, 2)), np.ones(3)),
-        (np.ones((3, 4)), np.ones(3)),
-        ([[1.0, 2.0, 3.0], [3.0, 4.0], [5.0, 6.0, 7.0]], [1.0, 2.0, 3.0]),
-        ([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0], [5.0, 6.0, 7.0, 8.0]], [1.0, 2.0, 3.0]),
-        ([[1.0], [3.0], [5.0]], [1.0, 2.0, 3.0]),
-        (np.ones((2, 3)), np.ones(3)),
-        (np.ones((4, 3)), np.ones(3)),
-        (np.eye(3), np.ones(2)),
-        (np.eye(3), np.ones(4)),
-        (np.ones(3), np.ones(3)),
-        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
-        (np.float64(1.0), np.ones(3)),
-        (1.0, [1.0, 2.0, 3.0]),
-    ])
-    def test_shape_mismatch(self, A, b):
-        with pytest.raises(ValueError, match="A must be n x n and b length n"):
-            lu_solve(A, b)
-
 
 class TestLuSolve4x4(_LuChecks):
-    """lu_solve's n = 4 kernel against the general loop."""
+    """The n = 4 elimination against the general loop."""
 
     n = 4
 
 
 class TestLuSolve5x5(_LuChecks):
-    """lu_solve's n = 5 kernel against the general loop."""
+    """The n = 5 elimination against the general loop."""
 
     n = 5
 
 
 class TestLuSolve6x6(_LuChecks):
-    """lu_solve's n = 6 kernel (SEIR) against the general loop."""
+    """The n = 6 elimination (SEIR) against the general loop."""
 
     n = 6
 
 
-class TestLuKernel:
-    def test_empty_system(self):
-        # n = 0 keeps the general loop's empty solution; a row or a b entry
-        # more is a shape error.
-        assert lu_solve([], []) == [] and lu_solve(np.zeros((0, 0)), []) == []
-        for A, b in [([[1.0]], []), ([], [1.0]), (5.0, [])]:
-            with pytest.raises(ValueError, match="A must be n x n and b length n"):
-                lu_solve(A, b)
-
-    def test_one_kernel_per_n(self):
-        # Generated once per n and cached: a later system of that size
-        # runs the same function.
-        nonlinear._lu_kernel.cache_clear()
-        lu_solve(np.eye(4), np.ones(4))
-        kernel = nonlinear._lu_kernel(4)
-        lu_solve(np.diag([2.0, 3.0, 4.0, 5.0]), np.ones(4))
-        assert nonlinear._lu_kernel(4) is kernel
-        assert nonlinear._lu_kernel.cache_info().misses == 1
-
-    def test_concurrent_first_calls(self, run_threads):
-        # Threads asking for the same kernels at once each solve their
-        # systems with the loop's bits, whichever equal kernel is stored.
-        nonlinear._lu_kernel.cache_clear()
-        rng = np.random.default_rng(3)
-        systems = [(rng.normal(size=(n, n)).tolist(), rng.normal(size=n).tolist())
-                   for n in range(1, 7)]
-        returned = []  # (system index, outcome), checked below
-
-        def work(seed):
-            order = list(range(len(systems)))
-            random.Random(seed).shuffle(order)
-            for i in order:
-                returned.append((i, outcome(lu_solve, *systems[i])))
-
-        run_threads(work)
-        assert len(returned) == 6 * len(systems)
-        for i, result in returned:
-            assert result == general(*systems[i])
-        assert nonlinear._lu_kernel.cache_info().currsize == len(systems)
+def declared(rhs, state, **params):
+    """The problem of the declaration ``rhs`` from ``state``."""
+    return ProblemDefinition(name=rhs.__name__.strip("_"),
+                             recurrence=declare(rhs, **params),
+                             default_initial=np.array(state))
 
 
-def newton(residual, guess):
-    """newton_solve with the complex step of residual as its linearize."""
-    return newton_solve(residual, guess, partial(complex_step, residual))
+def _square(x):
+    return (x * x,)
+
+
+def _riccati(x, c):
+    # x' = x - x^2 - c, c held constant.
+    return (x - x * x - c, 0.0 * c)
+
+
+def _ripple(x, *, a, b):
+    # x' = (a - b) x, each product rounded on its own.
+    return (a * x - b * x,)
+
+
+def counted(problem):
+    """The problem with its recurrence wrapped, tangent kernel kept, and the
+    list of the states the wrapper is called with."""
+    recurrence, states = problem.recurrence, []
+
+    @wraps(recurrence)
+    def wrapper(t, state, depth):
+        states.append(list(state))
+        return recurrence(t, state, depth)
+
+    return dataclasses.replace(problem, recurrence=wrapper), states
+
+
+def step(problem, state, theta, order, dt):
+    """``stepper._step`` from state at t = 0, from the node table integrate
+    builds: (state, iterations, handed-on table)."""
+    table = build_coeff_table(problem, 0.0, list(state),
+                              stepper.theoretical_order(theta, order) + 1)
+    return stepper._step(problem, 0.0, table, theta, order, dt)
+
+
+def defect(problem, state, y, theta, order, dt):
+    """The step's residual at the trial state y, for the step of dt from
+    state at t = 0, by the tangent kernel."""
+    table = build_coeff_table(problem, 0.0, list(state), order)
+    h = stepper._horner(order)
+    known = [h(col, (1.0 - theta) * dt) for col in table]
+    return problem.recurrence.tangent(order)(dt, -theta * dt, known, y)[0]
+
+
+def scripted(tables):
+    """A recurrence the step kernel takes in place of a declared one, for
+    paths no declaration reaches: the table of a state y is ``tables(y)``,
+    whose X(0) is y, and its tangent kernel returns, as a declared one
+    does, that table's series at the offset minus the known side, with the
+    identity as the Jacobian.  Returns (recurrence, the list of the states
+    the recurrence is called with)."""
+    calls = []
+
+    def recurrence(t, y, depth):
+        calls.append(list(y))
+        return tables(y)
+
+    def tangent(order):
+        h = stepper._horner(order)
+
+        def kernel(t, offset, known, y):
+            r = [h(col, offset) - k for col, k in zip(tables(y), known)]
+            return r, [[float(i == j) for j in range(len(y))]
+                       for i in range(len(y))]
+        return kernel
+
+    recurrence.tangent = tangent
+    return recurrence, calls
+
+
+# Backward Euler (theta = 1, K = 1) steps, whose residual is
+# y - dt f(y) - x0, and a halved one: (problem, state, theta, K, dt).
+AFFINE = (dahlquist(-3.0), [1.0], 1.0, 1, 0.25)
+QUADRATIC = (declared(_square, [0.75]), [0.75], 1.0, 1, 0.25)
+CONVERGED = (dahlquist(0.0), [1.0], 1.0, 1, 0.25)
+COUPLED = (van_der_pol(10.0), [2.0, -0.5], 1.0, 1, 0.05)
+DAMPED = (van_der_pol(10.0), [0.8110801522680295, 0.0], 1.0, 2,
+          2.4161410676478856)
 
 
 class TestNewtonSolve:
+    """Newton's rules in the step kernel, one declared step per path."""
+
     def test_affine(self):
-        root, iters = newton(lambda y: [v - 1.0 for v in y], [0.0])
-        assert root[0] == pytest.approx(1.0)
-        # One correction plus one polish pass that confirms the floor.
+        root, iters, _ = step(*AFFINE)
+        assert root[0] == pytest.approx(1.0 / 1.75)
+        # One correction, then the floor confirms the root.
         assert iters <= 2
 
     def test_quadratic(self):
-        root, iters = newton(lambda y: [v ** 2 - 4.0 for v in y], [3.0])
-        assert root[0] == pytest.approx(2.0, abs=1e-10)
+        # x' = x^2: y - y^2 / 4 = 0.75 has the roots 1 and 3; the
+        # predictor 0.890625 lies next to 1.
+        root, iters, _ = step(*QUADRATIC)
+        assert root[0] == pytest.approx(1.0, abs=1e-10)
         assert iters <= 6
 
     def test_already_converged_guess(self):
-        root, iters = newton(lambda y: [v - 1.0 for v in y], [1.0])
-        assert root[0] == 1.0
-        assert iters == 0
+        # x' = 0: the predictor is the root, and no table is built.
+        assert step(*CONVERGED) == ([1.0], 0, None)
 
     def test_coupled_system(self):
-        def residual(y):
-            return [y[0] ** 2 + y[1] ** 2 - 2.0, y[0] - y[1]]
-
-        root, _ = newton(residual, [2.0, 0.5])
-        np.testing.assert_allclose(root, [1.0, 1.0], atol=1e-10)
+        root, _, _ = step(*COUPLED)
+        (u, v), (u0, v0), dt = root, COUPLED[1], COUPLED[4]
+        r = [u - dt * v - u0, v - dt * (10.0 * (1.0 - u * u) * v - u) - v0]
+        assert max(map(abs, r)) <= 1e-12
 
     def test_failure_reported(self, monkeypatch):
-        # No real root: residual cannot reach zero.
-        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 5)
-        with pytest.raises(NewtonFailureError):
-            newton(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
+        # x' = x^2 from 1 at dt = 1: y - y^2 = 1 has no real root.
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 5)
+        with pytest.raises(NewtonFailureError,
+                           match="^no convergence in 5 iterations"):
+            step(declared(_square, [1.0]), [1.0], 1.0, 1, 1.0)
 
     def test_singular_jacobian_after_first_iteration(self):
-        # The first update lands on y = 0, where the Jacobian 2y vanishes.
-        with pytest.raises(NewtonFailureError, match="singular Jacobian at iteration 2"):
-            newton(lambda y: [v ** 2 + 1.0 for v in y], [1.0])
+        # From x = 0, c = 1 at dt = 1 the residual is (x^2 + 1, 0), the
+        # predictor -1, and the first update lands on x = 0, where the
+        # Jacobian's first column 2x vanishes.
+        with pytest.raises(NewtonFailureError,
+                           match="singular Jacobian at iteration 2"):
+            step(declared(_riccati, [0.0, 1.0]), [0.0, 1.0], 1.0, 1, 1.0)
 
-    def test_stalled_residual_accepted_at_abs_tol(self):
-        # A root at 1 with a 1e-13 ripple of period 6e-13: once the residual
-        # is below _ABS_TOL = 1e-12 and no longer falls fourfold per
-        # iteration, the iterate is accepted, after 3 iterations.  Without
-        # that rule, or at _ABS_TOL = 1e-13, the solve takes 6.
-        def residual(y):
-            x, = y
-            sin = cmath.sin if type(x) is complex else math.sin
-            return [(x - 1.0) + 1e-13 * sin(1e13 * x)]
-
-        root, iters = newton(residual, [0.999999999995])
-        assert iters == 3
-        assert abs(residual(root)[0]) <= nonlinear._ABS_TOL
+    def test_stalled_residual_accepted_at_abs_tol(self, monkeypatch):
+        # x' = 3000 x - 2999.5 x from 0.6 at dt = 1: the root is 1.2, but
+        # the two products round apart, so the residual ripples by
+        # multiples of 1.1e-13 that no iterate removes.  Once it is below
+        # _ABS_TOL = 1e-12 and no longer falls fourfold per iteration, the
+        # iterate is accepted, after 2 iterations, above the round-off
+        # floor.  Without that rule the solve goes on to _MAX_ITERS, and
+        # at _ABS_TOL = 1e-13 it fails.
+        problem = declared(_ripple, [0.6], a=3000.0, b=2999.5)
+        root, iters, _ = step(problem, [0.6], 1.0, 1, 1.0)
+        assert iters == 2
+        r = abs(defect(problem, [0.6], root, 1.0, 1, 1.0)[0])
+        assert 100.0 * stepper._EPSILON * root[0] < r <= stepper._ABS_TOL
+        monkeypatch.setattr(stepper, "_ABS_TOL", 1e-13)
+        with pytest.raises(NewtonFailureError, match="^no convergence"):
+            step(problem, [0.6], 1.0, 1, 1.0)
 
     def test_last_iteration_residual_tested(self, monkeypatch):
-        # The one allowed iteration reaches _ABS_TOL with a large update.
-        monkeypatch.setattr(nonlinear, "_ABS_TOL", 1e-9)
-        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
-        root, iters = newton(lambda y: [v - 1.0 for v in y], [0.0])
-        assert abs(root[0] - 1.0) <= 1e-9
+        # The one allowed iteration reaches _ABS_TOL with a large update:
+        # x' = x^2 from 0.1 at dt = 0.5 leaves a residual of 1.6e-7.
+        monkeypatch.setattr(stepper, "_ABS_TOL", 1e-6)
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 1)
+        problem = declared(_square, [0.1])
+        root, iters, _ = step(problem, [0.1], 1.0, 1, 0.5)
+        assert abs(defect(problem, [0.1], root, 1.0, 1, 0.5)[0]) <= 1e-6
         assert iters == 1
 
     def test_damping_recovers_overshoot(self):
-        # Steep residual where a full Newton step overshoots badly.
-        def residual(y):
-            return [np.arctan(v) * 10.0 for v in y]
+        # A stiff Van der Pol step whose full updates overshoot: some are
+        # halved, and the solve still reaches the round-off floor.
+        problem, states = counted(DAMPED[0])
+        root, iters, _ = step(problem, *DAMPED[1:])
+        # One call for the node table, one per trial.
+        assert len(states) - 1 > iters
+        r = defect(*DAMPED[:2], root, *DAMPED[2:])
+        assert max(map(abs, r)) <= 1e-12 * max(1.0, max(map(abs, root)))
 
-        root, _ = newton(residual, [20.0])
-        assert abs(root[0]) <= 1e-10
-
-    @pytest.mark.parametrize("residual,guess,iters", [
-        (lambda y: [v - 1.0 for v in y], [0.0], 1),
-        (lambda y: [v ** 2 - 4.0 for v in y], [3.0], 5),
-        (lambda y: [v - 1.0 for v in y], [1.0], 0),
-        (lambda y: [y[0] ** 2 + y[1] ** 2 - 2.0, y[0] - y[1]], [2.0, 0.5], 5),
-        (lambda y: [np.arctan(v) * 10.0 for v in y], [20.0], 7),
+    @pytest.mark.parametrize("case,iters", [
+        (AFFINE, 1), (QUADRATIC, 4), (CONVERGED, 0), (COUPLED, 3),
+        (DAMPED, 19),
     ], ids=["affine", "quadratic", "converged", "coupled", "damping"])
-    def test_iteration_counts(self, residual, guess, iters):
+    def test_iteration_counts(self, case, iters):
         # The counts of the cases above: the norm of each residual is taken
         # once and carried into the next iteration's tests.
-        assert newton(residual, guess)[1] == iters
+        assert step(*case)[1] == iters
 
     def test_inf_residual_takes_every_halving(self):
-        # The residual is inf at the start and after every update: an inf
-        # norm is never a decrease, even against r_norm = inf.
-        real_calls = []
+        # The residual is 1 at the predictor 2 and inf at every other
+        # state, whose table is finite but overflows its Horner sum: an
+        # inf norm is never a decrease, so the update -1 is halved
+        # _MAX_HALVINGS times and the last trial kept.  Its residual is
+        # inf, so the next update is infinite; that iterate is X(0) of its
+        # table and fails there, before any convergence test.
+        def tables(y):
+            return [[y[0], -1.0, 0.0] if y == [2.0] else [y[0], -1e308, 1e308]]
 
-        def residual(y):
-            if isinstance(y[0], complex):
-                return [complex(math.inf, v.imag) for v in y]
-            real_calls.append(list(y))
-            return [math.inf for _ in y]
-
-        with pytest.raises(NewtonFailureError):
-            newton(residual, [2.0])
-        assert len(real_calls) >= 1 + nonlinear._MAX_HALVINGS
-        assert real_calls[:1 + nonlinear._MAX_HALVINGS] == \
-            [[-math.inf]] * (1 + nonlinear._MAX_HALVINGS)
-
-    def test_root_beyond_float_range_raises(self):
-        # The root 1e310 overflows: the update and every halving of it land
-        # on inf, and inf <= inf must not pass the update test as
-        # convergence.
-        with pytest.raises(NewtonFailureError,
-                           match=r"^non-finite iterate at iteration 1$"):
-            newton(lambda y: [1e-250 * v - 1e60 for v in y], [0.0])
+        recurrence, calls = scripted(tables)
+        with pytest.raises(NonFiniteStateError):
+            stepper._implicit_step(1, 2)(recurrence, 0.0, [[2.0, 0.0, 0.0]],
+                                         1.0, 1.0)
+        halvings = stepper._MAX_HALVINGS
+        assert calls == [[2.0 - 0.5 ** k] for k in range(halvings + 1)] + [
+            [-math.inf]]
 
     @pytest.mark.parametrize("where", [0, 1])
     def test_nan_residual_counts_as_growth(self, where):
-        # The full update lands on the root, where the residual first comes
-        # back with a nan; the step is halved, wherever the nan sits (the
-        # builtin max would skip it in second place).
-        real_calls = []
+        # A nan residual entry makes the norm nan wherever it sits (the
+        # builtin max would skip it in second place and accept the
+        # predictor at a zero norm).  Component ``where`` has a finite node
+        # table whose known side overflows to inf and whose predictor's
+        # series at -theta dt does too, so its residual is inf - inf; the
+        # other component's residual is 0.  The nan enters the update, and
+        # the trial fails in its table.
+        def tables(y):
+            return [[v, -1e308, 0.0] if i == where else [v, 0.0, 0.0]
+                    for i, v in enumerate(y)]
 
-        def residual(y):
-            r = [v - 1.0 for v in y]
-            if not isinstance(y[0], complex):
-                real_calls.append(list(y))
-                if len(real_calls) == 1:
-                    r[where] = math.nan
-            return r
+        node = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        node[where] = [1.5e308, 1e308, -0.5e308]
+        recurrence, calls = scripted(tables)
+        with pytest.raises(NonFiniteStateError):
+            stepper._implicit_step(2, 2)(recurrence, 0.0, node, 0.5, 2.0)
+        assert len(calls) == 1 and math.isnan(calls[0][where])
 
-        root, iters = newton(residual, [0.0, 0.0])
-        assert real_calls[:3] == [[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]]
-        assert root == [1.0, 1.0] and iters == 2
+
+def newton(residual, guess):
+    """The oracle's Newton loop with the complex step of residual as its
+    linearize."""
+    return oracles.newton_solve(residual, guess,
+                                partial(complex_step, residual))
 
 
 def horner(table, offset, order):
@@ -779,9 +771,10 @@ class TestBatchedJacobian:
 
         def solve(A, b):
             calls.append("lu")
-            return lu_solve(A, b)
+            return lu_solve_n(A, b)
 
-        monkeypatch.setattr(nonlinear, "lu_solve", solve)
+        lu_solve_n = oracles.lu_solve_n
+        monkeypatch.setattr(oracles, "lu_solve_n", solve)
         _, iters = newton(residual, [3.0, 1.0])
         assert iters >= 2
         assert calls[0] == ((2,), True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ieldtm import nonlinear, stepper
+from ieldtm import stepper
 from ieldtm.bench import write_csv, write_trace_csv
 from ieldtm.errors import (
     NewtonFailureError,
@@ -359,9 +359,7 @@ class TestImplicitStepKernel:
     ``_step``) against the step as it was composed before it (the oracle
     ``oracles.implicit_step``: the step's residual function and Newton's
     hand-written loop), byte for byte: the state, the iterations, the
-    handed-on table and any step failure's type and message.  The same
-    composition with ``nonlinear.newton_solve``, the Newton template's
-    other instance, is held to the same bytes."""
+    handed-on table and any step failure's type and message."""
 
     THETAS = [0.3, 0.5, 1.0]
     ORDERS = [1, 2, 5, 9, 33, 171]
@@ -379,16 +377,13 @@ class TestImplicitStepKernel:
     @staticmethod
     def check(problem, t, state, theta, order, dt):
         """The outcome of one step from the state's table at t, after
-        checking that all three sides agree on it.  The table is the
-        recurrence's, unchecked, as deep as integrate builds it."""
+        checking that the kernel and the oracle agree on it.  The table is
+        the recurrence's, unchecked, as deep as integrate builds it."""
         table = problem.recurrence(
             t, state, stepper.theoretical_order(theta, order) + 1)
         args = (problem, t, table, theta, order, dt)
         expected = step_outcome(oracles.implicit_step, *args)
         assert step_outcome(stepper._step, *args) == expected
-        assert step_outcome(functools.partial(
-            oracles.implicit_step, newton=nonlinear.newton_solve),
-            *args) == expected
         return expected
 
     def check_points(self, problem, t, state, dts, theta, rng, spread=0.1):
@@ -461,7 +456,7 @@ class TestImplicitStepKernel:
             # Past the node's table, more residuals than iterations on each
             # side: some update was halved.
             assert isinstance(outcome[1], int)
-            assert len(states) - 1 > 3 * outcome[1]
+            assert len(states) - 1 > 2 * outcome[1]
         else:
             assert outcome[0] is error and outcome[1].startswith(message)
         if name == "dahlquist" and error is NonFiniteStateError:
@@ -501,15 +496,15 @@ class TestImplicitStepKernel:
                   2.4161410676478856)
         self.check(*late)
         self.check(*halved)
-        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 3)
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 3)
         error, message = self.check(*late)
         assert error is NewtonFailureError
         assert message.startswith("no convergence in 3 iterations")
         monkeypatch.undo()
-        monkeypatch.setattr(nonlinear, "_MAX_HALVINGS", 0)
+        monkeypatch.setattr(stepper, "_MAX_HALVINGS", 0)
         problem, states = counted(vanderpol)
         outcome = self.check(problem, *halved[1:])
-        assert len(states) - 1 == 3 * outcome[1]
+        assert len(states) - 1 == 2 * outcome[1]
 
 
 # The two step controllers and the error estimate as integrate called them
@@ -1009,7 +1004,7 @@ class TestStepFailureStatus:
         prob = duffing()
         cfg = SchemeConfig(0.5, 3, AdaptiveStep(1e-8))
         default = integrate(prob, cfg, 1.0)
-        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 1)
         one = integrate(prob, cfg, 1.0)
         assert one.status == default.status == "completed"
         assert one.steps == default.steps == 18
@@ -1038,7 +1033,7 @@ class TestFailureContext:
         assert trace.failure == ""
 
     def test_newton_failure(self, monkeypatch):
-        monkeypatch.setattr(nonlinear, "_MAX_ITERS", 1)
+        monkeypatch.setattr(stepper, "_MAX_ITERS", 1)
         cfg = SchemeConfig(1.0, 1, FixedStep(1.0))
         trace = integrate(quadratic_blowup(), cfg, 2.0)
         assert trace.status == "newton-failure"
